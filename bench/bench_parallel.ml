@@ -123,8 +123,8 @@ let run_nl3 db (block, plan) dop =
         out_card = plan.Plan.out_card }
   in
   let cur =
-    Cursor.open_plan (Database.catalog db) block Bench_util.dummy_env
-      ~compiled:true ~join:None plan
+    Cursor.open_plan (Database.catalog db) block Bench_util.dummy_env ~join:None
+      plan
   in
   List.map T.to_string (Cursor.drain cur)
 

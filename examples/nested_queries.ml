@@ -45,10 +45,10 @@ let () =
              "correlated -> re-evaluated per candidate tuple (cached by value)"
            else "uncorrelated -> evaluated once, before the parent block"))
       r.Optimizer.subresults;
-    let out, stats = Executor.run_with_stats cat r in
+    let out, counts = Executor.run_measured cat r in
     Printf.printf "rows: %d; subquery calls: %d; actual evaluations: %d\n"
       (List.length out.Executor.rows)
-      stats.Executor.subquery_calls stats.Executor.subquery_evals
+      counts.Rss.Counters.subquery_calls counts.Rss.Counters.subquery_evals
   in
   (* the paper's first example: salary above the average *)
   show "scalar subquery, evaluated once"

@@ -527,31 +527,32 @@ let update_where s txn (rel : Catalog.relation) sets where =
         | None -> err "no column %s in %s" col rel.Catalog.rel_name)
       sets
   in
-  (* type compatibility of each assignment *)
+  (* Everything that could make a SET expression fail is rejected here,
+     before any victim is stamped: nothing undoes a half-applied UPDATE
+     short of aborting the whole transaction. SET has no bound parameters
+     and no aggregation, and each assignment must produce what
+     [Rel.Tuple.conforms] accepts — the column's exact type, or NULL. *)
+  if set_block.Semant.scalar_agg then err "aggregate in SET";
+  if Semant.param_count set_block > 0 then err "parameter in SET";
   List.iteri
     (fun i (e, _) ->
       let target_ty = (Rel.Schema.column schema (List.nth targets i)).Rel.Schema.ty in
-      match Semant.type_of_expr set_block e, target_ty with
-      | None, _ -> ()
-      | Some Rel.Value.Tstr, Rel.Value.Tstr -> ()
-      | Some (Rel.Value.Tint | Rel.Value.Tfloat), (Rel.Value.Tint | Rel.Value.Tfloat)
-        -> ()
-      | Some _, _ ->
-        err "type mismatch assigning to %s" (fst (List.nth sets i)))
+      match Semant.type_of_expr set_block e with
+      | None -> ()
+      | Some ty when ty = target_ty -> ()
+      | Some _ -> err "type mismatch assigning to %s" (fst (List.nth sets i)))
     set_block.Semant.select;
   let layout = Layout.of_tables set_block [ 0 ] in
   let env =
     { Eval.blocks = []; params = [||];
       subquery = (fun _ _ -> err "subquery in SET") }
   in
+  let news =
+    List.map (fun (e, _) -> Eval.compile_expr env layout e) set_block.Semant.select
+  in
   let updated_image tuple =
-    let news =
-      List.map
-        (fun (e, _) -> Eval.expr env { Eval.layout; tuple } e)
-        set_block.Semant.select
-    in
     let out = Array.copy tuple in
-    List.iteri (fun i pos -> out.(pos) <- List.nth news i) targets;
+    List.iter2 (fun pos f -> out.(pos) <- f tuple) targets news;
     out
   in
   let victims =
@@ -761,7 +762,9 @@ let exec_stmt s (stmt : Ast.statement) =
     (match Catalog.find_relation (Engine.catalog s.eng) table with
      | None -> err "unknown table %s" table
      | Some rel ->
-       let n = with_txn s (fun txn -> update_where s txn rel sets where) in
+       let n =
+         with_txn s (fun txn -> wrap (fun () -> update_where s txn rel sets where))
+       in
        Done (Printf.sprintf "%d row%s updated" n (if n = 1 then "" else "s")))
   | Ast.Drop_table table ->
     if s.active <> None then err "DROP TABLE inside a transaction is not supported";

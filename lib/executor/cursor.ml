@@ -6,47 +6,35 @@ let drain c =
   let rec go acc = match c () with None -> List.rev acc | Some t -> go (t :: acc) in
   go []
 
-(* A residual filter over the composite tuples of a node: compiled to a
-   position-resolved closure at open time, or left to the per-tuple AST
-   interpreter when [compiled] is off (the baseline the hot-path bench and
-   the differential test compare against). *)
-let residual_filter ~compiled env layout preds : Rel.Tuple.t -> bool =
-  match preds with
-  | [] -> fun _ -> true
-  | preds ->
-    if compiled then Eval.compile_preds env layout preds
-    else fun tuple ->
-      List.for_all (Eval.pred env { Eval.layout; tuple }) preds
-
 (* [partition], when given, restricts the leftmost scan of the plan to one
    slice of a [Plan.Exchange] fan-out; it threads through nested-loop outers
    down to the leaf scan. *)
-let rec open_plan catalog block (env : Eval.env) ?(compiled = true)
-    ?partition ?snap ~join (p : Plan.t) : t =
+let rec open_plan catalog block (env : Eval.env) ?partition ?snap ~join
+    (p : Plan.t) : t =
   match p.Plan.node with
   | Plan.Scan { tab; access; sargs; residual } ->
-    open_scan catalog block env ~compiled ~partition ~snap ~join ~tab ~access
+    open_scan catalog block env ~partition ~snap ~join ~tab ~access
       ~sargs ~residual
   | Plan.Nl_join { outer; inner } ->
     (match join with
      | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
-     | None -> open_nl catalog block env ~compiled ~partition ~snap ~outer ~inner)
+     | None -> open_nl catalog block env ~partition ~snap ~outer ~inner)
   | Plan.Merge_join { outer; inner; outer_col; inner_col; residual } ->
     (match join with
      | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
      | None ->
-       open_merge catalog block env ~compiled ~snap ~outer ~inner ~outer_col
+       open_merge catalog block env ~snap ~outer ~inner ~outer_col
          ~inner_col ~residual)
   | Plan.Sort { input; key } ->
-    open_sort catalog block env ~compiled ~snap ~join ~input ~key
+    open_sort catalog block env ~snap ~join ~input ~key
   | Plan.Exchange { input; dop } ->
     (match join with
      | Some _ -> invalid_arg "Cursor: exchange cannot be a join inner"
-     | None -> open_exchange catalog block env ~compiled ~snap ~input ~dop)
+     | None -> open_exchange catalog block env ~snap ~input ~dop)
   | Plan.Filter { input; preds } ->
-    let inner = open_plan catalog block env ~compiled ?snap ~join input in
+    let inner = open_plan catalog block env ?snap ~join input in
     let layout = layout_of block input in
-    let keep = residual_filter ~compiled env layout preds in
+    let keep = Eval.compile_preds env layout preds in
     let rec pull () =
       match inner () with
       | None -> None
@@ -54,7 +42,7 @@ let rec open_plan catalog block (env : Eval.env) ?(compiled = true)
     in
     pull
 
-and open_scan _catalog block env ~compiled ~partition ~snap ~join ~tab ~access
+and open_scan _catalog block env ~partition ~snap ~join ~tab ~access
     ~sargs ~residual =
   let tr = List.nth block.Semant.tables tab in
   let rel = tr.Semant.rel in
@@ -94,7 +82,7 @@ and open_scan _catalog block env ~compiled ~partition ~snap ~join ~tab ~access
   in
   let self_layout = Layout.of_tables block [ tab ] in
   match join with
-  | Some f when compiled ->
+  | Some f ->
     (* Pair-compiled residuals read the outer composite and the scanned tuple
        directly — the combined tuple is never built (the scan's output is the
        bare inner tuple). Subquery residuals still need a composite frame for
@@ -122,29 +110,18 @@ and open_scan _catalog block env ~compiled ~partition ~snap ~join ~tab ~access
         else pull ()
     in
     pull
-  | _ ->
-    let combined_layout =
-      match join with
-      | Some f -> Layout.concat f.Eval.layout self_layout
-      | None -> self_layout
-    in
-    let keep = residual_filter ~compiled env combined_layout residual in
+  | None ->
+    let keep = Eval.compile_preds env self_layout residual in
     let rec pull () =
       match Rss.Scan.next scan with
       | None -> None
-      | Some (_tid, tuple) ->
-        let combined =
-          match join with
-          | Some f -> Rel.Tuple.concat f.Eval.tuple tuple
-          | None -> tuple
-        in
-        if keep combined then Some tuple else pull ()
+      | Some (_tid, tuple) -> if keep tuple then Some tuple else pull ()
     in
     pull
 
-and open_nl catalog block env ~compiled ~partition ~snap ~outer ~inner =
+and open_nl catalog block env ~partition ~snap ~outer ~inner =
   let outer_cur =
-    open_plan catalog block env ~compiled ?partition ?snap ~join:None outer
+    open_plan catalog block env ?partition ?snap ~join:None outer
   in
   let outer_layout = layout_of block outer in
   let state = ref None in
@@ -162,33 +139,30 @@ and open_nl catalog block env ~compiled ~partition ~snap ~outer ~inner =
        | Some outer_tuple ->
          let jframe = { Eval.layout = outer_layout; tuple = outer_tuple } in
          let inner_cur =
-           open_plan catalog block env ~compiled ?snap ~join:(Some jframe) inner
+           open_plan catalog block env ?snap ~join:(Some jframe) inner
          in
          state := Some (outer_tuple, inner_cur);
          pull ())
   in
   pull
 
-and open_merge catalog block env ~compiled ~snap ~outer ~inner ~outer_col
+and open_merge catalog block env ~snap ~outer ~inner ~outer_col
     ~inner_col ~residual =
-  let outer_cur = open_plan catalog block env ~compiled ?snap ~join:None outer in
-  let inner_cur = open_plan catalog block env ~compiled ?snap ~join:None inner in
+  let outer_cur = open_plan catalog block env ?snap ~join:None outer in
+  let inner_cur = open_plan catalog block env ?snap ~join:None inner in
   let outer_layout = layout_of block outer in
   let inner_layout = layout_of block inner in
   let combined_layout = Layout.concat outer_layout inner_layout in
   let opos = Layout.pos outer_layout outer_col in
   let ipos = Layout.pos inner_layout inner_col in
-  (* Compiled mode checks residuals against the (outer, inner) pair before
-     building the output composite, so rejected pairs cost no concatenation;
-     subquery residuals (needing a composite frame) run after, on survivors.
-     Interpreted mode concatenates first, as the baseline always did. *)
+  (* Residuals are checked against the (outer, inner) pair before the output
+     composite is built, so rejected pairs cost no concatenation; subquery
+     residuals (needing a composite frame) run after, on survivors. *)
   let plain, subq =
-    if compiled then
-      List.partition (fun p -> not (Semant.pred_has_subquery p)) residual
-    else ([], residual)
+    List.partition (fun p -> not (Semant.pred_has_subquery p)) residual
   in
   let keep_pair = Eval.compile_preds_pair env outer_layout inner_layout plain in
-  let keep = residual_filter ~compiled env combined_layout subq in
+  let keep = Eval.compile_preds env combined_layout subq in
   (* The inner scan is synchronized with the outer: the current group of
      equal-keyed inner tuples is remembered so equal consecutive outer keys
      rejoin it without rescanning ("remembering where matching join groups
@@ -273,7 +247,7 @@ and open_merge catalog block env ~compiled ~snap ~outer ~inner ~outer_col
   in
   pull
 
-and open_sort catalog block env ~compiled ~snap ~join ~input ~key =
+and open_sort catalog block env ~snap ~join ~input ~key =
   let layout = layout_of block input in
   let sort_key =
     List.map
@@ -282,14 +256,14 @@ and open_sort catalog block env ~compiled ~snap ~join ~input ~key =
           match d with Ast.Asc -> Rss.Sort.Asc | Ast.Desc -> Rss.Sort.Desc ))
       key
   in
-  let cmp = if compiled then Some (Eval.compile_cmp layout key) else None in
+  let cmp = Eval.compile_cmp layout key in
   let pager = Catalog.pager catalog in
   let serial () =
-    let input_cur = open_plan catalog block env ~compiled ?snap ~join input in
+    let input_cur = open_plan catalog block env ?snap ~join input in
     (* the plan cursor feeds run formation directly and the final merge
        streams straight to the consumer — the sorted result is never
        rematerialized *)
-    Rss.Sort.sort_stream ?cmp pager ~key:sort_key input_cur
+    Rss.Sort.sort_stream ~cmp pager ~key:sort_key input_cur
   in
   match input.Plan.node, join with
   | Plan.Exchange { input = inner; dop }, None
@@ -305,20 +279,20 @@ and open_sort catalog block env ~compiled ~snap ~join ~input ~key =
          Parallel.map_partitions pager
            (List.map
               (fun part () ->
-                Rss.Sort.runs_of_dispenser ?cmp pager ~key:sort_key
-                  (open_plan catalog block env ~compiled ~partition:part ?snap
+                Rss.Sort.runs_of_dispenser ~cmp pager ~key:sort_key
+                  (open_plan catalog block env ~partition:part ?snap
                      ~join:None inner))
               parts)
          |> List.concat
        in
-       Rss.Sort.merge_stream ?cmp pager ~key:sort_key runs)
+       Rss.Sort.merge_stream ~cmp pager ~key:sort_key runs)
   | _ -> serial ()
 
-and open_exchange catalog block env ~compiled ~snap ~input ~dop =
+and open_exchange catalog block env ~snap ~input ~dop =
   (* Torture testing is single-domain-only: with the failpoint registry
      armed, an exchange degrades to serial execution of its input (results
      are identical by construction). *)
-  let serial () = open_plan catalog block env ~compiled ?snap ~join:None input in
+  let serial () = open_plan catalog block env ?snap ~join:None input in
   if Rss.Failpoint.enabled () then serial ()
   else
     match Parallel.partitions block env input ~dop with
@@ -327,7 +301,7 @@ and open_exchange catalog block env ~compiled ~snap ~input ~dop =
       let g =
         Parallel.gather (Catalog.pager catalog) ~partitions:parts
           ~open_partition:(fun part ->
-            open_plan catalog block env ~compiled ~partition:part ?snap
+            open_plan catalog block env ~partition:part ?snap
               ~join:None input)
       in
       g.Parallel.next

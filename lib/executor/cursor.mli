@@ -8,11 +8,9 @@
     for that opening. All page fetches and RSI calls incurred flow through
     the catalog's pager counters.
 
-    By default, opening a node compiles its residual predicates and sort
-    comparator into position-resolved closures ({!Eval.compile_preds},
-    {!Eval.compile_cmp}) so the per-tuple path does no AST interpretation;
-    [~compiled:false] keeps the interpretive path — same semantics, used as
-    the baseline by the hot-path bench and the differential test. *)
+    Opening a node compiles its residual predicates and sort comparator into
+    position-resolved closures ({!Eval.compile_preds}, {!Eval.compile_cmp})
+    so the per-tuple path does no AST interpretation. *)
 
 type t = unit -> Rel.Tuple.t option
 
@@ -20,7 +18,6 @@ val open_plan :
   Catalog.t ->
   Semant.block ->
   Eval.env ->
-  ?compiled:bool ->
   ?partition:Parallel.partition ->
   ?snap:Rss.Mvcc.view ->
   join:Eval.frame option ->

@@ -16,21 +16,6 @@ let arith_fn (op : Ast.arith) =
   | Ast.Mul -> Rel.Value.mul
   | Ast.Div -> Rel.Value.div
 
-let rec expr env frame (e : Semant.sexpr) =
-  match e with
-  | Semant.E_const v -> v
-  | Semant.E_param i ->
-    if i < Array.length env.params then env.params.(i)
-    else invalid_arg (Printf.sprintf "Eval.expr: unbound parameter ?%d" i)
-  | Semant.E_col c -> Rel.Tuple.get frame.tuple (Layout.pos frame.layout c)
-  | Semant.E_outer { levels_up; tab; col } ->
-    (match List.nth_opt env.blocks (levels_up - 1) with
-     | Some outer ->
-       Rel.Tuple.get outer.tuple (Layout.pos outer.layout { Semant.tab; col })
-     | None -> invalid_arg "Eval.expr: outer reference beyond block stack")
-  | Semant.E_binop (op, a, b) -> arith_fn op (expr env frame a) (expr env frame b)
-  | Semant.E_agg _ -> invalid_arg "Eval.expr: aggregate outside Exec_agg"
-
 let cmp_op (c : Ast.comparison) =
   match c with
   | Ast.Eq -> Rss.Sarg.Eq
@@ -62,44 +47,6 @@ let or3 a b =
 
 let not3 = Option.map not
 
-let rec pred3 env frame (p : Semant.spred) : bool option =
-  match p with
-  | Semant.P_cmp (a, c, b) -> cmp3 (cmp_op c) (expr env frame a) (expr env frame b)
-  | Semant.P_between (e, lo, hi) ->
-    let v = expr env frame e in
-    and3
-      (cmp3 Rss.Sarg.Ge v (expr env frame lo))
-      (cmp3 Rss.Sarg.Le v (expr env frame hi))
-  | Semant.P_in_list (e, vs) ->
-    let v = expr env frame e in
-    if Rel.Value.is_null v then None
-    else if List.exists (Rel.Value.equal v) vs then Some true
-    else if List.exists Rel.Value.is_null vs then None
-    else Some false
-  | Semant.P_in_sub { e; block; negated } ->
-    let v = expr env frame e in
-    let base =
-      if Rel.Value.is_null v then None
-      else begin
-        let vs = env.subquery { env with blocks = frame :: env.blocks } block in
-        if List.exists (Rel.Value.equal v) vs then Some true
-        else if List.exists Rel.Value.is_null vs then None
-        else Some false
-      end
-    in
-    if negated then not3 base else base
-  | Semant.P_cmp_sub (e, c, block) ->
-    let v = expr env frame e in
-    (match env.subquery { env with blocks = frame :: env.blocks } block with
-     | [] -> None  (* an empty scalar subquery yields NULL *)
-     | [ sv ] -> cmp3 (cmp_op c) v sv
-     | _ :: _ :: _ -> invalid_arg "scalar subquery returned more than one value")
-  | Semant.P_and (a, b) -> and3 (pred3 env frame a) (pred3 env frame b)
-  | Semant.P_or (a, b) -> or3 (pred3 env frame a) (pred3 env frame b)
-  | Semant.P_not a -> not3 (pred3 env frame a)
-
-let pred env frame p = pred3 env frame p = Some true
-
 (* --- compiled evaluation ------------------------------------------------ *)
 
 (* Close an expression/predicate over its environment once, at plan-open
@@ -109,10 +56,9 @@ let pred env frame p = pred3 env frame p = Some true
    zero name resolution. Environment-dependent constants (params, outer
    refs) are sound to bind at compile time because a cursor opening fixes
    them: nested-loop inners are re-opened (hence re-compiled) per outer
-   tuple, and subquery plans per evaluation. Failures the interpreter would
-   raise per tuple (unbound parameter, outer ref beyond the stack) compile
-   to closures that raise when called, preserving behaviour on empty tuple
-   streams. *)
+   tuple, and subquery plans per evaluation. Environment failures (unbound
+   parameter, outer ref beyond the stack) compile to closures that raise
+   when called, so an empty tuple stream never raises them. *)
 
 let rec compile_expr env layout (e : Semant.sexpr) : Rel.Tuple.t -> Rel.Value.t =
   match e with
@@ -121,7 +67,7 @@ let rec compile_expr env layout (e : Semant.sexpr) : Rel.Tuple.t -> Rel.Value.t 
     if i < Array.length env.params then
       let v = env.params.(i) in
       fun _ -> v
-    else fun _ -> invalid_arg (Printf.sprintf "Eval.expr: unbound parameter ?%d" i)
+    else fun _ -> invalid_arg (Printf.sprintf "Eval: unbound parameter ?%d" i)
   | Semant.E_col c ->
     let p = Layout.pos layout c in
     fun tuple -> Rel.Tuple.get tuple p
@@ -132,12 +78,12 @@ let rec compile_expr env layout (e : Semant.sexpr) : Rel.Tuple.t -> Rel.Value.t 
          Rel.Tuple.get outer.tuple (Layout.pos outer.layout { Semant.tab; col })
        in
        fun _ -> v
-     | None -> fun _ -> invalid_arg "Eval.expr: outer reference beyond block stack")
+     | None -> fun _ -> invalid_arg "Eval: outer reference beyond block stack")
   | Semant.E_binop (op, a, b) ->
     let fa = compile_expr env layout a and fb = compile_expr env layout b in
     let f = arith_fn op in
     fun tuple -> f (fa tuple) (fb tuple)
-  | Semant.E_agg _ -> fun _ -> invalid_arg "Eval.expr: aggregate outside Exec_agg"
+  | Semant.E_agg _ -> fun _ -> invalid_arg "Eval: aggregate outside Exec_agg"
 
 let rec compile_pred env layout (p : Semant.spred) : Rel.Tuple.t -> bool option =
   match p with
@@ -200,7 +146,7 @@ let is_true = function Some true -> true | Some false | None -> false
 (* --- pair-compiled evaluation ------------------------------------------- *)
 
 (* Join residuals are conjuncts over an (outer composite, inner tuple) pair.
-   Interpreted evaluation must concatenate the pair into one composite before
+   Single-tuple evaluation must concatenate the pair into one composite before
    each check — an allocation per candidate pair, mostly thrown away when the
    residual rejects. The pair-compiled forms resolve each column reference to
    (side, offset) at compile time and read the two tuples directly, so the
@@ -218,7 +164,7 @@ let rec compile_expr_pair env left right (e : Semant.sexpr) :
       let v = env.params.(i) in
       fun _ _ -> v
     else
-      fun _ _ -> invalid_arg (Printf.sprintf "Eval.expr: unbound parameter ?%d" i)
+      fun _ _ -> invalid_arg (Printf.sprintf "Eval: unbound parameter ?%d" i)
   | Semant.E_col c ->
     if Layout.mem left c.Semant.tab then
       let p = Layout.pos left c in
@@ -234,13 +180,13 @@ let rec compile_expr_pair env left right (e : Semant.sexpr) :
        in
        fun _ _ -> v
      | None ->
-       fun _ _ -> invalid_arg "Eval.expr: outer reference beyond block stack")
+       fun _ _ -> invalid_arg "Eval: outer reference beyond block stack")
   | Semant.E_binop (op, a, b) ->
     let fa = compile_expr_pair env left right a in
     let fb = compile_expr_pair env left right b in
     let f = arith_fn op in
     fun a b -> f (fa a b) (fb a b)
-  | Semant.E_agg _ -> fun _ _ -> invalid_arg "Eval.expr: aggregate outside Exec_agg"
+  | Semant.E_agg _ -> fun _ _ -> invalid_arg "Eval: aggregate outside Exec_agg"
 
 (* Boolean-context compilation. A WHERE keeps a row iff the predicate
    evaluates to [Some true], so conjuncts never need the three-valued result

@@ -26,31 +26,27 @@ type env = {
 
 val arith_fn : Ast.arith -> Rel.Value.t -> Rel.Value.t -> Rel.Value.t
 
-val expr : env -> frame -> Semant.sexpr -> Rel.Value.t
-(** @raise Invalid_argument on an aggregate (those are computed by
-    {!Exec_agg}, never inline). *)
-
-val pred : env -> frame -> Semant.spred -> bool
-
 (** {2 Compiled evaluation}
 
-    The interpretive functions above re-walk the AST and re-resolve every
-    column reference per tuple. The [compile_*] family instead closes an
-    expression/predicate over its environment once, at plan-open time: column
-    references become captured integer offsets, parameters and outer-block
-    references captured values, operators direct functions. The returned
-    closures perform zero AST traversal and zero name resolution per tuple
-    while preserving three-valued NULL semantics exactly (see DESIGN.md,
-    "Compiled evaluation"). Binding environment-dependent values at compile
-    time is sound because a cursor opening fixes them: nested-loop inners are
-    re-opened (hence re-compiled) per outer tuple, subquery plans per
-    evaluation. *)
+    Expressions and predicates are never interpreted per tuple. The
+    [compile_*] family closes an expression/predicate over its environment
+    once, at plan-open time: column references become captured integer
+    offsets, parameters and outer-block references captured values, operators
+    direct functions. The returned closures perform zero AST traversal and
+    zero name resolution per tuple while preserving three-valued NULL
+    semantics exactly (see DESIGN.md, "Compiled evaluation"). Binding
+    environment-dependent values at compile time is sound because a cursor
+    opening fixes them: nested-loop inners are re-opened (hence re-compiled)
+    per outer tuple, subquery plans per evaluation. *)
 
 val compile_expr : env -> Layout.t -> Semant.sexpr -> Rel.Tuple.t -> Rel.Value.t
-(** @raise Not_found at compile time when a column is not in the layout. *)
+(** @raise Not_found at compile time when a column is not in the layout.
+    The closure raises [Invalid_argument] on an aggregate (those are computed
+    by {!Exec_agg}, never inline). *)
 
 val compile_pred : env -> Layout.t -> Semant.spred -> Rel.Tuple.t -> bool option
-(** Three-valued result, exactly as the interpreter's internal [pred3]. *)
+(** Three-valued (Kleene) result: [None] is Unknown; a WHERE keeps a row
+    only on [Some true]. *)
 
 val compile_preds : env -> Layout.t -> Semant.spred list -> Rel.Tuple.t -> bool
 (** Conjunction of compiled predicates; [true] iff every one evaluates to

@@ -6,30 +6,20 @@
    select expressions become closures from (accumulators, representative
    tuple) to output values. Input tuples are then folded one at a time as
    the cursor produces them; a group's state is O(1) regardless of its
-   cardinality.
-
-   Two per-tuple evaluation modes, as everywhere in the executor: compiled
-   (default) closes aggregate arguments and representative-tuple parts into
-   position-resolved closures; interpreted ([~compiled:false]) re-walks the
-   AST per tuple through [Eval.expr] and is kept as the measurable baseline.
-   Both stream — the baseline measures per-tuple interpretation, not
-   materialization.
-
-   The pre-streaming list-based entry points ([project], [scalar_aggregate],
-   [group_aggregate]) are kept verbatim below as the measurable "before" for
-   bench `hot`; the executor no longer calls them. *)
+   cardinality. Aggregate arguments and representative-tuple parts are
+   closed into position-resolved closures ({!Eval.compile_expr}) at
+   cursor-open time. *)
 
 (* --- O(1) aggregate accumulators ---------------------------------------- *)
 
 (* One accumulator per aggregate occurrence: [seen] counts non-null argument
    values, [v] carries the running left fold (first value, then
-   Value.add/min/max with each next one) — the same fold order as the
-   list-based [combine_agg], so results are bit-identical.
+   Value.add/min/max with each next one), in input order.
 
    While every value folded so far has been an [Int], the running value lives
    unboxed in [ik] ([int_mode = true]) so integer SUM/MIN/MAX allocate
    nothing per tuple; the first non-int argument flushes [ik] into [v] and
-   the fold continues through [Rel.Value.add]/[compare] exactly as before. *)
+   the fold continues through [Rel.Value.add]/[compare]. *)
 type acc = {
   mutable seen : int;
   mutable v : Rel.Value.t;
@@ -128,7 +118,7 @@ let acc_final (f : Ast.agg_fn) (a : acc) =
 type shape = {
   steps : (acc -> Rel.Tuple.t -> unit) array;
       (* per aggregate occurrence: specialized fold step closed over the
-         compiled/interpreted argument — no agg_fn dispatch per tuple *)
+         compiled argument — no agg_fn dispatch per tuple *)
   fns : Ast.agg_fn array;
       (* the aggregate function of each slot, for merging partial
          accumulators (parallel aggregation) *)
@@ -136,17 +126,12 @@ type shape = {
       (* one per select expression, applied to (accumulators, representative) *)
 }
 
-(* Close the select list over the layout once. [compiled] decides how the
-   per-tuple parts evaluate: position-resolved closures, or [Eval.expr]
-   re-walking the AST per tuple (the baseline's per-tuple cost). *)
-let compile_shape ~compiled env layout (block : Semant.block) : shape =
+(* Close the select list over the layout once. *)
+let compile_shape env layout (block : Semant.block) : shape =
   let aggs = ref [] in
   let agg_fns = ref [] in
   let n_aggs = ref 0 in
-  let per_tuple (e : Semant.sexpr) : Rel.Tuple.t -> Rel.Value.t =
-    if compiled then Eval.compile_expr env layout e
-    else fun tuple -> Eval.expr env { Eval.layout; tuple } e
-  in
+  let per_tuple = Eval.compile_expr env layout in
   let rec out (e : Semant.sexpr) : acc array -> Rel.Tuple.t option -> Rel.Value.t =
     match e with
     | Semant.E_agg (f, inner) ->
@@ -183,14 +168,8 @@ let finish shape accs rep =
 
 (* --- streaming entry points ---------------------------------------------- *)
 
-let project_stream ?(compiled = true) env layout (block : Semant.block) next =
-  let fs =
-    List.map
-      (fun (e, _) ->
-        if compiled then Eval.compile_expr env layout e
-        else fun tuple -> Eval.expr env { Eval.layout; tuple } e)
-      block.Semant.select
-  in
+let project_stream env layout (block : Semant.block) next =
+  let fs = List.map (fun (e, _) -> Eval.compile_expr env layout e) block.Semant.select in
   let rec go acc =
     match next () with
     | None -> List.rev acc
@@ -198,8 +177,8 @@ let project_stream ?(compiled = true) env layout (block : Semant.block) next =
   in
   go []
 
-let scalar_stream ?(compiled = true) env layout (block : Semant.block) next =
-  let shape = compile_shape ~compiled env layout block in
+let scalar_stream env layout (block : Semant.block) next =
+  let shape = compile_shape env layout block in
   let accs = fresh_accs shape in
   let rep = ref None in
   let rec go () =
@@ -213,8 +192,8 @@ let scalar_stream ?(compiled = true) env layout (block : Semant.block) next =
   go ();
   finish shape accs !rep
 
-let group_stream ?(compiled = true) env layout (block : Semant.block) next =
-  let shape = compile_shape ~compiled env layout block in
+let group_stream env layout (block : Semant.block) next =
+  let shape = compile_shape env layout block in
   let key_pos = List.map (Layout.pos layout) block.Semant.group_by in
   (* boundary test runs once per input tuple; the common single int grouping
      column compares unboxed instead of walking the position list. *)
@@ -333,8 +312,8 @@ type partial = {
          slice, accumulators), in first-seen order *)
 }
 
-let fold_partial ?(compiled = true) env layout (block : Semant.block) next =
-  let shape = compile_shape ~compiled env layout block in
+let fold_partial env layout (block : Semant.block) next =
+  let shape = compile_shape env layout block in
   if block.Semant.group_by = [] then begin
     let accs = fresh_accs shape in
     let rep = ref None in
@@ -452,104 +431,3 @@ let merge_partials layout (block : Semant.block) (partials : partial list) =
       in
       List.map (fun (rep, accs) -> finish shape accs (Some rep)) (squash sorted)
     end
-
-(* --- list-based baseline (bench `hot` "before") -------------------------- *)
-
-let combine_agg (f : Ast.agg_fn) values =
-  match f, values with
-  | Ast.Count, vs -> Rel.Value.Int (List.length vs)
-  | (Ast.Avg | Ast.Sum | Ast.Min | Ast.Max), [] -> Rel.Value.Null
-  | Ast.Sum, v :: vs -> List.fold_left Rel.Value.add v vs
-  | Ast.Avg, v :: vs ->
-    let sum = List.fold_left Rel.Value.add v vs in
-    let n = List.length values in
-    (match Rel.Value.to_float sum with
-     | Some s -> Rel.Value.Float (s /. float_of_int n)
-     | None -> Rel.Value.Null)
-  | Ast.Min, v :: vs ->
-    List.fold_left (fun a b -> if Rel.Value.compare b a < 0 then b else a) v vs
-  | Ast.Max, v :: vs ->
-    List.fold_left (fun a b -> if Rel.Value.compare b a > 0 then b else a) v vs
-
-let non_null_values per_tuple tuples =
-  List.filter_map
-    (fun tuple ->
-      let v = per_tuple tuple in
-      if Rel.Value.is_null v then None else Some v)
-    tuples
-
-let eval_agg env layout (f : Ast.agg_fn) inner tuples =
-  combine_agg f
-    (non_null_values (fun tuple -> Eval.expr env { Eval.layout; tuple } inner) tuples)
-
-let rec eval_over env layout (e : Semant.sexpr) tuples rep =
-  match e with
-  | Semant.E_agg (f, inner) -> eval_agg env layout f inner tuples
-  | Semant.E_binop (op, a, b) ->
-    Eval.arith_fn op (eval_over env layout a tuples rep)
-      (eval_over env layout b tuples rep)
-  | Semant.E_col _ | Semant.E_outer _ | Semant.E_const _ | Semant.E_param _ ->
-    (match rep with
-     | Some tuple -> Eval.expr env { Eval.layout; tuple } e
-     | None -> Rel.Value.Null)
-
-let rec compile_over env layout (e : Semant.sexpr) :
-    Rel.Tuple.t list -> Rel.Tuple.t option -> Rel.Value.t =
-  match e with
-  | Semant.E_agg (f, inner) ->
-    let fi = Eval.compile_expr env layout inner in
-    fun tuples _rep -> combine_agg f (non_null_values fi tuples)
-  | Semant.E_binop (op, a, b) ->
-    let fa = compile_over env layout a and fb = compile_over env layout b in
-    let f = Eval.arith_fn op in
-    fun tuples rep -> f (fa tuples rep) (fb tuples rep)
-  | Semant.E_col _ | Semant.E_outer _ | Semant.E_const _ | Semant.E_param _ ->
-    let fe = Eval.compile_expr env layout e in
-    fun _tuples rep ->
-      (match rep with Some tuple -> fe tuple | None -> Rel.Value.Null)
-
-let project ?(compiled = true) env layout (block : Semant.block) tuples =
-  if compiled then begin
-    let fs = List.map (fun (e, _) -> Eval.compile_expr env layout e) block.Semant.select in
-    List.map (fun tuple -> Array.of_list (List.map (fun f -> f tuple) fs)) tuples
-  end
-  else
-    List.map
-      (fun tuple ->
-        Array.of_list
-          (List.map
-             (fun (e, _) -> Eval.expr env { Eval.layout; tuple } e)
-             block.Semant.select))
-      tuples
-
-let row_over env layout (block : Semant.block) tuples =
-  let rep = match tuples with [] -> None | t :: _ -> Some t in
-  Array.of_list
-    (List.map (fun (e, _) -> eval_over env layout e tuples rep) block.Semant.select)
-
-let compiled_rows env layout (block : Semant.block) groups =
-  let fs = List.map (fun (e, _) -> compile_over env layout e) block.Semant.select in
-  List.map
-    (fun tuples ->
-      let rep = match tuples with [] -> None | t :: _ -> Some t in
-      Array.of_list (List.map (fun f -> f tuples rep) fs))
-    groups
-
-let scalar_aggregate ?(compiled = true) env layout block tuples =
-  if compiled then List.hd (compiled_rows env layout block [ tuples ])
-  else row_over env layout block tuples
-
-let group_aggregate ?(compiled = true) env layout (block : Semant.block) tuples =
-  let key_pos = List.map (Layout.pos layout) block.Semant.group_by in
-  let same a b = Rel.Tuple.compare_on key_pos a b = 0 in
-  let rec groups acc current = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | t :: rest ->
-      (match current with
-       | [] -> groups acc [ t ] rest
-       | c :: _ when same c t -> groups acc (t :: current) rest
-       | _ -> groups (List.rev current :: acc) [ t ] rest)
-  in
-  let gs = groups [] [] tuples in
-  if compiled then compiled_rows env layout block gs
-  else List.map (row_over env layout block) gs

@@ -9,17 +9,10 @@
     per-group tuple or value lists), so a group's state is O(1) regardless
     of cardinality and the input is never materialized.
 
-    [compiled] (default true) closes the select list over the layout once
-    and applies position-resolved closures per tuple; [~compiled:false]
-    evaluates per-tuple parts by re-walking the AST, the measurable
-    baseline. Both modes stream and produce identical results.
-
-    The list-based entry points ([project], [scalar_aggregate],
-    [group_aggregate]) are the pre-streaming implementation, kept as the
-    measurable "before" for bench `hot`; the executor no longer uses them. *)
+    The select list is closed over the layout once, at cursor-open time, and
+    position-resolved closures are applied per tuple. *)
 
 val project_stream :
-  ?compiled:bool ->
   Eval.env ->
   Layout.t ->
   Semant.block ->
@@ -28,7 +21,6 @@ val project_stream :
 (** Evaluate the select list per cursor tuple (no aggregates). *)
 
 val scalar_stream :
-  ?compiled:bool ->
   Eval.env ->
   Layout.t ->
   Semant.block ->
@@ -38,7 +30,6 @@ val scalar_stream :
     (COUNT of empty input is 0, other aggregates NULL). *)
 
 val group_stream :
-  ?compiled:bool ->
   Eval.env ->
   Layout.t ->
   Semant.block ->
@@ -63,7 +54,6 @@ val group_stream :
 type partial
 
 val fold_partial :
-  ?compiled:bool ->
   Eval.env ->
   Layout.t ->
   Semant.block ->
@@ -75,29 +65,3 @@ val merge_partials :
   Layout.t -> Semant.block -> partial list -> Rel.Tuple.t list
 (** Merge in partition order; returns the block's output rows (one for a
     scalar block, one per group in ascending group order otherwise). *)
-
-(** {2 List-based baseline (bench `hot` "before")} *)
-
-val project :
-  ?compiled:bool ->
-  Eval.env ->
-  Layout.t ->
-  Semant.block ->
-  Rel.Tuple.t list ->
-  Rel.Tuple.t list
-
-val scalar_aggregate :
-  ?compiled:bool ->
-  Eval.env ->
-  Layout.t ->
-  Semant.block ->
-  Rel.Tuple.t list ->
-  Rel.Tuple.t
-
-val group_aggregate :
-  ?compiled:bool ->
-  Eval.env ->
-  Layout.t ->
-  Semant.block ->
-  Rel.Tuple.t list ->
-  Rel.Tuple.t list

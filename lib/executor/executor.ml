@@ -3,23 +3,15 @@ type output = {
   rows : Rel.Tuple.t list;
 }
 
-type stats = {
-  mutable subquery_calls : int;
-  mutable subquery_evals : int;
-}
-
 type state = {
   catalog : Catalog.t;
-  use_cache : bool;
-  compiled : bool;
-      (* compile predicates/expressions/comparators into position-resolved
-         closures at plan-open time (default); false keeps the per-tuple AST
-         interpreter as a measurable baseline *)
   snap : Rss.Mvcc.view option;
       (* MVCC read view threaded to every leaf scan, subquery blocks
          included; None = see the not-delete-marked heap *)
   params : Rel.Value.t array;
-  stats : stats;
+  counters : Rss.Counters.t;
+      (* where this run's accounting lands (the pager's current record):
+         subquery calls and evaluations are counted here *)
   caches : (Semant.block * (Rel.Value.t list, Rel.Value.t list) Hashtbl.t) list ref;
       (* per nested block, keyed by physical identity *)
 }
@@ -97,9 +89,8 @@ let rec run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
       params = st.params;
       subquery = (fun env b -> eval_subquery st r env b) }
   in
-  let compiled = st.compiled in
   let open_cur () =
-    Cursor.open_plan st.catalog block env ~compiled ?snap:st.snap ~join:None
+    Cursor.open_plan st.catalog block env ?snap:st.snap ~join:None
       r.Optimizer.plan
   in
   let layout = Cursor.layout_of block r.Optimizer.plan in
@@ -119,8 +110,8 @@ let rec run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
           Parallel.map_partitions (Catalog.pager st.catalog)
             (List.map
                (fun part () ->
-                 Exec_agg.fold_partial ~compiled env layout block
-                   (Cursor.open_plan st.catalog block env ~compiled
+                 Exec_agg.fold_partial env layout block
+                   (Cursor.open_plan st.catalog block env
                       ~partition:part ?snap:st.snap ~join:None inner))
                parts)
         in
@@ -147,7 +138,7 @@ let rec run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
     in
     match parallel with
     | Some rows -> rows
-    | None -> [ Exec_agg.scalar_stream ~compiled env layout block (open_cur ()) ]
+    | None -> [ Exec_agg.scalar_stream env layout block (open_cur ()) ]
   end
   else if block.Semant.group_by <> [] then begin
     let parallel =
@@ -160,7 +151,7 @@ let rec run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
     let rows =
       match parallel with
       | Some rows -> rows
-      | None -> Exec_agg.group_stream ~compiled env layout block (open_cur ())
+      | None -> Exec_agg.group_stream env layout block (open_cur ())
     in
     match block.Semant.order_by with
     | [] -> rows
@@ -181,24 +172,12 @@ let rec run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
         find 0 block.Semant.select
       in
       let keys = List.map (fun (c, d) -> (pos_of c, d)) obs in
-      let compare_rows =
-        if compiled then Eval.compile_cmp_pos keys
-        else fun a b ->
-          let rec go = function
-            | [] -> 0
-            | (p, d) :: rest ->
-              let cmp = Rel.Value.compare (Rel.Tuple.get a p) (Rel.Tuple.get b p) in
-              let cmp = match d with Ast.Asc -> cmp | Ast.Desc -> -cmp in
-              if cmp <> 0 then cmp else go rest
-          in
-          go keys
-      in
-      List.stable_sort compare_rows rows
+      List.stable_sort (Eval.compile_cmp_pos keys) rows
   end
-  else Exec_agg.project_stream ~compiled env layout block (open_cur ())
+  else Exec_agg.project_stream env layout block (open_cur ())
 
 and eval_subquery st (parent : Optimizer.result) (env : Eval.env) block =
-  st.stats.subquery_calls <- st.stats.subquery_calls + 1;
+  st.counters.subquery_calls <- st.counters.subquery_calls + 1;
   let sub =
     match
       List.find_opt (fun (b, _) -> b == block) parent.Optimizer.subresults
@@ -209,24 +188,21 @@ and eval_subquery st (parent : Optimizer.result) (env : Eval.env) block =
   let refs = escaped_refs block in
   let key = ref_values env refs in
   let tbl = cache_for st block in
-  match if st.use_cache then Hashtbl.find_opt tbl key else None with
+  match Hashtbl.find_opt tbl key with
   | Some vs -> vs
   | None ->
-    st.stats.subquery_evals <- st.stats.subquery_evals + 1;
+    st.counters.subquery_evals <- st.counters.subquery_evals + 1;
     let rows = run_block st sub env.Eval.blocks in
     let vs = List.map (fun row -> Rel.Tuple.get row 0) rows in
-    if st.use_cache then Hashtbl.replace tbl key vs;
+    Hashtbl.replace tbl key vs;
     vs
 
-let run_with_stats ?(use_subquery_cache = true) ?(compiled = true) ?snap
-    ?(params = [||]) ?observe catalog (r : Optimizer.result) =
+let run ?snap ?(params = [||]) ?observe catalog (r : Optimizer.result) =
   let st =
     { catalog;
-      use_cache = use_subquery_cache;
-      compiled;
       snap;
       params;
-      stats = { subquery_calls = 0; subquery_evals = 0 };
+      counters = Rss.Pager.counters (Catalog.pager catalog);
       caches = ref [] }
   in
   let rows = run_block st r [] in
@@ -237,16 +213,11 @@ let run_with_stats ?(use_subquery_cache = true) ?(compiled = true) ?snap
      together). *)
   (match observe with Some f -> f (List.length rows) | None -> ());
   let columns = List.map snd r.Optimizer.block.Semant.select in
-  ({ columns; rows }, st.stats)
+  { columns; rows }
 
-let run ?use_subquery_cache ?compiled ?snap ?params ?observe catalog r =
-  fst
-    (run_with_stats ?use_subquery_cache ?compiled ?snap ?params ?observe catalog
-       r)
-
-let run_measured ?use_subquery_cache ?compiled ?snap ?params catalog r =
+let run_measured ?snap ?params catalog r =
   let counters = Rss.Pager.counters (Catalog.pager catalog) in
   let before = Rss.Counters.snapshot counters in
-  let out = run ?use_subquery_cache ?compiled ?snap ?params catalog r in
+  let out = run ?snap ?params catalog r in
   let after = Rss.Counters.snapshot counters in
   (out, Rss.Counters.diff ~after ~before)

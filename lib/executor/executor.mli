@@ -14,14 +14,7 @@ type output = {
   rows : Rel.Tuple.t list;
 }
 
-type stats = {
-  mutable subquery_calls : int;  (** predicate-level subquery invocations *)
-  mutable subquery_evals : int;  (** nested blocks actually executed *)
-}
-
 val run :
-  ?use_subquery_cache:bool ->
-  ?compiled:bool ->
   ?snap:Rss.Mvcc.view ->
   ?params:Rel.Value.t array ->
   ?observe:(int -> unit) ->
@@ -31,12 +24,9 @@ val run :
 (** [snap] is the MVCC read view threaded to every leaf scan, subquery
     blocks included (see {!Cursor.open_plan}).
 
-    [compiled] (default true) selects closure-compiled evaluation: residual
-    predicates, select expressions, grouping keys and ORDER BY comparators
-    are closed into position-resolved closures at plan-open time (see
-    DESIGN.md, "Compiled evaluation"). [~compiled:false] runs the per-tuple
-    AST interpreter — identical semantics, used as the baseline by the
-    hot-path bench and differential test.
+    Residual predicates, select expressions, grouping keys and ORDER BY
+    comparators are closed into position-resolved closures at plan-open time
+    (see DESIGN.md, "Compiled evaluation").
 
     [observe] fires once, when the top block's cursor tree is exhausted,
     with the actual output cardinality — the engine's cardinality-feedback
@@ -44,19 +34,7 @@ val run :
     @raise Invalid_argument when a scalar subquery returns several rows or an
     ORDER BY column of a grouped query is absent from its select list. *)
 
-val run_with_stats :
-  ?use_subquery_cache:bool ->
-  ?compiled:bool ->
-  ?snap:Rss.Mvcc.view ->
-  ?params:Rel.Value.t array ->
-  ?observe:(int -> unit) ->
-  Catalog.t ->
-  Optimizer.result ->
-  output * stats
-
 val run_measured :
-  ?use_subquery_cache:bool ->
-  ?compiled:bool ->
   ?snap:Rss.Mvcc.view ->
   ?params:Rel.Value.t array ->
   Catalog.t ->
@@ -64,4 +42,6 @@ val run_measured :
   output * Rss.Counters.t
 (** Execute with the pager counters snapshotted around the run (the buffer
     pool is NOT cleared; callers wanting cold-cache numbers should call
-    {!Rss.Pager.evict_all} first). *)
+    {!Rss.Pager.evict_all} first). The returned diff includes
+    [subquery_calls] (predicate-level subquery invocations) and
+    [subquery_evals] (nested blocks actually executed). *)

@@ -1,8 +1,8 @@
 (* Differential check: one generated (scenario, query) pair is executed under
    every engine configuration — with and without indexes, W in {0, 1/3, 3},
    before and after UPDATE STATISTICS, plan cache off / cold / warm, B&B off
-   (exhaustive DP reference), interpreted evaluation — and every result
-   multiset must agree with the naive cross-product oracle. A final stage
+   (exhaustive DP reference), forced parallelism at DOP 2 and 4 — and every
+   result multiset must agree with the naive cross-product oracle. A final stage
    recreates a scanned table with mutated rows behind a warmed plan cache,
    which must never serve the stale plan (it does when the harness is run
    with [~break_invalidation:true], the intentional fault used to prove the
@@ -228,10 +228,6 @@ let check ?(break_invalidation = false) ?stats
                 let ctx = Ctx.create ~w ~use_bnb:false (Database.catalog db) in
                 compare_out (name "bnb-off")
                   (Database.run_plan db (Database.optimize ~ctx db sql));
-                (* interpreted evaluation *)
-                let r = Database.optimize db sql in
-                compare_out (name "interpreted")
-                  (Executor.run ~compiled:false (Database.catalog db) r);
                 (* plan cache cold then warm *)
                 Database.set_plan_cache db true;
                 compare_out (name "cache-cold") (Database.query db sql);

@@ -13,6 +13,8 @@ type t = {
   mutable feedback_retirements : int;
   mutable group_commits : int;
   mutable wal_flushes : int;
+  mutable subquery_calls : int;
+  mutable subquery_evals : int;
 }
 
 let create () =
@@ -29,7 +31,9 @@ let create () =
     feedback_misestimates = 0;
     feedback_retirements = 0;
     group_commits = 0;
-    wal_flushes = 0 }
+    wal_flushes = 0;
+    subquery_calls = 0;
+    subquery_evals = 0 }
 
 let reset t =
   t.page_fetches <- 0;
@@ -45,7 +49,9 @@ let reset t =
   t.feedback_misestimates <- 0;
   t.feedback_retirements <- 0;
   t.group_commits <- 0;
-  t.wal_flushes <- 0
+  t.wal_flushes <- 0;
+  t.subquery_calls <- 0;
+  t.subquery_evals <- 0
 
 let snapshot t =
   { page_fetches = t.page_fetches;
@@ -61,7 +67,9 @@ let snapshot t =
     feedback_misestimates = t.feedback_misestimates;
     feedback_retirements = t.feedback_retirements;
     group_commits = t.group_commits;
-    wal_flushes = t.wal_flushes }
+    wal_flushes = t.wal_flushes;
+    subquery_calls = t.subquery_calls;
+    subquery_evals = t.subquery_evals }
 
 let restore t ~from =
   t.page_fetches <- from.page_fetches;
@@ -77,7 +85,9 @@ let restore t ~from =
   t.feedback_misestimates <- from.feedback_misestimates;
   t.feedback_retirements <- from.feedback_retirements;
   t.group_commits <- from.group_commits;
-  t.wal_flushes <- from.wal_flushes
+  t.wal_flushes <- from.wal_flushes;
+  t.subquery_calls <- from.subquery_calls;
+  t.subquery_evals <- from.subquery_evals
 
 let add t ~into =
   into.page_fetches <- into.page_fetches + t.page_fetches;
@@ -94,7 +104,9 @@ let add t ~into =
   into.feedback_misestimates <- into.feedback_misestimates + t.feedback_misestimates;
   into.feedback_retirements <- into.feedback_retirements + t.feedback_retirements;
   into.group_commits <- into.group_commits + t.group_commits;
-  into.wal_flushes <- into.wal_flushes + t.wal_flushes
+  into.wal_flushes <- into.wal_flushes + t.wal_flushes;
+  into.subquery_calls <- into.subquery_calls + t.subquery_calls;
+  into.subquery_evals <- into.subquery_evals + t.subquery_evals
 
 let diff ~after ~before =
   { page_fetches = after.page_fetches - before.page_fetches;
@@ -112,7 +124,9 @@ let diff ~after ~before =
       after.feedback_misestimates - before.feedback_misestimates;
     feedback_retirements = after.feedback_retirements - before.feedback_retirements;
     group_commits = after.group_commits - before.group_commits;
-    wal_flushes = after.wal_flushes - before.wal_flushes }
+    wal_flushes = after.wal_flushes - before.wal_flushes;
+    subquery_calls = after.subquery_calls - before.subquery_calls;
+    subquery_evals = after.subquery_evals - before.subquery_evals }
 
 let cost ~w t =
   float_of_int (t.page_fetches + t.pages_written) +. (w *. float_of_int t.rsi_calls)

@@ -39,6 +39,11 @@ type t = {
   mutable wal_flushes : int;
       (** WAL flush boundaries this session paid for (as group leader, or
           per-commit when group commit is off) *)
+  mutable subquery_calls : int;
+      (** predicate-level nested-block invocations *)
+  mutable subquery_evals : int;
+      (** nested blocks actually executed (calls the executor's subquery
+          cache did not answer) *)
 }
 
 val create : unit -> t
@@ -64,3 +69,5 @@ val cost : w:float -> t -> float
     applied to measured counts. *)
 
 val pp : Format.formatter -> t -> unit
+(** The I/O, plan-cache, feedback and commit counters; the subquery counts
+    are not printed. *)

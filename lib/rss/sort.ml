@@ -17,8 +17,7 @@ let approx_tuple_bytes = 4
 
 (* Pull up to [bytes_budget] of input into a fresh tuple array (doubling
    growth, no per-tuple list cells). A tuple that would overflow a non-empty
-   run is carried in [pending] and opens the next run, exactly as the
-   list-based formation did. *)
+   run is carried in [pending] and opens the next run. *)
 let next_run ~bytes_budget pending next =
   let buf = ref (Array.make 256 [||]) in
   let len = ref 0 in
@@ -385,87 +384,6 @@ let merge_stream ?fan_in ?cmp pager ~key runs =
   | runs ->
     Pager.note_merge_pass pager;
     merge_dispenser cmp ~key runs
-
-(* --- legacy baseline ----------------------------------------------------- *)
-
-(* The pre-streaming implementation — list-formed runs merged through
-   closure-per-element [Seq] trees — kept verbatim as the measurable "before"
-   for bench `hot` (the same role ~compiled:false plays for evaluation). Not
-   used by the executor. *)
-
-let sort_run cmp tuples = List.stable_sort cmp tuples
-
-let take_run ~bytes_budget seq =
-  let rec go acc used seq =
-    match seq () with
-    | Seq.Nil -> List.rev acc, Seq.empty
-    | Seq.Cons (t, rest) ->
-      let used = used + Rel.Tuple.serialized_size t + approx_tuple_bytes in
-      if used > bytes_budget && acc <> [] then List.rev acc, fun () -> Seq.Cons (t, rest)
-      else go (t :: acc) used rest
-  in
-  go [] 0 seq
-
-let merge_two cmp a b =
-  let rec go a b () =
-    match a (), b () with
-    | Seq.Nil, r -> r
-    | l, Seq.Nil -> l
-    | Seq.Cons (x, a') as l, (Seq.Cons (y, b') as r) ->
-      if cmp x y <= 0 then Seq.Cons (x, go a' (fun () -> r))
-      else Seq.Cons (y, go (fun () -> l) b')
-  in
-  go a b
-
-let rec merge_many cmp = function
-  | [] -> Seq.empty
-  | [ s ] -> s
-  | ss ->
-    let rec pair = function
-      | a :: b :: rest -> merge_two cmp a b :: pair rest
-      | rest -> rest
-    in
-    merge_many cmp (pair ss)
-
-let sort_baseline ?run_pages ?fan_in ?cmp pager ~key seq =
-  let cmp = match cmp with Some c -> c | None -> compare_tuples key in
-  let buffer = Pager.buffer_pages pager in
-  let run_pages = Option.value run_pages ~default:(max 1 buffer) in
-  let fan_in = max 2 (Option.value fan_in ~default:(max 2 (buffer - 1))) in
-  let rec make_runs acc seq =
-    let run, rest = take_run ~bytes_budget:(run_pages * Page.size) seq in
-    match run with
-    | [] -> List.rev acc
-    | _ ->
-      let sorted = sort_run cmp run in
-      let tl = Temp_list.of_seq pager (List.to_seq sorted) in
-      make_runs (tl :: acc) rest
-  in
-  let runs = make_runs [] seq in
-  let rec merge_phase = function
-    | [] -> Temp_list.of_seq pager Seq.empty
-    | [ tl ] -> tl
-    | runs ->
-      let rec batch acc current n = function
-        | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-        | r :: rest ->
-          if n = fan_in then batch (List.rev current :: acc) [ r ] 1 rest
-          else batch acc (r :: current) (n + 1) rest
-      in
-      let groups = batch [] [] 0 runs in
-      let merged =
-        List.map
-          (fun group ->
-            match group with
-            | [ tl ] -> tl
-            | _ ->
-              let inputs = List.map Temp_list.read group in
-              Temp_list.of_seq pager (merge_many cmp inputs))
-          groups
-      in
-      merge_phase merged
-  in
-  merge_phase runs
 
 let passes ?run_pages ?fan_in ~buffer_pages ~tuples ~tuples_per_page () =
   let run_pages = Option.value run_pages ~default:(max 1 buffer_pages) in

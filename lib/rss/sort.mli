@@ -104,19 +104,6 @@ val merge_stream :
     returned dispenser. [sort_stream next = merge_stream (runs_of_dispenser
     next)] with identical accounting, provided [cmp]/[key] match. *)
 
-val sort_baseline :
-  ?run_pages:int ->
-  ?fan_in:int ->
-  ?cmp:(Rel.Tuple.t -> Rel.Tuple.t -> int) ->
-  Pager.t ->
-  key:key ->
-  Rel.Tuple.t Seq.t ->
-  Temp_list.t
-(** The pre-streaming implementation (list-formed runs, closure-per-element
-    [Seq] merge trees), kept as the measurable "before" for bench `hot` —
-    the role [~compiled:false] plays for evaluation. Identical output,
-    including stability; no [sort_runs]/[merge_passes] accounting. *)
-
 val passes :
   ?run_pages:int ->
   ?fan_in:int ->

@@ -1,101 +1,69 @@
-type chunk = {
-  page_id : int;
-  mutable tuples : Rel.Tuple.t list;  (* reverse order while filling *)
-  mutable bytes : int;
-}
-
 type t = {
   pager : Pager.t;
-  mutable chunks : chunk list;  (* reverse order while filling *)
-  mutable sealed : Rel.Tuple.t array array option;  (* per page, fill order *)
-  mutable len : int;
+  page_ids : int array;  (* one temp page per sealed page, fill order *)
+  sealed : Rel.Tuple.t array array;  (* per page, fill order *)
+  len : int;
 }
 
-let create pager = { pager; chunks = []; sealed = None; len = 0 }
+(* Page-cut rule: a page holds a 16-byte header plus, per tuple, its
+   serialized size and a 4-byte slot; a tuple that would overflow a
+   non-empty page opens the next one. *)
+let page_header = 16
+let slot_bytes tuple = Rel.Tuple.serialized_size tuple + 4
 
-let new_chunk t =
-  let c = { page_id = Pager.alloc_page_id t.pager; tuples = []; bytes = 16 } in
-  Pager.note_page_written t.pager;
-  t.chunks <- c :: t.chunks;
-  c
-
-let append t tuple =
-  if t.sealed <> None then invalid_arg "Temp_list.append: list is frozen";
-  let sz = Rel.Tuple.serialized_size tuple + 4 in
-  let chunk =
-    match t.chunks with
-    | c :: _ when c.bytes + sz <= Page.size -> c
-    | _ -> new_chunk t
+(* Each page cut allocates a temp page id and charges its write; [seal]
+   builds the list from the cuts made so far. *)
+let builder pager =
+  let ids = ref [] and pages = ref [] in
+  let cut page =
+    ids := Pager.alloc_page_id pager :: !ids;
+    Pager.note_page_written pager;
+    pages := page :: !pages
   in
-  chunk.tuples <- tuple :: chunk.tuples;
-  chunk.bytes <- chunk.bytes + sz;
-  t.len <- t.len + 1
-
-let freeze t =
-  match t.sealed with
-  | Some _ -> ()
-  | None ->
-    (* chunks are kept newest-first; rev_map restores fill order *)
-    let pages =
-      t.chunks
-      |> List.rev_map (fun c -> Array.of_list (List.rev c.tuples))
-      |> Array.of_list
-    in
-    t.sealed <- Some pages
-
-let of_seq pager seq =
-  let t = create pager in
-  Seq.iter (append t) seq;
-  freeze t;
-  t
+  let seal len =
+    { pager;
+      page_ids = Array.of_list (List.rev !ids);
+      sealed = Array.of_list (List.rev !pages);
+      len }
+  in
+  (cut, seal)
 
 (* Seal an already-complete tuple array without per-tuple list traffic: the
    array is sliced at page-size boundaries and the slices become the sealed
-   pages directly (chunk tuple lists stay empty — they are never read once
-   [sealed] is set). Same page-cut rule as [append]. *)
+   pages directly. *)
 let of_array pager arr =
-  let t = create pager in
+  let cut, seal = builder pager in
   let n = Array.length arr in
-  let pages = ref [] in  (* reverse fill order, matching t.chunks *)
   let start = ref 0 in
-  let bytes = ref 16 in
-  let cut stop =
-    let c = { page_id = Pager.alloc_page_id t.pager; tuples = []; bytes = !bytes } in
-    Pager.note_page_written t.pager;
-    t.chunks <- c :: t.chunks;
-    pages := Array.sub arr !start (stop - !start) :: !pages;
+  let bytes = ref page_header in
+  let cut_at stop =
+    cut (Array.sub arr !start (stop - !start));
     start := stop;
-    bytes := 16
+    bytes := page_header
   in
   for i = 0 to n - 1 do
-    let sz = Rel.Tuple.serialized_size (Array.unsafe_get arr i) + 4 in
-    if !bytes + sz > Page.size && i > !start then cut i;
+    let sz = slot_bytes (Array.unsafe_get arr i) in
+    if !bytes + sz > Page.size && i > !start then cut_at i;
     bytes := !bytes + sz
   done;
-  if n > !start then cut n;
-  t.sealed <- Some (Array.of_list (List.rev !pages));
-  t.len <- n;
-  t
+  if n > !start then cut_at n;
+  seal n
 
 (* Seal a tuple stream without knowing its length up front: tuples land in a
    doubling page buffer that is cut to an exact page array at each page-size
    boundary. Only page-sized arrays are ever allocated (no whole-list
    materialization), so a merge can pipe straight into the output list. *)
 let of_dispenser pager next =
-  let t = create pager in
-  let pages = ref [] in  (* reverse fill order, matching t.chunks *)
+  let cut, seal = builder pager in
   let buf = ref (Array.make 64 [||]) in
   let len = ref 0 in
-  let bytes = ref 16 in
+  let bytes = ref page_header in
   let n = ref 0 in
   let seal_page () =
     if !len > 0 then begin
-      let c = { page_id = Pager.alloc_page_id t.pager; tuples = []; bytes = !bytes } in
-      Pager.note_page_written t.pager;
-      t.chunks <- c :: t.chunks;
-      pages := Array.sub !buf 0 !len :: !pages;
+      cut (Array.sub !buf 0 !len);
       len := 0;
-      bytes := 16
+      bytes := page_header
     end
   in
   let push tup =
@@ -111,7 +79,7 @@ let of_dispenser pager next =
     match next () with
     | None -> ()
     | Some tup ->
-      let sz = Rel.Tuple.serialized_size tup + 4 in
+      let sz = slot_bytes tup in
       if !bytes + sz > Page.size && !len > 0 then seal_page ();
       bytes := !bytes + sz;
       push tup;
@@ -120,40 +88,17 @@ let of_dispenser pager next =
   in
   loop ();
   seal_page ();
-  t.sealed <- Some (Array.of_list (List.rev !pages));
-  t.len <- !n;
-  t
+  seal !n
 
 let length t = t.len
-let page_count t = List.length t.chunks
+let page_count t = Array.length t.page_ids
 
-let sealed_pages t =
-  freeze t;
-  match t.sealed with Some p -> p | None -> assert false
-
-let page_ids_in_order t = List.rev_map (fun c -> c.page_id) t.chunks |> Array.of_list
-
-let read_gen ~accounted t =
-  let pages = sealed_pages t in
-  let ids = page_ids_in_order t in
-  let rec from_page pi ti () =
-    if pi >= Array.length pages then Seq.Nil
-    else if ti >= Array.length pages.(pi) then from_page (pi + 1) 0 ()
-    else begin
-      if ti = 0 && accounted then Pager.touch t.pager ids.(pi);
-      Seq.Cons (pages.(pi).(ti), from_page pi (ti + 1))
-    end
-  in
-  from_page 0 0
-
-let read t = read_gen ~accounted:true t
-let read_unaccounted t = read_gen ~accounted:false t
+let read_unaccounted t = Seq.concat_map Array.to_seq (Array.to_seq t.sealed)
 
 (* Index-walking dispenser over the sealed pages: no closure per element,
    page-access accounting on each page entry, one-shot (not restartable). *)
 let cursor t =
-  let pages = sealed_pages t in
-  let ids = page_ids_in_order t in
+  let pages = t.sealed in
   let pi = ref 0 and ti = ref 0 in
   let rec next () =
     if !pi >= Array.length pages then None
@@ -165,7 +110,7 @@ let cursor t =
         next ()
       end
       else begin
-        if !ti = 0 then Pager.touch t.pager ids.(!pi);
+        if !ti = 0 then Pager.touch t.pager t.page_ids.(!pi);
         let tup = Array.unsafe_get page !ti in
         incr ti;
         Some tup

@@ -316,6 +316,50 @@ let test_update_statement () =
    | _ -> Alcotest.fail "type mismatch accepted"
    | exception Database.Error _ -> ())
 
+(* A SET expression that could only fail once evaluated per victim — an
+   assignment whose type the column cannot store (FLOAT into INT), an
+   aggregate, an unbound parameter — must be rejected as a statement error
+   before any victim is touched. *)
+let bad_update_setup () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE T (A INT, B INT);\nINSERT INTO T VALUES (1, 10);");
+  db
+
+let expect_update_error db (sql, expected) =
+  match Database.exec db sql with
+  | _ -> Alcotest.failf "%s accepted" sql
+  | exception Database.Error msg -> Alcotest.(check string) sql expected msg
+
+let bad_updates =
+  [ ("UPDATE T SET B = 1.5 WHERE A = 1", "type mismatch assigning to B");
+    ("UPDATE T SET B = B * 1.5", "type mismatch assigning to B");
+    ("UPDATE T SET B = SUM(A) WHERE A = 1", "aggregate in SET");
+    ("UPDATE T SET B = ? WHERE A = 1", "parameter in SET") ]
+
+let check_row_intact db =
+  match rows (Database.query db "SELECT A, B FROM T") with
+  | [ [| V.Int 1; V.Int 10 |] ] -> ()
+  | rs ->
+    Alcotest.failf "row lost or changed: [%s]"
+      (String.concat "; " (List.map T.to_string rs))
+
+(* inside a transaction the row survives the failed statements and COMMIT *)
+let test_bad_update_in_txn () =
+  let db = bad_update_setup () in
+  ignore (Database.exec db "BEGIN");
+  List.iter (expect_update_error db) bad_updates;
+  ignore (Database.exec db "COMMIT");
+  check_row_intact db
+
+(* in auto-commit the failure is a [Database.Error], not a stray
+   [Invalid_argument] *)
+let test_bad_update_autocommit () =
+  let db = bad_update_setup () in
+  List.iter (expect_update_error db) bad_updates;
+  check_row_intact db
+
 (* --- prepared statements ------------------------------------------------ *)
 
 let test_prepared_statements () =
@@ -628,6 +672,10 @@ let () =
           Alcotest.test_case "W invariance" `Quick test_w_affects_plans ] );
       ( "dml",
         [ Alcotest.test_case "UPDATE statement" `Quick test_update_statement;
+          Alcotest.test_case "rejected UPDATE keeps the row in a txn" `Quick
+            test_bad_update_in_txn;
+          Alcotest.test_case "rejected UPDATE in auto-commit" `Quick
+            test_bad_update_autocommit;
           Alcotest.test_case "DROP statements" `Quick test_drop_statements ] );
       ( "prepared",
         [ Alcotest.test_case "prepared statements" `Quick test_prepared_statements ] );

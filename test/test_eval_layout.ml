@@ -56,7 +56,7 @@ let test_three_valued_logic () =
   let cat = setup () in
   let b = block cat "SELECT X FROM A" in
   let layout = Layout.of_tables b [ 0 ] in
-  let ev p tuple = Eval.pred (env ()) { Eval.layout; tuple } p in
+  let ev p tuple = Eval.compile_pred (env ()) layout p tuple = Some true in
   let row x y = T.make [ x; y ] in
   let p_gt = where cat "SELECT X FROM A WHERE X > 5" in
   Alcotest.(check bool) "true" true (ev p_gt (row (V.Int 7) V.Null));
@@ -146,13 +146,13 @@ let test_expr_eval () =
   let cat = setup () in
   let b = block cat "SELECT X * 2 + Y / 2, X - 1 FROM A" in
   let layout = Layout.of_tables b [ 0 ] in
-  let frame = { Eval.layout; tuple = T.make [ V.Int 10; V.Int 6 ] } in
+  let tuple = T.make [ V.Int 10; V.Int 6 ] in
   (match b.S.select with
    | [ (e1, _); (e2, _) ] ->
      Alcotest.(check bool) "arith" true
-       (V.equal (Eval.expr (env ()) frame e1) (V.Int 23));
+       (V.equal (Eval.compile_expr (env ()) layout e1 tuple) (V.Int 23));
      Alcotest.(check bool) "sub" true
-       (V.equal (Eval.expr (env ()) frame e2) (V.Int 9))
+       (V.equal (Eval.compile_expr (env ()) layout e2 tuple) (V.Int 9))
    | _ -> Alcotest.fail "select shape")
 
 let () =

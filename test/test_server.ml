@@ -135,6 +135,21 @@ let test_simple_query () =
          && String.sub r.Client.tag 0 4 <> "SELE");
       Client.close c)
 
+(* A statement error raised inside UPDATE (a FLOAT assigned to an INT
+   column) is answered with Err then Ready, and the connection stays
+   usable. *)
+let test_update_type_mismatch () =
+  with_server ~seed:"CREATE TABLE t (a INT, b INT); INSERT INTO t VALUES (1, 10);"
+    (fun _db srv ->
+      let c = connect srv in
+      let r = Client.simple c "UPDATE t SET b = 1.5 WHERE a = 1" in
+      Alcotest.(check (option string)) "Err" (Some "type mismatch assigning to b")
+        r.Client.error;
+      let r = Client.ok (Client.simple c "SELECT a, b FROM t") in
+      Alcotest.check msv "row intact" (multiset [ [| V.Int 1; V.Int 10 |] ])
+        (rows_ms r);
+      Client.close c)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -786,6 +801,8 @@ let () =
             test_malformed_frames ] );
       ( "simple query",
         [ Alcotest.test_case "DDL/DML/SELECT/EXPLAIN, errors" `Quick test_simple_query;
+          Alcotest.test_case "UPDATE type mismatch keeps the connection" `Quick
+            test_update_type_mismatch;
           Alcotest.test_case "per-session SET overrides" `Quick
             test_per_session_settings ] );
       ( "prepared",

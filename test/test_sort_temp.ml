@@ -5,13 +5,25 @@ let tup i j = T.make [ V.Int i; V.Int j; V.Str (Printf.sprintf "pad-%06d" (i * 1
 
 (* --- temp lists --------------------------------------------------------- *)
 
+let dispenser_of_list xs =
+  let rest = ref xs in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | t :: tl ->
+      rest := tl;
+      Some t
+
+let drain_cursor next =
+  let rec go acc = match next () with None -> List.rev acc | Some t -> go (t :: acc) in
+  go []
+
 let test_temp_roundtrip () =
   let pager = Rss.Pager.create () in
-  let tl = Rss.Temp_list.create pager in
-  for i = 0 to 499 do
-    Rss.Temp_list.append tl (tup i 0)
-  done;
-  Rss.Temp_list.freeze tl;
+  let tl =
+    Rss.Temp_list.of_dispenser pager
+      (dispenser_of_list (List.init 500 (fun i -> tup i 0)))
+  in
   Alcotest.(check int) "length" 500 (Rss.Temp_list.length tl);
   Alcotest.(check bool) "TEMPPAGES > 1" true (Rss.Temp_list.page_count tl > 1);
   let back = List.of_seq (Rss.Temp_list.read_unaccounted tl) in
@@ -20,62 +32,78 @@ let test_temp_roundtrip () =
     (fun i t -> if not (T.equal t (tup i 0)) then Alcotest.fail "order broken")
     back
 
-let test_temp_append_after_freeze () =
-  let pager = Rss.Pager.create () in
-  let tl = Rss.Temp_list.create pager in
-  Rss.Temp_list.append tl (tup 0 0);
-  Rss.Temp_list.freeze tl;
-  Alcotest.check_raises "frozen" (Invalid_argument "Temp_list.append: list is frozen")
-    (fun () -> Rss.Temp_list.append tl (tup 1 0))
-
 let test_temp_accounting () =
   let pager = Rss.Pager.create ~buffer_pages:200 () in
   let c = Rss.Pager.counters pager in
-  let tl = Rss.Temp_list.of_seq pager (Seq.init 500 (fun i -> tup i 0)) in
+  let tl = Rss.Temp_list.of_array pager (Array.init 500 (fun i -> tup i 0)) in
   let written = c.Rss.Counters.pages_written in
   Alcotest.(check int) "writes = TEMPPAGES" (Rss.Temp_list.page_count tl) written;
   Rss.Counters.reset c;
   Rss.Pager.evict_all pager;
-  ignore (List.of_seq (Rss.Temp_list.read tl));
+  ignore (drain_cursor (Rss.Temp_list.cursor tl));
   Alcotest.(check int) "reads = TEMPPAGES" (Rss.Temp_list.page_count tl)
     c.Rss.Counters.page_fetches
 
 let test_temp_empty () =
   let pager = Rss.Pager.create () in
-  let tl = Rss.Temp_list.of_seq pager Seq.empty in
-  Alcotest.(check int) "empty length" 0 (Rss.Temp_list.length tl);
-  Alcotest.(check int) "no pages" 0 (Rss.Temp_list.page_count tl);
-  Alcotest.(check bool) "empty read" true (List.of_seq (Rss.Temp_list.read tl) = [])
+  let c = Rss.Pager.counters pager in
+  List.iter
+    (fun (name, tl) ->
+      Alcotest.(check int) (name ^ " empty length") 0 (Rss.Temp_list.length tl);
+      Alcotest.(check int) (name ^ " no pages") 0 (Rss.Temp_list.page_count tl);
+      Alcotest.(check bool) (name ^ " empty cursor") true
+        (Rss.Temp_list.cursor tl () = None))
+    [ ("of_array", Rss.Temp_list.of_array pager [||]);
+      ("of_dispenser", Rss.Temp_list.of_dispenser pager (fun () -> None)) ];
+  Alcotest.(check int) "nothing written" 0 c.Rss.Counters.pages_written
 
-(* of_array must slice pages exactly as append does, and the index cursor
-   must agree with the Seq reader, accounting included. *)
+(* [of_array] and [of_dispenser] must cut identical pages — the same tuples
+   on each page — and the index cursor must agree with the Seq reader,
+   charging one access per page. Tuple sizes vary so the page-cut rule
+   decides where each page ends. *)
 let test_temp_of_array_cursor () =
   let pager = Rss.Pager.create ~buffer_pages:200 () in
-  let tuples = Array.init 500 (fun i -> tup i 1) in
-  let via_append = Rss.Temp_list.of_seq pager (Array.to_seq tuples) in
-  let via_array = Rss.Temp_list.of_array pager tuples in
-  Alcotest.(check int) "same length" (Rss.Temp_list.length via_append)
-    (Rss.Temp_list.length via_array);
-  Alcotest.(check int) "same TEMPPAGES" (Rss.Temp_list.page_count via_append)
-    (Rss.Temp_list.page_count via_array);
-  let drain_cursor next =
-    let rec go acc = match next () with None -> List.rev acc | Some t -> go (t :: acc) in
-    go []
+  let c = Rss.Pager.counters pager in
+  let tuples =
+    Array.init 500 (fun i -> T.make [ V.Int i; V.Str (String.make (i * 7 mod 97) 'x') ])
   in
+  let via_array = Rss.Temp_list.of_array pager tuples in
+  let via_dispenser =
+    Rss.Temp_list.of_dispenser pager (dispenser_of_list (Array.to_list tuples))
+  in
+  Alcotest.(check int) "same length" (Rss.Temp_list.length via_array)
+    (Rss.Temp_list.length via_dispenser);
+  Alcotest.(check int) "same TEMPPAGES" (Rss.Temp_list.page_count via_array)
+    (Rss.Temp_list.page_count via_dispenser);
+  (* the cursor charges a page fetch (cold pool) as it enters each page: the
+     tuple indices where the count moves are the page starts *)
+  let page_starts tl =
+    Rss.Pager.evict_all pager;
+    let next = Rss.Temp_list.cursor tl in
+    let rec go i acc =
+      let before = c.Rss.Counters.page_fetches in
+      match next () with
+      | None -> List.rev acc
+      | Some _ ->
+        go (i + 1) (if c.Rss.Counters.page_fetches > before then i :: acc else acc)
+    in
+    go 0 []
+  in
+  let starts = page_starts via_array in
+  Alcotest.(check (list int)) "of_array and of_dispenser cut identical pages" starts
+    (page_starts via_dispenser);
+  Alcotest.(check int) "one start per page" (Rss.Temp_list.page_count via_array)
+    (List.length starts);
   let by_cursor = drain_cursor (Rss.Temp_list.cursor via_array) in
-  let by_seq = List.of_seq (Rss.Temp_list.read_unaccounted via_array) in
+  let by_seq = List.of_seq (Rss.Temp_list.read_unaccounted via_dispenser) in
   Alcotest.(check bool) "cursor = seq read" true
     (List.for_all2 T.equal by_cursor by_seq);
-  let c = Rss.Pager.counters pager in
   Rss.Counters.reset c;
   Rss.Pager.evict_all pager;
   ignore (drain_cursor (Rss.Temp_list.cursor via_array));
   Alcotest.(check int) "cursor accounting = TEMPPAGES"
     (Rss.Temp_list.page_count via_array)
-    c.Rss.Counters.page_fetches;
-  let empty = Rss.Temp_list.of_array pager [||] in
-  Alcotest.(check int) "empty of_array" 0 (Rss.Temp_list.length empty);
-  Alcotest.(check bool) "empty cursor" true (Rss.Temp_list.cursor empty () = None)
+    c.Rss.Counters.page_fetches
 
 (* --- sort ---------------------------------------------------------------- *)
 
@@ -240,26 +268,6 @@ let prop_heap_merge_stable =
       in
       got = oracle)
 
-(* The legacy Seq-based baseline and the heap sort must agree exactly —
-   they are timed against each other in bench `hot`. *)
-let prop_baseline_agrees =
-  QCheck.Test.make ~name:"sort_baseline = sort" ~count:50
-    QCheck.(list (int_bound 20))
-    (fun xs ->
-      let pager = Rss.Pager.create ~buffer_pages:2 () in
-      let tuples = List.mapi (fun i k -> tup k i) xs in
-      let a =
-        Rss.Sort.sort ~run_pages:1 ~fan_in:2 pager ~key:[ (0, Rss.Sort.Asc) ]
-          (List.to_seq tuples)
-      in
-      let b =
-        Rss.Sort.sort_baseline ~run_pages:1 ~fan_in:2 pager
-          ~key:[ (0, Rss.Sort.Asc) ] (List.to_seq tuples)
-      in
-      List.for_all2 T.equal
-        (List.of_seq (Rss.Temp_list.read_unaccounted a))
-        (List.of_seq (Rss.Temp_list.read_unaccounted b)))
-
 (* The executor consumes sorts through [sort_stream] (final merge on the
    fly); it must dispense exactly what [sort] materializes. Exercised over
    the three merge regimes: all-Int first columns (runs carry the
@@ -303,7 +311,6 @@ let () =
   Alcotest.run "sort_temp"
     [ ( "temp_list",
         [ Alcotest.test_case "roundtrip" `Quick test_temp_roundtrip;
-          Alcotest.test_case "append after freeze" `Quick test_temp_append_after_freeze;
           Alcotest.test_case "accounting" `Quick test_temp_accounting;
           Alcotest.test_case "empty" `Quick test_temp_empty;
           Alcotest.test_case "of_array + cursor" `Quick test_temp_of_array_cursor ] );
@@ -318,5 +325,4 @@ let () =
       ( "props",
         [ QCheck_alcotest.to_alcotest prop_sort_matches_list_sort;
           QCheck_alcotest.to_alcotest prop_heap_merge_stable;
-          QCheck_alcotest.to_alcotest prop_baseline_agrees;
           QCheck_alcotest.to_alcotest prop_stream_agrees ] ) ]

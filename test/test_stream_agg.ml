@@ -1,11 +1,10 @@
 (* Differential test for streaming aggregation: random NULL-heavy tables,
-   aggregate/grouped queries run through the full pipeline in both evaluation
-   modes, results compared against the independent Naive_eval oracle (cross
-   product + list-based grouping — nothing shared with the executor's
-   single-pass accumulators). NULL density is the point: star-COUNT vs
-   column-COUNT, SUM/AVG/MIN/MAX over mostly-NULL columns, and all-NULL
-   groups exercise exactly the accumulator edge cases (seen = 0 => NULL,
-   Count => 0). *)
+   aggregate/grouped queries run through the full pipeline, results compared
+   against the independent Naive_eval oracle (cross product + list-based
+   grouping — nothing shared with the executor's single-pass accumulators).
+   NULL density is the point: star-COUNT vs column-COUNT, SUM/AVG/MIN/MAX
+   over mostly-NULL columns, and all-NULL groups exercise exactly the
+   accumulator edge cases (seen = 0 => NULL, Count => 0). *)
 
 module V = Rel.Value
 module T = Rel.Tuple
@@ -61,13 +60,9 @@ let check db sql =
   let r = Database.optimize db sql in
   let cat = Database.catalog db in
   let expected = rows_bytes (Naive_eval.query cat block) in
-  List.iter
-    (fun compiled ->
-      let got = rows_bytes (Executor.run ~compiled cat r).Executor.rows in
-      if got <> expected then
-        Alcotest.fail
-          (Printf.sprintf "%s (compiled=%b) disagrees with naive oracle" sql compiled))
-    [ true; false ]
+  let got = rows_bytes (Executor.run cat r).Executor.rows in
+  if got <> expected then
+    Alcotest.fail (Printf.sprintf "%s disagrees with naive oracle" sql)
 
 let test_random_corpora () =
   List.iter
