@@ -61,13 +61,13 @@ exception Found of divergence
 
 (* --- database construction -------------------------------------------- *)
 
-let ddl_script ?(indexes = true) (s : Fuzz_gen.scenario) =
+let ddl_script ?(indexes = true) ?(data = true) (s : Fuzz_gen.scenario) =
   let b = Buffer.create 1024 in
   List.iter
     (fun (t : Fuzz_gen.table) ->
       Fuzz_sql.create_table b ~name:t.tname
         ~cols:(List.map (fun (c : Fuzz_gen.column) -> (c.cname, c.cty)) t.cols);
-      Fuzz_sql.insert_rows b ~name:t.tname t.rows;
+      if data then Fuzz_sql.insert_rows b ~name:t.tname t.rows;
       if indexes then
         List.iter
           (fun (name, cols, clustered) ->
@@ -87,6 +87,11 @@ let row_key (row : Rel.Tuple.t) =
   String.concat "|" (List.map V.to_string (Array.to_list row))
 
 let multiset rows = List.sort String.compare (List.map row_key rows)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
 
 (* Positions (within the output row) of the ORDER BY keys. The generator
    always projects order columns, so every key resolves to a position. *)

@@ -16,11 +16,14 @@
    or status-table machinery. The model predicts, per statement:
    - SELECT: the exact visible multiset under the session's snapshot
      (the transaction's, or a fresh statement snapshot);
-   - INSERT/DELETE: the row-count tag, or a write-write conflict — a
-     visible victim whose xmax is already stamped by another transaction
-     is either an immediate lock error (stamper still active) or a
-     first-committer-wins serialization error (stamper committed after
-     our snapshot);
+   - INSERT/UPDATE/DELETE (Fuzz_dml, with =, range and BETWEEN
+     predicates): the row-count tag, or a write-write conflict — a visible
+     victim whose xmax is already stamped by another transaction is either
+     an immediate lock error (stamper still active) or a first-committer-
+     wins serialization error (stamper committed after our snapshot).
+     UPDATE stamps its victims like DELETE and inserts their new images; a
+     SET the engine must reject fails with the predicted message and
+     changes nothing;
    - VACUUM: the exact number of dead versions reclaimed under the
      horizon rule (CSN offsets between model and engine cancel — only
      relative order matters);
@@ -34,7 +37,9 @@
    both sides, re-converging engine and model. After the schedule drains,
    the driver closes both sessions (aborting open transactions), audits
    every table against the model's committed state, runs VACUUM (count
-   checked), re-audits, and cross-checks heap/index integrity. *)
+   checked), re-audits, and cross-checks heap/index integrity. An engine
+   exception other than Session.Error is a divergence too, so it is shrunk
+   and reported with a reproducer like any other. *)
 
 module V = Rel.Value
 
@@ -42,9 +47,8 @@ type op =
   | Begin
   | Commit
   | Rollback
-  | Insert of string * V.t list list
-  | Delete of string * (string * V.t) option
-  | Select of string * (string * V.t) option
+  | Dml of Fuzz_dml.t
+  | Select of string * Ast.predicate option
   | Vacuum
 
 type history = {
@@ -54,25 +58,6 @@ type history = {
 }
 
 (* --- generation --------------------------------------------------------- *)
-
-let gen_rows rng (t : Fuzz_gen.table) =
-  let n = 1 + Random.State.int rng 3 in
-  List.init n (fun _ ->
-      List.map
-        (fun (c : Fuzz_gen.column) ->
-          Fuzz_gen.gen_value rng
-            (fun () -> Random.State.int rng c.Fuzz_gen.distinct)
-            c)
-        t.Fuzz_gen.cols)
-
-let gen_pred rng (t : Fuzz_gen.table) =
-  if Random.State.int rng 4 = 0 then None
-  else
-    let c =
-      List.nth t.Fuzz_gen.cols
-        (Random.State.int rng (List.length t.Fuzz_gen.cols))
-    in
-    Some (c.Fuzz_gen.cname, Fuzz_gen.lit rng c)
 
 let gen_stream rng (s : Fuzz_gen.scenario) =
   let tables = Array.of_list s.Fuzz_gen.tables in
@@ -89,16 +74,11 @@ let gen_stream rng (s : Fuzz_gen.scenario) =
       | 0 | 1 ->
         in_txn := false;
         if Random.State.int rng 3 = 0 then Rollback else Commit
-      | 2 | 3 | 4 | 5 ->
-        let t = pick () in
-        Delete (t.Fuzz_gen.tname, gen_pred rng t)
-      | 6 | 7 | 8 ->
-        let t = pick () in
-        Insert (t.Fuzz_gen.tname, gen_rows rng t)
+      | 2 | 3 | 4 | 5 | 6 | 7 | 8 -> Dml (Fuzz_dml.gen rng (pick ()))
       | 9 when Random.State.int rng 2 = 0 -> Vacuum
       | _ ->
         let t = pick () in
-        Select (t.Fuzz_gen.tname, gen_pred rng t)
+        Select (t.Fuzz_gen.tname, Fuzz_dml.gen_where rng t)
     in
     ops := op :: !ops
   done;
@@ -113,25 +93,17 @@ let gen_history rng =
 
 (* --- rendering ----------------------------------------------------------- *)
 
-let pred_sql = function
-  | None -> ""
-  | Some (c, v) -> " WHERE " ^ c ^ " = " ^ Fuzz_sql.value_to_string v
-
-let rows_sql rows =
-  String.concat ", "
-    (List.map
-       (fun row ->
-         "(" ^ String.concat ", " (List.map Fuzz_sql.value_to_string row) ^ ")")
-       rows)
-
 let op_sql = function
-  | Begin -> "BEGIN"
-  | Commit -> "COMMIT"
-  | Rollback -> "ROLLBACK"
-  | Insert (t, rows) -> "INSERT INTO " ^ t ^ " VALUES " ^ rows_sql rows
-  | Delete (t, p) -> "DELETE FROM " ^ t ^ pred_sql p
-  | Select (t, p) -> "SELECT * FROM " ^ t ^ pred_sql p
-  | Vacuum -> "VACUUM"
+  | Begin -> "BEGIN;\n"
+  | Commit -> "COMMIT;\n"
+  | Rollback -> "ROLLBACK;\n"
+  | Dml d -> Fuzz_dml.sql d
+  | Select (t, where) ->
+    Fuzz_sql.query_to_string
+      { Ast.select = [ Ast.Star ]; from = [ (t, None) ]; where;
+        group_by = []; order_by = [] }
+    ^ ";\n"
+  | Vacuum -> "VACUUM;\n"
 
 (* DDL + seed data + the two streams with their interleaving, paste-ready
    modulo the schedule comment. *)
@@ -141,7 +113,7 @@ let reproducer (h : history) =
   Array.iteri
     (fun i ops ->
       Buffer.add_string b (Printf.sprintf "-- session %d:\n" i);
-      List.iter (fun op -> Buffer.add_string b (op_sql op ^ ";\n")) ops)
+      List.iter (fun op -> Buffer.add_string b (op_sql op)) ops)
     h.streams;
   Buffer.add_string b
     ("-- schedule: "
@@ -208,21 +180,6 @@ let m_visible ~self ~snap v =
   in
   ins_vis && not del_vis
 
-let m_pred m tname pred (v : mver) =
-  match pred with
-  | None -> true
-  | Some (cname, lit) ->
-    lit <> V.Null
-    &&
-    let cols = Hashtbl.find m.m_schemas tname in
-    let rec idx i = function
-      | [] -> -1
-      | (c : Fuzz_gen.column) :: _ when c.Fuzz_gen.cname = cname -> i
-      | _ :: rest -> idx (i + 1) rest
-    in
-    let value = List.nth v.m_vals (idx 0 cols) in
-    value <> V.Null && V.compare value lit = 0
-
 let m_commit m (txn : mtxn) =
   m.m_csn <- m.m_csn + 1;
   let csn = m.m_csn in
@@ -264,6 +221,21 @@ let m_vacuum m ~active =
     m.m_tables;
   !reclaimed
 
+(* The sorted multiset of [tname]'s rows visible to ([self], [snap]) that
+   satisfy [pred]. *)
+let m_rows m tname ~self ~snap pred =
+  let cols = Hashtbl.find m.m_schemas tname in
+  List.sort String.compare
+    (List.filter_map
+       (fun v ->
+         if m_visible ~self ~snap v && Fuzz_dml.holds cols pred v.m_vals then
+           Some (Fuzz_harness.row_key (Array.of_list v.m_vals))
+         else None)
+       !(Hashtbl.find m.m_tables tname))
+
+let vacuum_tag n =
+  Printf.sprintf "%d dead version%s reclaimed" n (if n = 1 then "" else "s")
+
 (* --- expectations -------------------------------------------------------- *)
 
 type expected =
@@ -272,9 +244,7 @@ type expected =
   | Ok_rows of string list  (* sorted multiset *)
   | Conflict  (* fails with a lock or serialization error *)
   | Misuse  (* fails (txn-control misuse); no state change *)
-
-let count_tag n verb =
-  Printf.sprintf "%d row%s %s" n (if n = 1 then "" else "s") verb
+  | Rejected of string  (* fails with this message; no state change *)
 
 (* Apply [op] for session [i] to the model and return what the engine must
    do. State changes for a Conflict are NOT applied — the driver reacts by
@@ -308,61 +278,67 @@ let m_step m (active : mtxn option array) i op : expected =
        active.(i) <- None;
        Ok_any
      | None -> Misuse)
-  | Insert (tname, rows) ->
-    in_txn (fun txn ~implicit ->
-        let versions = Hashtbl.find m.m_tables tname in
-        let vs =
-          List.map
-            (fun row ->
-              { m_vals = row; m_xmin = txn.mt_id; m_xmin_csn = None;
-                m_xmax = 0; m_xmax_csn = None })
-            rows
-        in
-        versions := !versions @ vs;
-        txn.mt_ins <- vs @ txn.mt_ins;
-        if implicit then m_commit m txn;
-        Ok_tag (count_tag (List.length rows) "inserted"))
-  | Delete (tname, pred) ->
-    in_txn (fun txn ~implicit ->
-        let versions = Hashtbl.find m.m_tables tname in
-        let victims =
-          List.filter
-            (fun v ->
-              m_visible ~self:txn.mt_id ~snap:txn.mt_snap v
-              && m_pred m tname pred v)
-            !versions
-        in
-        (* a visible victim with a stamped xmax is a write-write conflict:
-           stamper active = lock error, stamper committed (necessarily
-           after our snapshot, or it would be invisible) = serialization *)
-        if List.exists (fun v -> v.m_xmax <> 0) victims then Conflict
-        else begin
-          List.iter (fun v -> v.m_xmax <- txn.mt_id) victims;
-          txn.mt_del <- victims @ txn.mt_del;
-          if implicit then m_commit m txn;
-          Ok_tag (count_tag (List.length victims) "deleted")
-        end)
+  | Dml d ->
+    let cols = Hashtbl.find m.m_schemas (Fuzz_dml.table d) in
+    let versions = Hashtbl.find m.m_tables (Fuzz_dml.table d) in
+    let insert txn rows =
+      let vs =
+        List.map
+          (fun row ->
+            { m_vals = row; m_xmin = txn.mt_id; m_xmin_csn = None;
+              m_xmax = 0; m_xmax_csn = None })
+          rows
+      in
+      versions := !versions @ vs;
+      txn.mt_ins <- vs @ txn.mt_ins
+    in
+    (* DELETE and UPDATE stamp xmax on their visible victims (UPDATE then
+       inserts their new images) *)
+    let stamp txn where =
+      let victims =
+        List.filter
+          (fun v ->
+            m_visible ~self:txn.mt_id ~snap:txn.mt_snap v
+            && Fuzz_dml.holds cols where v.m_vals)
+          !versions
+      in
+      (* a visible victim with a stamped xmax is a write-write conflict:
+         stamper active = lock error, stamper committed (necessarily after
+         our snapshot, or it would be invisible) = serialization *)
+      if List.exists (fun v -> v.m_xmax <> 0) victims then None
+      else begin
+        List.iter (fun v -> v.m_xmax <- txn.mt_id) victims;
+        txn.mt_del <- victims @ txn.mt_del;
+        Some victims
+      end
+    in
+    let run txn =
+      match d with
+      | Fuzz_dml.Insert (_, rows) -> insert txn rows; Some (List.length rows)
+      | Fuzz_dml.Delete (_, where) -> Option.map List.length (stamp txn where)
+      | Fuzz_dml.Update (_, sets, where) ->
+        Option.map
+          (fun victims ->
+            insert txn (List.map (fun v -> Fuzz_dml.image cols sets v.m_vals) victims);
+            List.length victims)
+          (stamp txn where)
+    in
+    (match d with
+     | Fuzz_dml.Update (_, sets, _) when Fuzz_dml.rejection cols sets <> None ->
+       Rejected (Option.get (Fuzz_dml.rejection cols sets))
+     | _ ->
+       in_txn (fun txn ~implicit ->
+           match run txn with
+           | None -> Conflict
+           | Some n ->
+             if implicit then m_commit m txn;
+             Ok_tag (Fuzz_dml.tag d n)))
   | Select (tname, pred) ->
-    let self, snap =
-      match active.(i) with
-      | Some txn -> (txn.mt_id, txn.mt_snap)
-      | None -> (0, m.m_csn)
-    in
-    let versions = Hashtbl.find m.m_tables tname in
-    let rows =
-      List.filter_map
-        (fun v ->
-          if m_visible ~self ~snap v && m_pred m tname pred v then
-            Some (Fuzz_harness.row_key (Array.of_list v.m_vals))
-          else None)
-        !versions
-    in
-    Ok_rows (List.sort String.compare rows)
+    (match active.(i) with
+     | Some txn -> Ok_rows (m_rows m tname ~self:txn.mt_id ~snap:txn.mt_snap pred)
+     | None -> Ok_rows (m_rows m tname ~self:0 ~snap:m.m_csn pred))
   | Vacuum ->
-    let live = List.filter_map (fun t -> t) (Array.to_list active) in
-    let n = m_vacuum m ~active:live in
-    Ok_tag
-      (Printf.sprintf "%d dead version%s reclaimed" n (if n = 1 then "" else "s"))
+    Ok_tag (vacuum_tag (m_vacuum m ~active:(List.filter_map Fun.id (Array.to_list active))))
 
 (* --- driving the engine --------------------------------------------------- *)
 
@@ -377,21 +353,6 @@ type divergence = {
 
 exception Found of divergence
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let committed_multiset m tname =
-  let versions = Hashtbl.find m.m_tables tname in
-  List.sort String.compare
-    (List.filter_map
-       (fun v ->
-         if m_visible ~self:0 ~snap:m.m_csn v then
-           Some (Fuzz_harness.row_key (Array.of_list v.m_vals))
-         else None)
-       !versions)
-
 let run (h : history) : divergence option =
   let db = Database.create () in
   ignore (Database.exec_script db (Fuzz_harness.ddl_script ~indexes:true h.scenario));
@@ -403,7 +364,7 @@ let run (h : history) : divergence option =
   let diverge step i sql detail expected actual =
     raise
       (Found
-         { v_step = step; v_session = i; v_sql = sql; v_detail = detail;
+         { v_step = step; v_session = i; v_sql = String.trim sql; v_detail = detail;
            v_expected = expected; v_actual = actual })
   in
   let exec_step step i op =
@@ -413,16 +374,22 @@ let run (h : history) : divergence option =
       match Session.exec sessions.(i) sql with
       | r -> Ok r
       | exception Session.Error e -> Error e
+      | exception e ->
+        diverge step i sql "engine raised" "success or Session.Error"
+          (Printexc.to_string e)
     in
     match expected, outcome with
     | (Ok_any | Ok_tag _ | Ok_rows _), Error e ->
       diverge step i sql "engine failed where the model succeeds" "success" e
-    | (Conflict | Misuse), Ok _ ->
+    | (Conflict | Misuse | Rejected _), Ok _ ->
       diverge step i sql "engine succeeded where the model predicts an error"
         "error" "success"
     | Misuse, Error _ -> ()  (* no state change on either side *)
+    | Rejected msg, Error e ->
+      if not (Fuzz_harness.contains e msg) then
+        diverge step i sql "rejection of an unexpected kind" msg e
     | Conflict, Error e ->
-      if not (contains e "locked" || contains e "serialize" || contains e "deadlock")
+      if not (List.exists (Fuzz_harness.contains e) [ "locked"; "serialize"; "deadlock" ])
       then
         diverge step i sql "conflict error of an unexpected kind"
           "locked/serialize/deadlock" e;
@@ -454,7 +421,7 @@ let run (h : history) : divergence option =
     List.iter
       (fun (t : Fuzz_gen.table) ->
         let tname = t.Fuzz_gen.tname in
-        let expected = committed_multiset model tname in
+        let expected = m_rows model tname ~self:0 ~snap:model.m_csn None in
         let out = Database.query db ("SELECT * FROM " ^ tname) in
         let actual = Fuzz_harness.multiset out.Executor.rows in
         if actual <> expected then
@@ -493,74 +460,70 @@ let run (h : history) : divergence option =
            would — abort on both sides — then audit *)
         Array.iteri
           (fun i txn ->
-            match txn with
-            | Some t ->
-              (match Session.exec sessions.(i) "ROLLBACK" with
-               | _ -> ()
-               | exception Session.Error _ -> ());
-              m_rollback model t;
-              active.(i) <- None
-            | None -> ())
+            Option.iter
+              (fun t ->
+                (try ignore (Session.exec sessions.(i) "ROLLBACK") with Session.Error _ -> ());
+                m_rollback model t;
+                active.(i) <- None)
+              txn)
           (Array.copy active);
         audit (-1) "final";
         (* VACUUM with no snapshots live must reclaim every dead version —
            and must not change any visible result *)
-        let n = m_vacuum model ~active:[] in
+        let want = vacuum_tag (m_vacuum model ~active:[]) in
         (match Database.exec db "VACUUM" with
+         | Database.Done tag when tag = want -> ()
          | Database.Done tag ->
-           let want =
-             Printf.sprintf "%d dead version%s reclaimed" n
-               (if n = 1 then "" else "s")
-           in
-           if tag <> want then
-             diverge (-1) (-1) "VACUUM" "reclaim count differs" want tag
+           diverge (-1) (-1) "VACUUM" "reclaim count differs" want tag
          | _ -> diverge (-1) (-1) "VACUUM" "expected Done" "Done" "other");
         audit (-1) "post-vacuum";
         None
-      with Found d -> Some d)
+      with
+      | Found d -> Some d
+      | e ->
+        Some { v_step = -1; v_session = -1; v_sql = "(audit)"; v_detail = "engine raised";
+               v_expected = "success or Session.Error"; v_actual = Printexc.to_string e })
 
 (* --- shrinking ------------------------------------------------------------ *)
 
 let h_size (h : history) =
-  Array.fold_left (fun acc s -> acc + (10 * List.length s)) 0 h.streams
-  + List.fold_left
-      (fun acc (t : Fuzz_gen.table) -> acc + 100 + List.length t.Fuzz_gen.rows)
-      0 h.scenario.Fuzz_gen.tables
+  let op_weight = function Dml d -> 10 + Fuzz_dml.size d | _ -> 10 in
+  Array.fold_left
+    (fun acc s -> List.fold_left (fun acc op -> acc + op_weight op) acc s)
+    0 h.streams
+  + Fuzz_shrink.scenario_size h.scenario
 
 (* Unbalanced streams are fine — the model treats txn-control misuse as an
    expected error — so candidates can drop ANY single op. *)
 let h_candidates (h : history) =
-  let cands = ref [] in
-  Array.iteri
-    (fun si ops ->
-      List.iteri
-        (fun oi _ ->
-          let streams = Array.copy h.streams in
-          streams.(si) <- List.filteri (fun j _ -> j <> oi) ops;
-          cands := { h with streams } :: !cands)
-        ops)
-    h.streams;
-  List.iter
-    (fun (t : Fuzz_gen.table) ->
-      let n = List.length t.Fuzz_gen.rows in
-      if n > 0 then begin
-        let replace rows =
-          { h with
-            scenario =
-              { Fuzz_gen.tables =
-                  List.map
-                    (fun (u : Fuzz_gen.table) ->
-                      if u.Fuzz_gen.tname = t.Fuzz_gen.tname then
-                        { u with Fuzz_gen.rows }
-                      else u)
-                    h.scenario.Fuzz_gen.tables } }
-        in
-        cands := replace (List.tl t.Fuzz_gen.rows) :: !cands;
-        cands := replace (List.filteri (fun i _ -> i < n / 2) t.Fuzz_gen.rows)
-                 :: !cands
-      end)
-    h.scenario.Fuzz_gen.tables;
-  List.rev !cands
+  let smaller = function
+    | Dml d -> List.map (fun d' -> Dml d') (Fuzz_dml.candidates d)
+    | Begin | Commit | Rollback | Select _ | Vacuum -> []
+  in
+  let ops_cands =
+    List.concat
+      (List.mapi
+         (fun si ops ->
+           List.map
+             (fun ops' ->
+               let streams = Array.copy h.streams in
+               streams.(si) <- ops';
+               { h with streams })
+             (Fuzz_shrink.edits smaller ops))
+         (Array.to_list h.streams))
+  in
+  let touched =
+    List.concat_map
+      (List.filter_map (function
+         | Dml d -> Some (Fuzz_dml.table d)
+         | Select (t, _) -> Some t
+         | Begin | Commit | Rollback | Vacuum -> None))
+      (Array.to_list h.streams)
+  in
+  ops_cands
+  @ List.map
+      (fun scenario -> { h with scenario })
+      (Fuzz_shrink.scenario_candidates ~touched h.scenario)
 
 let shrink ~max_steps (h : history) =
   Fuzz_shrink.shrink_generic ~size:h_size ~candidates:h_candidates

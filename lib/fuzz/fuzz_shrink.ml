@@ -178,6 +178,51 @@ let shrink_pred_literal (p : Ast.predicate) ~target =
   let p' = pred p in
   if !counter < target then None else Some p'
 
+(* --- scenario candidates --------------------------------------------------- *)
+
+(* Smaller scenarios, shared by every shrinker: drop the tables the test
+   case never [touched] (one candidate), then per table halve its rows,
+   drop its first row, drop its indexes. *)
+let scenario_candidates ~touched (s : Fuzz_gen.scenario) =
+  let tables = s.Fuzz_gen.tables in
+  let replace (t : Fuzz_gen.table) t' =
+    { Fuzz_gen.tables =
+        List.map
+          (fun (u : Fuzz_gen.table) ->
+            if u.Fuzz_gen.tname = t.Fuzz_gen.tname then t' else u)
+          tables }
+  in
+  let used =
+    List.filter (fun (t : Fuzz_gen.table) -> List.mem t.Fuzz_gen.tname touched) tables
+  in
+  (if used = [] || used = tables then [] else [ { Fuzz_gen.tables = used } ])
+  @ List.concat_map
+      (fun (t : Fuzz_gen.table) ->
+        let rows = t.Fuzz_gen.rows and n = List.length t.Fuzz_gen.rows in
+        (if n = 0 then []
+         else
+           [ replace t { t with Fuzz_gen.rows = List.filteri (fun i _ -> i < n / 2) rows };
+             replace t { t with Fuzz_gen.rows = List.tl rows } ])
+        @ if t.Fuzz_gen.indexes = [] then []
+          else [ replace t { t with Fuzz_gen.indexes = [] } ])
+      tables
+
+(* Every list one edit away from [xs]: one element dropped, or replaced by
+   one of its [smaller] versions. *)
+let edits smaller xs =
+  List.concat
+    (List.mapi
+       (fun i x ->
+         List.filteri (fun j _ -> j <> i) xs
+         :: List.map (fun x' -> List.mapi (fun j y -> if j = i then x' else y) xs) (smaller x))
+       xs)
+
+let scenario_size (s : Fuzz_gen.scenario) =
+  List.fold_left
+    (fun acc (t : Fuzz_gen.table) ->
+      acc + 1000 + List.length t.Fuzz_gen.rows + (50 * List.length t.Fuzz_gen.indexes))
+    0 s.Fuzz_gen.tables
+
 (* --- candidates over the pair ------------------------------------------- *)
 
 type pair = Fuzz_gen.scenario * Ast.query
@@ -185,12 +230,7 @@ type pair = Fuzz_gen.scenario * Ast.query
 let candidates ((s, q) : pair) : pair list =
   let cands = ref [] in
   let add s' q' = cands := (s', q') :: !cands in
-  (* 1. prune scenario tables the query never touches *)
-  let refs = referenced_tables q in
-  let used = List.filter (fun (t : Fuzz_gen.table) -> List.mem t.Fuzz_gen.tname refs) s.Fuzz_gen.tables in
-  if List.length used < List.length s.Fuzz_gen.tables then
-    add { Fuzz_gen.tables = used } q;
-  (* 2. drop the whole WHERE, then individual factors *)
+  (* 1. drop the whole WHERE, then individual factors *)
   (match q.Ast.where with
    | None -> ()
    | Some p ->
@@ -201,7 +241,7 @@ let candidates ((s, q) : pair) : pair list =
          (fun i _ ->
            add s { q with Ast.where = rebuild (List.filteri (fun j _ -> j <> i) fs) })
          fs;
-     (* 3. simplify factors structurally *)
+     (* 2. simplify factors structurally *)
      List.iteri
        (fun i f ->
          List.iter
@@ -212,7 +252,7 @@ let candidates ((s, q) : pair) : pair list =
                    rebuild (List.mapi (fun j g -> if j = i then f' else g) fs) })
            (simplify_factor f))
        fs;
-     (* 4. shrink literals *)
+     (* 3. shrink literals *)
      let rec try_literals target =
        if target < 24 then
          match shrink_pred_literal p ~target with
@@ -222,12 +262,12 @@ let candidates ((s, q) : pair) : pair list =
          | None -> ()
      in
      try_literals 0);
-  (* 5. drop FROM entries *)
+  (* 4. drop FROM entries *)
   List.iteri
     (fun i _ ->
       match drop_from_entry q i with Some q' -> add s q' | None -> ())
     q.Ast.from;
-  (* 6. ungroup / unorder / narrow the select list *)
+  (* 5. ungroup / unorder / narrow the select list *)
   if q.Ast.group_by <> [] then begin
     let plain =
       List.filter
@@ -245,66 +285,27 @@ let candidates ((s, q) : pair) : pair list =
       (fun i _ ->
         add s { q with Ast.select = List.filteri (fun j _ -> j <> i) q.Ast.select })
       q.Ast.select;
-  (* 7. shrink data: halve each table's rows, drop indexes *)
-  List.iter
-    (fun (t : Fuzz_gen.table) ->
-      let n = List.length t.Fuzz_gen.rows in
-      if n > 0 then begin
-        let halved = List.filteri (fun i _ -> i < n / 2) t.Fuzz_gen.rows in
-        add
-          { Fuzz_gen.tables =
-              List.map
-                (fun (u : Fuzz_gen.table) ->
-                  if u.Fuzz_gen.tname = t.Fuzz_gen.tname then
-                    { u with Fuzz_gen.rows = halved }
-                  else u)
-                s.Fuzz_gen.tables }
-          q;
-        add
-          { Fuzz_gen.tables =
-              List.map
-                (fun (u : Fuzz_gen.table) ->
-                  if u.Fuzz_gen.tname = t.Fuzz_gen.tname then
-                    { u with Fuzz_gen.rows = List.tl u.Fuzz_gen.rows }
-                  else u)
-                s.Fuzz_gen.tables }
-          q
-      end;
-      if t.Fuzz_gen.indexes <> [] then
-        add
-          { Fuzz_gen.tables =
-              List.map
-                (fun (u : Fuzz_gen.table) ->
-                  if u.Fuzz_gen.tname = t.Fuzz_gen.tname then
-                    { u with Fuzz_gen.indexes = [] }
-                  else u)
-                s.Fuzz_gen.tables }
-          q)
-    s.Fuzz_gen.tables;
+  (* 6. prune unreferenced tables, shrink data, drop indexes *)
+  List.iter (fun s' -> add s' q) (scenario_candidates ~touched:(referenced_tables q) s);
   List.rev !cands
 
 (* --- the greedy loop ---------------------------------------------------- *)
 
+(* lexicographic-ish scalar: structure dominates, data breaks ties *)
 let size ((s, q) : pair) =
-  let rows =
-    List.fold_left
-      (fun acc (t : Fuzz_gen.table) -> acc + List.length t.Fuzz_gen.rows)
-      0 s.Fuzz_gen.tables
-  in
-  (* lexicographic-ish scalar: structure dominates, data breaks ties *)
-  (List.length s.Fuzz_gen.tables * 1000)
+  scenario_size s
   + (List.length q.Ast.from * 500)
   + (factor_count q * 200)
   + (List.length q.Ast.select * 50)
   + (List.length q.Ast.group_by * 50)
   + (List.length q.Ast.order_by * 50)
-  + rows
 
 (* Generic greedy loop: repeatedly take the first strictly-smaller candidate
    that still fails, until a fixpoint or the step budget runs out. A step is
    counted for every strictly-smaller candidate checked (not for candidates
-   discarded on size alone). Shared by the differential shrinker below and
-   the crash-torture workload shrinker (Fuzz_torture). *)
+   discarded on size alone). Shared by the differential shrinker below, the
+   MVCC history shrinker (Fuzz_mvcc) and the crash-torture workload
+   shrinkers (Fuzz_torture). *)
 let shrink_generic ~size ~candidates ~still_failing ~max_steps init =
   let steps = ref 0 in
   let rec fix current =

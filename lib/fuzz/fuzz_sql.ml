@@ -139,11 +139,6 @@ let query_to_string q =
   query b q;
   Buffer.contents b
 
-let value_to_string v =
-  let b = Buffer.create 16 in
-  value b v;
-  Buffer.contents b
-
 (* DDL for a generated scenario. STRING columns cycle through the three
    accepted spellings (STRING / CHAR(n) / VARCHAR(n)) so every fuzz run also
    exercises the type-alias parsing. *)

@@ -12,86 +12,58 @@
    size — while a crash at wal.append tears nothing (the record never left
    the buffer).
 
-   The multi-session variant below ([gen_ms_workload]/[torture_ms]) drives
-   interleaved transactions from several sessions of one engine under
-   [Engine.set_group_hold], so explicit flush points form multi-commit
-   batches deterministically; it additionally tracks which commits were
-   *acknowledged* (their covering [Engine.flush_group] returned) and checks
-   the group-commit ack rule per crash image: an acknowledged commit must
-   survive every torn truncation — a crash mid-batch may lose only commits
-   whose ack was never released.
+   Workloads are Fuzz_dml statements (INSERT, UPDATE — some with a SET the
+   engine must reject — and DELETE, with =, range and BETWEEN predicates)
+   plus VACUUM, in one of two shapes sharing one [sweep]:
+   - single-session ([single]): statements run one at a time, so a
+     rejected statement fails alone; the clean pass also checks every
+     statement's tag or error, and the live state, against Fuzz_dml.apply
+     folded over the groups — an UPDATE that writes a wrong image but logs
+     it consistently passes every log-based check;
+   - multi-session ([multi]): interleaved transactions of several sessions
+     of one engine under [Engine.set_group_hold], so explicit flush points
+     form multi-commit batches; each crash image must also keep every
+     *acknowledged* commit (its covering [Engine.flush_group] returned) —
+     a torn batch may lose only commits whose ack was never released.
 
-   The oracle shares only the WAL codec (property-tested separately in
-   test_lock_wal) with the recovery path it audits: it is a naive replay of
-   Insert/Delete records of committed transactions into an association list,
-   with none of Recovery's segment/page machinery.
+   The committed-prefix oracle shares only the WAL codec (property-tested
+   in test_lock_wal) with the recovery path it audits: a naive replay of
+   the Insert/Delete records of committed transactions, with none of
+   Recovery's segment/page machinery. A divergence is a live state that
+   differs from its log or reference semantics, a committed effect missing
+   or an uncommitted one surviving recovery, a lost acknowledged commit,
+   heap/index disagreement after recovery (Database.check_integrity), or an
+   armed failpoint that did not fire on the re-run (a harness bug).
 
-   What a divergence means:
-   - an effect of a committed transaction is missing after recovery, or
-   - an effect of an uncommitted/aborted transaction survived recovery, or
-   - heap and indexes disagree after the post-recovery index rebuild
-     (Database.check_integrity), or
-   - an armed failpoint failed to fire on the re-run (the workload is not
-     deterministic — a harness bug).
+   Databases are built with a 2-page buffer pool (evictions) and a B-tree
+   order override of 4 (splits), so tiny workloads reach the deep paths. *)
 
-   Small structural knobs make tiny workloads reach the deep code paths:
-   databases are built with a 2-page buffer pool (evictions) and a B-tree
-   order override of 4 (splits). *)
-
-module V = Rel.Value
 module F = Rss.Failpoint
 module W = Rss.Wal
 
-(* --- workloads ---------------------------------------------------------- *)
-
-type dml =
-  | Ins of string * V.t list list            (* table, rows *)
-  | Del of string * (string * V.t) option    (* table, optional col = lit *)
+(* --- single-session workloads -------------------------------------------- *)
 
 type group =
-  | Auto of dml                              (* auto-commit statement *)
-  | Txn of dml list * [ `Commit | `Rollback ]
+  | Auto of Fuzz_dml.t                       (* auto-commit statement *)
+  | Txn of Fuzz_dml.t list * [ `Commit | `Rollback ]
   | Vac                                      (* VACUUM: reclaim dead versions *)
 
 type workload = { scenario : Fuzz_gen.scenario; groups : group list }
 
-let gen_rows rng (t : Fuzz_gen.table) =
-  let n = 1 + Random.State.int rng 3 in
-  List.init n (fun _ ->
-      List.map
-        (fun (c : Fuzz_gen.column) ->
-          Fuzz_gen.gen_value rng
-            (fun () -> Random.State.int rng c.Fuzz_gen.distinct)
-            c)
-        t.Fuzz_gen.cols)
-
-let gen_dml rng (t : Fuzz_gen.table) =
-  if Random.State.int rng 3 = 0 then begin
-    let pred =
-      if Random.State.int rng 5 = 0 then None (* DELETE all *)
-      else
-        let c =
-          List.nth t.Fuzz_gen.cols
-            (Random.State.int rng (List.length t.Fuzz_gen.cols))
-        in
-        Some (c.Fuzz_gen.cname, Fuzz_gen.lit rng c)
-    in
-    Del (t.Fuzz_gen.tname, pred)
-  end
-  else Ins (t.Fuzz_gen.tname, gen_rows rng t)
+let pick_table rng (s : Fuzz_gen.scenario) =
+  Fuzz_gen.pick rng (Array.of_list s.Fuzz_gen.tables)
 
 let gen_workload rng =
   let scenario = Fuzz_gen.gen_scenario rng in
-  let tables = Array.of_list scenario.Fuzz_gen.tables in
-  let pick_table () = tables.(Random.State.int rng (Array.length tables)) in
+  let stmt () = Fuzz_dml.gen rng (pick_table rng scenario) in
   let ngroups = 3 + Random.State.int rng 5 in
   let groups =
     List.init ngroups (fun _ ->
         if Random.State.int rng 6 = 0 then Vac
-        else if Random.State.int rng 3 = 0 then Auto (gen_dml rng (pick_table ()))
+        else if Random.State.int rng 3 = 0 then Auto (stmt ())
         else begin
           let n = 1 + Random.State.int rng 3 in
-          let dmls = List.init n (fun _ -> gen_dml rng (pick_table ())) in
+          let dmls = List.init n (fun _ -> stmt ()) in
           let fin =
             if Random.State.int rng 4 = 0 then `Rollback else `Commit
           in
@@ -100,36 +72,45 @@ let gen_workload rng =
   in
   { scenario; groups }
 
-(* --- rendering ----------------------------------------------------------- *)
-
-let dml_sql b = function
-  | Ins (t, rows) -> Fuzz_sql.insert_rows b ~name:t rows
-  | Del (t, pred) ->
-    Buffer.add_string b ("DELETE FROM " ^ t);
-    (match pred with
-     | Some (c, v) ->
-       Buffer.add_string b
-         (" WHERE " ^ c ^ " = " ^ Fuzz_sql.value_to_string v)
-     | None -> ());
-    Buffer.add_string b ";\n"
-
-let workload_sql (w : workload) =
-  let b = Buffer.create 512 in
-  List.iter
+(* The workload as the statements it executes, one per entry, each with
+   the DML statement it renders (None for BEGIN/COMMIT/ROLLBACK/VACUUM). *)
+let statements (w : workload) =
+  let dml d = (Fuzz_dml.sql d, Some d) and ctl sql = (sql, None) in
+  List.concat_map
     (function
-      | Auto d -> dml_sql b d
-      | Vac -> Buffer.add_string b "VACUUM;\n"
+      | Auto d -> [ dml d ]
+      | Vac -> [ ctl "VACUUM;\n" ]
       | Txn (ds, fin) ->
-        Buffer.add_string b "BEGIN;\n";
-        List.iter (dml_sql b) ds;
-        Buffer.add_string b
-          (match fin with `Commit -> "COMMIT;\n" | `Rollback -> "ROLLBACK;\n"))
-    w.groups;
-  Buffer.contents b
+        (ctl "BEGIN;\n" :: List.map dml ds)
+        @ [ ctl (match fin with `Commit -> "COMMIT;\n" | `Rollback -> "ROLLBACK;\n") ])
+    w.groups
 
 (* DDL + initial data + workload as a paste-ready script. *)
 let reproducer (w : workload) =
-  Fuzz_harness.ddl_script ~indexes:true w.scenario ^ workload_sql w
+  Fuzz_harness.ddl_script ~indexes:true w.scenario
+  ^ String.concat "" (List.map fst (statements w))
+
+(* The reference run: Fuzz_dml.apply folded over the groups — a
+   transaction's statements see its own writes, only committed groups reach
+   the final state, a rejected statement changes nothing and its
+   transaction goes on. Returns the final state and every DML statement's
+   outcome, in order. *)
+let reference (w : workload) =
+  let step (s, outs) d =
+    let s', o = Fuzz_dml.apply s d in
+    (s', o :: outs)
+  in
+  let final, outs =
+    List.fold_left
+      (fun (s, outs) -> function
+        | Auto d -> step (s, outs) d
+        | Vac -> (s, outs)
+        | Txn (ds, fin) ->
+          let s', outs = List.fold_left step (s, outs) ds in
+          ((match fin with `Commit -> s' | `Rollback -> s), outs))
+      (w.scenario, []) w.groups
+  in
+  (final, List.rev outs)
 
 (* --- database construction ----------------------------------------------- *)
 
@@ -142,49 +123,42 @@ let build_db ~data (s : Fuzz_gen.scenario) =
     ~finally:(fun () -> Rss.Btree.set_order_override None)
     (fun () ->
       let db = Database.create ~buffer_pages:2 () in
-      let b = Buffer.create 1024 in
-      List.iter
-        (fun (t : Fuzz_gen.table) ->
-          Fuzz_sql.create_table b ~name:t.Fuzz_gen.tname
-            ~cols:
-              (List.map
-                 (fun (c : Fuzz_gen.column) -> (c.Fuzz_gen.cname, c.Fuzz_gen.cty))
-                 t.Fuzz_gen.cols);
-          if data then Fuzz_sql.insert_rows b ~name:t.Fuzz_gen.tname t.Fuzz_gen.rows;
-          List.iter
-            (fun (name, cols, clustered) ->
-              Fuzz_sql.create_index b ~name ~table:t.Fuzz_gen.tname ~cols
-                ~clustered)
-            t.Fuzz_gen.indexes)
-        s.Fuzz_gen.tables;
-      ignore (Database.exec_script db (Buffer.contents b));
+      ignore (Database.exec_script db (Fuzz_harness.ddl_script ~data s));
       db)
 
-let run_workload db w = ignore (Database.exec_script db (workload_sql w))
+(* One statement at a time: a rejected statement fails alone (an explicit
+   transaction stays open); Failpoint.Crash propagates. Returns each DML
+   statement with its command tag or error message. *)
+let run_workload db w =
+  List.filter_map
+    (fun (sql, d) ->
+      let r =
+        match Database.exec db sql with
+        | Database.Done tag -> Ok tag
+        | Database.Rows _ | Database.Text _ -> Ok ""
+        | exception Database.Error e -> Error e
+      in
+      Option.map (fun d -> (d, r)) d)
+    (statements w)
 
 (* --- the committed-prefix oracle ----------------------------------------- *)
+
+let commits recs = List.filter_map (function W.Commit tx -> Some tx | _ -> None) recs
 
 (* rel_id -> sorted multiset of rendered rows, by naive replay of the
    surviving bytes. Relations are identified by creation order, which the
    recovery target reproduces by running the same DDL. *)
 let oracle_multisets bytes =
   let recs = W.records (W.of_bytes bytes) in
-  let committed =
-    List.filter_map (function W.Commit tx -> Some tx | _ -> None) recs
-  in
+  let committed = commits recs in
   let is_committed tx = List.mem tx committed in
   let live = ref [] in
-  let rec remove_first key = function
-    | [] -> []
-    | (k, _) :: rest when k = key -> rest
-    | b :: rest -> b :: remove_first key rest
-  in
   List.iter
     (function
       | W.Insert { txn; rel_id; tid; tuple } when is_committed txn ->
         live := ((tid, rel_id), tuple) :: !live
       | W.Delete { txn; rel_id; tid; _ } when is_committed txn ->
-        live := remove_first (tid, rel_id) !live
+        live := List.remove_assoc (tid, rel_id) !live
       | _ -> ())
     recs;
   let by_rel : (int, string list) Hashtbl.t = Hashtbl.create 8 in
@@ -221,6 +195,11 @@ type divergence = {
   t_actual : string list;
 }
 
+let divergence ?(table = "") ?(expected = []) ?(actual = []) ~site ~hit ~torn
+    detail =
+  { t_site = site; t_hit = hit; t_torn = torn; t_table = table;
+    t_detail = detail; t_expected = expected; t_actual = actual }
+
 let pp_divergence ppf d =
   Format.fprintf ppf
     "site=%s hit=%d torn=%d%s: %s@\nexpected: [%s]@\nactual:   [%s]"
@@ -230,256 +209,31 @@ let pp_divergence ppf d =
     (String.concat "; " d.t_expected)
     (String.concat "; " d.t_actual)
 
+(* The first table of [s] whose rows in [db] differ from [expected rel_id]. *)
+let diff_tables (s : Fuzz_gen.scenario) db ~site ~hit ~torn ~detail expected =
+  List.find_map
+    (fun (rel_id, (t : Fuzz_gen.table)) ->
+      let expected = expected rel_id in
+      let actual = db_multiset db t.Fuzz_gen.tname in
+      if expected = actual then None
+      else
+        Some
+          (divergence ~table:t.Fuzz_gen.tname ~expected ~actual ~site ~hit
+             ~torn detail))
+    (List.mapi (fun i t -> (i, t)) s.Fuzz_gen.tables)
+
 (* Recover a fresh database from [bytes] and compare it against the oracle:
    committed effects present, uncommitted effects absent, heap and indexes
    in agreement. *)
 let check_recovery (s : Fuzz_gen.scenario) bytes ~site ~hit ~torn =
-  let oracle = oracle_multisets bytes in
   let rdb = build_db ~data:false s in
   ignore (Database.recover rdb bytes);
   match Database.check_integrity rdb with
-  | Error msg ->
-    Some
-      { t_site = site; t_hit = hit; t_torn = torn; t_table = "";
-        t_detail = "integrity after recovery: " ^ msg;
-        t_expected = []; t_actual = [] }
+  | Error msg -> Some (divergence ~site ~hit ~torn ("integrity after recovery: " ^ msg))
   | Ok () ->
-    List.find_map
-      (fun (rel_id, (t : Fuzz_gen.table)) ->
-        let expected = oracle rel_id in
-        let actual = db_multiset rdb t.Fuzz_gen.tname in
-        if expected <> actual then
-          Some
-            { t_site = site; t_hit = hit; t_torn = torn;
-              t_table = t.Fuzz_gen.tname;
-              t_detail = "recovered state differs from committed prefix";
-              t_expected = expected; t_actual = actual }
-        else None)
-      (List.mapi (fun i t -> (i, t)) s.Fuzz_gen.tables)
-
-(* --- the torture loop ---------------------------------------------------- *)
-
-(* Maximal torn span of a crash at [site]: a crash during the flush tears
-   the batch that was being written (the whole batch, down to nothing); a
-   crash anywhere else leaves the device exactly at the last completed
-   flush, so nothing tears. *)
-let torn_span ~site db bytes =
-  if site = "wal.group_flush" then
-    min (W.last_flush_size (Database.wal db)) (String.length bytes)
-  else 0
-
-(* One armed run: build, arm, execute until the crash, capture the frozen
-   log. Returns whether the crash fired, the serialized WAL, and the torn
-   sweep span. *)
-let crash_run (w : workload) ~site ~at =
-  let db = build_db ~data:true w.scenario in
-  F.arm ~site ~at;
-  let fired = (try run_workload db w; false with F.Crash _ -> true) in
-  F.disarm ();
-  let bytes = W.to_bytes (Database.wal db) in
-  let torn = torn_span ~site db bytes in
-  F.reset ();
-  (fired, bytes, torn)
-
-exception Found of divergence
-
-(* Run the full torture over one workload: enumerate crash points with a
-   counting pass, then crash at every [crash_every]-th hit of every site
-   (plus the torn-tail sweep for wal.group_flush crashes) and check recovery
-   of each surviving image. Returns the number of crash-point images checked
-   and the first divergence, if any. *)
-let torture ?(crash_every = 1) (w : workload) : int * divergence option =
-  let points = ref 0 in
-  let harness_bug detail =
-    { t_site = "harness"; t_hit = 0; t_torn = 0; t_table = "";
-      t_detail = detail; t_expected = []; t_actual = [] }
-  in
-  try
-    (* counting pass: which sites does this workload reach, how often? *)
-    let db = build_db ~data:true w.scenario in
-    F.count_only ();
-    run_workload db w;
-    F.disarm ();
-    let counts = F.counts () in
-    F.reset ();
-    (* clean pass: with no crash, the log must fully describe the live
-       database, and recovering from it must reproduce that state *)
-    let bytes = W.to_bytes (Database.wal db) in
-    let oracle = oracle_multisets bytes in
-    List.iteri
-      (fun rel_id (t : Fuzz_gen.table) ->
-        let expected = oracle rel_id in
-        let actual = db_multiset db t.Fuzz_gen.tname in
-        if expected <> actual then
-          raise
-            (Found
-               { t_site = "clean"; t_hit = 0; t_torn = 0;
-                 t_table = t.Fuzz_gen.tname;
-                 t_detail = "live state differs from its own log";
-                 t_expected = expected; t_actual = actual }))
-      w.scenario.Fuzz_gen.tables;
-    (match check_recovery w.scenario bytes ~site:"clean" ~hit:0 ~torn:0 with
-     | Some d -> raise (Found d)
-     | None -> ());
-    (* crash passes *)
-    List.iter
-      (fun (site, total) ->
-        let k = ref 1 in
-        while !k <= total do
-          let fired, bytes, torn_max = crash_run w ~site ~at:!k in
-          if not fired then
-            raise
-              (Found
-                 (harness_bug
-                    (Printf.sprintf
-                       "failpoint %s did not fire at hit %d on re-run (workload \
-                        not deterministic?)"
-                       site !k)));
-          for j = 0 to torn_max do
-            let surviving = String.sub bytes 0 (String.length bytes - j) in
-            incr points;
-            match check_recovery w.scenario surviving ~site ~hit:!k ~torn:j with
-            | Some d -> raise (Found d)
-            | None -> ()
-          done;
-          k := !k + crash_every
-        done)
-      counts;
-    (!points, None)
-  with Found d -> (!points, Some d)
-
-(* --- shrinking ----------------------------------------------------------- *)
-
-let w_size (w : workload) =
-  let dml_weight = function
-    | Ins (_, rows) -> 10 + List.length rows
-    | Del _ -> 10
-  in
-  let group_weight = function
-    | Auto d -> 100 + dml_weight d
-    | Vac -> 100
-    | Txn (ds, _) ->
-      100 + List.fold_left (fun acc d -> acc + dml_weight d) 0 ds
-  in
-  let scenario_weight =
-    List.fold_left
-      (fun acc (t : Fuzz_gen.table) ->
-        acc + 1000 + List.length t.Fuzz_gen.rows
-        + (50 * List.length t.Fuzz_gen.indexes))
-      0 w.scenario.Fuzz_gen.tables
-  in
-  scenario_weight + List.fold_left (fun acc g -> acc + group_weight g) 0 w.groups
-
-let w_candidates (w : workload) : workload list =
-  let cands = ref [] in
-  let add c = cands := c :: !cands in
-  (* drop each group *)
-  List.iteri
-    (fun i _ -> add { w with groups = List.filteri (fun j _ -> j <> i) w.groups })
-    w.groups;
-  (* within transactional groups: drop statements; unwrap singletons *)
-  List.iteri
-    (fun i g ->
-      match g with
-      | Auto _ | Vac -> ()
-      | Txn (ds, fin) ->
-        if List.length ds > 1 then
-          List.iteri
-            (fun di _ ->
-              let ds' = List.filteri (fun j _ -> j <> di) ds in
-              add
-                { w with
-                  groups =
-                    List.mapi (fun j g -> if j = i then Txn (ds', fin) else g)
-                      w.groups })
-            ds;
-        (match ds, fin with
-         | [ d ], `Commit ->
-           add
-             { w with
-               groups =
-                 List.mapi (fun j g -> if j = i then Auto d else g) w.groups }
-         | _ -> ()))
-    w.groups;
-  (* shrink inserted rows *)
-  List.iteri
-    (fun i g ->
-      let shrink_dml d =
-        match d with
-        | Ins (t, (_ :: _ :: _ as rows)) ->
-          [ Ins (t, [ List.hd rows ]); Ins (t, List.tl rows) ]
-        | _ -> []
-      in
-      let replace_group g' =
-        add { w with groups = List.mapi (fun j h -> if j = i then g' else h) w.groups }
-      in
-      match g with
-      | Auto d -> List.iter (fun d' -> replace_group (Auto d')) (shrink_dml d)
-      | Vac -> ()
-      | Txn (ds, fin) ->
-        List.iteri
-          (fun di d ->
-            List.iter
-              (fun d' ->
-                replace_group
-                  (Txn (List.mapi (fun j e -> if j = di then d' else e) ds, fin)))
-              (shrink_dml d))
-          ds)
-    w.groups;
-  (* scenario: drop tables no group touches, halve initial rows, drop
-     indexes *)
-  let touched =
-    List.concat_map
-      (fun g ->
-        let of_dml = function Ins (t, _) | Del (t, _) -> t in
-        match g with
-        | Auto d -> [ of_dml d ]
-        | Vac -> []
-        | Txn (ds, _) -> List.map of_dml ds)
-      w.groups
-  in
-  let tables = w.scenario.Fuzz_gen.tables in
-  if List.length tables > 1 then
-    List.iter
-      (fun (t : Fuzz_gen.table) ->
-        if not (List.mem t.Fuzz_gen.tname touched) then
-          add
-            { w with
-              scenario =
-                { Fuzz_gen.tables =
-                    List.filter
-                      (fun (u : Fuzz_gen.table) ->
-                        u.Fuzz_gen.tname <> t.Fuzz_gen.tname)
-                      tables } })
-      tables;
-  List.iter
-    (fun (t : Fuzz_gen.table) ->
-      let replace_table t' =
-        add
-          { w with
-            scenario =
-              { Fuzz_gen.tables =
-                  List.map
-                    (fun (u : Fuzz_gen.table) ->
-                      if u.Fuzz_gen.tname = t.Fuzz_gen.tname then t' else u)
-                    tables } }
-      in
-      let n = List.length t.Fuzz_gen.rows in
-      if n > 0 then begin
-        replace_table
-          { t with Fuzz_gen.rows = List.filteri (fun i _ -> i < n / 2) t.Fuzz_gen.rows };
-        replace_table { t with Fuzz_gen.rows = List.tl t.Fuzz_gen.rows }
-      end;
-      if t.Fuzz_gen.indexes <> [] then replace_table { t with Fuzz_gen.indexes = [] })
-    tables;
-  List.rev !cands
-
-(* Shrink a diverging workload: a candidate is kept when a full torture pass
-   over it still finds a divergence. *)
-let shrink ?(crash_every = 1) ~max_steps (w : workload) : workload * int =
-  Fuzz_shrink.shrink_generic ~size:w_size ~candidates:w_candidates
-    ~still_failing:(fun c -> snd (torture ~crash_every c) <> None)
-    ~max_steps w
+    diff_tables s rdb ~site ~hit ~torn
+      ~detail:"recovered state differs from committed prefix"
+      (oracle_multisets bytes)
 
 (* --- multi-session interleaved workloads --------------------------------- *)
 
@@ -492,7 +246,7 @@ let shrink ?(crash_every = 1) ~max_steps (w : workload) : workload * int =
 
 type ms_item =
   | S_begin of int              (* session index *)
-  | S_dml of int * dml
+  | S_dml of int * Fuzz_dml.t
   | S_commit of int
   | S_rollback of int
   | S_flush                     (* the leader's window closes: one batch *)
@@ -505,8 +259,6 @@ type ms_workload = {
 
 let gen_ms_workload rng =
   let scenario = Fuzz_gen.gen_scenario rng in
-  let tables = Array.of_list scenario.Fuzz_gen.tables in
-  let pick_table () = tables.(Random.State.int rng (Array.length tables)) in
   let nsessions = 2 + Random.State.int rng 2 in
   let streams =
     Array.init nsessions (fun i ->
@@ -515,7 +267,8 @@ let gen_ms_workload rng =
           (List.init ngroups (fun _ ->
                let n = 1 + Random.State.int rng 3 in
                let dmls =
-                 List.init n (fun _ -> S_dml (i, gen_dml rng (pick_table ())))
+                 List.init n (fun _ ->
+                     S_dml (i, Fuzz_dml.gen rng (pick_table rng scenario)))
                in
                let fin =
                  if Random.State.int rng 4 = 0 then S_rollback i else S_commit i
@@ -545,10 +298,7 @@ let gen_ms_workload rng =
 
 let ms_item_sql = function
   | S_begin i -> Printf.sprintf "-- s%d\nBEGIN;\n" i
-  | S_dml (i, d) ->
-    let b = Buffer.create 64 in
-    dml_sql b d;
-    Printf.sprintf "-- s%d\n%s" i (Buffer.contents b)
+  | S_dml (i, d) -> Printf.sprintf "-- s%d\n%s" i (Fuzz_dml.sql d)
   | S_commit i -> Printf.sprintf "-- s%d\nCOMMIT;\n" i
   | S_rollback i -> Printf.sprintf "-- s%d\nROLLBACK;\n" i
   | S_flush -> "-- group flush\n"
@@ -572,156 +322,186 @@ let run_ms db (w : ms_workload) ~(acked : int list ref) =
   let sessions = Array.init w.nsessions (fun _ -> Session.create eng) in
   let in_txn = Array.make w.nsessions false in
   let exec i sql =
-    try ignore (Session.exec_script sessions.(i) sql)
+    try ignore (Session.exec sessions.(i) sql)
     with Session.Error _ ->
       if in_txn.(i) then begin
-        (try ignore (Session.exec_script sessions.(i) "ROLLBACK;")
+        (try ignore (Session.exec sessions.(i) "ROLLBACK;")
          with Session.Error _ -> ());
         in_txn.(i) <- false
       end
+  in
+  let finish i sql =
+    if in_txn.(i) then begin
+      exec i sql;
+      in_txn.(i) <- false
+    end
   in
   List.iter
     (function
       | S_begin i ->
         exec i "BEGIN;";
         in_txn.(i) <- true
-      | S_dml (i, d) ->
-        if in_txn.(i) then begin
-          let b = Buffer.create 64 in
-          dml_sql b d;
-          exec i (Buffer.contents b)
-        end
-      | S_commit i ->
-        if in_txn.(i) then begin
-          exec i "COMMIT;";
-          in_txn.(i) <- false
-        end
-      | S_rollback i ->
-        if in_txn.(i) then begin
-          exec i "ROLLBACK;";
-          in_txn.(i) <- false
-        end
+      | S_dml (i, d) -> if in_txn.(i) then exec i (Fuzz_dml.sql d)
+      | S_commit i -> finish i "COMMIT;"
+      | S_rollback i -> finish i "ROLLBACK;"
       | S_flush -> acked := !acked @ Engine.flush_group eng counters)
     w.items;
   (* final drain: commits after the last generated flush point *)
   acked := !acked @ Engine.flush_group eng counters
 
-let crash_run_ms (w : ms_workload) ~site ~at =
-  let db = build_db ~data:true w.ms_scenario in
+(* The group-commit ack rule, checked against one surviving image: every
+   transaction whose commit was acknowledged before the crash must be in
+   the image's committed set — a torn batch may lose only unacknowledged
+   suffix commits. *)
+let check_acked bytes ~acked ~site ~hit ~torn =
+  let committed = commits (W.records (W.of_bytes bytes)) in
+  List.find_opt (fun tx -> not (List.mem tx committed)) acked
+  |> Option.map (fun tx ->
+         divergence ~site ~hit ~torn
+           ~expected:(List.map string_of_int acked)
+           ~actual:(List.map string_of_int committed)
+           (Printf.sprintf
+              "acknowledged commit %d is missing from the surviving log" tx))
+
+(* --- the sweep ------------------------------------------------------------ *)
+
+(* A workload as the sweep drives it. [run db ~acked] executes it on a
+   database built from [scenario], appending each acknowledged commit to
+   [acked]. [clean db ~committed ~acked] is the extra check of the no-crash
+   pass ([committed]: the workload's commits in the log); [image] the extra
+   check of every surviving crash image. *)
+type target = {
+  scenario : Fuzz_gen.scenario;
+  run : Database.t -> acked:int list ref -> unit;
+  clean : Database.t -> committed:int list -> acked:int list -> divergence option;
+  image :
+    string -> acked:int list -> site:string -> hit:int -> torn:int ->
+    divergence option;
+}
+
+let rows_multiset rows =
+  List.sort String.compare
+    (List.map (fun row -> Fuzz_harness.row_key (Array.of_list row)) rows)
+
+(* The single-session clean pass also checks the counting run's statement
+   outcomes and final state against [reference]. *)
+let single (w : workload) =
+  let final, expected = reference w in
+  let outcomes = ref [] in
+  let check_outcome ((d, actual), want) =
+    if Fuzz_dml.agrees d want actual then None
+    else
+      Some
+        (divergence ~table:(Fuzz_dml.table d) ~site:"clean" ~hit:0 ~torn:0
+           ~expected:
+             [ (match want with
+                | Fuzz_dml.Rows n -> Fuzz_dml.tag d n
+                | Fuzz_dml.Rejected msg -> "error: ..." ^ msg ^ "...") ]
+           ~actual:[ (match actual with Ok tag -> tag | Error e -> "error: " ^ e) ]
+           ("statement outcome differs from its reference semantics: "
+           ^ String.trim (Fuzz_dml.sql d)))
+  in
+  { scenario = w.scenario;
+    run = (fun db ~acked:_ -> outcomes := run_workload db w);
+    clean =
+      (fun db ~committed:_ ~acked:_ ->
+        match List.find_map check_outcome (List.combine !outcomes expected) with
+        | Some _ as d -> d
+        | None ->
+          diff_tables w.scenario db ~site:"clean" ~hit:0 ~torn:0
+            ~detail:"live state differs from the statements' reference semantics"
+            (fun rel_id -> rows_multiset (List.nth final.Fuzz_gen.tables rel_id).Fuzz_gen.rows));
+    image = (fun _ ~acked:_ ~site:_ ~hit:_ ~torn:_ -> None) }
+
+let multi (w : ms_workload) =
+  { scenario = w.ms_scenario;
+    run = (fun db ~acked -> run_ms db w ~acked);
+    clean =
+      (* with no crash every commit's flush returned: acked = committed *)
+      (fun _ ~committed ~acked ->
+        if List.sort compare acked = List.sort compare committed then None
+        else
+          Some
+            (divergence ~site:"harness" ~hit:0 ~torn:0
+               ~expected:(List.map string_of_int committed)
+               ~actual:(List.map string_of_int acked)
+               "clean run acked a different set than the log committed"));
+    image = check_acked }
+
+(* Maximal torn span of a crash at [site]: a crash during the flush tears
+   the batch that was being written (the whole batch, down to nothing); a
+   crash anywhere else leaves the device exactly at the last completed
+   flush, so nothing tears. *)
+let torn_span ~site db bytes =
+  if site = "wal.group_flush" then
+    min (W.last_flush_size (Database.wal db)) (String.length bytes)
+  else 0
+
+(* One armed run: build, arm, execute until the crash, capture the frozen
+   log. Returns whether the crash fired, the serialized WAL, the torn sweep
+   span and the commits acknowledged before the crash. *)
+let crash_run (tg : target) ~site ~at =
+  let db = build_db ~data:true tg.scenario in
   F.arm ~site ~at;
   let acked = ref [] in
-  let fired = (try run_ms db w ~acked; false with F.Crash _ -> true) in
+  let fired = (try tg.run db ~acked; false with F.Crash _ -> true) in
   F.disarm ();
   let bytes = W.to_bytes (Database.wal db) in
   let torn = torn_span ~site db bytes in
   F.reset ();
   (fired, bytes, torn, !acked)
 
-(* The group-commit ack rule, checked against one surviving image: every
-   transaction whose commit was acknowledged before the crash must be in
-   the image's committed set — a torn batch may lose only unacknowledged
-   suffix commits. *)
-let check_acked bytes acked ~site ~hit ~torn =
-  let committed =
-    List.filter_map
-      (function W.Commit tx -> Some tx | _ -> None)
-      (W.records (W.of_bytes bytes))
-  in
-  match List.find_opt (fun tx -> not (List.mem tx committed)) acked with
-  | Some tx ->
-    Some
-      { t_site = site; t_hit = hit; t_torn = torn; t_table = "";
-        t_detail =
-          Printf.sprintf
-            "acknowledged commit %d is missing from the surviving log" tx;
-        t_expected = List.map string_of_int acked;
-        t_actual = List.map string_of_int committed }
-  | None -> None
+exception Found of divergence
 
-(* Full torture over one interleaved history: counting pass, clean pass
-   (live state vs log, recovery, and acked = committed exactly — with no
-   crash every commit's flush returned), then a crash at every
-   [crash_every]-th hit of every site with the batch torn sweep and the
-   per-acknowledged-commit oracle. Also returns how many of the checked
-   images came from wal.group_flush crashes. *)
-let torture_ms ?(crash_every = 1) (w : ms_workload) :
-    int * int * divergence option =
-  let points = ref 0 in
-  let flush_points = ref 0 in
-  let harness_bug detail =
-    { t_site = "harness"; t_hit = 0; t_torn = 0; t_table = "";
-      t_detail = detail; t_expected = []; t_actual = [] }
-  in
+(* Torture one workload: a counting pass enumerates crash points; the clean
+   pass checks the live state against its own log and [tg.clean], and
+   recovery from the full log; then a crash at every [crash_every]-th hit of
+   every site (with the torn sweep for wal.group_flush crashes), each
+   surviving image checked by [tg.image] and by recovery against the
+   committed-prefix oracle. Returns the number of images checked, how many
+   came from wal.group_flush crashes, and the first divergence. *)
+let sweep ?(crash_every = 1) (tg : target) : int * int * divergence option =
+  let points = ref 0 and flush_points = ref 0 in
+  let check = function Some d -> raise (Found d) | None -> () in
   try
-    let db = build_db ~data:true w.ms_scenario in
-    (* the data load commits its own transactions before the workload runs;
-       they are durable and outside the ack accounting below *)
-    let setup_committed =
-      List.filter_map
-        (function W.Commit tx -> Some tx | _ -> None)
-        (W.records (Database.wal db))
-    in
+    let db = build_db ~data:true tg.scenario in
+    (* the data load commits its own transactions before the workload runs *)
+    let setup = commits (W.records (Database.wal db)) in
     F.count_only ();
     let acked = ref [] in
-    run_ms db w ~acked;
+    tg.run db ~acked;
     F.disarm ();
     let counts = F.counts () in
     F.reset ();
     let bytes = W.to_bytes (Database.wal db) in
-    let oracle = oracle_multisets bytes in
-    List.iteri
-      (fun rel_id (t : Fuzz_gen.table) ->
-        let expected = oracle rel_id in
-        let actual = db_multiset db t.Fuzz_gen.tname in
-        if expected <> actual then
-          raise
-            (Found
-               { t_site = "clean"; t_hit = 0; t_torn = 0;
-                 t_table = t.Fuzz_gen.tname;
-                 t_detail = "live state differs from its own log";
-                 t_expected = expected; t_actual = actual }))
-      w.ms_scenario.Fuzz_gen.tables;
-    (* clean completion acked exactly the workload's committed set *)
+    check
+      (diff_tables tg.scenario db ~site:"clean" ~hit:0 ~torn:0
+         ~detail:"live state differs from its own log" (oracle_multisets bytes));
     let committed =
-      List.filter_map
-        (function W.Commit tx -> Some tx | _ -> None)
-        (W.records (W.of_bytes bytes))
-      |> List.filter (fun tx -> not (List.mem tx setup_committed))
+      List.filter (fun tx -> not (List.mem tx setup))
+        (commits (W.records (W.of_bytes bytes)))
     in
-    if List.sort compare !acked <> List.sort compare committed then
-      raise
-        (Found
-           (harness_bug
-              (Printf.sprintf
-                 "clean run acked [%s] but the log committed [%s]"
-                 (String.concat ";" (List.map string_of_int !acked))
-                 (String.concat ";" (List.map string_of_int committed)))));
-    (match check_recovery w.ms_scenario bytes ~site:"clean" ~hit:0 ~torn:0 with
-     | Some d -> raise (Found d)
-     | None -> ());
+    check (tg.clean db ~committed ~acked:!acked);
+    check (check_recovery tg.scenario bytes ~site:"clean" ~hit:0 ~torn:0);
     List.iter
       (fun (site, total) ->
         let k = ref 1 in
         while !k <= total do
-          let fired, bytes, torn_max, acked = crash_run_ms w ~site ~at:!k in
+          let fired, bytes, torn_max, acked = crash_run tg ~site ~at:!k in
           if not fired then
             raise
               (Found
-                 (harness_bug
+                 (divergence ~site:"harness" ~hit:0 ~torn:0
                     (Printf.sprintf
-                       "failpoint %s did not fire at hit %d on re-run (history \
-                        not deterministic?)"
+                       "failpoint %s did not fire at hit %d on re-run \
+                        (workload not deterministic?)"
                        site !k)));
           for j = 0 to torn_max do
             let surviving = String.sub bytes 0 (String.length bytes - j) in
             incr points;
             if site = "wal.group_flush" then incr flush_points;
-            (match check_acked surviving acked ~site ~hit:!k ~torn:j with
-             | Some d -> raise (Found d)
-             | None -> ());
-            match check_recovery w.ms_scenario surviving ~site ~hit:!k ~torn:j with
-            | Some d -> raise (Found d)
-            | None -> ()
+            check (tg.image surviving ~acked ~site ~hit:!k ~torn:j);
+            check (check_recovery tg.scenario surviving ~site ~hit:!k ~torn:j)
           done;
           k := !k + crash_every
         done)
@@ -729,108 +509,85 @@ let torture_ms ?(crash_every = 1) (w : ms_workload) :
     (!points, !flush_points, None)
   with Found d -> (!points, !flush_points, Some d)
 
-(* --- multi-session shrinking ---------------------------------------------- *)
+(* --- shrinking ----------------------------------------------------------- *)
+
+let w_size (w : workload) =
+  let group_weight = function
+    | Auto d -> 100 + Fuzz_dml.size d
+    | Vac -> 100
+    | Txn (ds, _) -> List.fold_left (fun acc d -> acc + Fuzz_dml.size d) 105 ds
+  in
+  List.fold_left (fun acc g -> acc + group_weight g)
+    (Fuzz_shrink.scenario_size w.scenario) w.groups
+
+let w_candidates (w : workload) : workload list =
+  let smaller = function
+    | Vac -> []
+    | Auto d -> List.map (fun d' -> Auto d') (Fuzz_dml.candidates d)
+    | Txn (ds, fin) ->
+      (match ds, fin with [ d ], `Commit -> [ Auto d ] | _ -> [])
+      @ List.filter_map
+          (function [] -> None | ds' -> Some (Txn (ds', fin)))
+          (Fuzz_shrink.edits Fuzz_dml.candidates ds)
+  in
+  let touched =
+    List.concat_map
+      (function
+        | Auto d -> [ Fuzz_dml.table d ]
+        | Vac -> []
+        | Txn (ds, _) -> List.map Fuzz_dml.table ds)
+      w.groups
+  in
+  List.map (fun groups -> { w with groups }) (Fuzz_shrink.edits smaller w.groups)
+  @ List.map
+      (fun scenario -> { w with scenario })
+      (Fuzz_shrink.scenario_candidates ~touched w.scenario)
 
 let ms_size (w : ms_workload) =
   let item_weight = function
-    | S_dml (_, Ins (_, rows)) -> 10 + List.length rows
-    | S_dml (_, Del _) -> 10
+    | S_dml (_, d) -> Fuzz_dml.size d
     | S_begin _ | S_commit _ | S_rollback _ -> 2
     | S_flush -> 1
   in
-  List.fold_left
-    (fun acc (t : Fuzz_gen.table) ->
-      acc + 1000 + List.length t.Fuzz_gen.rows
-      + (50 * List.length t.Fuzz_gen.indexes))
-    0 w.ms_scenario.Fuzz_gen.tables
-  + List.fold_left (fun acc it -> acc + item_weight it) 0 w.items
+  List.fold_left (fun acc it -> acc + item_weight it)
+    (Fuzz_shrink.scenario_size w.ms_scenario) w.items
 
 let ms_candidates (w : ms_workload) : ms_workload list =
-  let cands = ref [] in
-  let add items = cands := { w with items } :: !cands in
-  let arr = Array.of_list w.items in
-  let n = Array.length arr in
-  (* drop a whole transaction: an S_begin, its session's items up to and
-     including the matching commit/rollback *)
-  for p = 0 to n - 1 do
-    match arr.(p) with
-    | S_begin i ->
-      let dropped = ref [] in
-      let finished = ref false in
-      Array.iteri
-        (fun q it ->
-          let mine =
-            match it with
-            | S_begin j | S_dml (j, _) | S_commit j | S_rollback j -> j = i
-            | S_flush -> false
-          in
-          if q >= p && not !finished && mine then begin
-            dropped := q :: !dropped;
-            match it with
-            | S_commit _ | S_rollback _ when q > p -> finished := true
-            | _ -> ()
-          end)
-        arr;
-      add
-        (List.filteri (fun q _ -> not (List.mem q !dropped)) (Array.to_list arr))
-    | _ -> ()
-  done;
-  (* drop each flush point (the trailing drain still flushes everything) *)
-  Array.iteri
-    (fun p it ->
-      if it = S_flush then
-        add (List.filteri (fun q _ -> q <> p) (Array.to_list arr)))
-    arr;
-  (* drop each DML statement *)
-  Array.iteri
-    (fun p it ->
-      match it with
-      | S_dml _ -> add (List.filteri (fun q _ -> q <> p) (Array.to_list arr))
-      | _ -> ())
-    arr;
-  (* scenario: drop untouched tables, indexes *)
-  let touched =
-    List.filter_map
-      (function
-        | S_dml (_, (Ins (t, _) | Del (t, _))) -> Some t
-        | _ -> None)
-      w.items
+  let session = function
+    | S_begin j | S_dml (j, _) | S_commit j | S_rollback j -> Some j
+    | S_flush -> None
   in
-  let tables = w.ms_scenario.Fuzz_gen.tables in
-  if List.length tables > 1 then
-    List.iter
-      (fun (t : Fuzz_gen.table) ->
-        if not (List.mem t.Fuzz_gen.tname touched) then
-          cands :=
-            { w with
-              ms_scenario =
-                { Fuzz_gen.tables =
-                    List.filter
-                      (fun (u : Fuzz_gen.table) ->
-                        u.Fuzz_gen.tname <> t.Fuzz_gen.tname)
-                      tables } }
-            :: !cands)
-      tables;
-  List.iter
-    (fun (t : Fuzz_gen.table) ->
-      if t.Fuzz_gen.indexes <> [] then
-        cands :=
-          { w with
-            ms_scenario =
-              { Fuzz_gen.tables =
-                  List.map
-                    (fun (u : Fuzz_gen.table) ->
-                      if u.Fuzz_gen.tname = t.Fuzz_gen.tname then
-                        { u with Fuzz_gen.indexes = [] }
-                      else u)
-                    tables } }
-          :: !cands)
-    tables;
-  List.rev !cands
+  (* drop the transaction the S_begin at [p] opens: its session's items up
+     to and including the commit/rollback *)
+  let drop_txn p i =
+    let rec go q live = function
+      | [] -> []
+      | it :: rest when q >= p && live && session it = Some i ->
+        go (q + 1) (match it with S_commit _ | S_rollback _ -> false | _ -> true) rest
+      | it :: rest -> it :: go (q + 1) live rest
+    in
+    go 0 true w.items
+  in
+  let smaller = function
+    | S_dml (i, d) -> List.map (fun d' -> S_dml (i, d')) (Fuzz_dml.candidates d)
+    | S_begin _ | S_commit _ | S_rollback _ | S_flush -> []
+  in
+  let touched =
+    List.filter_map (function S_dml (_, d) -> Some (Fuzz_dml.table d) | _ -> None) w.items
+  in
+  List.map
+    (fun items -> { w with items })
+    (List.concat
+       (List.mapi (fun p it -> match it with S_begin i -> [ drop_txn p i ] | _ -> []) w.items)
+    @ Fuzz_shrink.edits smaller w.items)
+  @ List.map
+      (fun ms_scenario -> { w with ms_scenario })
+      (Fuzz_shrink.scenario_candidates ~touched w.ms_scenario)
 
-let shrink_ms ?(crash_every = 1) ~max_steps (w : ms_workload) :
-    ms_workload * int =
-  Fuzz_shrink.shrink_generic ~size:ms_size ~candidates:ms_candidates
+(* Shrink a diverging workload: a candidate is kept when a full sweep over
+   it still finds a divergence. *)
+let shrink ?crash_every ~max_steps ~size ~candidates ~target w =
+  Fuzz_shrink.shrink_generic ~size ~candidates
     ~still_failing:(fun c ->
-      match torture_ms ~crash_every c with _, _, Some _ -> true | _ -> false)
+      match sweep ?crash_every (target c) with _, _, Some _ -> true | _ -> false)
     ~max_steps w

@@ -3,8 +3,9 @@
     C-sort(path) in the paper covers: retrieving the data via the chosen
     access path, sorting (possibly several passes), and writing the result
     into a temporary list. The retrieval cost is charged by whatever scan
-    feeds [sort]; this module charges the run writes, the merge-pass reads
-    and writes, and the final output pages, all through the pager counters.
+    feeds the sort; this module charges the run writes and the merge-pass
+    reads and writes through the pager counters. The final merge streams
+    to its consumer instead of writing an output list ({!sort_stream}).
 
     The implementation is streaming and allocation-lean: runs form in tuple
     arrays sized by the bytes budget and are [Array.stable_sort]ed in place,
@@ -25,23 +26,6 @@ type key = (int * direction) list
 
 val compare_tuples : key -> Rel.Tuple.t -> Rel.Tuple.t -> int
 
-val sort_cursor :
-  ?run_pages:int ->
-  ?fan_in:int ->
-  ?cmp:(Rel.Tuple.t -> Rel.Tuple.t -> int) ->
-  Pager.t ->
-  key:key ->
-  (unit -> Rel.Tuple.t option) ->
-  Temp_list.t
-(** Sort a tuple dispenser (the executor feeds its plan cursor directly — no
-    intermediate [Seq] cell per input tuple). [run_pages] is the in-memory
-    run size in pages (default: the pager's buffer size); [fan_in] the merge
-    width (default: buffer size - 1). The sort is stable. [cmp] overrides
-    the comparator (default: [compare_tuples key]) — the executor passes a
-    position-resolved compiled comparator so the per-comparison path does no
-    key-list interpretation; it must order exactly as [key] or the
-    clustering contract breaks. *)
-
 val sort_stream :
   ?run_pages:int ->
   ?fan_in:int ->
@@ -51,25 +35,22 @@ val sort_stream :
   (unit -> Rel.Tuple.t option) ->
   unit ->
   Rel.Tuple.t option
-(** As [sort_cursor], but the final merge happens on the fly: once no more
-    than [fan_in] runs survive, the tournament merge feeds the returned
-    dispenser directly and the sorted result is never written to temp pages.
-    Intermediate passes (when runs exceed the fan-in) still materialize and
-    are accounted exactly as in [sort_cursor] — the streamed final merge
-    still counts one [merge_passes] level, keeping observed passes aligned
-    with {!passes}. The executor's sort node uses this: ORDER BY and the
-    merge join's inputs consume sorted tuples one at a time, so the final
-    TEMPPAGES write of a classic external sort is pure overhead. *)
+(** Sort a tuple dispenser (the executor feeds its plan cursor directly — no
+    intermediate [Seq] cell per input tuple) and return a dispenser of the
+    sorted tuples. [run_pages] is the in-memory run size in pages (default:
+    the pager's buffer size); [fan_in] the merge width (default: buffer size
+    - 1). The sort is stable. [cmp] overrides the comparator (default:
+    [compare_tuples key]) — the executor passes a position-resolved compiled
+    comparator so the per-comparison path does no key-list interpretation;
+    it must order exactly as [key] or the clustering contract breaks.
 
-val sort :
-  ?run_pages:int ->
-  ?fan_in:int ->
-  ?cmp:(Rel.Tuple.t -> Rel.Tuple.t -> int) ->
-  Pager.t ->
-  key:key ->
-  Rel.Tuple.t Seq.t ->
-  Temp_list.t
-(** [sort_cursor] over a sequence. *)
+    Runs are written to temp pages, and merge passes run while more than
+    [fan_in] runs survive; the final merge happens on the fly, feeding the
+    returned dispenser directly, so the sorted result is never written to
+    temp pages — ORDER BY and the merge join's inputs consume sorted tuples
+    one at a time, so the final TEMPPAGES write of a classic external sort
+    would be pure overhead. The streamed final merge still counts one
+    [merge_passes] level, keeping observed passes aligned with {!passes}. *)
 
 type run
 (** One sorted run spilled to temp pages (with its normalized-key cache when

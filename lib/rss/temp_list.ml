@@ -93,8 +93,6 @@ let of_dispenser pager next =
 let length t = t.len
 let page_count t = Array.length t.page_ids
 
-let read_unaccounted t = Seq.concat_map Array.to_seq (Array.to_seq t.sealed)
-
 (* Index-walking dispenser over the sealed pages: no closure per element,
    page-access accounting on each page entry, one-shot (not restartable). *)
 let cursor t =

@@ -24,9 +24,6 @@ val of_dispenser : Pager.t -> (unit -> Rel.Tuple.t option) -> t
 val length : t -> int
 val page_count : t -> int  (** TEMPPAGES *)
 
-val read_unaccounted : t -> Rel.Tuple.t Seq.t
-(** Every tuple in order, charging nothing; restartable. *)
-
 val cursor : t -> unit -> Rel.Tuple.t option
 (** Sequential dispenser over the sealed pages — index arithmetic only, no
     closure per element — charging one page access as it enters each page.

@@ -26,7 +26,7 @@ let test_temp_roundtrip () =
   in
   Alcotest.(check int) "length" 500 (Rss.Temp_list.length tl);
   Alcotest.(check bool) "TEMPPAGES > 1" true (Rss.Temp_list.page_count tl > 1);
-  let back = List.of_seq (Rss.Temp_list.read_unaccounted tl) in
+  let back = drain_cursor (Rss.Temp_list.cursor tl) in
   Alcotest.(check int) "all back" 500 (List.length back);
   List.iteri
     (fun i t -> if not (T.equal t (tup i 0)) then Alcotest.fail "order broken")
@@ -58,9 +58,8 @@ let test_temp_empty () =
   Alcotest.(check int) "nothing written" 0 c.Rss.Counters.pages_written
 
 (* [of_array] and [of_dispenser] must cut identical pages — the same tuples
-   on each page — and the index cursor must agree with the Seq reader,
-   charging one access per page. Tuple sizes vary so the page-cut rule
-   decides where each page ends. *)
+   on each page — and the index cursor must charge one access per page.
+   Tuple sizes vary so the page-cut rule decides where each page ends. *)
 let test_temp_of_array_cursor () =
   let pager = Rss.Pager.create ~buffer_pages:200 () in
   let c = Rss.Pager.counters pager in
@@ -94,10 +93,11 @@ let test_temp_of_array_cursor () =
     (page_starts via_dispenser);
   Alcotest.(check int) "one start per page" (Rss.Temp_list.page_count via_array)
     (List.length starts);
-  let by_cursor = drain_cursor (Rss.Temp_list.cursor via_array) in
-  let by_seq = List.of_seq (Rss.Temp_list.read_unaccounted via_dispenser) in
-  Alcotest.(check bool) "cursor = seq read" true
-    (List.for_all2 T.equal by_cursor by_seq);
+  let by_array = drain_cursor (Rss.Temp_list.cursor via_array) in
+  let by_dispenser = drain_cursor (Rss.Temp_list.cursor via_dispenser) in
+  Alcotest.(check bool) "of_array and of_dispenser hold the same tuples" true
+    (List.for_all2 T.equal by_array by_dispenser
+     && List.for_all2 T.equal by_array (Array.to_list tuples));
   Rss.Counters.reset c;
   Rss.Pager.evict_all pager;
   ignore (drain_cursor (Rss.Temp_list.cursor via_array));
@@ -107,55 +107,44 @@ let test_temp_of_array_cursor () =
 
 (* --- sort ---------------------------------------------------------------- *)
 
-let ints_of tl =
-  Rss.Temp_list.read_unaccounted tl
-  |> Seq.map (fun t -> match T.get t 0 with V.Int i -> i | _ -> -1)
-  |> List.of_seq
+(* The executor's sort: [sort_stream] drained into a list. *)
+let sort ?run_pages ?fan_in pager ~key tuples =
+  drain_cursor
+    (Rss.Sort.sort_stream ?run_pages ?fan_in pager ~key (dispenser_of_list tuples))
+
+let ints_of = List.map (fun t -> match T.get t 0 with V.Int i -> i | _ -> -1)
+
+let pairs_of =
+  List.map (fun t ->
+      match T.get t 0, T.get t 1 with
+      | V.Int a, V.Int b -> (a, b)
+      | _ -> (-1, -1))
 
 let test_sort_basic () =
   let pager = Rss.Pager.create ~buffer_pages:4 () in
   let input = [ 5; 3; 9; 1; 4; 1; 8; 0; 7 ] in
-  let tl =
-    Rss.Sort.sort pager ~key:[ (0, Rss.Sort.Asc) ]
-      (List.to_seq (List.map (fun i -> tup i 0) input))
-  in
-  Alcotest.(check (list int)) "sorted" (List.sort compare input) (ints_of tl)
+  let got = sort pager ~key:[ (0, Rss.Sort.Asc) ] (List.map (fun i -> tup i 0) input) in
+  Alcotest.(check (list int)) "sorted" (List.sort compare input) (ints_of got)
 
 let test_sort_desc_and_multikey () =
   let pager = Rss.Pager.create () in
   let input = [ (1, 2); (0, 9); (1, 1); (0, 3); (2, 0) ] in
-  let tl =
-    Rss.Sort.sort pager
-      ~key:[ (0, Rss.Sort.Asc); (1, Rss.Sort.Desc) ]
-      (List.to_seq (List.map (fun (i, j) -> tup i j) input))
-  in
   let got =
-    Rss.Temp_list.read_unaccounted tl
-    |> Seq.map (fun t ->
-           match T.get t 0, T.get t 1 with
-           | V.Int a, V.Int b -> (a, b)
-           | _ -> (-1, -1))
-    |> List.of_seq
+    sort pager
+      ~key:[ (0, Rss.Sort.Asc); (1, Rss.Sort.Desc) ]
+      (List.map (fun (i, j) -> tup i j) input)
   in
   Alcotest.(check (list (pair int int))) "multi-key"
     [ (0, 9); (0, 3); (1, 2); (1, 1); (2, 0) ]
-    got
+    (pairs_of got)
 
 let test_sort_stability () =
   let pager = Rss.Pager.create ~buffer_pages:2 () in
   (* many equal keys; payload column records input order *)
   let n = 1000 in
-  let tl =
-    Rss.Sort.sort pager ~key:[ (0, Rss.Sort.Asc) ]
-      (Seq.init n (fun i -> tup (i mod 3) i))
-  in
   let got =
-    Rss.Temp_list.read_unaccounted tl
-    |> Seq.map (fun t ->
-           match T.get t 0, T.get t 1 with
-           | V.Int a, V.Int b -> (a, b)
-           | _ -> (-1, -1))
-    |> List.of_seq
+    pairs_of
+      (sort pager ~key:[ (0, Rss.Sort.Asc) ] (List.init n (fun i -> tup (i mod 3) i)))
   in
   (* within each key the payload must be increasing *)
   let rec check prev = function
@@ -174,20 +163,20 @@ let test_sort_external_multipass () =
   let n = 3000 in
   let rng = Random.State.make [| 7 |] in
   let data = Array.init n (fun _ -> Random.State.int rng 10000) in
-  let tl =
-    Rss.Sort.sort ~run_pages:1 ~fan_in:2 pager ~key:[ (0, Rss.Sort.Asc) ]
-      (Seq.init n (fun i -> tup data.(i) i))
+  let got =
+    ints_of
+      (sort ~run_pages:1 ~fan_in:2 pager ~key:[ (0, Rss.Sort.Asc) ]
+         (List.init n (fun i -> tup data.(i) i)))
   in
-  let got = ints_of tl in
   Alcotest.(check int) "count" n (List.length got);
   Alcotest.(check (list int)) "sorted" (List.sort compare (Array.to_list data)) got
 
 let test_sort_empty_and_single () =
   let pager = Rss.Pager.create () in
-  let e = Rss.Sort.sort pager ~key:[ (0, Rss.Sort.Asc) ] Seq.empty in
-  Alcotest.(check int) "empty" 0 (Rss.Temp_list.length e);
-  let s = Rss.Sort.sort pager ~key:[ (0, Rss.Sort.Asc) ] (Seq.return (tup 1 1)) in
-  Alcotest.(check (list int)) "single" [ 1 ] (ints_of s)
+  Alcotest.(check int) "empty" 0
+    (List.length (sort pager ~key:[ (0, Rss.Sort.Asc) ] []));
+  Alcotest.(check (list int)) "single" [ 1 ]
+    (ints_of (sort pager ~key:[ (0, Rss.Sort.Asc) ] [ tup 1 1 ]))
 
 let test_passes_estimate () =
   Alcotest.(check int) "zero tuples" 0
@@ -205,11 +194,11 @@ let test_spill_counters () =
   let c = Rss.Pager.counters pager in
   Rss.Counters.reset c;
   let n = 3000 in
-  let tl =
-    Rss.Sort.sort ~run_pages:1 ~fan_in:2 pager ~key:[ (0, Rss.Sort.Asc) ]
-      (Seq.init n (fun i -> tup (n - i) i))
+  let got =
+    sort ~run_pages:1 ~fan_in:2 pager ~key:[ (0, Rss.Sort.Asc) ]
+      (List.init n (fun i -> tup (n - i) i))
   in
-  Alcotest.(check int) "all tuples" n (Rss.Temp_list.length tl);
+  Alcotest.(check int) "all tuples" n (List.length got);
   Alcotest.(check bool) "several runs" true (c.Rss.Counters.sort_runs > 1);
   Alcotest.(check bool) "merge levels" true (c.Rss.Counters.merge_passes >= 1);
   (* each merge level at fan_in=2 at least halves the runs *)
@@ -221,22 +210,21 @@ let test_spill_counters () =
   (* an in-memory sort spills nothing to merge *)
   Rss.Counters.reset c;
   let small =
-    Rss.Sort.sort pager ~key:[ (0, Rss.Sort.Asc) ] (Seq.init 10 (fun i -> tup i 0))
+    sort pager ~key:[ (0, Rss.Sort.Asc) ] (List.init 10 (fun i -> tup i 0))
   in
   Alcotest.(check int) "one run" 1 c.Rss.Counters.sort_runs;
   Alcotest.(check int) "no merges" 0 c.Rss.Counters.merge_passes;
-  Alcotest.(check int) "sorted anyway" 10 (Rss.Temp_list.length small)
+  Alcotest.(check int) "sorted anyway" 10 (List.length small)
 
 let prop_sort_matches_list_sort =
   QCheck.Test.make ~name:"external sort = List.sort" ~count:100
     QCheck.(list (int_bound 1000))
     (fun xs ->
       let pager = Rss.Pager.create ~buffer_pages:2 () in
-      let tl =
-        Rss.Sort.sort ~run_pages:1 pager ~key:[ (0, Rss.Sort.Asc) ]
-          (List.to_seq (List.map (fun i -> tup i 0) xs))
-      in
-      ints_of tl = List.sort compare xs)
+      ints_of
+        (sort ~run_pages:1 pager ~key:[ (0, Rss.Sort.Asc) ]
+           (List.map (fun i -> tup i 0) xs))
+      = List.sort compare xs)
 
 (* Heap k-way merge vs the List.stable_sort oracle on duplicate-heavy keys:
    run_pages=1 forces many runs, small fan_in forces several heap-merge
@@ -251,51 +239,30 @@ let prop_heap_merge_stable =
     (fun (fan_in, keys) ->
       let pager = Rss.Pager.create ~buffer_pages:2 () in
       let input = List.mapi (fun i k -> (k, i)) keys in
-      let tl =
-        Rss.Sort.sort ~run_pages:1 ~fan_in pager ~key:[ (0, Rss.Sort.Asc) ]
-          (List.to_seq (List.map (fun (k, i) -> tup k i) input))
-      in
       let got =
-        Rss.Temp_list.read_unaccounted tl
-        |> Seq.map (fun t ->
-               match T.get t 0, T.get t 1 with
-               | V.Int a, V.Int b -> (a, b)
-               | _ -> (-1, -1))
-        |> List.of_seq
+        pairs_of
+          (sort ~run_pages:1 ~fan_in pager ~key:[ (0, Rss.Sort.Asc) ]
+             (List.map (fun (k, i) -> tup k i) input))
       in
       let oracle =
         List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) input
       in
       got = oracle)
 
-(* The executor consumes sorts through [sort_stream] (final merge on the
-   fly); it must dispense exactly what [sort] materializes. Exercised over
-   the three merge regimes: all-Int first columns (runs carry the
-   normalized-key cache), string keys (cache disabled, full-comparator
-   path), and a multi-column key whose first-column ties fall through to the
-   comparator. *)
-let prop_stream_agrees =
-  QCheck.Test.make ~name:"sort_stream = sort" ~count:60
+(* [sort_stream] against the List.stable_sort oracle (under the same tuple
+   comparator) in the three merge regimes: all-Int first columns (runs
+   carry the normalized-key cache), string keys (cache disabled,
+   full-comparator path), and a multi-column key whose first-column ties
+   fall through to the comparator. *)
+let prop_stream_stable_sort =
+  QCheck.Test.make ~name:"sort_stream = List.stable_sort" ~count:60
     QCheck.(pair (int_range 2 4) (list (int_bound 5)))
     (fun (fan_in, ks) ->
-      let drain next =
-        let rec go acc =
-          match next () with None -> List.rev acc | Some t -> go (t :: acc)
-        in
-        go []
-      in
       let agree ~key tuples =
-        let p1 = Rss.Pager.create ~buffer_pages:2 () in
-        let tl = Rss.Sort.sort ~run_pages:1 ~fan_in p1 ~key (List.to_seq tuples) in
-        let p2 = Rss.Pager.create ~buffer_pages:2 () in
-        let streamed =
-          drain
-            (Rss.Sort.sort_stream ~run_pages:1 ~fan_in p2 ~key
-               (Seq.to_dispenser (List.to_seq tuples)))
-        in
-        let materialized = List.of_seq (Rss.Temp_list.read_unaccounted tl) in
-        List.length materialized = List.length streamed
-        && List.for_all2 T.equal materialized streamed
+        let pager = Rss.Pager.create ~buffer_pages:2 () in
+        let got = sort ~run_pages:1 ~fan_in pager ~key tuples in
+        let oracle = List.stable_sort (Rss.Sort.compare_tuples key) tuples in
+        List.length got = List.length oracle && List.for_all2 T.equal got oracle
       in
       let ints = List.mapi (fun i k -> tup k i) ks in
       let strs =
@@ -325,4 +292,4 @@ let () =
       ( "props",
         [ QCheck_alcotest.to_alcotest prop_sort_matches_list_sort;
           QCheck_alcotest.to_alcotest prop_heap_merge_stable;
-          QCheck_alcotest.to_alcotest prop_stream_agrees ] ) ]
+          QCheck_alcotest.to_alcotest prop_stream_stable_sort ] ) ]

@@ -5,10 +5,11 @@
    - a crash at every wal.append point (an unflushed suffix dies whole:
      appends only buffer, so nothing tears);
    - a torn-tail sweep over every byte offset of a multi-commit group-flush
-     batch, with the per-acknowledged-commit oracle;
+     batch holding a range-predicate UPDATE, with the
+     per-acknowledged-commit oracle;
    - a crash during buffer-pool eviction (2-page pool);
-   - a transaction aborted before the crash (its undo must stay invisible
-     to recovery);
+   - a transaction with an INSERT, DELETE and UPDATE aborted before the
+     crash (its undo must stay invisible to recovery);
    - a >=3-transaction deadlock cycle across mixed lock granularities;
    - the injected recovery fault (commit filter disabled) that the harness
      must detect. *)
@@ -18,6 +19,10 @@ module F = Rss.Failpoint
 module W = Rss.Wal
 module FG = Fuzz_gen
 module FT = Fuzz_torture
+module D = Fuzz_dml
+
+let c name = Ast.Col { table = None; column = name }
+let int n = Ast.Const (V.Int n)
 
 let col name ty =
   { FG.cname = name; cty = ty; distinct = 4; null_pct = 0; skew = 0. }
@@ -43,10 +48,10 @@ let check_none what = function
 
 (* Count the workload's hits at one site (build excluded, like the
    harness's counting pass). *)
-let count_hits w site =
+let count_hits (w : FT.workload) site =
   let db = FT.build_db ~data:true w.FT.scenario in
   F.count_only ();
-  FT.run_workload db w;
+  ignore (FT.run_workload db w);
   F.disarm ();
   let n = F.hits site in
   F.reset ();
@@ -57,17 +62,19 @@ let count_hits w site =
 let w_torn =
   { FT.scenario;
     groups =
-      [ FT.Auto (FT.Ins ("t0", [ [ V.Int 5; V.Str "d" ] ]));
+      [ FT.Auto (D.Insert ("t0", [ [ V.Int 5; V.Str "d" ] ]));
         FT.Txn
-          ( [ FT.Ins ("t1", [ [ V.Int 9; V.Int 81 ]; [ V.Int 10; V.Int 100 ] ]);
-              FT.Del ("t0", Some ("c0", V.Int 2)) ],
+          ( [ D.Insert ("t1", [ [ V.Int 9; V.Int 81 ]; [ V.Int 10; V.Int 100 ] ]);
+              D.Delete ("t0", Some (Ast.Cmp (c "c0", Ast.Eq, int 2))) ],
             `Commit ) ] }
 
 let test_append_crash_loses_unflushed_suffix () =
   let total = count_hits w_torn "wal.append" in
   Alcotest.(check bool) "workload reaches wal.append" true (total > 0);
   for k = 1 to total do
-    let fired, bytes, torn = FT.crash_run w_torn ~site:"wal.append" ~at:k in
+    let fired, bytes, torn, _ =
+      FT.crash_run (FT.single w_torn) ~site:"wal.append" ~at:k
+    in
     Alcotest.(check bool) "crash fired" true fired;
     Alcotest.(check int) "appends only buffer: nothing tears" 0 torn;
     check_none
@@ -79,7 +86,8 @@ let test_append_crash_loses_unflushed_suffix () =
 (* --- torn group-flush batch ---------------------------------------------- *)
 
 (* Two sessions, disjoint tables, both commits closed by one explicit flush:
-   the batch holds both transactions' records, and the crash-at-flush sweep
+   the batch holds both transactions' records — session 1's include a
+   BETWEEN-range UPDATE of a clustered-key column — and the crash-at-flush sweep
    tears it at every byte offset. The acked oracle must hold on every image:
    a commit acknowledged before the crash survives recovery; a torn batch
    loses only unacknowledged suffix commits. *)
@@ -89,8 +97,14 @@ let w_batch =
     items =
       [ FT.S_begin 0;
         FT.S_begin 1;
-        FT.S_dml (0, FT.Ins ("t0", [ [ V.Int 5; V.Str "d" ] ]));
-        FT.S_dml (1, FT.Ins ("t1", [ [ V.Int 9; V.Int 81 ]; [ V.Int 10; V.Int 100 ] ]));
+        FT.S_dml (0, D.Insert ("t0", [ [ V.Int 5; V.Str "d" ] ]));
+        FT.S_dml (1, D.Insert ("t1", [ [ V.Int 9; V.Int 81 ]; [ V.Int 10; V.Int 100 ] ]));
+        FT.S_dml
+          ( 1,
+            D.Update
+              ( "t1",
+                [ ("c1", Ast.Binop (Ast.Add, c "c1", int 1)) ],
+                Some (Ast.Between (c "c0", int 2, int 5)) ) );
         FT.S_commit 0;
         FT.S_commit 1;
         FT.S_flush ] }
@@ -109,7 +123,7 @@ let test_group_batch_torn_every_offset () =
   let images = ref 0 in
   for k = 1 to total do
     let fired, bytes, torn, acked =
-      FT.crash_run_ms w_batch ~site:"wal.group_flush" ~at:k
+      FT.crash_run (FT.multi w_batch) ~site:"wal.group_flush" ~at:k
     in
     Alcotest.(check bool) "crash fired" true fired;
     Alcotest.(check bool)
@@ -120,7 +134,7 @@ let test_group_batch_torn_every_offset () =
       let surviving = String.sub bytes 0 (String.length bytes - j) in
       check_none
         (Printf.sprintf "acked oracle, hit %d, torn %d" k j)
-        (FT.check_acked surviving acked ~site:"wal.group_flush" ~hit:k ~torn:j);
+        (FT.check_acked surviving ~acked ~site:"wal.group_flush" ~hit:k ~torn:j);
       check_none
         (Printf.sprintf "recovery, hit %d, torn %d" k j)
         (FT.check_recovery w_batch.FT.ms_scenario surviving
@@ -134,7 +148,7 @@ let test_group_batch_torn_every_offset () =
 let test_ms_torture_fixed_seed () =
   let rng = Random.State.make [| 0xb42c |] in
   let w = FT.gen_ms_workload rng in
-  let points, flush_points, div = FT.torture_ms ~crash_every:3 w in
+  let points, flush_points, div = FT.sweep ~crash_every:3 (FT.multi w) in
   check_none "multi-session torture" div;
   Alcotest.(check bool) "covered crash points" true (points > 50);
   Alcotest.(check bool) "covered group-flush tears" true (flush_points > 0)
@@ -145,16 +159,18 @@ let w_evict =
   { FT.scenario;
     groups =
       [ FT.Auto
-          (FT.Ins ("t1", List.init 6 (fun i -> [ V.Int (20 + i); V.Int i ])));
-        FT.Auto (FT.Del ("t0", None));
-        FT.Auto (FT.Ins ("t0", [ [ V.Int 4; V.Str "e" ] ]));
-        FT.Auto (FT.Del ("t1", Some ("c0", V.Int 2))) ] }
+          (D.Insert ("t1", List.init 6 (fun i -> [ V.Int (20 + i); V.Int i ])));
+        FT.Auto (D.Delete ("t0", None));
+        FT.Auto (D.Insert ("t0", [ [ V.Int 4; V.Str "e" ] ]));
+        FT.Auto (D.Delete ("t1", Some (Ast.Cmp (c "c0", Ast.Eq, int 2)))) ] }
 
 let test_crash_during_eviction () =
   let total = count_hits w_evict "buffer_pool.evict" in
   Alcotest.(check bool) "2-page pool evicts under this workload" true (total > 0);
   for k = 1 to total do
-    let fired, bytes, _ = FT.crash_run w_evict ~site:"buffer_pool.evict" ~at:k in
+    let fired, bytes, _, _ =
+      FT.crash_run (FT.single w_evict) ~site:"buffer_pool.evict" ~at:k
+    in
     Alcotest.(check bool) "crash fired" true fired;
     check_none
       (Printf.sprintf "eviction crash, hit %d" k)
@@ -168,16 +184,20 @@ let w_abort =
   { FT.scenario;
     groups =
       [ FT.Txn
-          ( [ FT.Ins ("t0", [ [ V.Int 7; V.Str "x" ] ]);
-              FT.Del ("t1", Some ("c0", V.Int 3)) ],
+          ( [ D.Insert ("t0", [ [ V.Int 7; V.Str "x" ] ]);
+              D.Delete ("t1", Some (Ast.Cmp (c "c0", Ast.Eq, int 3)));
+              D.Update
+                ( "t1",
+                  [ ("c1", Ast.Binop (Ast.Mul, c "c1", int 2)) ],
+                  Some (Ast.Cmp (c "c0", Ast.Ge, int 5)) ) ],
             `Rollback );
-        FT.Auto (FT.Ins ("t1", [ [ V.Int 11; V.Int 121 ] ])) ] }
+        FT.Auto (D.Insert ("t1", [ [ V.Int 11; V.Int 121 ] ])) ] }
 
 (* Full torture over the fixed workload: crashes before, inside and after
    the rolled-back transaction; its undo must never surface in a recovered
    image. *)
 let test_abort_then_crash () =
-  let points, div = FT.torture ~crash_every:1 w_abort in
+  let points, _, div = FT.sweep ~crash_every:1 (FT.single w_abort) in
   check_none "abort-then-crash" div;
   Alcotest.(check bool) "covered many crash points" true (points > 100)
 
@@ -218,9 +238,9 @@ let test_injected_commit_filter_fault_is_caught () =
       Rss.Recovery.set_commit_filter true;
       F.reset ())
     (fun () ->
-      match FT.torture ~crash_every:1 w_abort with
-      | _, Some _ -> () (* the planted corruption was detected: pass *)
-      | _, None ->
+      match FT.sweep ~crash_every:1 (FT.single w_abort) with
+      | _, _, Some _ -> () (* the planted corruption was detected: pass *)
+      | _, _, None ->
         Alcotest.fail
           "commit filter disabled yet no divergence: harness is blind to \
            uncommitted-redo corruption")

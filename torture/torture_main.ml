@@ -4,14 +4,20 @@
                   [--max-shrink 200] [--break-commit-filter]
 
    Each iteration derives an independent RNG from (seed + i), generates a
-   schema + data + multi-transaction DML workload, and tortures it
-   (Fuzz_torture.torture): one counting pass enumerates every failpoint hit,
-   then the workload is re-run once per enumerated crash point with that
-   point armed; every surviving WAL image is recovered into a fresh database
-   and compared against the committed-prefix oracle.
+   schema + data + multi-transaction workload of Fuzz_dml statements
+   (INSERT, UPDATE — some with SET lists the engine must reject — and
+   DELETE, with =, range and BETWEEN predicates) plus VACUUM, and tortures
+   it (Fuzz_torture.sweep over Fuzz_torture.single): one counting pass
+   enumerates every failpoint hit; a clean pass checks the live state
+   against its own log and against the statements' reference semantics
+   (Fuzz_dml.apply over the committed groups); then the workload is re-run
+   once per enumerated crash point with that point armed, and every
+   surviving WAL image is recovered into a fresh database and compared
+   against the committed-prefix oracle.
 
    The second sweep (--ms-count iterations) generates *multi-session*
-   interleaved histories (Fuzz_torture.gen_ms_workload) and tortures them
+   interleaved histories of the same statements
+   (Fuzz_torture.gen_ms_workload) and tortures them (Fuzz_torture.multi)
    under group commit: several sessions of one engine commit into shared
    flush windows, crashes are armed at wal.group_flush (among every other
    site), the surviving batch is torn at every byte offset, and each image is
@@ -63,80 +69,66 @@ let () =
       let workloads = ref 0 in
       let total_points = ref 0 in
       let flush_points = ref 0 in
-      let found = ref None in
-      (* single-session sweep *)
-      (try
-         for i = 0 to !count - 1 do
-           let rng = Workload.rand_init (!seed + i) in
-           let w = Fuzz_torture.gen_workload rng in
-           incr workloads;
-           let points, div = Fuzz_torture.torture ~crash_every:!crash_every w in
-           total_points := !total_points + points;
-           match div with
-           | None -> ()
-           | Some d ->
-             found := Some (i, `Single w, d);
-             raise Exit
-         done;
-         (* multi-session group-commit sweep *)
-         for i = 0 to !ms_count - 1 do
-           let rng = Workload.rand_init (!seed + 100_000 + i) in
-           let w = Fuzz_torture.gen_ms_workload rng in
-           incr workloads;
-           let points, fpoints, div =
-             Fuzz_torture.torture_ms ~crash_every:!crash_every w
-           in
-           total_points := !total_points + points;
-           flush_points := !flush_points + fpoints;
-           match div with
-           | None -> ()
-           | Some d ->
-             found := Some (i, `Multi w, d);
-             raise Exit
-         done
-       with Exit -> ());
+      let pp d = Format.asprintf "%a" Fuzz_torture.pp_divergence d in
+      (* Torture [n] generated workloads of one shape; on the first
+         divergence return it with a function that shrinks and prints it. *)
+      let sweep_all ~n ~seed_base gen target ~size ~candidates ~reproducer =
+        let rec go i =
+          if i >= n then None
+          else begin
+            let w = gen (Workload.rand_init (seed_base + i)) in
+            incr workloads;
+            let points, fpoints, div =
+              Fuzz_torture.sweep ~crash_every:!crash_every (target w)
+            in
+            total_points := !total_points + points;
+            flush_points := !flush_points + fpoints;
+            match div with
+            | None -> go (i + 1)
+            | Some d ->
+              let report () =
+                Printf.printf "iteration %d: DIVERGENCE\n%s\n" i (pp d);
+                let w', steps =
+                  Fuzz_torture.shrink ~crash_every:!crash_every
+                    ~max_steps:!max_shrink ~size ~candidates ~target w
+                in
+                Printf.printf "shrunk in %d steps to:\n\n%s\n" steps (reproducer w');
+                match Fuzz_torture.sweep ~crash_every:!crash_every (target w') with
+                | _, _, Some d' -> Printf.printf "%s\n" (pp d')
+                | _ -> ()
+              in
+              Some (d, report)
+          end
+        in
+        go 0
+      in
+      let found =
+        match
+          sweep_all ~n:!count ~seed_base:!seed Fuzz_torture.gen_workload
+            Fuzz_torture.single ~size:Fuzz_torture.w_size
+            ~candidates:Fuzz_torture.w_candidates
+            ~reproducer:Fuzz_torture.reproducer
+        with
+        | Some _ as found -> found
+        | None ->
+          sweep_all ~n:!ms_count ~seed_base:(!seed + 100_000)
+            Fuzz_torture.gen_ms_workload Fuzz_torture.multi
+            ~size:Fuzz_torture.ms_size ~candidates:Fuzz_torture.ms_candidates
+            ~reproducer:Fuzz_torture.ms_reproducer
+      in
       Printf.printf
         "workloads=%d crash-points=%d group-flush-images=%d crash-every=%d\n"
         !workloads !total_points !flush_points !crash_every;
-      match (broken, !found) with
-      | true, Some (_, _, d) ->
+      match (broken, found) with
+      | true, Some (d, _) ->
         (* the fault was planted on purpose; detecting it is the pass *)
-        Printf.printf "injected recovery fault detected, as expected:\n%s\n"
-          (Format.asprintf "%a" Fuzz_torture.pp_divergence d)
+        Printf.printf "injected recovery fault detected, as expected:\n%s\n" (pp d)
       | true, None ->
         Printf.eprintf
           "--break-commit-filter produced no divergence: harness is blind to \
            uncommitted-redo corruption\n";
         exit 3
-      | false, Some (i, w, d) ->
-        Printf.printf "iteration %d: DIVERGENCE\n%s\n" i
-          (Format.asprintf "%a" Fuzz_torture.pp_divergence d);
-        (match w with
-         | `Single w ->
-           let w', steps =
-             Fuzz_torture.shrink ~crash_every:!crash_every
-               ~max_steps:!max_shrink w
-           in
-           Printf.printf "shrunk in %d steps to:\n\n%s\n" steps
-             (Fuzz_torture.reproducer w');
-           (match snd (Fuzz_torture.torture ~crash_every:!crash_every w') with
-            | Some d' ->
-              Printf.printf "%s\n"
-                (Format.asprintf "%a" Fuzz_torture.pp_divergence d')
-            | None -> ())
-         | `Multi w ->
-           let w', steps =
-             Fuzz_torture.shrink_ms ~crash_every:!crash_every
-               ~max_steps:!max_shrink w
-           in
-           Printf.printf "shrunk in %d steps to:\n\n%s\n" steps
-             (Fuzz_torture.ms_reproducer w');
-           (match
-              Fuzz_torture.torture_ms ~crash_every:!crash_every w'
-            with
-            | _, _, Some d' ->
-              Printf.printf "%s\n"
-                (Format.asprintf "%a" Fuzz_torture.pp_divergence d')
-            | _ -> ()));
+      | false, Some (_, report) ->
+        report ();
         exit 1
       | false, None -> Printf.printf "no divergences\n")
