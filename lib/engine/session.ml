@@ -152,9 +152,7 @@ let with_engine_read s f =
       Rss.Pager.with_counters (Engine.pager s.eng) s.counters f)
 
 (* The MVCC read view of the current statement: the active transaction's
-   snapshot, or a fresh statement snapshot. DML-internal victim SELECTs
-   call this after [with_txn] installed the transaction, so they read the
-   writer's own snapshot (and see its uncommitted writes). *)
+   snapshot, or a fresh statement snapshot. *)
 let read_view s =
   let m = Engine.mvcc s.eng in
   let snap =
@@ -402,45 +400,6 @@ let dml_insert s txn (rel : Catalog.relation) tuple =
     (Rss.Wal.Insert { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
   txn.undo <- Undo_insert (rel, tid, tuple) :: txn.undo
 
-(* Delete every version visible to the transaction's snapshot that
-   satisfies [pred]: lock the victim's tuple Exclusive (waiting out a
-   concurrent writer), then re-read the version. If its xmax is no longer
-   clear — or the slot was reclaimed and reused while we waited — the first
-   committer won and this statement fails with a serialization error
-   rather than silently double-deleting. The surviving victims are stamped
-   xmax = txn and logged; the heap slot and index entries stay for
-   concurrent snapshots (VACUUM reclaims them later). *)
-let dml_delete_where s txn (rel : Catalog.relation) pred =
-  acquire_rel_lock s txn.txn_id rel Rss.Lock_table.Shared;
-  let m = Engine.mvcc s.eng in
-  let v = Rss.Mvcc.view m txn.snap in
-  let victims =
-    List.filter_map
-      (fun (tid, tuple, xmin, xmax) ->
-        if Rss.Mvcc.view_visible v ~xmin ~xmax && pred tuple then
-          Some (tid, tuple)
-        else None)
-      (Catalog.scan_versions rel)
-  in
-  List.iter
-    (fun (tid, tuple) ->
-      acquire_tuple_x s txn.txn_id rel tid;
-      (match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
-       | Some (rid, tuple', _, 0)
-         when rid = rel.Catalog.rel_id && Rel.Tuple.equal tuple tuple' ->
-         ()
-       | Some _ | None ->
-         err
-           "could not serialize: tuple %d.%d of %s was deleted by a \
-            concurrent transaction"
-           tid.Rss.Tid.page tid.Rss.Tid.slot rel.Catalog.rel_name);
-      Catalog.mark_delete rel tid txn.txn_id;
-      Rss.Wal.append s.eng.Engine.wal
-        (Rss.Wal.Delete { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
-      txn.undo <- Undo_delete (rel, tid, tuple) :: txn.undo)
-    victims;
-  victims
-
 (* --- DDL locks ----------------------------------------------------------- *)
 
 (* DDL on an existing relation (DROP TABLE, CREATE/DROP INDEX) takes the
@@ -481,44 +440,70 @@ let run_plan_i s r =
 
 let query_block s block = run_plan_i s (optimize_block s block)
 
-let select_star_block s (rel : Catalog.relation) where =
-  let q =
-    { Ast.select = [ Ast.Star ];
-      from = [ (rel.Catalog.rel_name, None) ];
-      where;
-      group_by = [];
-      order_by = [] }
+(* SELECT [select] FROM [table] WHERE [where], resolved. *)
+let table_block s table select where =
+  resolve_query s
+    { Ast.select; from = [ (table, None) ]; where; group_by = []; order_by = [] }
+
+(* The victim search of DELETE / UPDATE — and what EXPLAIN DELETE / UPDATE
+   print: SELECT * FROM table WHERE where, through the same access path
+   selection as any query (no WHERE is just a segment scan). Optimized at
+   DOP 1: it runs under the write latch on the calling domain. *)
+let victim_plan s table where =
+  optimize_block
+    ~ctx:{ (ctx s) with Ctx.max_dop = 1; force_parallel = false }
+    s
+    (table_block s table [ Ast.Star ] where)
+
+(* Stamp every version the victim plan yields under the transaction's
+   snapshot, by TID. The relation Shared lock comes first, so no DDL can
+   change the access path under the plan, and the (TID, tuple) list is
+   drained before anything is stamped — an updated image inserted later
+   cannot requalify (no Halloween problem). Each victim is then locked
+   Exclusive (waiting out a concurrent writer) and re-read: if its xmax is
+   no longer clear — or the slot was reclaimed and reused while we waited —
+   the first committer won and this statement fails with a serialization
+   error rather than silently double-deleting. The surviving victims are
+   stamped xmax = txn and logged; the heap slot and index entries stay for
+   concurrent snapshots (VACUUM reclaims them later). *)
+let dml_delete_where s txn (rel : Catalog.relation) where =
+  acquire_rel_lock s txn.txn_id rel Rss.Lock_table.Shared;
+  let r = victim_plan s rel.Catalog.rel_name where in
+  let victims =
+    wrap (fun () ->
+        Executor.victims
+          ~snap:(Rss.Mvcc.view (Engine.mvcc s.eng) txn.snap)
+          (Engine.catalog s.eng) r)
   in
-  resolve_query s q
+  List.iter
+    (fun (tid, tuple) ->
+      acquire_tuple_x s txn.txn_id rel tid;
+      (match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
+       | Some (rid, tuple', _, 0)
+         when rid = rel.Catalog.rel_id && Rel.Tuple.equal tuple tuple' ->
+         ()
+       | Some _ | None ->
+         err
+           "could not serialize: tuple %d.%d of %s was deleted by a \
+            concurrent transaction"
+           tid.Rss.Tid.page tid.Rss.Tid.slot rel.Catalog.rel_name);
+      Catalog.mark_delete rel tid txn.txn_id;
+      Rss.Wal.append s.eng.Engine.wal
+        (Rss.Wal.Delete { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
+      txn.undo <- Undo_delete (rel, tid, tuple) :: txn.undo)
+    victims;
+  victims
 
-(* DELETE: run SELECT * with the same predicate, then delete every stored
-   tuple value-equal to a result row. The predicate is a deterministic
-   function of the tuple's values, so value equality identifies exactly the
-   qualifying tuples (duplicates qualify together). *)
-let delete_where s txn (rel : Catalog.relation) where =
-  match where with
-  | None -> List.length (dml_delete_where s txn rel (fun _ -> true))
-  | Some _ ->
-    let out = query_block s (select_star_block s rel where) in
-    List.length
-      (dml_delete_where s txn rel (fun tuple ->
-           List.exists (Rel.Tuple.equal tuple) out.Executor.rows))
-
-(* UPDATE: resolve the SET expressions against the table, identify the
-   qualifying tuples exactly as DELETE does, then delete each victim and
-   insert its updated image (indexes follow automatically). Victims are
-   collected before any re-insertion, so updated rows cannot requalify
-   (no Halloween problem). *)
+(* UPDATE: resolve the SET expressions against the table, stamp the
+   victims exactly as DELETE does, then insert one updated image per victim
+   (indexes follow automatically). *)
 let update_where s txn (rel : Catalog.relation) sets where =
   let schema = rel.Catalog.schema in
-  let set_query =
-    { Ast.select = List.map (fun (_, e) -> Ast.Sel_expr (e, None)) sets;
-      from = [ (rel.Catalog.rel_name, None) ];
-      where = None;
-      group_by = [];
-      order_by = [] }
+  let set_block =
+    table_block s rel.Catalog.rel_name
+      (List.map (fun (_, e) -> Ast.Sel_expr (e, None)) sets)
+      None
   in
-  let set_block = resolve_query s set_query in
   let targets =
     List.map
       (fun (col, _) ->
@@ -555,14 +540,7 @@ let update_where s txn (rel : Catalog.relation) sets where =
     List.iter2 (fun pos f -> out.(pos) <- f tuple) targets news;
     out
   in
-  let victims =
-    match where with
-    | None -> dml_delete_where s txn rel (fun _ -> true)
-    | Some _ ->
-      let out = query_block s (select_star_block s rel where) in
-      dml_delete_where s txn rel (fun tuple ->
-          List.exists (Rel.Tuple.equal tuple) out.Executor.rows)
-  in
+  let victims = dml_delete_where s txn rel where in
   List.iter
     (fun (_, tuple) -> dml_insert s txn rel (updated_image tuple))
     victims;
@@ -708,8 +686,14 @@ let explain_cache_line s =
 let exec_stmt s (stmt : Ast.statement) =
   match stmt with
   | Ast.Select q -> Rows (query_cached s q)
-  | Ast.Explain { search; q } ->
-    let r = optimize_block s (resolve_query s q) in
+  | Ast.Explain { search; stmt } ->
+    let r =
+      match stmt with
+      | Ast.Delete { table; where } | Ast.Update { table; where; _ } ->
+        victim_plan s table where
+      | Ast.Select q -> optimize_block s (resolve_query s q)
+      | _ -> err "EXPLAIN applies to SELECT, DELETE and UPDATE"
+    in
     let cache_line = explain_cache_line s in
     if search then
       Text
@@ -756,7 +740,9 @@ let exec_stmt s (stmt : Ast.statement) =
     (match Catalog.find_relation (Engine.catalog s.eng) table with
      | None -> err "unknown table %s" table
      | Some rel ->
-       let n = with_txn s (fun txn -> delete_where s txn rel where) in
+       let n =
+         with_txn s (fun txn -> List.length (dml_delete_where s txn rel where))
+       in
        Done (Printf.sprintf "%d row%s deleted" n (if n = 1 then "" else "s")))
   | Ast.Update { table; sets; where } ->
     (match Catalog.find_relation (Engine.catalog s.eng) table with

@@ -6,6 +6,47 @@ let drain c =
   let rec go acc = match c () with None -> List.rev acc | Some t -> go (t :: acc) in
   go []
 
+(* Open the RSS scan of one [Plan.Scan] node: compile its factors into RSS
+   search arguments and bind its index bounds. Factors that fail to compile
+   (a dynamic value unavailable in this context) come back appended to the
+   residuals. *)
+let open_rss_scan block env ~partition ~snap ~join ~tab ~access ~sargs
+    ~residual =
+  let tr = List.nth block.Semant.tables tab in
+  let rel = tr.Semant.rel in
+  let rel_id = rel.Catalog.rel_id in
+  let compiled_sargs, fallback =
+    List.fold_left
+      (fun (sarg_acc, resid) p ->
+        match Eval.compile_sarg env join ~tab p with
+        | Some s -> (Rss.Sarg.conjoin sarg_acc s, resid)
+        | None -> (sarg_acc, p :: resid))
+      (Rss.Sarg.always_true, []) sargs
+  in
+  let scan =
+    match access, partition with
+    | Plan.Seg_scan, None ->
+      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap
+        ~sargs:compiled_sargs ()
+    | Plan.Seg_scan, Some (Parallel.Pages pages) ->
+      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ~pages ?snap
+        ~sargs:compiled_sargs ()
+    | Plan.Idx_scan { index; lo; hi; dir; _ }, None ->
+      let lo = Option.map (Eval.bound_key env join) lo in
+      let hi = Option.map (Eval.bound_key env join) hi in
+      let dir = match dir with Ast.Asc -> `Asc | Ast.Desc -> `Desc in
+      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
+        ?lo ?hi ~dir ?snap ~sargs:compiled_sargs ()
+    | Plan.Idx_scan { index; _ }, Some (Parallel.Key_range (lo, hi)) ->
+      (* the split ranges already absorbed the plan's lo/hi bounds *)
+      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
+        ?lo ?hi ~dir:`Asc ?snap ~sargs:compiled_sargs ()
+    | Plan.Seg_scan, Some (Parallel.Key_range _)
+    | Plan.Idx_scan _, Some (Parallel.Pages _) ->
+      invalid_arg "Cursor: partition kind does not match the access path"
+  in
+  (scan, residual @ List.rev fallback)
+
 (* [partition], when given, restricts the leftmost scan of the plan to one
    slice of a [Plan.Exchange] fan-out; it threads through nested-loop outers
    down to the leaf scan. *)
@@ -44,41 +85,9 @@ let rec open_plan catalog block (env : Eval.env) ?partition ?snap ~join
 
 and open_scan _catalog block env ~partition ~snap ~join ~tab ~access
     ~sargs ~residual =
-  let tr = List.nth block.Semant.tables tab in
-  let rel = tr.Semant.rel in
-  let rel_id = rel.Catalog.rel_id in
-  (* Factors compiled into RSS search arguments; any that fail to compile
-     (a dynamic value unavailable in this context) fall back to residuals. *)
-  let compiled_sargs, fallback =
-    List.fold_left
-      (fun (sarg_acc, resid) p ->
-        match Eval.compile_sarg env join ~tab p with
-        | Some s -> (Rss.Sarg.conjoin sarg_acc s, resid)
-        | None -> (sarg_acc, p :: resid))
-      (Rss.Sarg.always_true, []) sargs
-  in
-  let residual = residual @ List.rev fallback in
-  let scan =
-    match access, partition with
-    | Plan.Seg_scan, None ->
-      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap
-        ~sargs:compiled_sargs ()
-    | Plan.Seg_scan, Some (Parallel.Pages pages) ->
-      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ~pages ?snap
-        ~sargs:compiled_sargs ()
-    | Plan.Idx_scan { index; lo; hi; dir; _ }, None ->
-      let lo = Option.map (Eval.bound_key env join) lo in
-      let hi = Option.map (Eval.bound_key env join) hi in
-      let dir = match dir with Ast.Asc -> `Asc | Ast.Desc -> `Desc in
-      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
-        ?lo ?hi ~dir ?snap ~sargs:compiled_sargs ()
-    | Plan.Idx_scan { index; _ }, Some (Parallel.Key_range (lo, hi)) ->
-      (* the split ranges already absorbed the plan's lo/hi bounds *)
-      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
-        ?lo ?hi ~dir:`Asc ?snap ~sargs:compiled_sargs ()
-    | Plan.Seg_scan, Some (Parallel.Key_range _)
-    | Plan.Idx_scan _, Some (Parallel.Pages _) ->
-      invalid_arg "Cursor: partition kind does not match the access path"
+  let scan, residual =
+    open_rss_scan block env ~partition ~snap ~join ~tab ~access ~sargs
+      ~residual
   in
   let self_layout = Layout.of_tables block [ tab ] in
   match join with
@@ -305,3 +314,31 @@ and open_exchange catalog block env ~snap ~input ~dop =
               ~join:None input)
       in
       g.Parallel.next
+
+(* DML victim search: the same scan opening, but each qualifying tuple
+   comes back with its TID, so DELETE and UPDATE stamp exactly the versions
+   the chosen access path yields. Only single-table shapes exist here: a
+   scan, under the Filter that carries subquery factors. *)
+let rec open_tids block env ?snap (p : Plan.t) =
+  match p.Plan.node with
+  | Plan.Scan { tab; access; sargs; residual } ->
+    let scan, residual =
+      open_rss_scan block env ~partition:None ~snap ~join:None ~tab ~access
+        ~sargs ~residual
+    in
+    tid_filter (Eval.compile_preds env (layout_of block p) residual) (fun () ->
+        Rss.Scan.next scan)
+  | Plan.Filter { input; preds } ->
+    tid_filter
+      (Eval.compile_preds env (layout_of block input) preds)
+      (open_tids block env ?snap input)
+  | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Sort _ | Plan.Exchange _ ->
+    invalid_arg "Cursor.open_tids: not a single-table scan plan"
+
+and tid_filter keep next =
+  let rec pull () =
+    match next () with
+    | Some (_, tuple) as hit -> if keep tuple then hit else pull ()
+    | None -> None
+  in
+  pull

@@ -40,4 +40,16 @@ val open_plan :
 val layout_of : Semant.block -> Plan.t -> Layout.t
 (** Layout of the composite tuples the plan produces. *)
 
-val drain : t -> Rel.Tuple.t list
+val open_tids :
+  Semant.block ->
+  Eval.env ->
+  ?snap:Rss.Mvcc.view ->
+  Plan.t ->
+  unit ->
+  (Rss.Tid.t * Rel.Tuple.t) option
+(** A cursor over a single-table plan — a scan, possibly under a [Filter] —
+    that yields each qualifying tuple with its TID: the victims of DELETE and
+    UPDATE. Scans open exactly as in {!open_plan}.
+    @raise Invalid_argument on joins, [Sort] and [Exchange]. *)
+
+val drain : (unit -> 'a option) -> 'a list

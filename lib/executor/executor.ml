@@ -82,13 +82,23 @@ let cache_for st block =
     st.caches := (block, tbl) :: !(st.caches);
     tbl
 
-let rec run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
+let make_state ?snap ~params catalog =
+  { catalog;
+    snap;
+    params;
+    counters = Rss.Pager.counters (Catalog.pager catalog);
+    caches = ref [] }
+
+(* The evaluation environment of block [r]: its subqueries are evaluated
+   (and cached) through [eval_subquery]. *)
+let rec block_env st (r : Optimizer.result) blocks_stack =
+  { Eval.blocks = blocks_stack;
+    params = st.params;
+    subquery = (fun env b -> eval_subquery st r env b) }
+
+and run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
   let block = r.Optimizer.block in
-  let env =
-    { Eval.blocks = blocks_stack;
-      params = st.params;
-      subquery = (fun env b -> eval_subquery st r env b) }
-  in
+  let env = block_env st r blocks_stack in
   let open_cur () =
     Cursor.open_plan st.catalog block env ?snap:st.snap ~join:None
       r.Optimizer.plan
@@ -198,13 +208,7 @@ and eval_subquery st (parent : Optimizer.result) (env : Eval.env) block =
     vs
 
 let run ?snap ?(params = [||]) ?observe catalog (r : Optimizer.result) =
-  let st =
-    { catalog;
-      snap;
-      params;
-      counters = Rss.Pager.counters (Catalog.pager catalog);
-      caches = ref [] }
-  in
+  let st = make_state ?snap ~params catalog in
   let rows = run_block st r [] in
   (* The root cursor is exhausted: the actual output cardinality is now
      known, and the engine's feedback loop compares it against the
@@ -221,3 +225,8 @@ let run_measured ?snap ?params catalog r =
   let out = run ?snap ?params catalog r in
   let after = Rss.Counters.snapshot counters in
   (out, Rss.Counters.diff ~after ~before)
+
+let victims ?snap catalog (r : Optimizer.result) =
+  let st = make_state ?snap ~params:[||] catalog in
+  Cursor.drain
+    (Cursor.open_tids r.Optimizer.block (block_env st r []) ?snap r.Optimizer.plan)

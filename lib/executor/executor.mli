@@ -45,3 +45,15 @@ val run_measured :
     {!Rss.Pager.evict_all} first). The returned diff includes
     [subquery_calls] (predicate-level subquery invocations) and
     [subquery_evals] (nested blocks actually executed). *)
+
+val victims :
+  ?snap:Rss.Mvcc.view ->
+  Catalog.t ->
+  Optimizer.result ->
+  (Rss.Tid.t * Rel.Tuple.t) list
+(** The qualifying tuples of a single-table block, each with its TID, fully
+    drained before the caller changes anything (the DML victim list, and
+    with it the Halloween protection). Subqueries in the WHERE clause are
+    evaluated and cached exactly as under {!run}.
+    @raise Invalid_argument when the plan is not a scan, possibly under a
+    [Filter] (see {!Cursor.open_tids}). *)

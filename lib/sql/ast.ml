@@ -42,7 +42,7 @@ type column_def = {
 
 type statement =
   | Select of query
-  | Explain of { search : bool; q : query }
+  | Explain of { search : bool; stmt : statement }
   | Create_table of { table : string; columns : column_def list }
   | Create_index of {
       index : string;
@@ -140,10 +140,11 @@ and pp_query ppf q =
              (match d with Asc -> "ASC" | Desc -> "DESC")))
       os
 
-let pp_statement ppf = function
+let rec pp_statement ppf = function
   | Select q -> pp_query ppf q
-  | Explain { search; q } ->
-    Format.fprintf ppf "EXPLAIN %s%a" (if search then "SEARCH " else "") pp_query q
+  | Explain { search; stmt } ->
+    Format.fprintf ppf "EXPLAIN %s%a" (if search then "SEARCH " else "")
+      pp_statement stmt
   | Create_table { table; columns } ->
     Format.fprintf ppf "CREATE TABLE %s (%a)" table
       (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf c ->

@@ -52,8 +52,9 @@ type column_def = {
 
 type statement =
   | Select of query
-  | Explain of { search : bool; q : query }
-      (** EXPLAIN [SEARCH]: plan only, or the whole solution tree *)
+  | Explain of { search : bool; stmt : statement }
+      (** EXPLAIN [SEARCH]: plan only, or the whole solution tree, of a
+          SELECT or of the victim search of a DELETE / UPDATE *)
   | Create_table of { table : string; columns : column_def list }
   | Create_index of {
       index : string;

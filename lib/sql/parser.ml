@@ -279,13 +279,21 @@ let column_type st =
     Rel.Value.Tstr
   | t -> fail st (Format.asprintf "expected column type, found %a" Lexer.pp_token t)
 
-let statement st =
+let rec statement st =
   match peek st with
   | Lexer.Kw "SELECT" -> Ast.Select (query st)
   | Lexer.Kw "EXPLAIN" ->
     advance st;
     let search = accept_kw st "SEARCH" in
-    Ast.Explain { search; q = query st }
+    (match peek st with
+     | Lexer.Kw ("SELECT" | "DELETE" | "UPDATE") ->
+       (match statement st with
+        | Ast.Update_statistics -> fail st "UPDATE STATISTICS has no plan to explain"
+        | stmt -> Ast.Explain { search; stmt })
+     | t ->
+       fail st
+         (Format.asprintf "expected SELECT, DELETE or UPDATE after EXPLAIN, found %a"
+            Lexer.pp_token t))
   | Lexer.Kw "CREATE" ->
     advance st;
     let clustered = accept_kw st "CLUSTERED" in

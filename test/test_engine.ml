@@ -360,6 +360,185 @@ let test_bad_update_autocommit () =
   List.iter (expect_update_error db) bad_updates;
   check_row_intact db
 
+(* --- DML victims through the optimizer ------------------------------------ *)
+
+let contains = Fuzz_harness.contains
+
+let explain_text db sql =
+  match Database.exec db ("EXPLAIN " ^ sql) with
+  | Database.Text t -> t
+  | _ -> Alcotest.failf "EXPLAIN %s: expected text" sql
+
+let done_tag db sql =
+  match Database.exec db sql with
+  | Database.Done t -> t
+  | _ -> Alcotest.failf "%s: expected a command tag" sql
+
+let int_rows db sql =
+  List.map
+    (fun row -> List.map (function V.Int i -> i | _ -> min_int) (Array.to_list row))
+    (rows (Database.query db sql))
+
+let kv_db ks =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE T (K INT, V INT)");
+  ignore
+    (Database.exec db
+       ("INSERT INTO T VALUES "
+       ^ String.concat ", " (List.map (fun k -> Printf.sprintf "(%d, %d)" k k) ks)));
+  ignore (Database.exec db "CREATE INDEX T_K ON T (K)");
+  ignore (Database.exec db "UPDATE STATISTICS");
+  db
+
+(* EXPLAIN DELETE / UPDATE print the victim plan: the plan of SELECT * with
+   the same WHERE, chosen serially (the victim search runs on the calling
+   domain), and nothing is written. *)
+let test_explain_dml () =
+  let db = kv_db (List.init 2000 Fun.id) in
+  Database.set_parallelism db 1;
+  let plan_lines text =
+    List.filter (fun l -> contains l "SCAN" || contains l "EXCHANGE")
+      (String.split_on_char '\n' text)
+  in
+  List.iter
+    (fun (dml, select) ->
+      Alcotest.(check (list string)) dml
+        (plan_lines (explain_text db select))
+        (plan_lines (explain_text db dml)))
+    [ ("DELETE FROM T WHERE K = 7", "SELECT * FROM T WHERE K = 7");
+      ("UPDATE T SET V = 0 WHERE K BETWEEN 5 AND 9",
+       "SELECT * FROM T WHERE K BETWEEN 5 AND 9");
+      ("DELETE FROM T", "SELECT * FROM T") ];
+  Alcotest.(check bool) "point victims through the index" true
+    (contains (explain_text db "UPDATE T SET V = 0 WHERE K = 7") "Idx(T:T_K");
+  Alcotest.(check bool) "EXPLAIN SEARCH" true
+    (contains (explain_text db "SEARCH DELETE FROM T WHERE K = 7") "chosen plan:");
+  Database.set_parallelism db 4;
+  Database.set_force_parallel db true;
+  Alcotest.(check bool) "SELECT goes parallel" true
+    (contains (explain_text db "SELECT * FROM T") "EXCHANGE");
+  Alcotest.(check bool) "victim search stays serial" false
+    (contains (explain_text db "DELETE FROM T") "EXCHANGE");
+  Alcotest.(check (list (list int))) "nothing written" [ [ 2000 ] ]
+    (int_rows db "SELECT COUNT(*) FROM T");
+  match Database.exec db "EXPLAIN DELETE FROM NOWHERE" with
+  | _ -> Alcotest.fail "EXPLAIN of an unknown table accepted"
+  | exception Database.Error _ -> ()
+
+(* A point UPDATE / DELETE through an index costs what its probe costs: one
+   RSI call and a descent plus one data page on a cold pool, whatever the
+   table size — no walk over the stored versions. *)
+let test_point_dml_counters () =
+  List.iter
+    (fun n ->
+      let db = kv_db (List.init n Fun.id) in
+      let height =
+        match Catalog.find_index (Database.catalog db) "T_K" with
+        | Some idx -> Rss.Btree.height idx.Catalog.btree
+        | None -> Alcotest.fail "no index T_K"
+      in
+      let c = Rss.Pager.counters (Database.pager db) in
+      List.iter
+        (fun (sql, tag) ->
+          Alcotest.(check bool) (sql ^ " runs through the index") true
+            (contains (explain_text db sql) "Idx(");
+          Rss.Pager.evict_all (Database.pager db);
+          Rss.Counters.reset c;
+          Alcotest.(check string) sql tag (done_tag db sql);
+          let what = Printf.sprintf "%s at %d rows" sql n in
+          Alcotest.(check int) (what ^ ": RSI calls") 1 c.Rss.Counters.rsi_calls;
+          if c.Rss.Counters.page_fetches > height + 1 then
+            Alcotest.failf "%s: %d page fetches, B-tree height %d" what
+              c.Rss.Counters.page_fetches height)
+        [ (Printf.sprintf "UPDATE T SET V = V + 1 WHERE K = %d" (n / 2), "1 row updated");
+          (Printf.sprintf "DELETE FROM T WHERE K = %d" (n / 3), "1 row deleted") ])
+    [ 500; 8000 ]
+
+(* Subqueries in a DML WHERE are planned and cached as in SELECT: each
+   uncorrelated block runs once, before any victim is stamped, and sees the
+   table as the statement found it. *)
+let test_dml_where_subqueries () =
+  let db = kv_db (List.init 10 Fun.id) in
+  let c = Rss.Pager.counters (Database.pager db) in
+  let where = "WHERE K IN (SELECT K FROM T WHERE V >= 4) AND V < (SELECT MAX(V) FROM T)" in
+  Rss.Counters.reset c;
+  Alcotest.(check string) "update" "5 rows updated"
+    (done_tag db ("UPDATE T SET V = V + 100 " ^ where));
+  Alcotest.(check int) "each subquery evaluated once" 2 c.Rss.Counters.subquery_evals;
+  Alcotest.(check (list (list int))) "updated rows"
+    [ [ 4; 104 ]; [ 5; 105 ]; [ 6; 106 ]; [ 7; 107 ]; [ 8; 108 ] ]
+    (int_rows db "SELECT K, V FROM T WHERE V >= 100 ORDER BY K");
+  (* now MAX(V) = 108 and V >= 4 holds for K 4..9 *)
+  Alcotest.(check string) "delete" "5 rows deleted" (done_tag db ("DELETE FROM T " ^ where));
+  Alcotest.(check (list (list int))) "survivors"
+    [ [ 0; 0 ]; [ 1; 1 ]; [ 2; 2 ]; [ 3; 3 ]; [ 8; 108 ] ]
+    (int_rows db "SELECT K, V FROM T ORDER BY K")
+
+(* Halloween through an index on the updated column: the moved keys land
+   ahead of the index scan, inside its range, yet each row is updated once
+   because the victim list is drained before any new image is inserted. *)
+let test_halloween_through_index () =
+  let db = kv_db (List.init 200 (fun i -> i - 190)) in
+  let sql = "UPDATE T SET K = K + 10 WHERE K >= 0" in
+  Alcotest.(check bool) "victims through the K index" true
+    (contains (explain_text db sql) "Idx(T:T_K");
+  Alcotest.(check string) "each row once" "10 rows updated" (done_tag db sql);
+  Alcotest.(check (list (list int))) "moved once"
+    (List.init 10 (fun i -> [ i + 10 ]))
+    (int_rows db "SELECT K FROM T WHERE K >= 0 ORDER BY K");
+  Alcotest.(check (list (list int))) "row count" [ [ 200 ] ]
+    (int_rows db "SELECT COUNT(*) FROM T")
+
+let test_dml_without_where () =
+  let db = kv_db [ 1; 2; 3 ] in
+  Alcotest.(check bool) "no WHERE is a segment scan" true
+    (contains (explain_text db "DELETE FROM T") "Seg(T)");
+  Alcotest.(check string) "update all" "3 rows updated"
+    (done_tag db "UPDATE T SET V = V * 10");
+  Alcotest.(check (list (list int))) "all updated" [ [ 10 ]; [ 20 ]; [ 30 ] ]
+    (int_rows db "SELECT V FROM T ORDER BY V");
+  Alcotest.(check string) "delete all" "3 rows deleted" (done_tag db "DELETE FROM T");
+  Alcotest.(check (list (list int))) "empty" [ [ 0 ] ]
+    (int_rows db "SELECT COUNT(*) FROM T")
+
+(* Inside BEGIN the transaction's own uncommitted inserts are victims, and
+   ROLLBACK of an UPDATE leaves exactly the old versions: the same tuples at
+   the same TIDs. *)
+let test_dml_own_writes_and_rollback () =
+  let db = kv_db [ 1; 2; 3 ] in
+  let rel =
+    match Catalog.find_relation (Database.catalog db) "T" with
+    | Some r -> r
+    | None -> Alcotest.fail "no relation T"
+  in
+  let versions () =
+    List.map
+      (fun (tid, t, xmin, xmax) ->
+        Printf.sprintf "%d.%d %s xmin=%d xmax=%d" tid.Rss.Tid.page
+          tid.Rss.Tid.slot (T.to_string t) xmin xmax)
+      (Catalog.scan_versions rel)
+  in
+  ignore (Database.exec db "BEGIN");
+  ignore (Database.exec db "INSERT INTO T VALUES (10, 10), (11, 11)");
+  Alcotest.(check string) "own inserts updated" "2 rows updated"
+    (done_tag db "UPDATE T SET V = V + 1 WHERE K >= 10");
+  Alcotest.(check string) "own insert deleted" "1 row deleted"
+    (done_tag db "DELETE FROM T WHERE V = 12");
+  Alcotest.(check (list (list int))) "own writes" [ [ 10; 11 ] ]
+    (int_rows db "SELECT K, V FROM T WHERE K >= 10");
+  ignore (Database.exec db "COMMIT");
+  ignore (Database.exec db "VACUUM");
+  let before = versions () in
+  ignore (Database.exec db "BEGIN");
+  Alcotest.(check string) "update in txn" "4 rows updated"
+    (done_tag db "UPDATE T SET V = V - 100");
+  ignore (Database.exec db "ROLLBACK");
+  Alcotest.(check (list string)) "old versions at their TIDs" before
+    (versions ());
+  match Database.check_integrity db with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "integrity after rollback: %s" msg
+
 (* --- prepared statements ------------------------------------------------ *)
 
 let test_prepared_statements () =
@@ -676,7 +855,17 @@ let () =
             test_bad_update_in_txn;
           Alcotest.test_case "rejected UPDATE in auto-commit" `Quick
             test_bad_update_autocommit;
-          Alcotest.test_case "DROP statements" `Quick test_drop_statements ] );
+          Alcotest.test_case "DROP statements" `Quick test_drop_statements;
+          Alcotest.test_case "point DML costs O(index height)" `Quick
+            test_point_dml_counters;
+          Alcotest.test_case "subqueries in a DML WHERE" `Quick
+            test_dml_where_subqueries;
+          Alcotest.test_case "Halloween through an index" `Quick
+            test_halloween_through_index;
+          Alcotest.test_case "DML without WHERE" `Quick test_dml_without_where;
+          Alcotest.test_case "EXPLAIN DELETE / UPDATE" `Quick test_explain_dml;
+          Alcotest.test_case "own writes are victims; rollback keeps TIDs"
+            `Quick test_dml_own_writes_and_rollback ] );
       ( "prepared",
         [ Alcotest.test_case "prepared statements" `Quick test_prepared_statements ] );
       ( "transactions",

@@ -88,6 +88,33 @@ let test_first_committer_wins () =
       ignore (tag s2 "ROLLBACK"))
     writers
 
+(* First committer wins through an index path: both writers find the row by
+   its TID from an Idx_scan, and the loser's post-lock recheck sees the
+   winner's xmax — no lost update reaches the final state. *)
+let test_first_committer_wins_via_index () =
+  let _db, s1, s2 =
+    setup
+      "CREATE TABLE t (a INT, b INT);\n\
+       INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50);\n\
+       CREATE INDEX t_a ON t (a);"
+  in
+  let writer = "UPDATE t SET b = b + 1 WHERE a = 3" in
+  (match Session.exec s1 ("EXPLAIN " ^ writer) with
+   | Session.Text plan ->
+     if not (Fuzz_harness.contains plan "Idx(t:t_a") then
+       Alcotest.failf "victims not found through the index:\n%s" plan
+   | _ -> Alcotest.fail "EXPLAIN UPDATE: expected text");
+  ignore (tag s1 "BEGIN");
+  ignore (tag s2 "BEGIN");
+  Alcotest.check Alcotest.string "s1 writes" "1 row updated" (tag s1 writer);
+  ignore (tag s1 "COMMIT");
+  Alcotest.check msv "s2 still sees the old value" [ "3|30" ]
+    (rows s2 "SELECT a, b FROM t WHERE a = 3");
+  expect_error ~containing:"serialize" s2 writer;
+  ignore (tag s2 "ROLLBACK");
+  Alcotest.check msv "one increment survives" [ "3|31" ]
+    (rows s1 "SELECT a, b FROM t WHERE a = 3")
+
 (* VACUUM under a live reader: the open snapshot pins the horizon, so the
    deleted version survives (and stays visible to the reader) until the
    reader commits. *)
@@ -134,10 +161,27 @@ let fail_divergence h (d : Fuzz_mvcc.divergence) =
     d.Fuzz_mvcc.v_detail d.Fuzz_mvcc.v_expected d.Fuzz_mvcc.v_actual
     (Fuzz_mvcc.reproducer h)
 
+(* The victim access path of every generated UPDATE / DELETE, by EXPLAIN
+   against the history's schema and indexes (the fuzz runs no UPDATE
+   STATISTICS, so the plan at execution is the one chosen here). *)
+let victim_paths (h : Fuzz_mvcc.history) =
+  let db = Fuzz_harness.build ~indexes:true h.Fuzz_mvcc.scenario in
+  List.concat_map
+    (List.filter_map (function
+       | Fuzz_mvcc.Dml ((Fuzz_dml.Update _ | Fuzz_dml.Delete _) as d) ->
+         (match Database.exec db ("EXPLAIN " ^ Fuzz_dml.sql d) with
+          | Database.Text plan ->
+            List.find_opt (Fuzz_harness.contains plan) [ "Idx("; "Seg(" ]
+          | _ -> Alcotest.fail "EXPLAIN DML: expected text")
+       | _ -> None))
+    (Array.to_list h.Fuzz_mvcc.streams)
+
 let fuzz_smoke n seed () =
+  let paths = Hashtbl.create 2 in
   for i = 0 to n - 1 do
     let rng = Workload.rand_init (seed + i) in
     let h = Fuzz_mvcc.gen_history rng in
+    List.iter (fun p -> Hashtbl.replace paths p ()) (victim_paths h);
     match Fuzz_mvcc.run h with
     | None -> ()
     | Some _ ->
@@ -149,7 +193,13 @@ let fuzz_smoke n seed () =
          (match Fuzz_mvcc.run h with
           | Some d -> fail_divergence h d
           | None -> ()))
-  done
+  done;
+  (* a fuzzer whose DML never reached the index path would pass silently *)
+  List.iter
+    (fun (p, name) ->
+      if not (Hashtbl.mem paths p) then
+        Alcotest.failf "no generated UPDATE/DELETE had a %s victim plan" name)
+    [ ("Idx(", "Idx_scan"); ("Seg(", "Seg_scan") ]
 
 let () =
   Alcotest.run "mvcc"
@@ -160,6 +210,8 @@ let () =
             `Quick test_write_write_lock_conflict;
           Alcotest.test_case "first committer wins" `Quick
             test_first_committer_wins;
+          Alcotest.test_case "first committer wins through an index" `Quick
+            test_first_committer_wins_via_index;
           Alcotest.test_case "VACUUM respects the oldest snapshot" `Quick
             test_vacuum_under_reader;
           Alcotest.test_case "concurrent inserts never conflict" `Quick

@@ -202,6 +202,34 @@ let test_syntax_errors () =
   bad "INSERT INTO T VALUES (A)";
   bad "SELECT * FROM T; garbage"
 
+(* EXPLAIN takes the victim search of a DELETE or UPDATE as well as a
+   SELECT, and prints back to text that parses to the same statement. *)
+let test_explain_dml () =
+  (match parse_stmt "EXPLAIN DELETE FROM T WHERE A = 1" with
+   | A.Explain { search = false; stmt = A.Delete { table = "T"; where = Some _ } } -> ()
+   | _ -> Alcotest.fail "explain delete");
+  (match parse_stmt "EXPLAIN SEARCH UPDATE T SET B = B + 1" with
+   | A.Explain
+       { search = true; stmt = A.Update { table = "T"; sets = [ ("B", _) ]; where = None } }
+     ->
+     ()
+   | _ -> Alcotest.fail "explain search update");
+  List.iter
+    (fun sql ->
+      let stmt = parse_stmt sql in
+      Alcotest.(check bool) ("roundtrip " ^ sql) true
+        (parse_stmt (Format.asprintf "%a" A.pp_statement stmt) = stmt))
+    [ "EXPLAIN DELETE FROM T WHERE A BETWEEN 1 AND 2";
+      "EXPLAIN SEARCH UPDATE T SET B = 3, C = A WHERE A > 1";
+      "EXPLAIN SELECT A FROM T" ];
+  List.iter
+    (fun sql ->
+      match parse_stmt sql with
+      | _ -> Alcotest.fail ("accepted: " ^ sql)
+      | exception Parser.Error _ -> ())
+    [ "EXPLAIN UPDATE STATISTICS"; "EXPLAIN INSERT INTO T VALUES (1)";
+      "EXPLAIN EXPLAIN SELECT A FROM T"; "EXPLAIN" ]
+
 (* --- pretty-print / re-parse roundtrip -------------------------------- *)
 
 let ident_gen = QCheck.Gen.(map (fun i -> Printf.sprintf "C%d" i) (int_bound 5))
@@ -307,5 +335,6 @@ let () =
           Alcotest.test_case "char/varchar type aliases" `Quick
             test_char_varchar_aliases;
           Alcotest.test_case "script" `Quick test_script;
-          Alcotest.test_case "syntax errors" `Quick test_syntax_errors ] );
+          Alcotest.test_case "syntax errors" `Quick test_syntax_errors;
+          Alcotest.test_case "EXPLAIN DELETE / UPDATE" `Quick test_explain_dml ] );
       ("props", [ QCheck_alcotest.to_alcotest prop_pp_roundtrip ]) ]
