@@ -8,8 +8,19 @@ build:
 test:
 	dune runtest
 
-# tier-1 gate: everything CI runs on each change
-check: build test bench-smoke
+# tier-1 gate: everything CI runs on each change, in ci.yml's order and with
+# its arguments (keep the two in step)
+check: build test
+	SYSTEMR_DOMAINS=2 dune runtest --force
+	dune build @bench-smoke
+	BENCH_SMOKE=1 BENCH_ENFORCE_CACHE_SPEEDUP=1 dune exec bench/main.exe -- s5b
+	BENCH_SMOKE=1 BENCH_ENFORCE_QERROR=1 dune exec bench/main.exe -- qerr
+	BENCH_SMOKE=1 BENCH_ENFORCE_SERVER=1 dune exec bench/main.exe -- srv
+	BENCH_SMOKE=1 BENCH_ENFORCE_MVCC=1 dune exec bench/main.exe -- mvcc
+	BENCH_SMOKE=1 BENCH_ENFORCE_COMMIT=1 dune exec bench/main.exe -- commit
+	dune exec fuzz/fuzz_main.exe -- --seed 42 --count 300
+	dune exec torture/torture_main.exe -- --seed 42 --count 5 --crash-every 5
+	dune exec torture/torture_main.exe -- --seed 42 --count 1 --break-commit-filter
 
 # differential fuzzing: random queries cross-checked against the naive
 # oracle under every engine configuration (see DESIGN.md); FUZZ_SEED and

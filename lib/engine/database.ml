@@ -1,70 +1,6 @@
-(* Facade for embedded use: one Engine plus one implicit Session, presenting
-   the single-user API every example, bench and test programs against. The
-   actual machinery lives in Engine (shared state) and Session (statement
-   execution); the wire-protocol server bypasses this facade and creates one
-   Session per connection over the same Engine. *)
+(* The embedded API: the engine's default session, over an engine of its
+   own. *)
 
-type t = {
-  eng : Engine.t;
-  sess : Session.t;
-}
+include Session
 
-exception Error = Session.Error
-
-let create ?buffer_pages ?(w = Ctx.default_w) () =
-  let eng = Engine.create ?buffer_pages () in
-  (* the default session accounts straight into the engine-global counters *)
-  { eng; sess = Session.create ~w eng }
-
-let engine t = t.eng
-let session t = t.sess
-
-let catalog t = Engine.catalog t.eng
-let pager t = Engine.pager t.eng
-let ctx ?params t = Session.ctx ?params t.sess
-
-let set_w t w = Session.set_w t.sess w
-let set_parallelism t n = Session.set_parallelism t.sess n
-let parallelism t = Session.parallelism t.sess
-let set_force_parallel t on = Session.set_force_parallel t.sess on
-let set_histograms t on = Session.set_histograms t.sess on
-let histograms_enabled t = Session.histograms_enabled t.sess
-let set_feedback t on = Session.set_feedback t.sess on
-let feedback_enabled t = Session.feedback_enabled t.sess
-let set_feedback_threshold t q = Session.set_feedback_threshold t.sess q
-let last_feedback t = Session.last_feedback t.sess
-
-let set_plan_cache t on = Session.set_plan_cache t.sess on
-let set_plan_cache_validation t on = Session.set_plan_cache_validation t.sess on
-let plan_cache_enabled t = Session.plan_cache_enabled t.sess
-let plan_cache_size t = Session.plan_cache_size t.sess
-let clear_plan_cache t = Session.clear_plan_cache t.sess
-let cached_plan t sql = Session.cached_plan t.sess sql
-
-let wal t = Engine.wal t.eng
-let lock_table t = Engine.lock_table t.eng
-let in_transaction t = Session.in_transaction t.sess
-
-type result = Session.result =
-  | Rows of Executor.output
-  | Text of string
-  | Done of string
-
-let exec t sql = Session.exec t.sess sql
-let exec_script t src = Session.exec_script t.sess src
-let query t sql = Session.query t.sess sql
-let explain t sql = Session.explain t.sess sql
-let resolve t sql = Session.resolve t.sess sql
-let optimize ?ctx t sql = Session.optimize ?ctx t.sess sql
-let run_plan t r = Session.run_plan t.sess r
-let update_statistics t = Session.update_statistics t.sess
-
-let check_integrity t = Session.check_integrity t.sess
-let recover t bytes = Session.recover t.sess bytes
-
-type prepared = Session.prepared
-
-let prepare t sql = Session.prepare t.sess sql
-let prepared_param_count = Session.prepared_param_count
-let prepared_plan = Session.prepared_plan
-let execute_prepared t p bindings = Session.execute_prepared t.sess p bindings
+let create ?buffer_pages ?w () = Session.create ?w (Engine.create ?buffer_pages ())

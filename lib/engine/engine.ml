@@ -33,7 +33,6 @@ type t = {
   plan_cache : Plan_cache.t;
   mvcc : Rss.Mvcc.t;
   mutable next_txn : int;
-  mutable next_session : int;
   latch : Mutex.t;
   latch_changed : Condition.t;  (* reader/writer latch state transitions *)
   locks_changed : Condition.t;  (* some transaction released 2PL locks *)
@@ -78,7 +77,6 @@ let create ?buffer_pages () =
     plan_cache;
     mvcc = Rss.Mvcc.create ();
     next_txn = 1;
-    next_session = 1;
     latch = Mutex.create ();
     latch_changed = Condition.create ();
     locks_changed = Condition.create ();
@@ -107,7 +105,6 @@ let create ?buffer_pages () =
 let catalog t = t.cat
 let pager t = Catalog.pager t.cat
 let wal t = t.wal
-let lock_table t = t.locks
 let plan_cache t = t.plan_cache
 let mvcc t = t.mvcc
 
@@ -187,11 +184,6 @@ let signal_locks t =
 let fresh_txn_id t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
-  id
-
-let fresh_session_id t =
-  let id = t.next_session in
-  t.next_session <- id + 1;
   id
 
 (* --- group commit ---------------------------------------------------------

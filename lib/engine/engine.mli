@@ -22,7 +22,6 @@ type t = {
   plan_cache : Plan_cache.t;
   mvcc : Rss.Mvcc.t;
   mutable next_txn : int;
-  mutable next_session : int;
   latch : Mutex.t;
   latch_changed : Condition.t;
   locks_changed : Condition.t;
@@ -54,7 +53,6 @@ val create : ?buffer_pages:int -> unit -> t
 val catalog : t -> Catalog.t
 val pager : t -> Rss.Pager.t
 val wal : t -> Rss.Wal.t
-val lock_table : t -> Rss.Lock_table.t
 val plan_cache : t -> Plan_cache.t
 val mvcc : t -> Rss.Mvcc.t
 
@@ -86,9 +84,6 @@ val signal_locks : t -> unit
 
 val fresh_txn_id : t -> int
 (** Allocate a transaction id; call under the write latch. *)
-
-val fresh_session_id : t -> int
-(** Call under the write latch. *)
 
 (** {1 Group commit}
 

@@ -1,7 +1,8 @@
-(* A session: the per-connection half of the former Database. Holds the
-   active transaction, SET overrides, prepared statements and a per-session
-   counters record; everything shared (catalog, buffer pool, WAL, lock
-   table, plan cache, MVCC status table) lives in Engine.t and is reached
+(* A session: one user's statements against the shared engine (Database is
+   the embedded default session). Holds the active transaction, SET
+   overrides, prepared statements and a per-session counters record;
+   everything shared (catalog, buffer pool, WAL, lock table, plan cache,
+   MVCC status table) lives in Engine.t and is reached
    through [with_engine] (exclusive latch — DML, DDL, transaction control)
    or [with_engine_read] (shared latch — SELECT, EXPLAIN, prepared
    execution), each redirecting I/O accounting to this session's counters
@@ -41,7 +42,6 @@ type txn = {
 
 type t = {
   eng : Engine.t;
-  sid : int;
   counters : Rss.Counters.t;
       (* where this session's statements account their I/O; the engine-global
          record for the embedded default session, a private record (folded
@@ -59,8 +59,6 @@ type t = {
          paper's value-independent TABLE 1 constants (and suspends the
          cardinality-feedback loop, which would also perturb them) *)
   mutable use_feedback : bool;
-  mutable feedback_threshold : float;
-      (* q-error above which an execution counts as a gross misestimate *)
   mutable last_feedback : (float * int * float * bool) option;
       (* (estimated QCARD, actual rows, q-error, retired a plan) of the most
          recent feedback-observed execution, surfaced by EXPLAIN *)
@@ -90,7 +88,8 @@ let default_max_dop () =
                | _ -> 1)
   | None -> 1
 
-let default_feedback_threshold = 4.0
+(* q-error above which an execution counts as a gross misestimate *)
+let feedback_threshold = 4.0
 
 (* feedback corrections are only consulted (and recorded) under histogram
    estimation: SET HISTOGRAMS OFF pins the paper's constants exactly *)
@@ -110,22 +109,19 @@ let create ?(w = Ctx.default_w) ?counters ?(serial_only = false) eng =
     | None -> Rss.Pager.base_counters (Engine.pager eng)
   in
   let s =
-    Engine.with_latch eng (fun () ->
-        { eng;
-          sid = Engine.fresh_session_id eng;
-          counters;
+    { eng;
+      counters;
       serial_only;
       w;
       max_dop = default_max_dop ();
       force_parallel = false;
       use_histograms = true;
       use_feedback = true;
-      feedback_threshold = default_feedback_threshold;
       last_feedback = None;
-          active = None;
-          pending_ack = None;
-          cache_sig = "";
-          closed = false })
+      active = None;
+      pending_ack = None;
+      cache_sig = "";
+      closed = false }
   in
   recompute_sig s;
   Engine.with_latch eng (fun () ->
@@ -133,10 +129,9 @@ let create ?(w = Ctx.default_w) ?counters ?(serial_only = false) eng =
   s
 
 let engine s = s.eng
-let id s = s.sid
-let session_counters s = s.counters
 let catalog s = Engine.catalog s.eng
 let pager s = Engine.pager s.eng
+let wal s = Engine.wal s.eng
 
 (* Run [f] as one engine step with this session's counters record active.
    [with_engine] holds the engine latch exclusively (statements that mutate
@@ -175,46 +170,30 @@ let ctx ?(params = [||]) s =
    plans embed decisions made under the old setting); the settings signature
    in the key additionally guarantees that sessions with different settings
    can never serve each other's plans. *)
-let set_w s w =
-  s.w <- w;
-  recompute_sig s;
-  Plan_cache.clear (Engine.plan_cache s.eng)
-
-let set_parallelism s n =
-  let n = max 1 n in
-  if n <> s.max_dop then begin
-    s.max_dop <- n;
+let change_setting s changed assign =
+  if changed then begin
+    assign ();
     recompute_sig s;
     Plan_cache.clear (Engine.plan_cache s.eng)
   end
+
+let set_w s w = change_setting s (w <> s.w) (fun () -> s.w <- w)
+
+let set_parallelism s n =
+  let n = max 1 n in
+  change_setting s (n <> s.max_dop) (fun () -> s.max_dop <- n)
 
 let parallelism s = s.max_dop
 
 let set_force_parallel s on =
-  if on <> s.force_parallel then begin
-    s.force_parallel <- on;
-    recompute_sig s;
-    Plan_cache.clear (Engine.plan_cache s.eng)
-  end
+  change_setting s (on <> s.force_parallel) (fun () -> s.force_parallel <- on)
 
 let set_histograms s on =
-  if on <> s.use_histograms then begin
-    s.use_histograms <- on;
-    recompute_sig s;
-    Plan_cache.clear (Engine.plan_cache s.eng)
-  end
-
-let histograms_enabled s = s.use_histograms
+  change_setting s (on <> s.use_histograms) (fun () -> s.use_histograms <- on)
 
 let set_feedback s on =
-  if on <> s.use_feedback then begin
-    s.use_feedback <- on;
-    recompute_sig s;
-    Plan_cache.clear (Engine.plan_cache s.eng)
-  end
+  change_setting s (on <> s.use_feedback) (fun () -> s.use_feedback <- on)
 
-let feedback_enabled s = s.use_feedback
-let set_feedback_threshold s q = s.feedback_threshold <- Float.max 1. q
 let last_feedback s = s.last_feedback
 
 let set_plan_cache s on = Plan_cache.set_enabled (Engine.plan_cache s.eng) on
@@ -222,9 +201,7 @@ let set_plan_cache s on = Plan_cache.set_enabled (Engine.plan_cache s.eng) on
 let set_plan_cache_validation s on =
   Plan_cache.set_validation (Engine.plan_cache s.eng) on
 
-let plan_cache_enabled s = Plan_cache.enabled (Engine.plan_cache s.eng)
 let plan_cache_size s = Plan_cache.size (Engine.plan_cache s.eng)
-let clear_plan_cache s = Plan_cache.clear (Engine.plan_cache s.eng)
 let in_transaction s =
   match s.active with Some { explicit_txn; _ } -> explicit_txn | None -> false
 
@@ -368,22 +345,11 @@ let with_txn s f =
        finish_abort s txn;
        raise e)
 
-let begin_transaction_i s =
-  match s.active with
-  | Some _ -> err "a transaction is already active"
-  | None -> (start_txn s ~explicit_txn:true).txn_id
-
-let commit_i s =
+(* COMMIT / ROLLBACK end the explicit transaction BEGIN opened *)
+let end_explicit s finish =
   match s.active with
   | Some txn when txn.explicit_txn ->
-    finish_commit s txn;
-    txn.txn_id
-  | Some _ | None -> err "no transaction is active"
-
-let rollback_i s =
-  match s.active with
-  | Some txn when txn.explicit_txn ->
-    finish_abort s txn;
+    finish s txn;
     txn.txn_id
   | Some _ | None -> err "no transaction is active"
 
@@ -569,7 +535,7 @@ let feedback_note s (r : Optimizer.result) ~params act =
       let est = Selectivity.block_qcard c block in
       let qerr = q_error est act in
       s.last_feedback <- Some (est, act, qerr, false);
-      if qerr > s.feedback_threshold then begin
+      if qerr > feedback_threshold then begin
         let cnt = Rss.Pager.counters (Engine.pager s.eng) in
         cnt.Rss.Counters.feedback_misestimates <-
           cnt.Rss.Counters.feedback_misestimates + 1;
@@ -612,6 +578,24 @@ let run_observed s r ~params =
   feedback_note s r ~params !act;
   out
 
+(* Look up a composed plan-cache key. With [count], a hit or an
+   invalidation bumps its counter (the caller that goes on to optimize
+   counts the miss); the invalidated entry is evicted either way, so a
+   re-probe of the same key finds a plain miss. *)
+let probe ~count s full_key =
+  let c = Rss.Pager.counters (Engine.pager s.eng) in
+  match Plan_cache.find (Engine.plan_cache s.eng) (Engine.catalog s.eng) full_key with
+  | Plan_cache.Hit r ->
+    if count then
+      c.Rss.Counters.plan_cache_hits <- c.Rss.Counters.plan_cache_hits + 1;
+    Some r
+  | Plan_cache.Invalidated ->
+    if count then
+      c.Rss.Counters.plan_cache_invalidations <-
+        c.Rss.Counters.plan_cache_invalidations + 1;
+    None
+  | Plan_cache.Miss -> None
+
 (* SELECT through the compiled-plan cache: fingerprint the statement, serve
    a valid cached plan by rebinding the extracted literals as parameters, or
    optimize the canonicalized (parameterized) statement once and cache it.
@@ -619,7 +603,9 @@ let run_observed s r ~params =
    histogram estimates stay value-aware on the parameterized plan; like any
    bind-peeking scheme, the cached plan is the one chosen for the literals
    first seen. Statements that already carry user [?] parameters bypass the
-   cache — the prepared-statement path owns their bindings. *)
+   cache — the prepared-statement path owns their bindings. [text], when
+   given, is memoized against the key so that {!query} can serve an exact
+   repeat without parsing. *)
 let query_cached ?text s q =
   let cache = Engine.plan_cache s.eng in
   let fp = if Plan_cache.enabled cache then Normalize.fingerprint q else None in
@@ -627,34 +613,26 @@ let query_cached ?text s q =
   | None -> query_block s (resolve_query s q)
   | Some (key, canon_q, values) ->
     let full_key = compose_key s key in
-    let c = Rss.Pager.counters (Engine.pager s.eng) in
     let params = Array.of_list values in
-    let memo () =
-      match text with
-      | Some sql -> Plan_cache.memo_text cache ~sql ~key ~values
-      | None -> ()
+    let r =
+      match probe ~count:true s full_key with
+      | Some r -> r
+      | None ->
+        let c = Rss.Pager.counters (Engine.pager s.eng) in
+        c.Rss.Counters.plan_cache_misses <- c.Rss.Counters.plan_cache_misses + 1;
+        (* resolve the literal statement first: parameter positions always
+           type-check, so a type error in the original must still surface *)
+        ignore (resolve_query s q);
+        let r =
+          optimize_block ~ctx:(ctx ~params s) s (resolve_query s canon_q)
+        in
+        Plan_cache.store cache full_key r;
+        r
     in
-    (match Plan_cache.find cache (Engine.catalog s.eng) full_key with
-     | Plan_cache.Hit r ->
-       c.Rss.Counters.plan_cache_hits <- c.Rss.Counters.plan_cache_hits + 1;
-       memo ();
-       run_observed s r ~params
-     | (Plan_cache.Miss | Plan_cache.Invalidated) as probe ->
-       (match probe with
-        | Plan_cache.Invalidated ->
-          c.Rss.Counters.plan_cache_invalidations <-
-            c.Rss.Counters.plan_cache_invalidations + 1
-        | _ -> ());
-       c.Rss.Counters.plan_cache_misses <- c.Rss.Counters.plan_cache_misses + 1;
-       (* resolve the literal statement first: parameter positions always
-          type-check, so a type error in the original must still surface *)
-       ignore (resolve_query s q);
-       let r =
-         optimize_block ~ctx:(ctx ~params s) s (resolve_query s canon_q)
-       in
-       Plan_cache.store cache full_key r;
-       memo ();
-       run_observed s r ~params)
+    (match text with
+     | Some sql -> Plan_cache.memo_text cache ~sql ~key ~values
+     | None -> ());
+    run_observed s r ~params
 
 let explain_cache_line s =
   let c = Rss.Pager.counters (Engine.pager s.eng) in
@@ -792,26 +770,20 @@ let exec_stmt s (stmt : Ast.statement) =
     Engine.set_group_commit s.eng on;
     Done (Printf.sprintf "group commit %s" (if on then "on" else "off"))
   | Ast.Begin_transaction ->
-    let id = begin_transaction_i s in
-    Done (Printf.sprintf "transaction %d started" id)
+    if s.active <> None then err "a transaction is already active";
+    let txn = start_txn s ~explicit_txn:true in
+    Done (Printf.sprintf "transaction %d started" txn.txn_id)
   | Ast.Commit ->
-    let id = commit_i s in
+    let id = end_explicit s finish_commit in
     Done (Printf.sprintf "transaction %d committed" id)
   | Ast.Rollback ->
-    let id = rollback_i s in
+    let id = end_explicit s finish_abort in
     Done (Printf.sprintf "transaction %d rolled back" id)
 
-let parse_stmt sql =
-  try Parser.parse_statement sql
-  with Parser.Error (msg, off) -> err "syntax error at offset %d: %s" off msg
+let syntax_error msg off = err "syntax error at offset %d: %s" off msg
 
-(* Read-only statements run under the shared engine latch; everything else
-   (DML, DDL, transaction control, SET, VACUUM, UPDATE STATISTICS) mutates
-   engine state and takes it exclusively. *)
-let stmt_is_read (stmt : Ast.statement) =
-  match stmt with
-  | Ast.Select _ | Ast.Explain _ -> true
-  | _ -> false
+let parse_stmt sql =
+  try Parser.parse_statement sql with Parser.Error (msg, off) -> syntax_error msg off
 
 (* --- public entry points (each takes the engine step exactly once) ------- *)
 
@@ -833,87 +805,65 @@ let sync_commit s =
        err "commit not durable: flush failed (%s); the commit is visible and \
             will be retried by the next group flush" (Printexc.to_string e))
 
-let exec s sql =
-  let stmt = parse_stmt sql in
-  if stmt_is_read stmt then with_engine_read s (fun () -> exec_stmt s stmt)
-  else begin
+(* One statement as one engine step. Read-only statements (SELECT, EXPLAIN)
+   run under the shared engine latch; everything else (DML, DDL, transaction
+   control, SET, VACUUM, UPDATE STATISTICS) mutates engine state, takes it
+   exclusively, and awaits its commit's durability after releasing it. *)
+let step s (stmt : Ast.statement) =
+  match stmt with
+  | Ast.Select _ | Ast.Explain _ -> with_engine_read s (fun () -> exec_stmt s stmt)
+  | _ ->
     let r = with_engine s (fun () -> exec_stmt s stmt) in
     sync_commit s;
     r
-  end
 
+let exec s sql = step s (parse_stmt sql)
+
+(* one engine step per statement: a long script does not starve concurrent
+   sessions, and explicit transactions still hold their locks across
+   statements (that is the lock table's job, not the latch's) *)
 let exec_script s src =
   let stmts =
-    try Parser.parse_script src
-    with Parser.Error (msg, off) -> err "syntax error at offset %d: %s" off msg
+    try Parser.parse_script src with Parser.Error (msg, off) -> syntax_error msg off
   in
-  (* one engine step per statement: a long script does not starve concurrent
-     sessions, and explicit transactions still hold their locks across
-     statements (that is the lock table's job, not the latch's) *)
-  List.map
-    (fun stmt ->
-      if stmt_is_read stmt then with_engine_read s (fun () -> exec_stmt s stmt)
-      else begin
-        let r = with_engine s (fun () -> exec_stmt s stmt) in
-        sync_commit s;
-        r
-      end)
-    stmts
+  List.map (step s) stmts
 
+(* The text fast path serves an exact repeat of a memoized SELECT without
+   parsing or fingerprinting; a stale entry (its invalidation counted by the
+   probe) falls through to the parsed path, which re-optimizes and counts
+   the miss — the same accounting as one {!exec}. Anything but a SELECT is
+   rejected before it runs. *)
 let query s sql =
-  (* text-level fast path: a repeat of the exact same statement skips the
-     parser and fingerprinting; a stale entry falls through to the normal
-     path (which re-optimizes and counts the miss) after recording the
-     invalidation here, matching the one-call accounting of the slow path *)
   let cache = Engine.plan_cache s.eng in
   let fast =
     with_engine_read s (fun () ->
         match Plan_cache.text_entry cache sql with
         | None -> None
         | Some (key, values) ->
-          (match Plan_cache.find cache (Engine.catalog s.eng) (compose_key s key) with
-           | Plan_cache.Hit r ->
-             let c = Rss.Pager.counters (Engine.pager s.eng) in
-             c.Rss.Counters.plan_cache_hits <- c.Rss.Counters.plan_cache_hits + 1;
-             Some (run_observed s r ~params:(Array.of_list values))
-           | Plan_cache.Invalidated ->
-             let c = Rss.Pager.counters (Engine.pager s.eng) in
-             c.Rss.Counters.plan_cache_invalidations <-
-               c.Rss.Counters.plan_cache_invalidations + 1;
-             None
-           | Plan_cache.Miss -> None))
+          (match probe ~count:true s (compose_key s key) with
+           | Some r -> Some (run_observed s r ~params:(Array.of_list values))
+           | None -> None))
   in
   match fast with
   | Some out -> out
   | None ->
     (match parse_stmt sql with
      | Ast.Select q -> with_engine_read s (fun () -> query_cached ~text:sql s q)
-     | stmt ->
-       let r = with_engine s (fun () -> exec_stmt s stmt) in
-       sync_commit s;
-       (match r with
-        | Rows out -> out
-        | Text _ | Done _ -> err "not a SELECT: %s" sql))
+     | _ -> err "not a SELECT: %s" sql)
 
 let cached_plan s sql =
   with_engine_read s (fun () ->
-      let cache = Engine.plan_cache s.eng in
-      let probe key =
-        match Plan_cache.find cache (Engine.catalog s.eng) (compose_key s key) with
-        | Plan_cache.Hit r -> Some r
-        | Plan_cache.Miss | Plan_cache.Invalidated -> None
+      let key =
+        match Plan_cache.text_entry (Engine.plan_cache s.eng) sql with
+        | Some (key, _) -> Some key
+        | None ->
+          let q =
+            try Parser.parse_query sql
+            with Parser.Error (msg, off) -> syntax_error msg off
+          in
+          Option.map (fun (key, _, _) -> key) (Normalize.fingerprint q)
       in
-      match Plan_cache.text_entry cache sql with
-      | Some (key, _) -> probe key
-      | None ->
-        let q =
-          try Parser.parse_query sql
-          with Parser.Error (msg, off) ->
-            err "syntax error at offset %d: %s" off msg
-        in
-        (match Normalize.fingerprint q with
-         | None -> None
-         | Some (key, _, _) -> probe key))
+      Option.bind key (fun key -> probe ~count:false s (compose_key s key)))
 
 let resolve s sql = with_engine_read s (fun () -> resolve_i s sql)
 let optimize ?ctx s sql = with_engine_read s (fun () -> optimize_i ?ctx s sql)
@@ -937,8 +887,6 @@ let close s =
         if s.counters != base then Rss.Counters.add s.counters ~into:base;
         s.eng.Engine.live_sessions <- s.eng.Engine.live_sessions - 1;
         s.closed <- true)
-
-let closed s = s.closed
 
 (* --- integrity & recovery ------------------------------------------------ *)
 
@@ -1086,59 +1034,54 @@ let recover s bytes =
    session's feedback correction moved a dependency — the wire protocol's
    Bind/Execute path re-parses only on that rare invalidation, never on the
    steady state. *)
-type prepared = {
-  p_sql : string;
-  mutable p_result : Optimizer.result;
-  mutable p_params : int;
-  mutable p_deps : Plan_cache.deps;
-  mutable p_sig : string;
-  mutable p_gen : int;  (* bumped on every revalidation re-optimize *)
+type compiled = {
+  c_result : Optimizer.result;
+  c_params : int;
+  c_deps : Plan_cache.deps;
+  c_sig : string;
+  c_gen : int;  (* revalidation re-optimizations since prepare *)
 }
 
-let prepare s sql =
-  with_engine_read s (fun () ->
-      let block = resolve_i s sql in
-      let r = optimize_block s block in
-      { p_sql = sql;
-        p_result = r;
-        p_params = Semant.param_count block;
-        p_deps = Plan_cache.capture_deps r;
-        p_sig = s.cache_sig;
-        p_gen = 0 })
+type prepared = {
+  p_sql : string;
+  mutable p_plan : compiled;
+}
 
-let prepared_param_count p = p.p_params
-let prepared_plan p = p.p_result
-let prepared_generation p = p.p_gen
+(* Resolve and optimize [sql] under the session's current settings,
+   capturing what revalidation checks. *)
+let compile s sql ~gen =
+  let block = resolve_i s sql in
+  let r = optimize_block s block in
+  { c_result = r;
+    c_params = Semant.param_count block;
+    c_deps = Plan_cache.capture_deps r;
+    c_sig = s.cache_sig;
+    c_gen = gen }
+
+let prepare s sql =
+  with_engine_read s (fun () -> { p_sql = sql; p_plan = compile s sql ~gen:0 })
+
+let prepared_param_count p = p.p_plan.c_params
+let prepared_plan p = p.p_plan.c_result
+let prepared_generation p = p.p_plan.c_gen
 
 let execute_prepared s p bindings =
-  if List.length bindings <> p.p_params then
-    err "prepared statement takes %d parameter%s, %d given" p.p_params
-      (if p.p_params = 1 then "" else "s")
+  let n = p.p_plan.c_params in
+  if List.length bindings <> n then
+    err "prepared statement takes %d parameter%s, %d given" n
+      (if n = 1 then "" else "s")
       (List.length bindings);
   with_engine_read s (fun () ->
+      let c = p.p_plan in
       if
-        p.p_sig <> s.cache_sig
-        || not (Plan_cache.deps_valid (Engine.catalog s.eng) p.p_deps)
-      then begin
-        let block = resolve_i s p.p_sql in
-        let r = optimize_block s block in
-        p.p_result <- r;
-        p.p_params <- Semant.param_count block;
-        p.p_deps <- Plan_cache.capture_deps r;
-        p.p_sig <- s.cache_sig;
-        p.p_gen <- p.p_gen + 1
-      end;
+        c.c_sig <> s.cache_sig
+        || not (Plan_cache.deps_valid (Engine.catalog s.eng) c.c_deps)
+      then p.p_plan <- compile s p.p_sql ~gen:(c.c_gen + 1);
       wrap (fun () ->
           Executor.run ~snap:(read_view s) ~params:(Array.of_list bindings)
-            (Engine.catalog s.eng) p.p_result))
-
-(* --- explicit transaction API (engine-step wrappers) ---------------------- *)
-
-let begin_transaction s = with_engine s (fun () -> begin_transaction_i s)
+            (Engine.catalog s.eng) p.p_plan.c_result))
 
 let commit s =
-  let id = with_engine s (fun () -> commit_i s) in
+  let id = with_engine s (fun () -> end_explicit s finish_commit) in
   sync_commit s;
   id
-
-let rollback s = with_engine s (fun () -> rollback_i s)

@@ -45,10 +45,16 @@ let test_error_paths () =
   ignore (Database.exec db "CREATE TABLE T (A INT)");
   expect_err "CREATE TABLE T (A INT)";
   expect_err "INSERT INTO T VALUES ('wrong type')";
-  (* query on a non-SELECT *)
+  (* query on a non-SELECT is rejected before it runs *)
+  ignore (Database.exec db "INSERT INTO T VALUES (1)");
+  let rel = Option.get (Catalog.find_relation (Database.catalog db) "T") in
+  let version = rel.Catalog.stats_version in
   (match Database.query db "UPDATE STATISTICS" with
    | _ -> Alcotest.fail "query accepted DDL"
-   | exception Database.Error _ -> ())
+   | exception Database.Error _ -> ());
+  Alcotest.(check int) "stats_version unchanged" version rel.Catalog.stats_version;
+  Alcotest.(check int) "row count unchanged" 1
+    (List.length (Database.query db "SELECT A FROM T").Executor.rows)
 
 let test_fig1_database () =
   let db = Database.create () in

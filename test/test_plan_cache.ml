@@ -292,11 +292,54 @@ let test_probe_assertions () =
   (* string vs int literal with the same shape must not collide *)
   Alcotest.(check int) "b='x3'" 1 (n "SELECT * FROM t WHERE b = 'x3'");
   Alcotest.(check int) "a<3 after string probe" 2 (n "SELECT * FROM t WHERE a < 3");
-  (* DML through the SELECT-only entry point errors *)
+  (* DML through the SELECT-only entry point errors, and changes nothing *)
+  let rel = Option.get (Catalog.find_relation (Database.catalog db) "t") in
+  let version = rel.Catalog.stats_version in
   (match Database.query db "INSERT INTO t VALUES (99, 'z')" with
    | _ -> Alcotest.fail "INSERT accepted by query"
    | exception Database.Error _ -> ());
+  Alcotest.(check int) "rejected INSERT inserted nothing" 10
+    (n "SELECT * FROM t WHERE a >= 0");
+  Alcotest.(check int) "rejected INSERT left stats_version" version
+    rel.Catalog.stats_version;
   Alcotest.(check bool) "entries cached" true (Database.plan_cache_size db > 0)
+
+(* [exec] and [query] probe the plan cache through one helper: the same
+   statement sequence — a miss, an exact repeat, new literals, then an
+   invalidation by UPDATE STATISTICS — returns the same rows and leaves the
+   same hit / miss / invalidation counts on either entry point. *)
+let test_exec_and_query_count_alike () =
+  let run select =
+    let db = Database.create () in
+    ignore (Database.exec db "CREATE TABLE t (a INT)");
+    ignore (Database.exec db "INSERT INTO t VALUES (1), (2), (3), (4), (5), (6), (7), (8)");
+    let before = Rss.Counters.snapshot (counters db) in
+    let rows sql = canon_rows (select db sql) in
+    let miss = rows "SELECT a FROM t WHERE a < 3" in
+    let repeat = rows "SELECT a FROM t WHERE a < 3" in
+    let rebound = rows "SELECT a FROM t WHERE a < 7" in
+    ignore (Database.exec db "UPDATE STATISTICS");
+    let invalidated = rows "SELECT a FROM t WHERE a < 3" in
+    let c = counters db in
+    ( [ miss; repeat; rebound; invalidated ],
+      ( c.Rss.Counters.plan_cache_hits - before.Rss.Counters.plan_cache_hits,
+        c.Rss.Counters.plan_cache_misses - before.Rss.Counters.plan_cache_misses,
+        c.Rss.Counters.plan_cache_invalidations
+        - before.Rss.Counters.plan_cache_invalidations ) )
+  in
+  let exec_rows, exec_counts =
+    run (fun db sql ->
+        match Database.exec db sql with
+        | Database.Rows out -> out
+        | Database.Text _ | Database.Done _ -> Alcotest.fail "exec: expected rows")
+  in
+  let query_rows, query_counts = run Database.query in
+  Alcotest.(check (list (list string))) "same rows" exec_rows query_rows;
+  Alcotest.(check (list int)) "row counts" [ 2; 2; 6; 2 ]
+    (List.map List.length exec_rows);
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "exec: hits, misses, invalidations" (2, 2, 1) exec_counts;
+  Alcotest.check triple "query: same counts" exec_counts query_counts
 
 (* The fuzz harness's fault-injection hook: with dependency validation off,
    DROP/CREATE TABLE leaves a stale plan in the cache and the engine serves
@@ -382,7 +425,9 @@ let () =
           Alcotest.test_case "off vs on workload equality" `Quick
             test_cache_off_vs_on_workload;
           Alcotest.test_case "probe assertions (const-const, DML, collisions)"
-            `Quick test_probe_assertions ] );
+            `Quick test_probe_assertions;
+          Alcotest.test_case "exec and query count probes alike" `Quick
+            test_exec_and_query_count_alike ] );
       ( "invalidation",
         [ Alcotest.test_case "UPDATE STATISTICS" `Quick
             test_update_statistics_invalidates;
