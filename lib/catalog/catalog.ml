@@ -80,10 +80,6 @@ let indexes_on t rel =
 let key_of idx tuple =
   Array.of_list (List.map (fun c -> Rel.Tuple.get tuple c) idx.key_cols)
 
-let scan_all rel =
-  let scan = Rss.Scan.open_segment_scan rel.segment ~rel_id:rel.rel_id () in
-  Rss.Scan.to_list scan
-
 (* Every physical version of the relation, delete-marked or not, with no
    I/O accounting: VACUUM, index builds, wipes and integrity checks walk
    the raw heap. *)
@@ -134,15 +130,33 @@ let drop_index t name =
    | None -> ());
   Hashtbl.remove t.idxs (norm name)
 
+(* Tombstone the version's slot, then delete its entry from every index
+   (using the supplied image for the keys); [false], touching no index,
+   when the slot was already dead. *)
+let remove_version rel idxs tid tuple =
+  let live = Rss.Segment.delete rel.segment tid in
+  if live then
+    List.iter
+      (fun idx -> ignore (Rss.Btree.delete idx.btree (key_of idx tuple) tid))
+      idxs;
+  live
+
+(* Physically remove every version of the relation — delete-marked or not —
+   and all index entries. Recovery wipes with this before reloading the
+   committed survivors. *)
+let wipe_relation t rel =
+  let idxs = indexes_on t rel in
+  List.iter
+    (fun (tid, tuple, _, _) -> ignore (remove_version rel idxs tid tuple))
+    (scan_versions rel)
+
 let drop_relation t name =
   match find_relation t name with
   | None -> false
   | Some rel ->
     List.iter (fun (i : index) -> drop_index t i.idx_name) (indexes_on t rel);
     (* make every version unreachable even through the shared segment *)
-    List.iter
-      (fun (tid, _, _, _) -> ignore (Rss.Segment.delete rel.segment tid))
-      (scan_versions rel);
+    wipe_relation t rel;
     Hashtbl.remove t.rels (norm name);
     true
 
@@ -157,14 +171,6 @@ let insert_tuple ?xmin t rel tuple =
     (indexes_on t rel);
   tid
 
-(* Restore a previously deleted tuple at its original TID (rollback undo):
-   index entries are rebuilt for the resurrected TID. *)
-let insert_tuple_at ?xmin t rel tid tuple =
-  Rss.Segment.insert_at rel.segment ?xmin ~rel_id:rel.rel_id tid tuple;
-  List.iter
-    (fun idx -> Rss.Btree.insert idx.btree (key_of idx tuple) tid)
-    (indexes_on t rel)
-
 (* MVCC delete: stamp the version's deleter, leaving heap slot and index
    entries in place for concurrent snapshots. VACUUM reclaims later. *)
 let mark_delete rel tid xid = Rss.Segment.set_xmax rel.segment tid xid
@@ -172,41 +178,7 @@ let mark_delete rel tid xid = Rss.Segment.set_xmax rel.segment tid xid
 (* Rollback of a delete-mark: the version was never deleted. *)
 let unmark_delete rel tid = Rss.Segment.set_xmax rel.segment tid 0
 
-let delete_tuples_returning t rel pred =
-  let victims = List.filter (fun (_, tup) -> pred tup) (scan_all rel) in
-  let idxs = indexes_on t rel in
-  List.iter
-    (fun (tid, tuple) ->
-      ignore (Rss.Segment.delete rel.segment tid);
-      List.iter
-        (fun idx -> ignore (Rss.Btree.delete idx.btree (key_of idx tuple) tid))
-        idxs)
-    victims;
-  victims
-
-let delete_tuples t rel pred = List.length (delete_tuples_returning t rel pred)
-
-let delete_tid t rel tid tuple =
-  if Rss.Segment.delete rel.segment tid then begin
-    List.iter
-      (fun idx -> ignore (Rss.Btree.delete idx.btree (key_of idx tuple) tid))
-      (indexes_on t rel);
-    true
-  end
-  else false
-
-(* Physically remove every version of the relation — delete-marked or not —
-   and all index entries. Recovery wipes with this before replaying the
-   committed WAL prefix; scan_all would skip marked versions and leak them. *)
-let wipe_relation t rel =
-  let idxs = indexes_on t rel in
-  List.iter
-    (fun (tid, tuple, _, _) ->
-      ignore (Rss.Segment.delete rel.segment tid);
-      List.iter
-        (fun idx -> ignore (Rss.Btree.delete idx.btree (key_of idx tuple) tid))
-        idxs)
-    (scan_versions rel)
+let delete_tid t rel tid tuple = remove_version rel (indexes_on t rel) tid tuple
 
 (* Reclaim dead versions no in-flight snapshot can see (deleter committed
    at-or-before the horizon) and freeze old versions (creator committed
@@ -225,11 +197,7 @@ let vacuum_relation t rel (mvcc : Rss.Mvcc.t) ~horizon =
             | None -> false)
       in
       if committed_by xmax then begin
-        ignore (Rss.Segment.delete rel.segment tid);
-        List.iter
-          (fun idx ->
-            ignore (Rss.Btree.delete idx.btree (key_of idx tuple) tid))
-          idxs;
+        ignore (remove_version rel idxs tid tuple);
         incr reclaimed
       end
       else if committed_by xmin then
@@ -251,8 +219,7 @@ let vacuum t mvcc =
 (* Fraction of consecutive index entries whose tuples share a data page: the
    measured notion of "physical proximity corresponding to index key value". *)
 let measure_cluster_ratio idx =
-  let entries = Rss.Btree.range_scan_unaccounted idx.btree |> List.of_seq in
-  match entries with
+  match Rss.Btree.entries idx.btree with
   | [] | [ _ ] -> 1.0
   | first :: rest ->
     let same, total, _ =
@@ -276,7 +243,10 @@ let update_relation_statistics t rel =
      not. Counter-neutral like index creation: statistics collection is DDL,
      not a measured query. *)
   let snapshot = Rss.Counters.snapshot (Rss.Pager.counters t.pgr) in
-  let tuples = List.map snd (scan_all rel) in
+  let tuples =
+    Rss.Scan.to_list (Rss.Scan.open_segment_scan rel.segment ~rel_id:rel.rel_id ())
+    |> List.map snd
+  in
   Rss.Counters.restore (Rss.Pager.counters t.pgr) ~from:snapshot;
   rel.cstats <-
     Array.init (Rel.Schema.arity rel.schema) (fun col ->

@@ -75,13 +75,6 @@ val insert_tuple : ?xmin:int -> t -> relation -> Rel.Tuple.t -> Rss.Tid.t
     single-session and recovery paths). Statistics are NOT updated (see
     module doc). @raise Invalid_argument on schema mismatch. *)
 
-val insert_tuple_at :
-  ?xmin:int -> t -> relation -> Rss.Tid.t -> Rel.Tuple.t -> unit
-(** Restore a previously deleted tuple at its original TID, rebuilding its
-    index entries — the transaction rollback path. Keeping the TID stable is
-    what keeps heap TIDs in correspondence with WAL records across an
-    undo. *)
-
 val mark_delete : relation -> Rss.Tid.t -> int -> unit
 (** MVCC delete: stamp the version's deleter txn id, leaving the heap slot
     and index entries in place for concurrent snapshots; VACUUM reclaims
@@ -99,22 +92,14 @@ val scan_versions :
 
 val wipe_relation : t -> relation -> unit
 (** Physically remove every version and its index entries (recovery resets
-    storage with this before replaying the committed WAL prefix). *)
+    storage with this before reloading the committed survivors). The
+    emptied pages stay in the relation's segment. *)
 
 val vacuum : t -> Rss.Mvcc.t -> int
 (** Reclaim delete-marked versions whose deleter committed at-or-before the
     MVCC horizon, freeze old committed versions, prune the status table and
     bump [stats_version] on relations that shrank. Returns the number of
     versions reclaimed. Caller holds the engine write latch. *)
-
-val delete_tuples : t -> relation -> (Rel.Tuple.t -> bool) -> int
-(** Delete every tuple satisfying the predicate, maintaining indexes;
-    returns the count. *)
-
-val delete_tuples_returning :
-  t -> relation -> (Rel.Tuple.t -> bool) -> (Rss.Tid.t * Rel.Tuple.t) list
-(** Like {!delete_tuples} but returns the deleted (TID, tuple) pairs — the
-    engine's transaction layer logs and undoes from them. *)
 
 val delete_tid : t -> relation -> Rss.Tid.t -> Rel.Tuple.t -> bool
 (** Delete the tuple at a known TID (index maintenance uses the supplied
@@ -127,5 +112,3 @@ val update_statistics : t -> unit
     UPDATE STATISTICS command, runnable by any user). Every column gets an
     equi-depth histogram, distinct count and NULL fraction; the pass is
     counter-neutral and bumps each relation's [stats_version]. *)
-
-val update_relation_statistics : t -> relation -> unit

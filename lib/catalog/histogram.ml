@@ -146,13 +146,3 @@ let selectivity_between t lo hi =
     let lt_lo, _ = cumulative t lo in
     let _, le_hi = cumulative t hi in
     frac t (le_hi -. lt_lo)
-
-let pp ppf t =
-  Format.fprintf ppf "rows=%d nulls=%d distinct=%d buckets=%d" t.rows t.nulls
-    t.distinct (Array.length t.buckets);
-  if Array.length t.buckets <= 8 then
-    Array.iter
-      (fun b ->
-        Format.fprintf ppf " [%a..%a:%d/%d]" Rel.Value.pp b.b_lo Rel.Value.pp
-          b.b_hi b.b_rows b.b_distinct)
-      t.buckets

@@ -22,13 +22,10 @@ type t = {
   buckets : bucket array;
 }
 
-val default_buckets : int
-(** Target bucket count for [build] (32). The actual count can be lower —
-    a boundary never splits one value's run across buckets. *)
-
 val build : ?max_buckets:int -> Rel.Value.t list -> t
 (** Sort the non-NULL values and partition them into runs of roughly equal
-    row count. *)
+    row count. [max_buckets] (default 32) is a target: the actual count can
+    be lower — a boundary never splits one value's run across buckets. *)
 
 val rows : t -> int
 val distinct : t -> int
@@ -45,5 +42,3 @@ val selectivity_cmp : t -> [ `Lt | `Le | `Gt | `Ge ] -> Rel.Value.t -> float
     containing bucket (mid-bucket for non-numeric values). *)
 
 val selectivity_between : t -> Rel.Value.t -> Rel.Value.t -> float
-
-val pp : Format.formatter -> t -> unit

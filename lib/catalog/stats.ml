@@ -26,5 +26,3 @@ let pp_opt ppf = function
 let pp_index ppf i =
   Format.fprintf ppf "ICARD=%d NINDX=%d low=%a high=%a cluster=%.2f" i.icard
     i.nindx pp_opt i.low_key pp_opt i.high_key i.cluster_ratio
-
-let pp_column ppf c = Histogram.pp ppf c.hist

@@ -35,4 +35,3 @@ type column = {
 
 val pp_relation : Format.formatter -> relation -> unit
 val pp_index : Format.formatter -> index -> unit
-val pp_column : Format.formatter -> column -> unit

@@ -20,11 +20,12 @@
    serialization error. DELETE stamps xmax instead of removing the tuple;
    VACUUM reclaims versions behind the oldest snapshot.
 
-   Undo restores deleted tuples at their exact TID (Catalog.insert_tuple_at):
-   a fresh insert would move the tuple, leaving later WAL records (and the
-   txn's own Undo_insert entries) pointing at the old TID. The torture
-   harness's shrunk reproducer for that bug — INSERT x; DELETE x; ROLLBACK
-   leaving a phantom x — is pinned in test_engine. *)
+   Undo keeps TIDs stable: undoing a delete clears the version's xmax
+   (Catalog.unmark_delete) and undoing an insert removes the slot it made
+   (Catalog.delete_tid), so no undo step moves a tuple that later WAL
+   records or the txn's own undo entries name by TID. The torture
+   harness's shrunk reproducer for a TID-moving undo — INSERT x; DELETE x;
+   ROLLBACK leaving a phantom x — is pinned in test_engine. *)
 
 type undo_op =
   | Undo_insert of Catalog.relation * Rss.Tid.t * Rel.Tuple.t
@@ -518,9 +519,10 @@ let q_error est act =
   let est = Float.max est 0. and act = float_of_int act in
   Float.max ((est +. 1.) /. (act +. 1.)) ((act +. 1.) /. (est +. 1.))
 
-(* Compare the optimizer's QCARD estimate against the actual output
-   cardinality the executor observed at root-cursor close. On a gross
-   misestimate (q-error above the threshold), record the observed
+(* Compare the optimizer's QCARD estimate against the top block's actual
+   output cardinality, the rows [Executor.run] returned (subquery
+   evaluations fold several bindings together and are never fed back). On
+   a gross misestimate (q-error above the threshold), record the observed
    selectivity on the relation when the block's shape makes it unambiguous:
    a single table, no grouping, and every boolean factor local to that
    table — then actual rows / NCARD is exactly the restriction's joint
@@ -528,7 +530,7 @@ let q_error est act =
    cache retires the plans costed under the stale estimate and the next
    optimization of the same restriction sees the corrected value. *)
 let feedback_note s (r : Optimizer.result) ~params act =
-  if feedback_active s && act >= 0 then begin
+  if feedback_active s then begin
     let block = r.Optimizer.block in
     if (not block.Semant.scalar_agg) && block.Semant.group_by = [] then begin
       let c = ctx ~params s in
@@ -566,16 +568,14 @@ let feedback_note s (r : Optimizer.result) ~params act =
     end
   end
 
-(* Execute a (possibly cached) plan with the feedback observer attached.
+(* Execute a (possibly cached) plan, then feed its output cardinality back.
    No locks: the statement's MVCC snapshot is its isolation. *)
 let run_observed s r ~params =
-  let act = ref (-1) in
   let out =
     wrap (fun () ->
-        Executor.run ~snap:(read_view s) ~params ~observe:(fun n -> act := n)
-          (Engine.catalog s.eng) r)
+        Executor.run ~snap:(read_view s) ~params (Engine.catalog s.eng) r)
   in
-  feedback_note s r ~params !act;
+  feedback_note s r ~params (List.length out.Executor.rows);
   out
 
 (* Look up a composed plan-cache key. With [count], a hit or an
@@ -900,18 +900,16 @@ let check_integrity s =
       let c = Rss.Pager.counters (Engine.pager s.eng) in
       let snap = Rss.Counters.snapshot c in
       let check_index (rel : Catalog.relation) heap (idx : Catalog.index) =
-        let entries =
-          List.of_seq (Rss.Btree.range_scan_unaccounted idx.Catalog.btree)
-        in
+        let entries = Rss.Btree.entries idx.Catalog.btree in
         let resolve_err =
           List.find_map
             (fun (key, tid) ->
-              match Rss.Segment.fetch_unaccounted rel.Catalog.segment tid with
+              match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
               | None ->
                 Some
                   (Printf.sprintf "index %s: entry for dead TID %d.%d"
                      idx.Catalog.idx_name tid.Rss.Tid.page tid.Rss.Tid.slot)
-              | Some (rid, tuple) ->
+              | Some (rid, tuple, _, _) ->
                 if rid <> rel.Catalog.rel_id then
                   Some
                     (Printf.sprintf "index %s: TID %d.%d holds relation %d, not %d"
@@ -964,9 +962,9 @@ let check_integrity s =
       | None -> Stdlib.Ok ()
       | Some msg -> Stdlib.Error msg)
 
-(* Crash recovery: replay the serialized WAL (Recovery.replay) into a scratch
-   segment, then reload every surviving tuple through the catalog so all
-   indexes are rebuilt over the new TIDs (Recovery does not preserve TIDs).
+(* Crash recovery: replay the serialized WAL (Recovery.replay) into the list
+   of surviving tuples, then reload them through the catalog so all indexes
+   are rebuilt over the new TIDs (Recovery does not preserve TIDs).
    The reloaded state is re-logged as one committed checkpoint transaction so
    a later crash recovers through this one. Run with failpoints reset — a
    recovery is not itself a crash candidate. Embedded-only: replacing the
@@ -979,7 +977,7 @@ let recover s bytes =
       let c = Rss.Pager.counters (Engine.pager eng) in
       let snap = Rss.Counters.snapshot c in
       let wal = Rss.Wal.of_bytes bytes in
-      let result = Rss.Recovery.replay (Engine.pager eng) wal in
+      let result = Rss.Recovery.replay wal in
       s.active <- None;
       eng.Engine.locks <- Rss.Lock_table.create ();
       Plan_cache.clear eng.Engine.plan_cache;
@@ -1003,19 +1001,15 @@ let recover s bytes =
       Rss.Wal.append eng.Engine.wal (Rss.Wal.Begin checkpoint);
       let restored = ref 0 in
       List.iter
-        (fun pid ->
-          let p = Rss.Pager.data_page (Engine.pager eng) pid in
-          List.iter
-            (fun (_slot, rel_id, tuple) ->
-              match List.find_opt (fun r -> r.Catalog.rel_id = rel_id) rels with
-              | None -> () (* logged relation no longer in the catalog *)
-              | Some rel ->
-                let tid = Catalog.insert_tuple cat rel tuple in
-                Rss.Wal.append eng.Engine.wal
-                  (Rss.Wal.Insert { txn = checkpoint; rel_id; tid; tuple });
-                incr restored)
-            (Rss.Page.live_tuples p))
-        (Rss.Segment.page_ids result.Rss.Recovery.segment);
+        (fun (rel_id, tuple) ->
+          match List.find_opt (fun r -> r.Catalog.rel_id = rel_id) rels with
+          | None -> () (* logged relation no longer in the catalog *)
+          | Some rel ->
+            let tid = Catalog.insert_tuple cat rel tuple in
+            Rss.Wal.append eng.Engine.wal
+              (Rss.Wal.Insert { txn = checkpoint; rel_id; tid; tuple });
+            incr restored)
+        result.Rss.Recovery.survivors;
       Rss.Wal.append eng.Engine.wal (Rss.Wal.Commit checkpoint);
       (* the checkpoint must be durable: a crash right after recovery
          replays this log, not the one that produced it *)

@@ -207,15 +207,9 @@ and eval_subquery st (parent : Optimizer.result) (env : Eval.env) block =
     Hashtbl.replace tbl key vs;
     vs
 
-let run ?snap ?(params = [||]) ?observe catalog (r : Optimizer.result) =
+let run ?snap ?(params = [||]) catalog (r : Optimizer.result) =
   let st = make_state ?snap ~params catalog in
   let rows = run_block st r [] in
-  (* The root cursor is exhausted: the actual output cardinality is now
-     known, and the engine's feedback loop compares it against the
-     optimizer's QCARD estimate. Fires only for the top block — subquery
-     evaluations observe nothing (their counts fold several bindings
-     together). *)
-  (match observe with Some f -> f (List.length rows) | None -> ());
   let columns = List.map snd r.Optimizer.block.Semant.select in
   { columns; rows }
 

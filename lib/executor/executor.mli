@@ -17,7 +17,6 @@ type output = {
 val run :
   ?snap:Rss.Mvcc.view ->
   ?params:Rel.Value.t array ->
-  ?observe:(int -> unit) ->
   Catalog.t ->
   Optimizer.result ->
   output
@@ -27,10 +26,6 @@ val run :
     Residual predicates, select expressions, grouping keys and ORDER BY
     comparators are closed into position-resolved closures at plan-open time
     (see DESIGN.md, "Compiled evaluation").
-
-    [observe] fires once, when the top block's cursor tree is exhausted,
-    with the actual output cardinality — the engine's cardinality-feedback
-    hook. Subquery evaluations never observe.
     @raise Invalid_argument when a scalar subquery returns several rows or an
     ORDER BY column of a grouped query is absent from its select list. *)
 

@@ -76,23 +76,23 @@ let create ?(order = 128) pgr =
 
 let pager t = t.pgr
 
-(* Child covering [e]: the number of separators <= e. *)
-let child_index (n : internal) (e : entry) =
-  let lo = ref 0 and hi = ref (Array.length n.seps) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_entry n.seps.(mid) e <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* First index in [arr] whose element is not less than the probe per [cmp]. *)
-let lower_bound arr cmp =
+(* First index of sorted [arr] at which the monotone predicate [ok] holds
+   ([ok] is false on a prefix of the array and true on the rest);
+   [Array.length arr] when it never holds. Separator and entry arrays are
+   sorted and every predicate below is monotone over that order, so every
+   position search is logarithmic — a point probe must not pay a linear
+   walk over a node. *)
+let lower_bound arr ok =
   let lo = ref 0 and hi = ref (Array.length arr) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if cmp arr.(mid) < 0 then lo := mid + 1 else hi := mid
+    if ok (Array.unsafe_get arr mid) then hi := mid else lo := mid + 1
   done;
   !lo
+
+(* Child covering [e]: the number of separators <= e. *)
+let child_index (n : internal) (e : entry) =
+  lower_bound n.seps (fun sep -> compare_entry sep e > 0)
 
 let insert_at arr i x =
   let n = Array.length arr in
@@ -113,7 +113,7 @@ type split = (entry * node) option
 let rec insert_node t node entry : split =
   match node with
   | Leaf l ->
-    let i = lower_bound l.entries (fun e -> compare_entry e entry) in
+    let i = lower_bound l.entries (fun e -> compare_entry e entry >= 0) in
     l.entries <- insert_at l.entries i entry;
     if Array.length l.entries <= t.order then None
     else begin
@@ -169,7 +169,7 @@ let insert t k tid =
 let rec delete_node node entry =
   match node with
   | Leaf l ->
-    let i = lower_bound l.entries (fun e -> compare_entry e entry) in
+    let i = lower_bound l.entries (fun e -> compare_entry e entry >= 0) in
     if i < Array.length l.entries && compare_entry l.entries.(i) entry = 0 then begin
       l.entries <- remove_at l.entries i;
       true
@@ -188,32 +188,17 @@ let rec delete_node node entry =
 
 let delete t k tid = delete_node t.root (k, tid)
 
-(* Leftmost leaf that may contain entries whose key is >= the bound, touching
-   each node on the descent when [accounted]. [lo_cmp sep_key] compares the
-   bound against a separator's key part. *)
-(* First index of sorted [arr] at which the monotone predicate [ok] holds
-   ([ok] is false on a prefix of the array and true on the rest);
-   [Array.length arr] when it never holds. Separator and entry arrays are
-   key-sorted and bound predicates are monotone over key order, so every
-   position search below is logarithmic — a point probe must not pay a
-   linear walk over a node. *)
-let lower_bound arr ok =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if ok (Array.unsafe_get arr mid) then hi := mid else lo := mid + 1
-  done;
-  !lo
-
+(* Leftmost leaf that may contain entries whose key is >= the bound, charging
+   the leaf when [accounted]. [lo_cmp sep_key] compares the bound against a
+   separator's key part. *)
 let rec descend t ~accounted node lo_cmp =
   (* Only leaf pages are charged: the paper's cost formulas count NINDX leaf
      pages and assume the few upper index levels stay buffer-resident
      (cf. the 1-index-page term of the unique-index formula). *)
-  (match node with
-   | Leaf l -> if accounted then Pager.touch t.pgr l.lpage
-   | Internal _ -> ());
   match node with
-  | Leaf l -> l
+  | Leaf l ->
+    if accounted then Pager.touch t.pgr l.lpage;
+    l
   | Internal n ->
     let i =
       match lo_cmp with
@@ -228,13 +213,12 @@ let rec descend t ~accounted node lo_cmp =
     descend t ~accounted n.children.(i) lo_cmp
 
 (* Rightmost leaf that may contain entries whose key is <= the bound
-   (or the rightmost leaf when unbounded). *)
-let rec descend_hi t ~accounted node hi_cmp =
-  (match node with
-   | Leaf l -> if accounted then Pager.touch t.pgr l.lpage
-   | Internal _ -> ());
+   (or the rightmost leaf when unbounded), charging the leaf. *)
+let rec descend_hi t node hi_cmp =
   match node with
-  | Leaf l -> l
+  | Leaf l ->
+    Pager.touch t.pgr l.lpage;
+    l
   | Internal n ->
     let i =
       match hi_cmp with
@@ -244,7 +228,7 @@ let rec descend_hi t ~accounted node hi_cmp =
            strictly above the bound. *)
         lower_bound n.seps (fun sep -> cmp (fst sep) < 0)
     in
-    descend_hi t ~accounted n.children.(i) hi_cmp
+    descend_hi t n.children.(i) hi_cmp
 
 let bound_cmp_lo = function
   | None -> fun _ -> true
@@ -266,38 +250,16 @@ let asc_start entries lo_ok = lower_bound entries (fun (k, _) -> lo_ok k)
 let desc_start entries hi_ok =
   lower_bound entries (fun (k, _) -> not (hi_ok k)) - 1
 
-let range_scan_gen ~accounted ?lo ?hi t =
+(* The one range walk: a dispenser over mutable leaf/offset state, with no
+   Seq cell or continuation closure per entry. The executor's index scans
+   pull every indexed tuple through it, so the per-entry path is one array
+   load and one bound check. Each leaf page is charged when entered (the
+   start leaf by the descent) unless [accounted] is false, which leaves the
+   counters and the buffer pool untouched. *)
+let cursor ~accounted ?lo ?hi t =
   let lo_ok = bound_cmp_lo lo and hi_ok = bound_cmp_hi hi in
   let lo_probe = Option.map (fun (k, _) -> fun sep -> compare_prefix k sep) lo in
   let start = descend t ~accounted t.root lo_probe in
-  (* Stream entries leaf by leaf; each leaf page is charged when first
-     entered (the start leaf was charged by the descent). *)
-  let rec entries_from leaf i () =
-    if i >= Array.length leaf.entries then
-      match leaf.next with
-      | None -> Seq.Nil
-      | Some next ->
-        if accounted then Pager.touch t.pgr next.lpage;
-        entries_from next 0 ()
-    else
-      let k, tid = leaf.entries.(i) in
-      if not (hi_ok k) then Seq.Nil
-      else if lo_ok k then Seq.Cons ((k, tid), entries_from leaf (i + 1))
-      else entries_from leaf (i + 1) ()
-  in
-  entries_from start (asc_start start.entries lo_ok)
-
-let range_scan ?lo ?hi t = range_scan_gen ~accounted:true ?lo ?hi t
-let range_scan_unaccounted ?lo ?hi t = range_scan_gen ~accounted:false ?lo ?hi t
-
-(* Cursor counterpart of [range_scan]: mutable leaf/offset state instead of a
-   Seq cell and continuation closure per entry. The executor's index scan
-   pulls every indexed tuple through this, so the per-entry path is just an
-   array load and a bound check. Accounting is identical to [range_scan]. *)
-let range_cursor ?lo ?hi t =
-  let lo_ok = bound_cmp_lo lo and hi_ok = bound_cmp_hi hi in
-  let lo_probe = Option.map (fun (k, _) -> fun sep -> compare_prefix k sep) lo in
-  let start = descend t ~accounted:true t.root lo_probe in
   let leaf = ref (Some start) in
   let i = ref (asc_start start.entries lo_ok) in
   let rec next () =
@@ -308,7 +270,7 @@ let range_cursor ?lo ?hi t =
         (match l.next with
          | None -> leaf := None
          | Some nl ->
-           Pager.touch t.pgr nl.lpage;
+           if accounted then Pager.touch t.pgr nl.lpage;
            leaf := Some nl;
            i := 0);
         next ()
@@ -327,10 +289,14 @@ let range_cursor ?lo ?hi t =
   in
   next
 
+let range_cursor ?lo ?hi t = cursor ~accounted:true ?lo ?hi t
+
+(* Descending counterpart: start at the rightmost candidate leaf for [hi]
+   and walk the [prev] chain, yielding entries in reverse key order. *)
 let range_cursor_desc ?lo ?hi t =
   let lo_ok = bound_cmp_lo lo and hi_ok = bound_cmp_hi hi in
   let hi_probe = Option.map (fun (k, _) -> fun sep -> compare_prefix k sep) hi in
-  let start = descend_hi t ~accounted:true t.root hi_probe in
+  let start = descend_hi t t.root hi_probe in
   let leaf = ref (Some start) in
   let i = ref (desc_start start.entries hi_ok) in
   let rec next () =
@@ -360,34 +326,14 @@ let range_cursor_desc ?lo ?hi t =
   in
   next
 
-(* Descending scan: start at the rightmost candidate leaf for [hi] and walk
-   the [prev] chain, yielding entries in reverse key order. *)
-let range_scan_desc_gen ~accounted ?lo ?hi t =
-  let lo_ok = bound_cmp_lo lo and hi_ok = bound_cmp_hi hi in
-  let hi_probe = Option.map (fun (k, _) -> fun sep -> compare_prefix k sep) hi in
-  let start = descend_hi t ~accounted t.root hi_probe in
-  let rec entries_from leaf i () =
-    if i < 0 then
-      match leaf.prev with
-      | None -> Seq.Nil
-      | Some prev ->
-        if accounted then Pager.touch t.pgr prev.lpage;
-        entries_from prev (Array.length prev.entries - 1) ()
-    else
-      let k, tid = leaf.entries.(i) in
-      if not (lo_ok k) then Seq.Nil  (* descending: below the low bound *)
-      else if hi_ok k then Seq.Cons ((k, tid), entries_from leaf (i - 1))
-      else entries_from leaf (i - 1) ()
-  in
-  entries_from start (desc_start start.entries hi_ok)
+let drain next =
+  let rec go acc = match next () with None -> List.rev acc | Some e -> go (e :: acc) in
+  go []
 
-let range_scan_desc ?lo ?hi t = range_scan_desc_gen ~accounted:true ?lo ?hi t
-let range_scan_desc_unaccounted ?lo ?hi t =
-  range_scan_desc_gen ~accounted:false ?lo ?hi t
+let entries t = drain (cursor ~accounted:false t)
 
 let lookup t k =
-  range_scan ~lo:(k, `Inclusive) ~hi:(k, `Inclusive) t
-  |> Seq.map snd |> List.of_seq
+  drain (range_cursor ~lo:(k, `Inclusive) ~hi:(k, `Inclusive) t) |> List.map snd
 
 (* Split [lo, hi) into up to [parts] contiguous key ranges along existing
    separator keys, for parallel index scans. Splitting at a separator key [k]

@@ -4,8 +4,9 @@
     the tuples containing them. Leaf pages hold (key, TID) sets and are
     chained so a sequential scan of a key range never revisits upper levels.
     Index pages live in the same pager/buffer pool as data pages; a range
-    scan charges one buffered access per node it descends plus one per leaf
-    page it walks, which is what TABLE 2's NINDX terms predict.
+    walk charges one buffered access per leaf page it enters (upper levels
+    are taken as buffer-resident), which is what TABLE 2's NINDX terms
+    predict.
 
     Deletion is lazy (entries are removed but underfull nodes are not merged),
     the strategy production B-trees such as PostgreSQL's use; NINDX can
@@ -35,27 +36,20 @@ val delete : t -> key -> Tid.t -> bool
 
 type bound = Rel.Value.t array * [ `Inclusive | `Exclusive ]
 
-val range_scan : ?lo:bound -> ?hi:bound -> t -> (key * Tid.t) Seq.t
-(** Entries with [lo <= key <= hi] in key order, charging buffered accesses
-    as described above. Bounds may be prefixes of the full key. *)
-
-val range_scan_unaccounted : ?lo:bound -> ?hi:bound -> t -> (key * Tid.t) Seq.t
-
-val range_scan_desc : ?lo:bound -> ?hi:bound -> t -> (key * Tid.t) Seq.t
-(** Entries with [lo <= key <= hi] in {e descending} key order, walking the
-    leaf chain backwards (leaves are doubly linked). Same accounting as
-    {!range_scan}. *)
-
 val range_cursor : ?lo:bound -> ?hi:bound -> t -> unit -> (key * Tid.t) option
-(** Dispenser counterpart of {!range_scan} — same entries, same page
-    accounting, but no Seq cell or closure per entry. The executor's index
-    scans use this. One-shot. *)
+(** The index range walk: a one-shot dispenser of the entries with
+    [lo <= key <= hi] in key order, charging buffered accesses as described
+    above. Bounds may be prefixes of the full key. The executor's index
+    scans pull every entry through this. *)
 
 val range_cursor_desc : ?lo:bound -> ?hi:bound -> t -> unit -> (key * Tid.t) option
-(** Dispenser counterpart of {!range_scan_desc}. *)
+(** The same entries in {e descending} key order, walking the leaf chain
+    backwards (leaves are doubly linked); same accounting. *)
 
-val range_scan_desc_unaccounted :
-  ?lo:bound -> ?hi:bound -> t -> (key * Tid.t) Seq.t
+val entries : t -> (key * Tid.t) list
+(** Every entry in key order, without accounting: no page is charged and
+    the buffer pool is not touched. For counter-neutral whole-index passes
+    (statistics, integrity checks). *)
 
 val lookup : t -> key -> Tid.t list
 (** All TIDs for an exact key (accounted). *)
@@ -65,7 +59,7 @@ val split_range :
   (bound option * bound option) list
 (** Split the range [lo, hi] into up to [parts] contiguous sub-ranges along
     existing separator keys, in key order, for parallel index scans. The
-    concatenation of the sub-ranges' ascending scans yields exactly the
+    concatenation of the sub-ranges' ascending cursors yields exactly the
     entries of the serial scan, in the same order: splits fall on full key
     values with the left range excluding and the right range including the
     split key, so duplicates never straddle a boundary. Returns a single

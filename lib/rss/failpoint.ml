@@ -4,7 +4,6 @@ type mode =
   | Off
   | Count
   | Armed of { site : string; at : int }
-  | Scheduled of { mutable countdown : int }
 
 let mode = ref Off
 let halted_flag = ref false
@@ -51,16 +50,6 @@ let arm ~site ~at =
   halted_flag := false;
   refresh ()
 
-let arm_schedule ~seed ~mean =
-  assert_main_domain "Failpoint.arm_schedule";
-  if mean < 1 then invalid_arg "Failpoint.arm_schedule: mean < 1";
-  Hashtbl.reset table;
-  let rng = Random.State.make [| 0x5eed; seed |] in
-  let countdown = 1 + Random.State.int rng ((2 * mean) - 1) in
-  mode := Scheduled { countdown };
-  halted_flag := false;
-  refresh ()
-
 let disarm () =
   mode := Off;
   refresh ()
@@ -87,9 +76,6 @@ let slow_hit site =
   match !mode with
   | Off | Count -> ()
   | Armed { site = s; at } -> if String.equal s site && !c = at then crash site
-  | Scheduled sch ->
-    sch.countdown <- sch.countdown - 1;
-    if sch.countdown <= 0 then crash site
 
 let hit site = if !live then slow_hit site
 

@@ -16,10 +16,6 @@
       in-process unwind handler would attempt after the "machine died");
     + {b recover}: {!reset} everything and replay the surviving log.
 
-    {!arm_schedule} is the seeded alternative to exhaustive enumeration: a
-    pseudorandom countdown over all sites picks the crash point, so a fixed
-    seed yields a reproducible schedule without a prior counting pass.
-
     The registry is global (sites live in code that has no handle to thread a
     registry through) and is {b single-domain-only}: arming asserts it runs
     on the main domain, and parallel query execution refuses to start while
@@ -50,11 +46,6 @@ val count_only : unit -> unit
 
 val arm : site:string -> at:int -> unit
 (** Zero all counters and crash at the [at]-th hit (1-based) of [site]. *)
-
-val arm_schedule : seed:int -> mean:int -> unit
-(** Zero all counters and crash after a pseudorandom number of hits across
-    all sites, drawn uniformly from [1 .. 2*mean-1] (expected value [mean])
-    using a dedicated RNG seeded with [seed]. Deterministic per seed. *)
 
 val disarm : unit -> unit
 (** Stop counting and crashing but keep the counters — the counting pass

@@ -127,8 +127,4 @@ let holders t r =
 let waiting t r =
   match Hashtbl.find_opt t.table r with None -> [] | Some e -> e.queue
 
-let blocked_txns t =
-  Hashtbl.fold (fun _ e acc -> List.map fst e.queue @ acc) t.table []
-  |> List.sort_uniq Int.compare
-
 let granted_since t _txn = t.last_granted

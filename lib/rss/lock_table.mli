@@ -38,10 +38,6 @@ val release_all : t -> txn -> unit
 
 val holds : t -> txn -> resource -> mode -> bool
 
-val blocked_txns : t -> txn list
-(** Every transaction with a queued (waiting) request, on any resource —
-    test harnesses poll this to sequence cross-session schedules. *)
-
 val holders : t -> resource -> (txn * mode) list
 val waiting : t -> resource -> (txn * mode) list
 val granted_since : t -> txn -> (txn * resource * mode) list

@@ -40,7 +40,6 @@ val horizon : t -> int
     deleter committed at-or-before it are reclaimable. *)
 
 val committed : t -> int -> bool
-val committed_before : t -> snapshot -> int -> bool
 val commit_csn : t -> int -> int option
 
 val visible : t -> snapshot -> xmin:int -> xmax:int -> bool

@@ -62,12 +62,6 @@ let check_slot t slot =
   if slot < 0 || slot >= t.nslots then
     invalid_arg (Printf.sprintf "Page: slot %d out of range (page %d)" slot t.id)
 
-let get t ~slot =
-  check_slot t slot;
-  match t.slots.(slot) with
-  | Live { rel_id; tuple; _ } -> Some (rel_id, tuple)
-  | Dead -> None
-
 let get_v t ~slot =
   check_slot t slot;
   match t.slots.(slot) with
@@ -89,21 +83,6 @@ let set_xmin t ~slot xid =
   | Dead ->
     invalid_arg
       (Printf.sprintf "Page.set_xmin: slot %d is dead (page %d)" slot t.id)
-
-(* Resurrect a Dead slot with its original contents. The transaction undo
-   path restores a deleted tuple at its exact TID so heap TIDs stay in
-   correspondence with the log across rollbacks (a fresh insert would move
-   the tuple and orphan later log records that name it). *)
-let insert_at t ?(xmin = 0) ~slot ~rel_id tuple =
-  check_slot t slot;
-  match t.slots.(slot) with
-  | Live _ ->
-    invalid_arg
-      (Printf.sprintf "Page.insert_at: slot %d is live (page %d)" slot t.id)
-  | Dead ->
-    let bytes = Rel.Tuple.serialized_size tuple in
-    t.slots.(slot) <- Live { rel_id; bytes; tuple; xmin; xmax = 0 };
-    t.used <- t.used + bytes
 
 let delete t ~slot =
   check_slot t slot;

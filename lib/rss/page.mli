@@ -27,18 +27,9 @@ val insert : t -> ?xmin:int -> rel_id:int -> Rel.Tuple.t -> int option
 (** [insert p ~rel_id tup] stores the tuple, returning its slot number, or
     [None] when the page lacks space. [xmin] defaults to 0 (frozen). *)
 
-val insert_at : t -> ?xmin:int -> slot:int -> rel_id:int -> Rel.Tuple.t -> unit
-(** Resurrect a tombstoned slot with its original contents — the transaction
-    undo path restores deleted tuples at their exact TID so heap TIDs stay
-    in correspondence with the log across rollbacks.
-    @raise Invalid_argument when the slot is live or out of range. *)
-
-val get : t -> slot:int -> (int * Rel.Tuple.t) option
-(** [get p ~slot] is [(rel_id, tuple)] for a live slot, [None] for a
-    tombstone. @raise Invalid_argument on an out-of-range slot. *)
-
 val get_v : t -> slot:int -> (int * Rel.Tuple.t * int * int) option
-(** Like {!get} but also returning [(xmin, xmax)]. *)
+(** [get_v p ~slot] is [(rel_id, tuple, xmin, xmax)] for a live slot, [None]
+    for a tombstone. @raise Invalid_argument on an out-of-range slot. *)
 
 val set_xmax : t -> slot:int -> int -> unit
 (** Stamp (or, with 0, clear) the delete-marking txn of a live slot.

@@ -63,10 +63,6 @@ let touch t id =
   | `Hit -> c.Counters.buffer_hits <- c.Counters.buffer_hits + 1
   | `Miss -> c.Counters.page_fetches <- c.Counters.page_fetches + 1
 
-let read_data_page t id =
-  touch t id;
-  data_page t id
-
 let note_page_written t =
   Failpoint.hit "pager.page_write";
   let c = cnt t in

@@ -37,11 +37,9 @@ val data_page : t -> int -> Page.t
 (** Direct access without I/O accounting (page maintenance, recovery).
     @raise Not_found when the id is not a data page. *)
 
-val read_data_page : t -> int -> Page.t
-(** Buffered access: counts a fetch on miss, a hit otherwise. *)
-
 val touch : t -> int -> unit
-(** Buffered access to a non-data page (index node, temp page). *)
+(** Buffered access to a page of any kind: counts a fetch on a miss, a hit
+    otherwise. *)
 
 val note_page_written : t -> unit
 (** Record one page written to a temporary list or sort output. *)

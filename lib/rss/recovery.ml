@@ -1,8 +1,7 @@
 type result = {
-  segment : Segment.t;
+  survivors : (int * Rel.Tuple.t) list;
   committed : Wal.txn list;
   discarded : Wal.txn list;
-  tuples_restored : int;
 }
 
 module Int_set = Set.Make (Int)
@@ -13,7 +12,7 @@ module Int_set = Set.Make (Int)
 let commit_filter = ref true
 let set_commit_filter on = commit_filter := on
 
-let replay pager wal =
+let replay wal =
   let recs = Wal.records wal in
   let committed =
     List.fold_left
@@ -26,9 +25,8 @@ let replay pager wal =
       Int_set.empty recs
   in
   let redo tx = Int_set.mem tx committed || not !commit_filter in
-  let segment = Segment.create pager in
   (* Logical REDO keyed by original TID: inserts register the tuple, deletes
-     retract it; survivors are loaded into the fresh segment in log order. *)
+     retract it; survivors are listed in log order. *)
   let live : (Tid.t * int, int * Rel.Tuple.t) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
   List.iter
@@ -41,17 +39,14 @@ let replay pager wal =
         Hashtbl.remove live (tid, rel_id)
       | Wal.Insert _ | Wal.Delete _ | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ())
     recs;
-  let restored = ref 0 in
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt live key with
-      | Some (rel_id, tuple) ->
-        ignore (Segment.insert segment ~rel_id tuple);
-        incr restored;
-        Hashtbl.remove live key
-      | None -> ())
-    (List.rev !order);
-  { segment;
+  let survivors =
+    List.filter_map
+      (fun key ->
+        let s = Hashtbl.find_opt live key in
+        Hashtbl.remove live key;
+        s)
+      (List.rev !order)
+  in
+  { survivors;
     committed = Int_set.elements committed;
-    discarded = Int_set.elements (Int_set.diff started committed);
-    tuples_restored = !restored }
+    discarded = Int_set.elements (Int_set.diff started committed) }

@@ -1,19 +1,20 @@
 (** Crash recovery by log replay.
 
     REDO-only recovery: the effects of committed transactions are replayed
-    into a fresh segment; records of transactions with no COMMIT (aborted or
-    in flight at the crash) are discarded. Original TIDs are not preserved —
-    tuples are re-inserted — so indexes must be rebuilt afterwards, which the
-    engine's recovery path does. *)
+    logically; records of transactions with no COMMIT (aborted or in flight
+    at the crash) are discarded. Replay allocates no storage: it lists the
+    surviving tuples, and the engine's recovery path inserts them through
+    the catalog, which gives them new TIDs and rebuilds every index. *)
 
 type result = {
-  segment : Segment.t;
+  survivors : (int * Rel.Tuple.t) list;
+      (** [(rel_id, tuple)] of every version the redone transactions left
+          live, in log order *)
   committed : Wal.txn list;
   discarded : Wal.txn list;
-  tuples_restored : int;
 }
 
-val replay : Pager.t -> Wal.t -> result
+val replay : Wal.t -> result
 
 val set_commit_filter : bool -> unit
 (** Debug hook for the crash-torture harness: with the filter off, {!replay}

@@ -51,11 +51,6 @@ let insert t ?xmin ~rel_id tuple =
     in
     find (List.rev t.pages)
 
-let insert_at t ?xmin ~rel_id (tid : Tid.t) tuple =
-  Failpoint.hit "segment.insert";
-  let p = Pager.data_page t.pager tid.page in
-  Page.insert_at p ?xmin ~slot:tid.slot ~rel_id tuple
-
 let delete t (tid : Tid.t) =
   Failpoint.hit "segment.delete";
   let p = Pager.data_page t.pager tid.page in
@@ -72,43 +67,14 @@ let set_xmin t (tid : Tid.t) xid =
   let p = Pager.data_page t.pager tid.page in
   Page.set_xmin p ~slot:tid.slot xid
 
-let fetch t (tid : Tid.t) =
-  let p = Pager.read_data_page t.pager tid.page in
-  Page.get p ~slot:tid.slot
-
-let fetch_v t (tid : Tid.t) =
-  let p = Pager.read_data_page t.pager tid.page in
-  Page.get_v p ~slot:tid.slot
-
-let fetch_unaccounted t (tid : Tid.t) =
-  let p = Pager.data_page t.pager tid.page in
-  Page.get p ~slot:tid.slot
-
 let fetch_unaccounted_v t (tid : Tid.t) =
   let p = Pager.data_page t.pager tid.page in
   Page.get_v p ~slot:tid.slot
 
 (* Repeated-fetch closure with a one-page cache: an index scan in key order
    fetches long runs of tuples from the same (clustered) page, so the
-   page-table lookup behind [fetch] is redundant for all but the first of
-   each run. Page accesses are still charged identically to [fetch]. *)
-let fetcher t =
-  let last_pid = ref (-1) in
-  let last_page = ref None in
-  fun (tid : Tid.t) ->
-    Pager.touch t.pager tid.page;
-    let p =
-      if tid.page = !last_pid then
-        match !last_page with Some p -> p | None -> assert false
-      else begin
-        let p = Pager.data_page t.pager tid.page in
-        last_pid := tid.page;
-        last_page := Some p;
-        p
-      end
-    in
-    Page.get p ~slot:tid.slot
-
+   page-table lookup is redundant for all but the first of each run. Every
+   call is still charged one page access. *)
 let fetcher_v t =
   let last_pid = ref (-1) in
   let last_page = ref None in

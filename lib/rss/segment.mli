@@ -23,11 +23,6 @@ val insert : t -> ?xmin:int -> rel_id:int -> Rel.Tuple.t -> Tid.t
 (** Store a tuple, allocating pages as needed. No I/O is charged: loading is
     not part of any measured query. [xmin] defaults to 0 (frozen). *)
 
-val insert_at : t -> ?xmin:int -> rel_id:int -> Tid.t -> Rel.Tuple.t -> unit
-(** Restore a previously deleted tuple at its exact TID ({!Page.insert_at});
-    used by transaction rollback.
-    @raise Invalid_argument when the TID is live or never existed. *)
-
 val delete : t -> Tid.t -> bool
 (** Physically tombstone a TID (rollback of inserts, VACUUM reclaim). *)
 
@@ -37,22 +32,14 @@ val set_xmax : t -> Tid.t -> int -> unit
 val set_xmin : t -> Tid.t -> int -> unit
 (** Restamp the version's creator (VACUUM freezing uses 0). *)
 
-val fetch : t -> Tid.t -> (int * Rel.Tuple.t) option
-(** Buffered tuple fetch (charges a page access): [(rel_id, tuple)]. *)
-
-val fetch_v : t -> Tid.t -> (int * Rel.Tuple.t * int * int) option
-(** Like {!fetch} with [(xmin, xmax)] version metadata. *)
-
-val fetch_unaccounted : t -> Tid.t -> (int * Rel.Tuple.t) option
-val fetch_unaccounted_v : t -> Tid.t -> (int * Rel.Tuple.t * int * int) option
-
-val fetcher : t -> Tid.t -> (int * Rel.Tuple.t) option
-(** A repeated-fetch closure that caches the last page it resolved, for
-    scans fetching key-ordered runs of tuples from clustered pages.
-    Accounting identical to {!fetch}. *)
-
 val fetcher_v : t -> Tid.t -> (int * Rel.Tuple.t * int * int) option
-(** {!fetcher} with version metadata. *)
+(** A repeated-fetch closure for index scans: [(rel_id, tuple, xmin, xmax)]
+    of a TID, [None] for a tombstone, charging one buffered page access per
+    call. It caches the last page it resolved, since key-ordered runs of
+    TIDs from clustered pages hit the same page. *)
+
+val fetch_unaccounted_v : t -> Tid.t -> (int * Rel.Tuple.t * int * int) option
+(** The same lookup with no accounting (DML rechecks, integrity checks). *)
 
 val page_ids : t -> int list
 (** All pages of the segment, in allocation order. *)

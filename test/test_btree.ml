@@ -12,6 +12,10 @@ let ok = function
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("invariant violated: " ^ msg)
 
+let drain next =
+  let rec go acc = match next () with None -> List.rev acc | Some e -> go (e :: acc) in
+  go []
+
 let test_insert_lookup () =
   let t, _ = fresh ~order:4 () in
   for i = 0 to 199 do
@@ -45,12 +49,12 @@ let test_range_scan () =
   let t, _ = fresh ~order:6 () in
   List.iter (fun i -> B.insert t (key i) (tid i)) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
   let got lo hi =
-    B.range_scan_unaccounted
+    B.range_cursor
       ?lo:(Option.map (fun (v, k) -> ([| V.Int v |], k)) lo)
       ?hi:(Option.map (fun (v, k) -> ([| V.Int v |], k)) hi)
       t
-    |> Seq.map (fun (k, _) -> match k.(0) with V.Int i -> i | _ -> -1)
-    |> List.of_seq
+    |> drain
+    |> List.map (fun (k, _) -> match k.(0) with V.Int i -> i | _ -> -1)
   in
   Alcotest.(check (list int)) "full" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     (got None None);
@@ -71,20 +75,20 @@ let test_composite_prefix_bounds () =
     [ ("SMITH", "SAN JOSE"); ("SMITH", "DENVER"); ("JONES", "DENVER");
       ("ADAMS", "BOSTON"); ("SMITH", "AUSTIN"); ("YOUNG", "DENVER") ];
   let smiths =
-    B.range_scan_unaccounted
-      ~lo:([| V.Str "SMITH" |], `Inclusive)
-      ~hi:([| V.Str "SMITH" |], `Inclusive)
-      t
-    |> List.of_seq
+    drain
+      (B.range_cursor
+         ~lo:([| V.Str "SMITH" |], `Inclusive)
+         ~hi:([| V.Str "SMITH" |], `Inclusive)
+         t)
   in
   Alcotest.(check int) "prefix matches all SMITH" 3 (List.length smiths);
   (* full-key bound *)
   let exact =
-    B.range_scan_unaccounted
-      ~lo:([| V.Str "SMITH"; V.Str "DENVER" |], `Inclusive)
-      ~hi:([| V.Str "SMITH"; V.Str "DENVER" |], `Inclusive)
-      t
-    |> List.of_seq
+    drain
+      (B.range_cursor
+         ~lo:([| V.Str "SMITH"; V.Str "DENVER" |], `Inclusive)
+         ~hi:([| V.Str "SMITH"; V.Str "DENVER" |], `Inclusive)
+         t)
   in
   Alcotest.(check int) "exact composite" 1 (List.length exact)
 
@@ -130,31 +134,35 @@ let test_scan_accounting () =
     B.insert t (key i) (tid i)
   done;
   let c = Rss.Pager.counters pager in
-  Rss.Counters.reset c;
-  Rss.Pager.evict_all pager;
-  let n = Seq.length (B.range_scan t) in
-  Alcotest.(check int) "all entries" 200 n;
-  (* a full scan touches the descent path once plus every leaf page *)
   let leaves = B.leaf_pages t in
-  Alcotest.(check bool) "fetches cover leaves" true
-    (c.Rss.Counters.page_fetches >= leaves);
-  Alcotest.(check bool) "fetches bounded" true
-    (c.Rss.Counters.page_fetches <= leaves + B.height t);
+  (* a full walk in either direction charges every leaf page once *)
+  List.iter
+    (fun (dir, open_cursor) ->
+      Rss.Counters.reset c;
+      Rss.Pager.evict_all pager;
+      Alcotest.(check int) (dir ^ " all entries") 200
+        (List.length (drain (open_cursor t)));
+      Alcotest.(check bool) (dir ^ " fetches cover leaves") true
+        (c.Rss.Counters.page_fetches >= leaves);
+      Alcotest.(check bool) (dir ^ " fetches bounded") true
+        (c.Rss.Counters.page_fetches <= leaves + B.height t))
+    [ ("asc", fun t -> B.range_cursor t); ("desc", fun t -> B.range_cursor_desc t) ];
+  (* the unaccounted listing neither charges a page nor touches the pool *)
   Rss.Counters.reset c;
-  let m = Seq.length (B.range_scan_unaccounted t) in
-  Alcotest.(check int) "unaccounted same entries" 200 m;
-  Alcotest.(check int) "unaccounted free" 0 c.Rss.Counters.page_fetches
+  Alcotest.(check int) "unaccounted same entries" 200 (List.length (B.entries t));
+  Alcotest.(check int) "unaccounted fetches" 0 c.Rss.Counters.page_fetches;
+  Alcotest.(check int) "unaccounted hits" 0 c.Rss.Counters.buffer_hits
 
 let test_desc_scan () =
   let t, _ = fresh ~order:4 () in
   List.iter (fun i -> B.insert t (key i) (tid i)) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
   let got lo hi =
-    B.range_scan_desc_unaccounted
+    B.range_cursor_desc
       ?lo:(Option.map (fun (v, k) -> ([| V.Int v |], k)) lo)
       ?hi:(Option.map (fun (v, k) -> ([| V.Int v |], k)) hi)
       t
-    |> Seq.map (fun (k, _) -> match k.(0) with V.Int i -> i | _ -> -1)
-    |> List.of_seq
+    |> drain
+    |> List.map (fun (k, _) -> match k.(0) with V.Int i -> i | _ -> -1)
   in
   Alcotest.(check (list int)) "full desc" [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ]
     (got None None);
@@ -164,28 +172,112 @@ let test_desc_scan () =
     (got (Some (4, `Inclusive)) (Some (6, `Exclusive)));
   Alcotest.(check (list int)) "empty" [] (got (Some (11, `Inclusive)) None)
 
-let prop_desc_is_reverse_of_asc =
-  QCheck.Test.make ~name:"desc scan reverses asc scan" ~count:150
-    QCheck.(pair (list (int_bound 60)) (pair (int_bound 60) (int_bound 60)))
-    (fun (keys, (a, b)) ->
-      let t, _ = fresh ~order:4 () in
-      List.iteri (fun i k -> B.insert t (key k) (tid i)) keys;
-      let lo = ([| V.Int (min a b) |], `Inclusive) in
-      let hi = ([| V.Int (max a b) |], `Inclusive) in
-      let asc = List.of_seq (B.range_scan_unaccounted ~lo ~hi t) in
-      let desc = List.of_seq (B.range_scan_desc_unaccounted ~lo ~hi t) in
-      (* same multiset; desc keys non-increasing (TID order within a key
-         group may differ between directions) *)
-      let ks =
-        List.map (fun (k, _) -> match k.(0) with V.Int i -> i | _ -> -1) desc
+(* --- the range cursor against a model ----------------------------------- *)
+
+(* Random trees of composite (A, B) keys at small orders, with duplicate
+   keys and deletes, probed with random bounds: absent, a full key or a
+   one-column prefix, inclusive or exclusive. The ascending cursor must
+   yield exactly the model's sorted entry list filtered by the bounds, and
+   the descending cursor its reverse. *)
+type cursor_case = {
+  order : int;
+  inserts : (int * int * int) list;  (* (a, b, TID page) *)
+  deletes : int list;                (* positions into [inserts] *)
+  lo : (int list * bool) option;     (* bound values, inclusive? *)
+  hi : (int list * bool) option;
+}
+
+let cursor_case_gen =
+  QCheck.Gen.(
+    let bound =
+      opt
+        (pair
+           (oneof [ map (fun a -> [ a ]) (int_bound 7);
+                    map2 (fun a b -> [ a; b ]) (int_bound 7) (int_bound 3) ])
+           bool)
+    in
+    map
+      (fun ((order, inserts, deletes), (lo, hi)) ->
+        { order; inserts; deletes; lo; hi })
+      (pair
+         (triple (int_range 4 8)
+            (list_size (int_range 0 150)
+               (triple (int_bound 7) (int_bound 3) (int_bound 30)))
+            (list_size (int_range 0 60) nat))
+         (pair bound bound)))
+
+let show_cursor_case c =
+  let bound = function
+    | None -> "-"
+    | Some (vs, incl) ->
+      Printf.sprintf "%s(%s)" (if incl then "incl" else "excl")
+        (String.concat "," (List.map string_of_int vs))
+  in
+  Printf.sprintf "order=%d inserts=[%s] deletes=[%s] lo=%s hi=%s" c.order
+    (String.concat ";"
+       (List.map (fun (a, b, x) -> Printf.sprintf "%d,%d/%d" a b x) c.inserts))
+    (String.concat ";" (List.map string_of_int c.deletes))
+    (bound c.lo) (bound c.hi)
+
+let prop_cursor_model =
+  QCheck.Test.make ~name:"cursor = bounded sorted-list model" ~count:500
+    (QCheck.make ~print:show_cursor_case cursor_case_gen)
+    (fun c ->
+      let t, _ = fresh ~order:c.order () in
+      let key (a, b, _) = [| V.Int a; V.Int b |] in
+      let tid_of (_, _, x) = { Rss.Tid.page = x; slot = 0 } in
+      List.iter (fun e -> B.insert t (key e) (tid_of e)) c.inserts;
+      let model = ref c.inserts in
+      let n = List.length c.inserts in
+      List.iter
+        (fun i ->
+          let e = List.nth c.inserts (i mod n) in
+          if B.delete t (key e) (tid_of e) then begin
+            (* drop one occurrence of [e] from the model *)
+            let rec drop = function
+              | [] -> failwith "tree deleted an entry the model lacks"
+              | x :: rest -> if x = e then rest else x :: drop rest
+            in
+            model := drop !model
+          end)
+        (if n = 0 then [] else c.deletes);
+      (* a bound compares only on its own length: a prefix bound *)
+      let cmp_prefix vs (a, b, _) =
+        compare vs (List.filteri (fun i _ -> i < List.length vs) [ a; b ])
       in
-      let rec non_increasing = function
-        | a :: (b :: _ as rest) -> a >= b && non_increasing rest
-        | [ _ ] | [] -> true
+      let lo_ok e =
+        match c.lo with
+        | None -> true
+        | Some (vs, incl) ->
+          let d = cmp_prefix vs e in
+          if incl then d <= 0 else d < 0
       in
-      List.length asc = List.length desc
-      && List.sort compare asc = List.sort compare desc
-      && non_increasing ks)
+      let hi_ok e =
+        match c.hi with
+        | None -> true
+        | Some (vs, incl) ->
+          let d = cmp_prefix vs e in
+          if incl then d >= 0 else d > 0
+      in
+      let expected =
+        List.sort compare !model |> List.filter (fun e -> lo_ok e && hi_ok e)
+      in
+      let bound = function
+        | None -> None
+        | Some (vs, incl) ->
+          Some
+            ( Array.of_list (List.map (fun v -> V.Int v) vs),
+              if incl then `Inclusive else `Exclusive )
+      in
+      let lo = bound c.lo and hi = bound c.hi in
+      let as_model (k, (tid : Rss.Tid.t)) =
+        match k with
+        | [| V.Int a; V.Int b |] -> (a, b, tid.page)
+        | _ -> failwith "unexpected key shape"
+      in
+      let asc = List.map as_model (drain (B.range_cursor ?lo ?hi t)) in
+      let desc = List.map as_model (drain (B.range_cursor_desc ?lo ?hi t)) in
+      asc = expected && desc = List.rev expected)
 
 let test_bad_order () =
   let pager = Rss.Pager.create () in
@@ -246,11 +338,11 @@ let prop_model =
         List.sort compare (List.map (fun (k, x) -> (k, (tid x).Rss.Tid.page, (tid x).Rss.Tid.slot)) !model)
       in
       let actual =
-        B.range_scan_unaccounted t
-        |> Seq.map (fun (k, t) ->
+        B.entries t
+        |> List.map (fun (k, t) ->
                ( (match k.(0) with V.Int i -> i | _ -> -1),
                  t.Rss.Tid.page, t.Rss.Tid.slot ))
-        |> List.of_seq |> List.sort compare
+        |> List.sort compare
       in
       expected = actual)
 
@@ -303,4 +395,4 @@ let () =
             test_engine_integration_small_order ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_model; prop_desc_is_reverse_of_asc ] ) ]
+          [ prop_model; prop_cursor_model ] ) ]

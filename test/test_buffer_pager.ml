@@ -46,14 +46,14 @@ let test_pager_counters () =
   let p3 = Rss.Pager.alloc_data_page pager in
   let c = Rss.Pager.counters pager in
   Alcotest.(check int) "no fetches yet" 0 c.Rss.Counters.page_fetches;
-  ignore (Rss.Pager.read_data_page pager (Rss.Page.id p1));
-  ignore (Rss.Pager.read_data_page pager (Rss.Page.id p1));
+  Rss.Pager.touch pager (Rss.Page.id p1);
+  Rss.Pager.touch pager (Rss.Page.id p1);
   Alcotest.(check int) "one fetch" 1 c.Rss.Counters.page_fetches;
   Alcotest.(check int) "one hit" 1 c.Rss.Counters.buffer_hits;
-  ignore (Rss.Pager.read_data_page pager (Rss.Page.id p2));
-  ignore (Rss.Pager.read_data_page pager (Rss.Page.id p3));
+  Rss.Pager.touch pager (Rss.Page.id p2);
+  Rss.Pager.touch pager (Rss.Page.id p3);
   (* p1 evicted by p3 (capacity 2) *)
-  ignore (Rss.Pager.read_data_page pager (Rss.Page.id p1));
+  Rss.Pager.touch pager (Rss.Page.id p1);
   Alcotest.(check int) "four fetches" 4 c.Rss.Counters.page_fetches;
   Rss.Pager.note_rsi_call pager;
   Rss.Pager.note_page_written pager;

@@ -59,18 +59,27 @@ let test_index_errors () =
    | _ -> Alcotest.fail "duplicate index accepted"
    | exception Invalid_argument _ -> ())
 
-let test_delete_tuples_maintains_indexes () =
+let test_delete_maintains_indexes () =
   let cat, emp = setup () in
   let idx = Catalog.create_index cat ~name:"EMP_DNO" ~rel:emp ~columns:[ "DNO" ] ~clustered:false in
   load cat emp 100;
-  let n =
-    Catalog.delete_tuples cat emp (fun t ->
-        match T.get t 1 with V.Int d -> d = 3 | _ -> false)
+  let victims =
+    List.filter
+      (fun (_, t, _, _) -> match T.get t 1 with V.Int d -> d = 3 | _ -> false)
+      (Catalog.scan_versions emp)
   in
-  Alcotest.(check int) "deleted" 10 n;
+  let deleted =
+    List.filter (fun (tid, t, _, _) -> Catalog.delete_tid cat emp tid t) victims
+  in
+  Alcotest.(check int) "deleted" 10 (List.length deleted);
   Alcotest.(check int) "index shrunk" 90 (Rss.Btree.entry_count idx.Catalog.btree);
   Alcotest.(check int) "lookup gone" 0
-    (List.length (Rss.Btree.lookup idx.Catalog.btree [| V.Int 3 |]))
+    (List.length (Rss.Btree.lookup idx.Catalog.btree [| V.Int 3 |]));
+  Alcotest.(check int) "heap shrunk" 90 (List.length (Catalog.scan_versions emp));
+  (* a dead slot is reported and leaves the indexes alone *)
+  let tid, t, _, _ = List.hd victims in
+  Alcotest.(check bool) "already dead" false (Catalog.delete_tid cat emp tid t);
+  Alcotest.(check int) "index unchanged" 90 (Rss.Btree.entry_count idx.Catalog.btree)
 
 let test_schema_mismatch_rejected () =
   let cat, emp = setup () in
@@ -163,7 +172,7 @@ let () =
           Alcotest.test_case "bulk load existing" `Quick test_index_bulk_load_existing;
           Alcotest.test_case "index errors" `Quick test_index_errors;
           Alcotest.test_case "delete maintains indexes" `Quick
-            test_delete_tuples_maintains_indexes;
+            test_delete_maintains_indexes;
           Alcotest.test_case "schema mismatch" `Quick test_schema_mismatch_rejected ] );
       ( "statistics",
         [ Alcotest.test_case "update statistics" `Quick test_update_statistics;

@@ -150,15 +150,21 @@ let test_logged_workload_recovers () =
   let log_bytes = Rss.Wal.to_bytes wal in
   let db2 = Database.create () in
   let cat2 = Database.catalog db2 in
-  let result = Rss.Recovery.replay (Catalog.pager cat2) (Rss.Wal.of_bytes log_bytes) in
-  Alcotest.(check int) "restored" 200 result.Rss.Recovery.tuples_restored;
-  (* register the recovered segment as a relation and index it *)
-  let r2 =
-    Catalog.create_relation ~segment:result.Rss.Recovery.segment cat2 ~name:"R"
-      ~schema
-  in
+  let result = Rss.Recovery.replay (Rss.Wal.of_bytes log_bytes) in
+  let survivors = result.Rss.Recovery.survivors in
+  Alcotest.(check int) "restored" 200 (List.length survivors);
+  Alcotest.(check bool) "survivors in log order" true
+    (List.mapi (fun k _ -> k) survivors
+     = List.map (fun (_, t) -> match T.get t 0 with V.Int k -> k | _ -> -1) survivors);
+  (* reload the survivors into a fresh relation and index it *)
+  let r2 = Catalog.create_relation cat2 ~name:"R" ~schema in
   Alcotest.(check int) "rel id preserved by replay order" r.Catalog.rel_id
     r2.Catalog.rel_id;
+  List.iter
+    (fun (rel_id, t) ->
+      Alcotest.(check int) "survivor rel id" r.Catalog.rel_id rel_id;
+      ignore (Catalog.insert_tuple cat2 r2 t))
+    survivors;
   ignore (Catalog.create_index cat2 ~name:"R_K" ~rel:r2 ~columns:[ "K" ] ~clustered:true);
   Catalog.update_statistics cat2;
   let out = Database.query db2 "SELECT VAL FROM R WHERE K = 144" in
@@ -219,7 +225,7 @@ let test_recovery_rebuilds_index () =
   let entry_tids db =
     match Catalog.find_index (Database.catalog db) "R_K" with
     | Some idx ->
-      List.of_seq (Rss.Btree.range_scan_unaccounted idx.Catalog.btree)
+      Rss.Btree.entries idx.Catalog.btree
       |> List.map snd
       |> List.sort Rss.Tid.compare
     | None -> Alcotest.fail "R_K missing"
@@ -248,12 +254,52 @@ let test_recovery_rebuilds_index () =
   Alcotest.(check int) "deleted rows stay deleted" 0
     (List.length (rows (Database.query db2 "SELECT VAL FROM R WHERE K = 3")))
 
+(* Recovery allocates storage only for the tuples it reloads: replay lists
+   the survivors instead of staging them in a scratch segment of the live
+   pager, whose pages nothing would ever free. Page ids come from one
+   counter, so the ids a recover consumes must equal the pages the reloaded
+   relations' segments gained (the tables carry no index, whose splits
+   would draw ids too). Repeated recovers must not grow the pager. *)
+let test_recover_allocates_only_reloaded_pages () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE A (K INT, S STRING);
+CREATE TABLE B (K INT);");
+  for k = 0 to 399 do
+    ignore
+      (Database.exec db
+         (Printf.sprintf "INSERT INTO A VALUES (%d, 'row-%04d')" k k));
+    if k mod 2 = 0 then
+      ignore (Database.exec db (Printf.sprintf "INSERT INTO B VALUES (%d)" k))
+  done;
+  ignore (Database.exec db "DELETE FROM A WHERE K < 100");
+  let cat = Database.catalog db in
+  let pager = Catalog.pager cat in
+  let segment_pages () =
+    List.fold_left
+      (fun acc r -> acc + List.length (Rss.Segment.page_ids r.Catalog.segment))
+      0 (Catalog.relations cat)
+  in
+  for round = 1 to 3 do
+    let bytes = Rss.Wal.to_bytes (Database.wal db) in
+    let pages_before = segment_pages () in
+    let id_before = Rss.Pager.alloc_page_id pager in
+    Alcotest.(check int) "survivors" 500 (Database.recover db bytes);
+    let consumed = Rss.Pager.alloc_page_id pager - id_before - 1 in
+    let gained = segment_pages () - pages_before in
+    Alcotest.(check bool) "the reload needs pages" true (gained > 0);
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: page ids consumed = segment pages gained" round)
+      gained consumed
+  done
+
 (* Shrunk reproducer from the crash-torture harness: INSERT then DELETE of
    the same row inside one rolled-back transaction. The undo ran newest-first
    — re-inserting the deleted row at a fresh TID, then failing to remove it
    when undoing the insert (the original TID was already dead) — leaving a
-   phantom row. Fixed by restoring deleted tuples at their exact TID
-   (Catalog.insert_tuple_at). *)
+   phantom row. Fixed by making undo TID-stable: undoing a delete now clears
+   the version's xmax (Catalog.unmark_delete) instead of re-inserting it. *)
 let test_rollback_insert_delete_same_row () =
   let db = Database.create () in
   ignore
@@ -657,9 +703,8 @@ let test_wal_records_dml () =
   Alcotest.(check int) "inserts" 2 (count (function Rss.Wal.Insert _ -> true | _ -> false));
   Alcotest.(check int) "deletes" 1 (count (function Rss.Wal.Delete _ -> true | _ -> false));
   (* replaying the engine's own log restores exactly the committed state *)
-  let pager = Rss.Pager.create () in
-  let result = Rss.Recovery.replay pager (Rss.Wal.of_bytes (Rss.Wal.to_bytes (Database.wal db))) in
-  Alcotest.(check int) "replay survivors" 1 result.Rss.Recovery.tuples_restored
+  let result = Rss.Recovery.replay (Rss.Wal.of_bytes (Rss.Wal.to_bytes (Database.wal db))) in
+  Alcotest.(check int) "replay survivors" 1 (List.length result.Rss.Recovery.survivors)
 
 let test_wal_discards_rolled_back () =
   let db = Database.create () in
@@ -668,9 +713,8 @@ let test_wal_discards_rolled_back () =
   ignore (Database.exec db "INSERT INTO T VALUES (7)");
   ignore (Database.exec db "ROLLBACK");
   ignore (Database.exec db "INSERT INTO T VALUES (8)");
-  let pager = Rss.Pager.create () in
-  let result = Rss.Recovery.replay pager (Database.wal db) in
-  Alcotest.(check int) "only committed row" 1 result.Rss.Recovery.tuples_restored;
+  let result = Rss.Recovery.replay (Database.wal db) in
+  Alcotest.(check int) "only committed row" 1 (List.length result.Rss.Recovery.survivors);
   Alcotest.(check int) "one aborted txn discarded" 1
     (List.length result.Rss.Recovery.discarded)
 
@@ -887,7 +931,9 @@ let () =
           Alcotest.test_case "integrity checker" `Quick
             test_check_integrity_after_dml;
           Alcotest.test_case "recovery rebuilds indexes over new TIDs" `Quick
-            test_recovery_rebuilds_index ] );
+            test_recovery_rebuilds_index;
+          Alcotest.test_case "recover allocates only reloaded pages" `Quick
+            test_recover_allocates_only_reloaded_pages ] );
       ( "workload",
         [ Alcotest.test_case "zipf generator" `Quick test_zipf_workload ] );
       ( "snapshot",

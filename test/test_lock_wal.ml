@@ -434,23 +434,16 @@ let test_recovery_redo_committed_only () =
       W.Begin 2;
       W.Insert { txn = 2; rel_id = 0; tid = tid 1 0; tuple = t2 } ];
   (* txn 2 never committed: crash *)
-  let pager = Rss.Pager.create () in
-  let result = Rss.Recovery.replay pager wal in
+  let result = Rss.Recovery.replay wal in
   Alcotest.(check (list int)) "committed" [ 1 ] result.Rss.Recovery.committed;
   Alcotest.(check (list int)) "discarded" [ 2 ] result.Rss.Recovery.discarded;
-  Alcotest.(check int) "one survivor" 1 result.Rss.Recovery.tuples_restored;
-  let rows =
-    Rss.Scan.to_list
-      (Rss.Scan.open_segment_scan result.Rss.Recovery.segment ~rel_id:0 ())
-  in
-  (match rows with
-   | [ (_, t) ] -> Alcotest.(check bool) "kept tuple" true (T.equal t t1)
+  (match result.Rss.Recovery.survivors with
+   | [ (0, t) ] -> Alcotest.(check bool) "kept tuple" true (T.equal t t1)
    | _ -> Alcotest.fail "expected exactly the committed insert")
 
 let test_recovery_empty_log () =
-  let pager = Rss.Pager.create () in
-  let result = Rss.Recovery.replay pager (W.create ()) in
-  Alcotest.(check int) "nothing" 0 result.Rss.Recovery.tuples_restored
+  let result = Rss.Recovery.replay (W.create ()) in
+  Alcotest.(check int) "nothing" 0 (List.length result.Rss.Recovery.survivors)
 
 let () =
   Alcotest.run "lock_wal"

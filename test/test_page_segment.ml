@@ -10,8 +10,8 @@ let test_page_insert_get () =
   let s0 = Option.get (Rss.Page.insert p ~rel_id:1 (tup 0)) in
   let s1 = Option.get (Rss.Page.insert p ~rel_id:2 (tup 1)) in
   Alcotest.(check int) "slots distinct" 1 (abs (s1 - s0));
-  (match Rss.Page.get p ~slot:s0 with
-   | Some (rid, t) ->
+  (match Rss.Page.get_v p ~slot:s0 with
+   | Some (rid, t, _, _) ->
      Alcotest.(check int) "rel id" 1 rid;
      Alcotest.(check bool) "tuple" true (T.equal t (tup 0))
    | None -> Alcotest.fail "slot 0 missing");
@@ -37,10 +37,10 @@ let test_page_delete_tombstones () =
   let s1 = Option.get (Rss.Page.insert p ~rel_id:0 (tup 1)) in
   Alcotest.(check bool) "delete live" true (Rss.Page.delete p ~slot:s0);
   Alcotest.(check bool) "delete dead" false (Rss.Page.delete p ~slot:s0);
-  (match Rss.Page.get p ~slot:s1 with
-   | Some (_, t) -> Alcotest.(check bool) "s1 intact" true (T.equal t (tup 1))
+  (match Rss.Page.get_v p ~slot:s1 with
+   | Some (_, t, _, _) -> Alcotest.(check bool) "s1 intact" true (T.equal t (tup 1))
    | None -> Alcotest.fail "survivor lost");
-  Alcotest.(check bool) "tombstone reads None" true (Rss.Page.get p ~slot:s0 = None);
+  Alcotest.(check bool) "tombstone reads None" true (Rss.Page.get_v p ~slot:s0 = None);
   Alcotest.(check int) "live count" 1 (List.length (Rss.Page.live_tuples p));
   Alcotest.(check bool) "not empty" false (Rss.Page.is_empty p);
   ignore (Rss.Page.delete p ~slot:s1);
@@ -63,8 +63,8 @@ let test_segment_insert_fetch () =
     (List.length (Rss.Segment.page_ids seg) > 1);
   List.iteri
     (fun i tid ->
-      match Rss.Segment.fetch_unaccounted seg tid with
-      | Some (rid, t) ->
+      match Rss.Segment.fetch_unaccounted_v seg tid with
+      | Some (rid, t, _, _) ->
         if rid <> 3 || not (T.equal t (tup i)) then Alcotest.fail "wrong tuple"
       | None -> Alcotest.fail "missing tuple")
     tids;
@@ -103,7 +103,7 @@ let test_segment_delete () =
   let seg = Rss.Segment.create pager in
   let tid = Rss.Segment.insert seg ~rel_id:1 (tup 0) in
   Alcotest.(check bool) "delete" true (Rss.Segment.delete seg tid);
-  Alcotest.(check bool) "gone" true (Rss.Segment.fetch_unaccounted seg tid = None);
+  Alcotest.(check bool) "gone" true (Rss.Segment.fetch_unaccounted_v seg tid = None);
   Alcotest.(check int) "count" 0 (Rss.Segment.tuple_count seg ~rel_id:1)
 
 let () =

@@ -229,7 +229,12 @@ let test_split_range () =
     Rss.Btree.insert bt [| V.Int (i mod 300) |]
       { Rss.Tid.page = i; slot = 0 }
   done;
-  let whole = List.of_seq (Rss.Btree.range_scan_unaccounted bt) in
+  let scan ?lo ?hi () =
+    let next = Rss.Btree.range_cursor ?lo ?hi bt in
+    let rec go acc = match next () with None -> List.rev acc | Some e -> go (e :: acc) in
+    go []
+  in
+  let whole = scan () in
   List.iter
     (fun parts ->
       let ranges = Rss.Btree.split_range bt ~parts in
@@ -237,24 +242,15 @@ let test_split_range () =
         (Printf.sprintf "parts=%d count" parts)
         true
         (List.length ranges >= 1 && List.length ranges <= parts);
-      let pieces =
-        List.concat_map
-          (fun (lo, hi) ->
-            List.of_seq (Rss.Btree.range_scan_unaccounted ?lo ?hi bt))
-          ranges
-      in
+      let pieces = List.concat_map (fun (lo, hi) -> scan ?lo ?hi ()) ranges in
       if pieces <> whole then
         Alcotest.failf "parts=%d concatenation differs from full scan" parts)
     [ 1; 2; 4; 8; 64 ];
   (* splitting a bounded range stays inside the bounds *)
   let lo = ([| V.Int 50 |], `Inclusive) and hi = ([| V.Int 250 |], `Exclusive) in
-  let bounded = List.of_seq (Rss.Btree.range_scan_unaccounted ~lo ~hi bt) in
+  let bounded = scan ~lo ~hi () in
   let ranges = Rss.Btree.split_range ~lo ~hi bt ~parts:4 in
-  let pieces =
-    List.concat_map
-      (fun (lo, hi) -> List.of_seq (Rss.Btree.range_scan_unaccounted ?lo ?hi bt))
-      ranges
-  in
+  let pieces = List.concat_map (fun (lo, hi) -> scan ?lo ?hi ()) ranges in
   Alcotest.(check bool) "bounded concatenation" true (pieces = bounded)
 
 (* --- cost model and EXPLAIN ---------------------------------------------- *)
