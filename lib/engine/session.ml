@@ -219,25 +219,35 @@ let wrap f =
 
 (* --- locking ------------------------------------------------------------- *)
 
-(* Acquire [mode] on [resource] for [txn_id], waiting (in shared mode)
-   while the request is blocked: the request is queued by the lock table,
-   the session sleeps on the engine's condition variable (releasing the
-   write latch), and each release_all broadcast re-checks whether the
+let describe_resource (rel : Catalog.relation) = function
+  | Rss.Lock_table.Relation _ -> Printf.sprintf "relation %s" rel.Catalog.rel_name
+  | Rss.Lock_table.Tuple_of (_, tid) ->
+    Printf.sprintf "tuple %d.%d of %s" tid.Rss.Tid.page tid.Rss.Tid.slot
+      rel.Catalog.rel_name
+
+(* Acquire [mode] on [resource] of [rel] for [txn_id], waiting (in shared
+   mode) while the request is blocked: the request is queued by the lock
+   table, the session sleeps on the engine's condition variable (releasing
+   the write latch), and each release_all broadcast re-checks whether the
    queued request was promoted. Deadlocks are detected at request time and
    surface as an error, failing the statement — an implicit transaction
    rolls back, an explicit one stays open for the client to ROLLBACK.
-   Unlatched (embedded or the fuzz scheduler), a blocked request errors
-   immediately — there is no second domain to release the lock. *)
-let acquire_resource s txn_id resource ~what mode =
+   Unlatched (embedded or the fuzz scheduler), a blocked request is
+   withdrawn and errors immediately — there is no second domain to release
+   the lock. The resource is described only on those error paths. *)
+let acquire_resource s txn_id rel resource mode =
   let eng = s.eng in
   match Rss.Lock_table.acquire eng.Engine.locks txn_id resource mode with
   | Rss.Lock_table.Granted -> ()
   | Rss.Lock_table.Deadlock cycle ->
-    err "deadlock on %s (transactions %s)" what
+    err "deadlock on %s (transactions %s)" (describe_resource rel resource)
       (String.concat " -> " (List.map string_of_int cycle))
   | Rss.Lock_table.Blocked _ ->
-    if not (Engine.latched eng) then
-      err "%s is locked by another transaction" what
+    if not (Engine.latched eng) then begin
+      Rss.Lock_table.withdraw eng.Engine.locks txn_id resource;
+      err "%s is locked by another transaction"
+        (describe_resource rel resource)
+    end
     else begin
       Engine.note_blocked eng;
       while not (Rss.Lock_table.holds eng.Engine.locks txn_id resource mode) do
@@ -246,17 +256,11 @@ let acquire_resource s txn_id resource ~what mode =
     end
 
 let acquire_rel_lock s txn_id (rel : Catalog.relation) mode =
-  acquire_resource s txn_id
-    (Rss.Lock_table.Relation rel.Catalog.rel_id)
-    ~what:(Printf.sprintf "relation %s" rel.Catalog.rel_name)
-    mode
+  acquire_resource s txn_id rel (Rss.Lock_table.Relation rel.Catalog.rel_id) mode
 
 let acquire_tuple_x s txn_id (rel : Catalog.relation) (tid : Rss.Tid.t) =
-  acquire_resource s txn_id
+  acquire_resource s txn_id rel
     (Rss.Lock_table.Tuple_of (rel.Catalog.rel_id, tid))
-    ~what:
-      (Printf.sprintf "tuple %d.%d of %s" tid.Rss.Tid.page tid.Rss.Tid.slot
-         rel.Catalog.rel_name)
     Rss.Lock_table.Exclusive
 
 let release_txn_locks s txn_id =

@@ -36,8 +36,9 @@
    every predicted conflict by immediately rolling the transaction back on
    both sides, re-converging engine and model. After the schedule drains,
    the driver closes both sessions (aborting open transactions), audits
-   every table against the model's committed state, runs VACUUM (count
-   checked), re-audits, and cross-checks heap/index integrity. An engine
+   every table against the model's committed state and the lock table for
+   leftover entries, runs VACUUM (count checked), re-audits, and
+   cross-checks heap/index integrity. An engine
    exception other than Session.Error is a divergence too, so it is shrunk
    and reported with a reproducer like any other. *)
 
@@ -431,6 +432,13 @@ let run (h : history) : divergence option =
             (String.concat "; " expected)
             (String.concat "; " actual))
       h.scenario.Fuzz_gen.tables;
+    (* no transaction is open here, so no lock may be held or awaited *)
+    let live = Rss.Lock_table.length eng.Engine.locks in
+    if live <> 0 then
+      diverge step (-1) "(lock table)"
+        (phase ^ ": lock entries outlive their transactions")
+        "0 entries"
+        (Printf.sprintf "%d entries" live);
     match Database.check_integrity db with
     | Ok () -> ()
     | Error msg ->

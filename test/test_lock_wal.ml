@@ -156,7 +156,15 @@ let test_release_grant_arrival_order () =
   L.release_all lt 2;
   L.release_all lt 3;
   Alcotest.(check bool) "t4 granted after both readers leave" true
-    (L.holds lt 4 (rel 0) L.Exclusive)
+    (L.holds lt 4 (rel 0) L.Exclusive);
+  (* across resources, grants follow the releaser's acquisition order *)
+  ignore (L.acquire lt 5 (rel 1) L.Exclusive);
+  ignore (L.acquire lt 5 (rel 2) L.Exclusive);
+  ignore (L.acquire lt 6 (rel 2) L.Shared);
+  ignore (L.acquire lt 7 (rel 1) L.Shared);
+  L.release_all lt 5;
+  Alcotest.(check (list int)) "t7 (rel 1) before t6 (rel 2)" [ 7; 6 ]
+    (List.rev_map (fun (w, _, _) -> w) (L.granted_since lt 5))
 
 (* A three-transaction cycle across mixed granularities: t1 waits on t2's
    tuple lock, t2 waits on t3's relation lock, and t3 closing the loop on
@@ -184,6 +192,220 @@ let test_deadlock_three_txns_mixed_resources () =
            true (List.mem tx cycle))
        [ 1; 2; 3 ]
    | _ -> Alcotest.fail "expected a three-transaction deadlock")
+
+(* --- model test: the full-scan lock table as reference ------------------- *)
+
+(* The lock table before releases were indexed per transaction: every entry
+   ever created stays, and release_all filters and promotes all of them.
+   Acquire and promotion are the same rules; [withdraw] is spelled out the
+   same full-scan way. *)
+module Model = struct
+  type entry = {
+    mutable holders : (L.txn * L.mode) list;
+    mutable queue : (L.txn * L.mode) list;
+  }
+
+  type t = {
+    table : (L.resource, entry) Hashtbl.t;
+    waits_for : (L.txn, L.txn list) Hashtbl.t;
+    mutable last_granted : (L.txn * L.resource * L.mode) list;
+  }
+
+  let create () =
+    { table = Hashtbl.create 8; waits_for = Hashtbl.create 8; last_granted = [] }
+
+  let entry t r =
+    match Hashtbl.find_opt t.table r with
+    | Some e -> e
+    | None ->
+      let e = { holders = []; queue = [] } in
+      Hashtbl.replace t.table r e;
+      e
+
+  let conflicting_holders e txn mode =
+    List.filter_map
+      (fun (h, hm) ->
+        if h = txn || (mode = L.Shared && hm = L.Shared) then None else Some h)
+      e.holders
+
+  let find_cycle t waiter blockers =
+    let rec reachable seen tx =
+      if tx = waiter then Some (List.rev (tx :: seen))
+      else if List.mem tx seen then None
+      else
+        List.find_map (reachable (tx :: seen))
+          (Option.value (Hashtbl.find_opt t.waits_for tx) ~default:[])
+    in
+    List.find_map (reachable []) blockers
+
+  let grant e txn mode =
+    e.holders <- (txn, mode) :: List.filter (fun (h, _) -> h <> txn) e.holders
+
+  let acquire t txn r mode =
+    let e = entry t r in
+    match List.assoc_opt txn e.holders with
+    | Some held when held = mode || held = L.Exclusive -> L.Granted
+    | held ->
+      let want = if held = Some L.Shared then L.Exclusive else mode in
+      let conflicts = conflicting_holders e txn want in
+      let queued_ahead =
+        List.filter_map (fun (w, _) -> if w = txn then None else Some w) e.queue
+      in
+      if conflicts = [] && queued_ahead = [] then (grant e txn want; L.Granted)
+      else
+        let blockers = conflicts @ queued_ahead in
+        match find_cycle t txn blockers with
+        | Some cycle -> L.Deadlock cycle
+        | None ->
+          e.queue <- e.queue @ [ (txn, want) ];
+          Hashtbl.replace t.waits_for txn
+            (blockers
+            @ Option.value (Hashtbl.find_opt t.waits_for txn) ~default:[]);
+          L.Blocked blockers
+
+  let promote t r e =
+    let rec go () =
+      match e.queue with
+      | (w, wm) :: rest when conflicting_holders e w wm = [] ->
+        e.queue <- rest;
+        grant e w wm;
+        Hashtbl.remove t.waits_for w;
+        t.last_granted <- (w, r, wm) :: t.last_granted;
+        go ()
+      | _ -> ()
+    in
+    go ()
+
+  let release_all t txn =
+    Hashtbl.remove t.waits_for txn;
+    t.last_granted <- [];
+    Hashtbl.iter
+      (fun r e ->
+        e.holders <- List.filter (fun (h, _) -> h <> txn) e.holders;
+        e.queue <- List.filter (fun (w, _) -> w <> txn) e.queue;
+        promote t r e)
+      t.table
+
+  let withdraw t txn r =
+    t.last_granted <- [];
+    let e = entry t r in
+    e.queue <- List.filter (fun (w, _) -> w <> txn) e.queue;
+    let waiting = ref false in
+    Hashtbl.iter
+      (fun _ e -> if List.mem_assoc txn e.queue then waiting := true)
+      t.table;
+    if not !waiting then Hashtbl.remove t.waits_for txn;
+    promote t r e
+
+  let get t r f =
+    match Hashtbl.find_opt t.table r with None -> [] | Some e -> f e
+
+  let holds t txn r mode =
+    match List.assoc_opt txn (get t r (fun e -> e.holders)) with
+    | Some L.Exclusive -> true
+    | Some L.Shared -> mode = L.Shared
+    | None -> false
+
+  let live t =
+    Hashtbl.fold
+      (fun _ e n -> if e.holders = [] && e.queue = [] then n else n + 1)
+      t.table 0
+end
+
+(* Seeded random acquire / release_all / withdraw sequences over 3–5
+   transactions and a few relation and tuple resources, S and X: after
+   every step the indexed table must agree with the full-scan model on the
+   outcome, holds, holders, waiting and (as multisets) granted_since, and
+   keep exactly the entries something holds or awaits. *)
+let test_model_random_sequences () =
+  let rng = Random.State.make [| 2020 |] in
+  let resources =
+    [| rel 0; rel 1;
+       L.Tuple_of (0, { Rss.Tid.page = 1; slot = 0 });
+       L.Tuple_of (0, { Rss.Tid.page = 1; slot = 1 });
+       L.Tuple_of (1, { Rss.Tid.page = 2; slot = 0 }) |]
+  in
+  let seen = Hashtbl.create 8 in
+  let note what = Hashtbl.replace seen what () in
+  for run = 1 to 300 do
+    let lt = L.create () and m = Model.create () in
+    let ntx = 3 + Random.State.int rng 3 in
+    for step = 1 to 60 do
+      let txn = 1 + Random.State.int rng ntx in
+      let r = resources.(Random.State.int rng (Array.length resources)) in
+      let fail fmt =
+        Alcotest.failf ("run %d step %d: " ^^ fmt) run step
+      in
+      (match Random.State.int rng 10 with
+       | 0 | 1 ->
+         L.release_all lt txn;
+         Model.release_all m txn;
+         if L.granted_since lt txn <> [] then note "promotion"
+       | 2 ->
+         L.withdraw lt txn r;
+         Model.withdraw m txn r;
+         note "withdraw"
+       | _ ->
+         let mode = if Random.State.bool rng then L.Shared else L.Exclusive in
+         if L.holds lt txn r L.Shared && mode = L.Exclusive then note "upgrade";
+         let got = L.acquire lt txn r mode in
+         if got <> Model.acquire m txn r mode then fail "acquire outcomes differ";
+         note
+           (match got with
+            | L.Granted -> "granted"
+            | L.Blocked _ -> "blocked"
+            | L.Deadlock _ -> "deadlock"));
+      Array.iter
+        (fun r ->
+          if L.holders lt r <> Model.get m r (fun e -> e.Model.holders) then
+            fail "holders differ";
+          if L.waiting lt r <> Model.get m r (fun e -> e.Model.queue) then
+            fail "waiting differs";
+          for tx = 1 to ntx do
+            List.iter
+              (fun mode ->
+                if L.holds lt tx r mode <> Model.holds m tx r mode then
+                  fail "holds differs for t%d" tx)
+              [ L.Shared; L.Exclusive ]
+          done)
+        resources;
+      if List.sort compare (L.granted_since lt txn)
+         <> List.sort compare m.Model.last_granted
+      then fail "granted_since differs";
+      if L.length lt <> Model.live m then
+        fail "%d live entries, model has %d" (L.length lt) (Model.live m)
+    done
+  done;
+  List.iter
+    (fun what ->
+      if not (Hashtbl.mem seen what) then
+        Alcotest.failf "the random sequences never hit %s" what)
+    [ "granted"; "blocked"; "deadlock"; "upgrade"; "promotion"; "withdraw" ]
+
+(* Entries live exactly as long as a holder or waiter: a Deadlock adds
+   none, releases drop emptied entries, and a withdrawn request leaves
+   nothing behind. *)
+let test_entries_die_with_last_holder () =
+  let lt = L.create () in
+  ignore (L.acquire lt 1 (rel 0) L.Exclusive);
+  ignore (L.acquire lt 2 (rel 1) L.Exclusive);
+  ignore (L.acquire lt 1 (rel 1) L.Exclusive);
+  (match L.acquire lt 2 (rel 0) L.Shared with
+   | L.Deadlock _ -> ()
+   | _ -> Alcotest.fail "t2 closing the loop must deadlock");
+  Alcotest.(check int) "rel 0 and rel 1" 2 (L.length lt);
+  L.release_all lt 2;
+  Alcotest.(check bool) "t1 promoted" true (L.holds lt 1 (rel 1) L.Exclusive);
+  L.release_all lt 1;
+  Alcotest.(check int) "empty after both release" 0 (L.length lt);
+  ignore (L.acquire lt 3 (rel 5) L.Exclusive);
+  (match L.acquire lt 4 (rel 5) L.Shared with
+   | L.Blocked [ 3 ] -> ()
+   | _ -> Alcotest.fail "t4 should queue behind t3");
+  L.withdraw lt 4 (rel 5);
+  Alcotest.(check int) "t4 no longer waits" 0 (List.length (L.waiting lt (rel 5)));
+  L.release_all lt 3;
+  Alcotest.(check int) "withdrawn request left nothing" 0 (L.length lt)
 
 (* --- WAL ------------------------------------------------------------------ *)
 
@@ -462,7 +684,11 @@ let () =
           Alcotest.test_case "release grants in arrival order" `Quick
             test_release_grant_arrival_order;
           Alcotest.test_case "3-txn deadlock, mixed granularity" `Quick
-            test_deadlock_three_txns_mixed_resources ] );
+            test_deadlock_three_txns_mixed_resources;
+          Alcotest.test_case "entries die with their last holder" `Quick
+            test_entries_die_with_last_holder;
+          Alcotest.test_case "random sequences vs full-scan model" `Quick
+            test_model_random_sequences ] );
       ( "wal",
         [ Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail_ignored;

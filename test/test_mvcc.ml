@@ -152,6 +152,65 @@ let test_concurrent_inserts_no_conflict () =
   ignore (tag s2 "COMMIT");
   Alcotest.check msv "both committed" [ "1"; "2" ] (rows s1 "SELECT a FROM t")
 
+(* A refused lock request is withdrawn: s2's explicit transaction keeps
+   running after its UPDATE fails on s1's tuple lock, but the request it
+   queued must not outlive the refusal. Otherwise, once s1 rolls back, the
+   stale request is promoted and s2 silently holds the tuple, so a third
+   writer is refused until s2 ends. *)
+let test_refused_request_is_withdrawn () =
+  let db, s1, s2 =
+    setup "CREATE TABLE T (K INT, V INT); INSERT INTO T VALUES (1, 0), (2, 0);"
+  in
+  let s3 = Session.create (Database.engine db) in
+  ignore (tag s1 "BEGIN");
+  ignore (tag s1 "UPDATE T SET V = 1 WHERE K = 1");
+  ignore (tag s2 "BEGIN");
+  expect_error ~containing:"locked" s2 "UPDATE T SET V = 2 WHERE K = 1";
+  ignore (tag s1 "ROLLBACK");
+  Alcotest.check Alcotest.string "s3 writes while s2 is still open"
+    "1 row updated" (tag s3 "UPDATE T SET V = 3 WHERE K = 1");
+  ignore (tag s2 "ROLLBACK");
+  Alcotest.check msv "s3's write stands" [ "1|3"; "2|0" ]
+    (rows s1 "SELECT K, V FROM T");
+  Alcotest.(check int) "no lock entry left" 0
+    (Rss.Lock_table.length (Database.engine db).Engine.locks)
+
+(* The lock table stays bounded: thousands of transactions, each locking
+   fresh tuples (UPDATE's and DELETE's victims), leave no entry behind once
+   no transaction is open — committed, rolled back or implicit alike. *)
+let test_lock_table_bounded () =
+  let n = 3000 in
+  let values =
+    String.concat ", " (List.init n (fun i -> Printf.sprintf "(%d, 0)" i))
+  in
+  let db, s1, s2 =
+    setup
+      (Printf.sprintf
+         "CREATE TABLE T (K INT, V INT); INSERT INTO T VALUES %s;\n\
+          CREATE INDEX T_K ON T (K);"
+         values)
+  in
+  let locks () = Rss.Lock_table.length (Database.engine db).Engine.locks in
+  for i = 0 to n - 1 do
+    let s = if i mod 2 = 0 then s1 else s2 in
+    match i mod 3 with
+    | 0 ->
+      ignore (tag s "BEGIN");
+      ignore (tag s (Printf.sprintf "UPDATE T SET V = V + 1 WHERE K = %d" i));
+      ignore (tag s (Printf.sprintf "DELETE FROM T WHERE K = %d" i));
+      if locks () = 0 then Alcotest.fail "an open writer holds no lock";
+      ignore (tag s "COMMIT")
+    | 1 ->
+      ignore (tag s "BEGIN");
+      ignore (tag s (Printf.sprintf "DELETE FROM T WHERE K = %d" i));
+      ignore (tag s "ROLLBACK")
+    | _ -> ignore (tag s (Printf.sprintf "UPDATE T SET V = 1 WHERE K = %d" i))
+  done;
+  Alcotest.(check int) "no entry outlives its transaction" 0 (locks ());
+  Alcotest.(check string) "every write landed"
+    (string_of_int (n - (n + 2) / 3))
+    (List.hd (rows s1 "SELECT COUNT(*) FROM T"))
+
 (* --- seeded interleaved-history fuzz smoke ------------------------------- *)
 
 let fail_divergence h (d : Fuzz_mvcc.divergence) =
@@ -215,7 +274,11 @@ let () =
           Alcotest.test_case "VACUUM respects the oldest snapshot" `Quick
             test_vacuum_under_reader;
           Alcotest.test_case "concurrent inserts never conflict" `Quick
-            test_concurrent_inserts_no_conflict ] );
+            test_concurrent_inserts_no_conflict;
+          Alcotest.test_case "a refused lock request is withdrawn" `Quick
+            test_refused_request_is_withdrawn;
+          Alcotest.test_case "lock table empties when no txn is open" `Quick
+            test_lock_table_bounded ] );
       ( "interleaved-fuzz",
         [ Alcotest.test_case "seeded histories vs model oracle" `Slow
             (fuzz_smoke 150 5200) ] ) ]
