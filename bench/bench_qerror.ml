@@ -61,7 +61,7 @@ let fuzz_sweep acc ~scenarios ~queries_per =
     Database.update_statistics db;
     for _ = 1 to queries_per do
       let q = Fuzz_gen.gen_query rng scenario in
-      let block = Database.resolve db (Fuzz_sql.query_to_string q) in
+      let block = Database.resolve db (Ast.to_sql (Ast.Select q)) in
       if block.Semant.scalar_agg || block.Semant.group_by <> [] then
         acc.skipped <- acc.skipped + 1
       else record acc db block

@@ -45,7 +45,7 @@ let () =
        | Fuzz_harness.Agree -> ()
        | Fuzz_harness.Unsupported msg ->
          Printf.eprintf "iteration %d: unsupported statement (generator bug): %s\n%s;\n"
-           i msg (Fuzz_sql.query_to_string q);
+           i msg (Ast.to_sql (Ast.Select q));
          exit 2
        | Fuzz_harness.Diverged d ->
          found := true;

@@ -64,6 +64,10 @@ type t = {
       (* (estimated QCARD, actual rows, q-error, retired a plan) of the most
          recent feedback-observed execution, surfaced by EXPLAIN *)
   mutable active : txn option;
+  mutable aborted : int option;
+      (* the explicit transaction a failed statement aborted: already rolled
+         back, but its block stays open, refusing statements, until
+         COMMIT or ROLLBACK ends it *)
   mutable pending_ack : int option;
       (* group-commit durability ticket of a commit this session performed
          inside the current engine step; the public entry point awaits it
@@ -120,6 +124,7 @@ let create ?(w = Ctx.default_w) ?counters ?(serial_only = false) eng =
       use_feedback = true;
       last_feedback = None;
       active = None;
+      aborted = None;
       pending_ack = None;
       cache_sig = "";
       closed = false }
@@ -147,9 +152,19 @@ let with_engine_read s f =
   Engine.with_read_latch s.eng (fun () ->
       Rss.Pager.with_counters (Engine.pager s.eng) s.counters f)
 
+(* Inside an aborted block (see [with_txn]) every statement but COMMIT and
+   ROLLBACK fails with this one error. *)
+let refuse_if_aborted s =
+  match s.aborted with
+  | Some id ->
+    err "transaction %d is aborted: statements are refused until ROLLBACK" id
+  | None -> ()
+
 (* The MVCC read view of the current statement: the active transaction's
-   snapshot, or a fresh statement snapshot. *)
+   snapshot, or a fresh statement snapshot. Every read takes it, so reads
+   are refused here in an aborted block. *)
 let read_view s =
+  refuse_if_aborted s;
   let m = Engine.mvcc s.eng in
   let snap =
     match s.active with
@@ -204,7 +219,8 @@ let set_plan_cache_validation s on =
 
 let plan_cache_size s = Plan_cache.size (Engine.plan_cache s.eng)
 let in_transaction s =
-  match s.active with Some { explicit_txn; _ } -> explicit_txn | None -> false
+  s.aborted <> None
+  || match s.active with Some { explicit_txn; _ } -> explicit_txn | None -> false
 
 type result =
   | Rows of Executor.output
@@ -230,8 +246,8 @@ let describe_resource (rel : Catalog.relation) = function
    table, the session sleeps on the engine's condition variable (releasing
    the write latch), and each release_all broadcast re-checks whether the
    queued request was promoted. Deadlocks are detected at request time and
-   surface as an error, failing the statement — an implicit transaction
-   rolls back, an explicit one stays open for the client to ROLLBACK.
+   surface as an error, failing the statement — a DML statement aborts its
+   transaction (see [with_txn]).
    Unlatched (embedded or the fuzz scheduler), a blocked request is
    withdrawn and errors immediately — there is no second domain to release
    the lock. The resource is described only on those error paths. *)
@@ -335,28 +351,39 @@ let finish_abort s txn =
   s.active <- None
 
 (* Run [f txn] inside the active transaction, or an implicit auto-committed
-   one. Errors inside an implicit transaction roll its effects back. *)
+   one. A statement that fails aborts its whole transaction at once: the
+   undo, the WAL Abort and the lock release all happen here, so a later
+   COMMIT cannot make half a statement durable. Inside BEGIN the block stays
+   open in the aborted state until COMMIT or ROLLBACK ends it. *)
 let with_txn s f =
-  match s.active with
-  | Some txn -> f txn
-  | None ->
-    let txn = start_txn s ~explicit_txn:false in
-    (match f txn with
-     | v ->
-       finish_commit s txn;
-       v
-     | exception e ->
-       (* undo the partial effects of the failed statement *)
-       finish_abort s txn;
-       raise e)
+  let txn =
+    match s.active with
+    | Some txn -> txn
+    | None -> start_txn s ~explicit_txn:false
+  in
+  match f txn with
+  | v ->
+    if not txn.explicit_txn then finish_commit s txn;
+    v
+  | exception e ->
+    finish_abort s txn;
+    if txn.explicit_txn then s.aborted <- Some txn.txn_id;
+    raise e
 
-(* COMMIT / ROLLBACK end the explicit transaction BEGIN opened *)
-let end_explicit s finish =
-  match s.active with
-  | Some txn when txn.explicit_txn ->
-    finish s txn;
+(* COMMIT / ROLLBACK end the explicit transaction BEGIN opened. An aborted
+   one is already rolled back: ROLLBACK closes its block, and COMMIT closes
+   it too but fails, because nothing was committed. *)
+let end_explicit s ~commit =
+  match s.active, s.aborted with
+  | Some txn, _ when txn.explicit_txn ->
+    (if commit then finish_commit else finish_abort) s txn;
     txn.txn_id
-  | Some _ | None -> err "no transaction is active"
+  | _, Some id ->
+    s.aborted <- None;
+    if commit then
+      err "transaction %d rolled back, not committed: a statement in it failed" id;
+    id
+  | _ -> err "no transaction is active"
 
 (* logged, undoable DML primitives. Writers take the relation Shared (DML
    of different transactions is compatible at relation granularity — DDL
@@ -666,6 +693,7 @@ let explain_cache_line s =
         else float_of_int g.Engine.grouped_commits /. float_of_int g.Engine.flushes))
 
 let exec_stmt s (stmt : Ast.statement) =
+  (match stmt with Ast.Commit | Ast.Rollback -> () | _ -> refuse_if_aborted s);
   match stmt with
   | Ast.Select q -> Rows (query_cached s q)
   | Ast.Explain { search; stmt } ->
@@ -778,10 +806,10 @@ let exec_stmt s (stmt : Ast.statement) =
     let txn = start_txn s ~explicit_txn:true in
     Done (Printf.sprintf "transaction %d started" txn.txn_id)
   | Ast.Commit ->
-    let id = end_explicit s finish_commit in
+    let id = end_explicit s ~commit:true in
     Done (Printf.sprintf "transaction %d committed" id)
   | Ast.Rollback ->
-    let id = end_explicit s finish_abort in
+    let id = end_explicit s ~commit:false in
     Done (Printf.sprintf "transaction %d rolled back" id)
 
 let syntax_error msg off = err "syntax error at offset %d: %s" off msg
@@ -983,6 +1011,7 @@ let recover s bytes =
       let wal = Rss.Wal.of_bytes bytes in
       let result = Rss.Recovery.replay wal in
       s.active <- None;
+      s.aborted <- None;
       eng.Engine.locks <- Rss.Lock_table.create ();
       Plan_cache.clear eng.Engine.plan_cache;
       (* transaction ids stay unique across the crash *)
@@ -1080,6 +1109,6 @@ let execute_prepared s p bindings =
             (Engine.catalog s.eng) p.p_plan.c_result))
 
 let commit s =
-  let id = with_engine s (fun () -> end_explicit s finish_commit) in
+  let id = with_engine s (fun () -> end_explicit s ~commit:true) in
   sync_commit s;
   id

@@ -25,6 +25,11 @@
     DML is logged to the write-ahead log. Without an explicit BEGIN each
     statement auto-commits; BEGIN ... COMMIT/ROLLBACK groups statements, and
     ROLLBACK undoes their effects (storage and indexes) in reverse order.
+    A DML statement that fails inside BEGIN aborts the transaction at once
+    (undo, WAL abort record, lock release). The block stays open: every
+    later statement fails with a "transaction N is aborted" error until
+    ROLLBACK ends it, and a COMMIT ends it with an error saying it rolled
+    back.
     The log can be replayed with {!Rss.Recovery.replay} after a crash
     (committed work only). *)
 
@@ -162,7 +167,9 @@ val run_plan : t -> Optimizer.result -> Executor.output
 val update_statistics : t -> unit
 
 val commit : t -> int
-(** COMMIT the explicit transaction; returns its id. *)
+(** COMMIT the explicit transaction; returns its id.
+    @raise Error when a failed statement aborted it (the block is closed,
+    and nothing committed). *)
 
 (** {2 Integrity & crash recovery} *)
 

@@ -1,7 +1,7 @@
 (* DML statements shared by the MVCC history fuzzer (Fuzz_mvcc) and crash
-   torture (Fuzz_torture): one statement type, its generator, its SQL text
-   (through Fuzz_sql's printers), and a row-level reference semantics that
-   both harnesses' oracles are built from.
+   torture (Fuzz_torture): one statement type, its generator, its
+   Ast.statement (written as SQL by Ast.to_sql), and a row-level reference
+   semantics that both harnesses' oracles are built from.
 
    WHERE clauses are one column compared with a literal (=, <, <=, >, >=),
    a BETWEEN (sometimes an empty one), or absent, so victims are found
@@ -110,30 +110,13 @@ let gen rng (t : Fuzz_gen.table) =
 
 (* --- rendering ------------------------------------------------------------ *)
 
-let where_sql b = function
-  | None -> ()
-  | Some p -> Buffer.add_string b " WHERE "; Fuzz_sql.predicate b p
+let statement = function
+  | Insert (table, values) -> Ast.Insert { table; values }
+  | Update (table, sets, where) -> Ast.Update { table; sets; where }
+  | Delete (table, where) -> Ast.Delete { table; where }
 
 (* The statement followed by ";\n". *)
-let sql d =
-  let b = Buffer.create 64 in
-  (match d with
-   | Insert (t, rows) -> Fuzz_sql.insert_rows b ~name:t rows
-   | Update (t, sets, where) ->
-     Buffer.add_string b ("UPDATE " ^ t ^ " SET ");
-     List.iteri
-       (fun i (c, e) ->
-         if i > 0 then Buffer.add_string b ", ";
-         Buffer.add_string b (c ^ " = ");
-         Fuzz_sql.expr b e)
-       sets;
-     where_sql b where;
-     Buffer.add_string b ";\n"
-   | Delete (t, where) ->
-     Buffer.add_string b ("DELETE FROM " ^ t);
-     where_sql b where;
-     Buffer.add_string b ";\n");
-  Buffer.contents b
+let sql d = Fuzz_harness.script [ statement d ]
 
 (* --- reference semantics -------------------------------------------------- *)
 

@@ -8,6 +8,9 @@
    with [~break_invalidation:true], the intentional fault used to prove the
    harness catches stale-plan corruption).
 
+   Before any of that, the query's SQL text (Ast.to_sql) must parse back to
+   the generated query, or the pair diverges at config "printer".
+
    Results are compared as sorted multisets of rendered rows; ORDER BY is
    verified separately by checking the engine's output is sorted on the
    select-list positions of the order keys (the oracle does not order). *)
@@ -61,20 +64,32 @@ exception Found of divergence
 
 (* --- database construction -------------------------------------------- *)
 
+(* CREATE TABLE for [t], plus an INSERT of [rows] when there are any. *)
+let table_ddl (t : Fuzz_gen.table) rows =
+  Ast.Create_table
+    { table = t.tname;
+      columns =
+        List.map
+          (fun (c : Fuzz_gen.column) -> { Ast.col_name = c.cname; col_ty = c.cty })
+          t.cols }
+  :: (if rows = [] then [] else [ Ast.Insert { table = t.tname; values = rows } ])
+
+(* Statements as a script, one per line. *)
+let script stmts = String.concat "" (List.map (fun s -> Ast.to_sql s ^ ";\n") stmts)
+
 let ddl_script ?(indexes = true) ?(data = true) (s : Fuzz_gen.scenario) =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (t : Fuzz_gen.table) ->
-      Fuzz_sql.create_table b ~name:t.tname
-        ~cols:(List.map (fun (c : Fuzz_gen.column) -> (c.cname, c.cty)) t.cols);
-      if data then Fuzz_sql.insert_rows b ~name:t.tname t.rows;
-      if indexes then
-        List.iter
-          (fun (name, cols, clustered) ->
-            Fuzz_sql.create_index b ~name ~table:t.tname ~cols ~clustered)
-          t.indexes)
-    s.tables;
-  Buffer.contents b
+  script
+    (List.concat_map
+       (fun (t : Fuzz_gen.table) ->
+         table_ddl t (if data then t.rows else [])
+         @
+         if indexes then
+           List.map
+             (fun (index, columns, clustered) ->
+               Ast.Create_index { index; table = t.tname; columns; clustered })
+             t.indexes
+         else [])
+       s.tables)
 
 let build ~indexes (s : Fuzz_gen.scenario) =
   let db = Database.create () in
@@ -160,11 +175,7 @@ let stale_stage db (scenario : Fuzz_gen.scenario) (q : Ast.query) sql st =
     Database.set_plan_cache db true;
     ignore (Database.query db sql);  (* warm the cache and the text memo *)
     ignore (Database.exec db ("DROP TABLE " ^ tname));
-    let b = Buffer.create 256 in
-    Fuzz_sql.create_table b ~name:tname
-      ~cols:(List.map (fun (c : Fuzz_gen.column) -> (c.cname, c.cty)) t.cols);
-    Fuzz_sql.insert_rows b ~name:tname (mutate_rows t);
-    ignore (Database.exec_script db (Buffer.contents b));
+    ignore (Database.exec_script db (script (table_ddl t (mutate_rows t))));
     let block = Database.resolve db sql in
     let expected = multiset (Fuzz_oracle.query (Database.catalog db) block) in
     let out = Database.query db sql in
@@ -182,12 +193,23 @@ let stale_stage db (scenario : Fuzz_gen.scenario) (q : Ast.query) sql st =
 let check ?(break_invalidation = false) ?stats
     (scenario : Fuzz_gen.scenario) (q : Ast.query) : verdict =
   let st = stats in
-  let sql = Fuzz_sql.query_to_string q in
+  let sql = Ast.to_sql (Ast.Select q) in
   let bump_exec () =
     match st with Some s -> s.executions <- s.executions + 1 | None -> ()
   in
   try
     (match st with Some s -> s.queries <- s.queries + 1 | None -> ());
+    (* the text every configuration runs must parse back to the generated
+       query: the SQL writer and the parser are under test too *)
+    let printer got =
+      raise
+        (Found
+           { d_sql = sql; d_config = "printer"; d_detail = "round trip";
+             d_expected = [ sql ]; d_actual = [ got ] })
+    in
+    (match Parser.parse_query sql with
+     | q' -> if q' <> q then printer (Ast.to_sql (Ast.Select q'))
+     | exception Parser.Error (msg, _) -> printer msg);
     List.iter
       (fun indexed ->
         let db = build ~indexes:indexed scenario in
@@ -272,4 +294,4 @@ let check ?(break_invalidation = false) ?stats
 
 (* Reproducer: DDL + data + query as a paste-ready script. *)
 let reproducer (scenario : Fuzz_gen.scenario) (q : Ast.query) =
-  ddl_script ~indexes:true scenario ^ Fuzz_sql.query_to_string q ^ ";\n"
+  ddl_script ~indexes:true scenario ^ script [ Ast.Select q ]

@@ -30,17 +30,17 @@
    - transaction-control misuse (BEGIN inside a txn, COMMIT outside):
      some error, no state change.
 
-   A statement that fails inside an explicit transaction leaves partial
-   marks and 2PL locks behind (statement-level atomicity is the session's
-   caller's job), which the model does not track — so the driver reacts to
-   every predicted conflict by immediately rolling the transaction back on
-   both sides, re-converging engine and model. After the schedule drains,
-   the driver closes both sessions (aborting open transactions), audits
-   every table against the model's committed state and the lock table for
-   leftover entries, runs VACUUM (count checked), re-audits, and
-   cross-checks heap/index integrity. An engine
-   exception other than Session.Error is a divergence too, so it is shrunk
-   and reported with a reproducer like any other. *)
+   A DML statement that fails (a conflict or a rejected SET) inside an
+   explicit transaction aborts it in the model as in the engine: its
+   effects are rolled back, every later statement of the block fails as
+   "aborted", ROLLBACK ends the block and COMMIT ends it with an error. The
+   streams go on after a failure, so some histories COMMIT an aborted
+   transaction. After the schedule drains, the driver rolls back every open
+   or aborted block on both sides, audits every table against the model's
+   committed state and the lock table for leftover entries, runs VACUUM
+   (count checked), re-audits, and cross-checks heap/index integrity. An
+   engine exception other than Session.Error is a divergence too, so it is
+   shrunk and reported with a reproducer like any other. *)
 
 module V = Rel.Value
 
@@ -94,17 +94,18 @@ let gen_history rng =
 
 (* --- rendering ----------------------------------------------------------- *)
 
-let op_sql = function
-  | Begin -> "BEGIN;\n"
-  | Commit -> "COMMIT;\n"
-  | Rollback -> "ROLLBACK;\n"
-  | Dml d -> Fuzz_dml.sql d
-  | Select (t, where) ->
-    Fuzz_sql.query_to_string
-      { Ast.select = [ Ast.Star ]; from = [ (t, None) ]; where;
-        group_by = []; order_by = [] }
-    ^ ";\n"
-  | Vacuum -> "VACUUM;\n"
+let op_sql op =
+  Fuzz_harness.script
+    [ (match op with
+       | Begin -> Ast.Begin_transaction
+       | Commit -> Ast.Commit
+       | Rollback -> Ast.Rollback
+       | Dml d -> Fuzz_dml.statement d
+       | Select (t, where) ->
+         Ast.Select
+           { select = [ Ast.Star ]; from = [ (t, None) ]; where;
+             group_by = []; order_by = [] }
+       | Vacuum -> Ast.Vacuum) ]
 
 (* DDL + seed data + the two streams with their interleaving, paste-ready
    modulo the schedule comment. *)
@@ -245,43 +246,49 @@ type expected =
   | Ok_rows of string list  (* sorted multiset *)
   | Conflict  (* fails with a lock or serialization error *)
   | Misuse  (* fails (txn-control misuse); no state change *)
-  | Rejected of string  (* fails with this message; no state change *)
+  | Rejected of string  (* fails with this message *)
+
+(* A session's transaction in the model: none, open, or aborted by a failed
+   DML statement (already rolled back; the block refuses statements until
+   COMMIT or ROLLBACK ends it). *)
+type mstate = Idle | Open of mtxn | Aborted
 
 (* Apply [op] for session [i] to the model and return what the engine must
-   do. State changes for a Conflict are NOT applied — the driver reacts by
-   rolling back on both sides. *)
-let m_step m (active : mtxn option array) i op : expected =
-  let in_txn f =
-    (* the statement runs in the session's transaction or an implicit
-       auto-committed one *)
-    match active.(i) with
-    | Some txn -> f txn ~implicit:false
-    | None -> f (fresh_mtxn m) ~implicit:true
-  in
-  match op with
-  | Begin ->
-    (match active.(i) with
-     | Some _ -> Misuse
-     | None ->
-       active.(i) <- Some (fresh_mtxn m);
-       Ok_any)
-  | Commit ->
-    (match active.(i) with
-     | Some txn ->
-       m_commit m txn;
-       active.(i) <- None;
-       Ok_any
-     | None -> Misuse)
-  | Rollback ->
-    (match active.(i) with
-     | Some txn ->
-       m_rollback m txn;
-       active.(i) <- None;
-       Ok_any
-     | None -> Misuse)
-  | Dml d ->
+   do. *)
+let m_step m (state : mstate array) i op : expected =
+  match op, state.(i) with
+  | Commit, Aborted ->
+    state.(i) <- Idle;
+    Rejected "rolled back, not committed"
+  | Rollback, Aborted ->
+    state.(i) <- Idle;
+    Ok_any
+  | _, Aborted -> Rejected "is aborted"
+  | Begin, Open _ | (Commit | Rollback), Idle -> Misuse
+  | Begin, Idle ->
+    state.(i) <- Open (fresh_mtxn m);
+    Ok_any
+  | Commit, Open txn ->
+    m_commit m txn;
+    state.(i) <- Idle;
+    Ok_any
+  | Rollback, Open txn ->
+    m_rollback m txn;
+    state.(i) <- Idle;
+    Ok_any
+  | Dml d, st ->
     let cols = Hashtbl.find m.m_schemas (Fuzz_dml.table d) in
     let versions = Hashtbl.find m.m_tables (Fuzz_dml.table d) in
+    (* a failed statement aborts an explicit transaction; an implicit one
+       leaves nothing behind *)
+    let fail expected =
+      (match st with
+       | Open txn ->
+         m_rollback m txn;
+         state.(i) <- Aborted
+       | Idle | Aborted -> ());
+      expected
+    in
     let insert txn rows =
       let vs =
         List.map
@@ -326,20 +333,27 @@ let m_step m (active : mtxn option array) i op : expected =
     in
     (match d with
      | Fuzz_dml.Update (_, sets, _) when Fuzz_dml.rejection cols sets <> None ->
-       Rejected (Option.get (Fuzz_dml.rejection cols sets))
+       fail (Rejected (Option.get (Fuzz_dml.rejection cols sets)))
      | _ ->
-       in_txn (fun txn ~implicit ->
-           match run txn with
-           | None -> Conflict
-           | Some n ->
-             if implicit then m_commit m txn;
-             Ok_tag (Fuzz_dml.tag d n)))
-  | Select (tname, pred) ->
-    (match active.(i) with
-     | Some txn -> Ok_rows (m_rows m tname ~self:txn.mt_id ~snap:txn.mt_snap pred)
-     | None -> Ok_rows (m_rows m tname ~self:0 ~snap:m.m_csn pred))
-  | Vacuum ->
-    Ok_tag (vacuum_tag (m_vacuum m ~active:(List.filter_map Fun.id (Array.to_list active))))
+       (* the statement runs in the session's transaction or an implicit
+          auto-committed one *)
+       let txn, implicit =
+         match st with Open txn -> (txn, false) | Idle | Aborted -> (fresh_mtxn m, true)
+       in
+       (match run txn with
+        | None -> fail Conflict
+        | Some n ->
+          if implicit then m_commit m txn;
+          Ok_tag (Fuzz_dml.tag d n)))
+  | Select (tname, pred), Open txn ->
+    Ok_rows (m_rows m tname ~self:txn.mt_id ~snap:txn.mt_snap pred)
+  | Select (tname, pred), Idle -> Ok_rows (m_rows m tname ~self:0 ~snap:m.m_csn pred)
+  | Vacuum, _ ->
+    let active =
+      List.filter_map (function Open t -> Some t | Idle | Aborted -> None)
+        (Array.to_list state)
+    in
+    Ok_tag (vacuum_tag (m_vacuum m ~active))
 
 (* --- driving the engine --------------------------------------------------- *)
 
@@ -360,7 +374,7 @@ let run (h : history) : divergence option =
   let eng = Database.engine db in
   let sessions = Array.init 2 (fun _ -> Session.create eng) in
   let model = model_of_scenario h.scenario in
-  let active : mtxn option array = [| None; None |] in
+  let state = [| Idle; Idle |] in
   let streams = Array.map (fun s -> ref s) h.streams in
   let diverge step i sql detail expected actual =
     raise
@@ -370,7 +384,7 @@ let run (h : history) : divergence option =
   in
   let exec_step step i op =
     let sql = op_sql op in
-    let expected = m_step model active i op in
+    let expected = m_step model state i op in
     let outcome =
       match Session.exec sessions.(i) sql with
       | r -> Ok r
@@ -393,18 +407,7 @@ let run (h : history) : divergence option =
       if not (List.exists (Fuzz_harness.contains e) [ "locked"; "serialize"; "deadlock" ])
       then
         diverge step i sql "conflict error of an unexpected kind"
-          "locked/serialize/deadlock" e;
-      (* a failed statement in an explicit transaction leaves partial marks
-         and locks: roll back on both sides to re-converge *)
-      (match active.(i) with
-       | Some txn ->
-         (match Session.exec sessions.(i) "ROLLBACK" with
-          | _ -> ()
-          | exception Session.Error e ->
-            diverge step i sql "recovery ROLLBACK failed" "success" e);
-         m_rollback model txn;
-         active.(i) <- None
-       | None -> ())
+          "locked/serialize/deadlock" e
     | Ok_any, Ok _ -> ()
     | Ok_tag t, Ok (Session.Done t') ->
       if t <> t' then diverge step i sql "command tag differs" t t'
@@ -464,17 +467,11 @@ let run (h : history) : divergence option =
         while take 0 || take 1 do
           ()
         done;
-        (* end of history: close out open transactions like a disconnect
-           would — abort on both sides — then audit *)
+        (* end of history: ROLLBACK every open or aborted block on both
+           sides, then audit *)
         Array.iteri
-          (fun i txn ->
-            Option.iter
-              (fun t ->
-                (try ignore (Session.exec sessions.(i) "ROLLBACK") with Session.Error _ -> ());
-                m_rollback model t;
-                active.(i) <- None)
-              txn)
-          (Array.copy active);
+          (fun i st -> if st <> Idle then exec_step !step i Rollback)
+          (Array.copy state);
         audit (-1) "final";
         (* VACUUM with no snapshots live must reclaim every dead version —
            and must not change any visible result *)

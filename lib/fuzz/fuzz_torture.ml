@@ -15,11 +15,11 @@
    Workloads are Fuzz_dml statements (INSERT, UPDATE — some with a SET the
    engine must reject — and DELETE, with =, range and BETWEEN predicates)
    plus VACUUM, in one of two shapes sharing one [sweep]:
-   - single-session ([single]): statements run one at a time, so a
-     rejected statement fails alone; the clean pass also checks every
-     statement's tag or error, and the live state, against Fuzz_dml.apply
-     folded over the groups — an UPDATE that writes a wrong image but logs
-     it consistently passes every log-based check;
+   - single-session ([single]): statements run one at a time, and a
+     rejected statement aborts its transaction; the clean pass also checks
+     every statement's tag or error, and the live state, against
+     Fuzz_dml.apply folded over the groups — an UPDATE that writes a wrong
+     image but logs it consistently passes every log-based check;
    - multi-session ([multi]): interleaved transactions of several sessions
      of one engine under [Engine.set_group_hold], so explicit flush points
      form multi-commit batches; each crash image must also keep every
@@ -73,41 +73,46 @@ let gen_workload rng =
   { scenario; groups }
 
 (* The workload as the statements it executes, one per entry, each with
-   the DML statement it renders (None for BEGIN/COMMIT/ROLLBACK/VACUUM). *)
+   the DML statement it came from (None for BEGIN/COMMIT/ROLLBACK/VACUUM). *)
 let statements (w : workload) =
-  let dml d = (Fuzz_dml.sql d, Some d) and ctl sql = (sql, None) in
+  let dml d = (Fuzz_dml.statement d, Some d) and ctl s = (s, None) in
   List.concat_map
     (function
       | Auto d -> [ dml d ]
-      | Vac -> [ ctl "VACUUM;\n" ]
+      | Vac -> [ ctl Ast.Vacuum ]
       | Txn (ds, fin) ->
-        (ctl "BEGIN;\n" :: List.map dml ds)
-        @ [ ctl (match fin with `Commit -> "COMMIT;\n" | `Rollback -> "ROLLBACK;\n") ])
+        (ctl Ast.Begin_transaction :: List.map dml ds)
+        @ [ ctl (match fin with `Commit -> Ast.Commit | `Rollback -> Ast.Rollback) ])
     w.groups
 
 (* DDL + initial data + workload as a paste-ready script. *)
 let reproducer (w : workload) =
   Fuzz_harness.ddl_script ~indexes:true w.scenario
-  ^ String.concat "" (List.map fst (statements w))
+  ^ Fuzz_harness.script (List.map fst (statements w))
 
 (* The reference run: Fuzz_dml.apply folded over the groups — a
    transaction's statements see its own writes, only committed groups reach
-   the final state, a rejected statement changes nothing and its
-   transaction goes on. Returns the final state and every DML statement's
-   outcome, in order. *)
+   the final state, and a rejected statement changes nothing. Inside a
+   transaction it aborts the whole transaction: the statements after it
+   fail as "aborted", and its COMMIT commits nothing. Returns the final
+   state and every DML statement's outcome, in order. *)
 let reference (w : workload) =
-  let step (s, outs) d =
-    let s', o = Fuzz_dml.apply s d in
-    (s', o :: outs)
+  let step (s, outs, ok) d =
+    if not ok then (s, Fuzz_dml.Rejected "is aborted" :: outs, false)
+    else
+      let s', o = Fuzz_dml.apply s d in
+      (s', o :: outs, match o with Fuzz_dml.Rows _ -> true | Fuzz_dml.Rejected _ -> false)
   in
   let final, outs =
     List.fold_left
       (fun (s, outs) -> function
-        | Auto d -> step (s, outs) d
+        | Auto d ->
+          let s', outs, _ = step (s, outs, true) d in
+          (s', outs)
         | Vac -> (s, outs)
         | Txn (ds, fin) ->
-          let s', outs = List.fold_left step (s, outs) ds in
-          ((match fin with `Commit -> s' | `Rollback -> s), outs))
+          let s', outs, ok = List.fold_left step (s, outs, true) ds in
+          ((if ok && fin = `Commit then s' else s), outs))
       (w.scenario, []) w.groups
   in
   (final, List.rev outs)
@@ -126,14 +131,14 @@ let build_db ~data (s : Fuzz_gen.scenario) =
       ignore (Database.exec_script db (Fuzz_harness.ddl_script ~data s));
       db)
 
-(* One statement at a time: a rejected statement fails alone (an explicit
-   transaction stays open); Failpoint.Crash propagates. Returns each DML
+(* One statement at a time: a rejected statement aborts its transaction,
+   whose later statements and COMMIT then fail; Failpoint.Crash propagates. Returns each DML
    statement with its command tag or error message. *)
 let run_workload db w =
   List.filter_map
-    (fun (sql, d) ->
+    (fun (stmt, d) ->
       let r =
-        match Database.exec db sql with
+        match Database.exec db (Ast.to_sql stmt) with
         | Database.Done tag -> Ok tag
         | Database.Rows _ | Database.Text _ -> Ok ""
         | exception Database.Error e -> Error e
@@ -296,11 +301,13 @@ let gen_ms_workload rng =
   weave ();
   { ms_scenario = scenario; nsessions; items = List.rev (S_flush :: !items) }
 
-let ms_item_sql = function
-  | S_begin i -> Printf.sprintf "-- s%d\nBEGIN;\n" i
-  | S_dml (i, d) -> Printf.sprintf "-- s%d\n%s" i (Fuzz_dml.sql d)
-  | S_commit i -> Printf.sprintf "-- s%d\nCOMMIT;\n" i
-  | S_rollback i -> Printf.sprintf "-- s%d\nROLLBACK;\n" i
+let ms_item_sql item =
+  let line i stmt = Printf.sprintf "-- s%d\n%s" i (Fuzz_harness.script [ stmt ]) in
+  match item with
+  | S_begin i -> line i Ast.Begin_transaction
+  | S_dml (i, d) -> line i (Fuzz_dml.statement d)
+  | S_commit i -> line i Ast.Commit
+  | S_rollback i -> line i Ast.Rollback
   | S_flush -> "-- group flush\n"
 
 (* DDL + data + the interleaved history, annotated per session — not

@@ -48,10 +48,12 @@ let local_factors factors ~tab =
    one is known. Table positions are stripped — the key lives on the
    relation, and a single-table block's factors reference only it. *)
 
-let value_str (v : Rel.Value.t) =
-  match v with
-  | Rel.Value.Str s -> Printf.sprintf "%S" s
-  | _ -> Rel.Value.to_string v
+(* literals in the SQL writer's form, which keeps every float digit that
+   tells two values apart *)
+let value_str v =
+  let b = Buffer.create 16 in
+  Ast.add_value b v;
+  Buffer.contents b
 
 let expr_str ~params e =
   let buf = Buffer.create 32 in
@@ -59,10 +61,9 @@ let expr_str ~params e =
     match e with
     | E_col c -> Buffer.add_string buf (Printf.sprintf "c%d" c.col)
     | E_outer _ -> Buffer.add_string buf "<outer>" (* excluded by filter *)
-    | E_const v -> Buffer.add_string buf (value_str v)
+    | E_const v -> Ast.add_value buf v
     | E_param i ->
-      if i >= 0 && i < Array.length params then
-        Buffer.add_string buf (value_str params.(i))
+      if i >= 0 && i < Array.length params then Ast.add_value buf params.(i)
       else Buffer.add_string buf (Printf.sprintf "?%d" i)
     | E_binop (op, a, b) ->
       let s =

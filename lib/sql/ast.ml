@@ -75,114 +75,149 @@ let comparison_str = function
 
 let pp_comparison ppf c = Format.pp_print_string ppf (comparison_str c)
 
-let arith_str = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
+let arith_str = function Add -> " + " | Sub -> " - " | Mul -> " * " | Div -> " / "
 
 let agg_str = function
-  | Avg -> "AVG" | Min -> "MIN" | Max -> "MAX" | Sum -> "SUM" | Count -> "COUNT"
+  | Avg -> "AVG(" | Min -> "MIN(" | Max -> "MAX(" | Sum -> "SUM(" | Count -> "COUNT("
 
-let rec pp_expr ppf = function
-  | Col { table = None; column } -> Format.pp_print_string ppf column
-  | Col { table = Some t; column } -> Format.fprintf ppf "%s.%s" t column
-  | Const v -> Rel.Value.pp ppf v
-  | Param _ -> Format.pp_print_string ppf "?"
-  | Binop (op, a, b) ->
-    Format.fprintf ppf "(%a %s %a)" pp_expr a (arith_str op) pp_expr b
-  | Agg (f, e) -> Format.fprintf ppf "%s(%a)" (agg_str f) pp_expr e
+(* --- the SQL writer ------------------------------------------------------ *)
 
-let pp_sep s ppf () = Format.pp_print_string ppf s
+(* One writer turns every tree back into SQL text that [Parser] reads to the
+   same tree. It names result columns, writes the plan-cache key (so two
+   statements share a key only when they share a canonical tree) and writes
+   the fuzzers' statements. It fills a Buffer and never goes through Format:
+   the cache key is written on every probe. Arithmetic and AND/OR are fully
+   parenthesized, so reading back needs no precedence rule. Covered: every
+   tree the parser produces, i.e. finite floats and ints above [min_int]. *)
 
-let rec pp_predicate ppf = function
-  | Cmp (a, c, b) ->
-    Format.fprintf ppf "%a %s %a" pp_expr a (comparison_str c) pp_expr b
+let str = Buffer.add_string
+let chr = Buffer.add_char
+
+let add_value b (v : Rel.Value.t) =
+  match v with
+  | Rel.Value.Int i -> str b (string_of_int i)
+  | Rel.Value.Float f ->
+    (* the shortest of 15, 16 or 17 significant digits that reads back *)
+    let s = Printf.sprintf "%.15g" f in
+    let s =
+      if float_of_string s = f then s
+      else
+        let s = Printf.sprintf "%.16g" f in
+        if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    in
+    str b s;
+    (* "%g" drops the point of an integral value: the lexer would read an INT *)
+    if not (String.exists (fun c -> c = '.' || c = 'e') s) then str b ".0"
+  | Rel.Value.Str s ->
+    chr b '\'';
+    if String.contains s '\'' then
+      String.iter (fun c -> if c = '\'' then str b "''" else chr b c) s
+    else str b s;
+    chr b '\''
+  | Rel.Value.Null -> str b "NULL"
+
+let add_list b add xs =
+  List.iteri (fun i x -> if i > 0 then str b ", "; add b x) xs
+
+let rec add_expr b = function
+  | Col { table; column } ->
+    Option.iter (fun t -> str b t; chr b '.') table;
+    str b column
+  | Const v -> add_value b v
+  | Param _ -> chr b '?'
+  | Binop (op, x, y) ->
+    chr b '('; add_expr b x; str b (arith_str op); add_expr b y; chr b ')'
+  | Agg (f, e) -> str b (agg_str f); add_expr b e; chr b ')'
+
+let add_cmp b x c = add_expr b x; chr b ' '; str b (comparison_str c); chr b ' '
+
+let rec add_predicate b = function
+  | Cmp (x, c, y) -> add_cmp b x c; add_expr b y
   | Between (e, lo, hi) ->
-    Format.fprintf ppf "%a BETWEEN %a AND %a" pp_expr e pp_expr lo pp_expr hi
-  | In_list (e, vs) ->
-    Format.fprintf ppf "%a IN (%a)" pp_expr e
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") Rel.Value.pp)
-      vs
+    add_expr b e; str b " BETWEEN "; add_expr b lo; str b " AND "; add_expr b hi
+  | In_list (e, vs) -> add_expr b e; str b " IN ("; add_list b add_value vs; chr b ')'
   | In_subquery (e, q, negated) ->
-    Format.fprintf ppf "%a %sIN (%a)" pp_expr e
-      (if negated then "NOT " else "")
-      pp_query q
-  | Cmp_subquery (e, c, q) ->
-    Format.fprintf ppf "%a %s (%a)" pp_expr e (comparison_str c) pp_query q
-  | And (a, b) -> Format.fprintf ppf "(%a AND %a)" pp_predicate a pp_predicate b
-  | Or (a, b) -> Format.fprintf ppf "(%a OR %a)" pp_predicate a pp_predicate b
-  | Not p -> Format.fprintf ppf "NOT (%a)" pp_predicate p
+    add_expr b e;
+    str b (if negated then " NOT IN (" else " IN (");
+    add_query b q;
+    chr b ')'
+  | Cmp_subquery (e, c, q) -> add_cmp b e c; chr b '('; add_query b q; chr b ')'
+  | And (x, y) -> add_connective b x " AND " y
+  | Or (x, y) -> add_connective b x " OR " y
+  | Not p -> str b "NOT ("; add_predicate b p; chr b ')'
 
-and pp_select_item ppf = function
-  | Star -> Format.pp_print_string ppf "*"
-  | Sel_expr (e, None) -> pp_expr ppf e
-  | Sel_expr (e, Some a) -> Format.fprintf ppf "%a AS %s" pp_expr e a
+and add_connective b x op y =
+  chr b '('; add_predicate b x; str b op; add_predicate b y; chr b ')'
 
-and pp_query ppf q =
-  Format.fprintf ppf "SELECT %a FROM %a"
-    (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_select_item)
-    q.select
-    (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf (t, a) ->
-         match a with
-         | None -> Format.pp_print_string ppf t
-         | Some a -> Format.fprintf ppf "%s %s" t a))
+and add_where b where = Option.iter (fun p -> str b " WHERE "; add_predicate b p) where
+
+and add_query b q =
+  str b "SELECT ";
+  add_list b
+    (fun b -> function
+      | Star -> chr b '*'
+      | Sel_expr (e, alias) ->
+        add_expr b e;
+        Option.iter (fun a -> str b " AS "; str b a) alias)
+    q.select;
+  str b " FROM ";
+  add_list b
+    (fun b (t, alias) -> str b t; Option.iter (fun a -> chr b ' '; str b a) alias)
     q.from;
-  Option.iter (fun w -> Format.fprintf ppf " WHERE %a" pp_predicate w) q.where;
+  add_where b q.where;
   (match q.group_by with
    | [] -> ()
-   | gs ->
-     Format.fprintf ppf " GROUP BY %a"
-       (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_expr)
-       gs);
+   | es -> str b " GROUP BY "; add_list b add_expr es);
   match q.order_by with
   | [] -> ()
-  | os ->
-    Format.fprintf ppf " ORDER BY %a"
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf (e, d) ->
-           Format.fprintf ppf "%a %s" pp_expr e
-             (match d with Asc -> "ASC" | Desc -> "DESC")))
-      os
+  | keys ->
+    str b " ORDER BY ";
+    add_list b (fun b (e, d) -> add_expr b e; if d = Desc then str b " DESC") keys
 
-let rec pp_statement ppf = function
-  | Select q -> pp_query ppf q
+let rec add_sql b stmt =
+  let on_off on = if on then "ON" else "OFF" in
+  match stmt with
+  | Select q -> add_query b q
   | Explain { search; stmt } ->
-    Format.fprintf ppf "EXPLAIN %s%a" (if search then "SEARCH " else "")
-      pp_statement stmt
+    str b (if search then "EXPLAIN SEARCH " else "EXPLAIN "); add_sql b stmt
   | Create_table { table; columns } ->
-    Format.fprintf ppf "CREATE TABLE %s (%a)" table
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf c ->
-           Format.fprintf ppf "%s %s" c.col_name (Rel.Value.ty_to_string c.col_ty)))
-      columns
+    str b "CREATE TABLE "; str b table; str b " (";
+    add_list b
+      (fun b c -> str b c.col_name; chr b ' '; str b (Rel.Value.ty_to_string c.col_ty))
+      columns;
+    chr b ')'
   | Create_index { index; table; columns; clustered } ->
-    Format.fprintf ppf "CREATE %sINDEX %s ON %s (%a)"
-      (if clustered then "CLUSTERED " else "")
-      index table
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") Format.pp_print_string)
-      columns
+    str b (if clustered then "CREATE CLUSTERED INDEX " else "CREATE INDEX ");
+    str b index; str b " ON "; str b table; str b " (";
+    add_list b str columns;
+    chr b ')'
   | Insert { table; values } ->
-    Format.fprintf ppf "INSERT INTO %s VALUES %a" table
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf row ->
-           Format.fprintf ppf "(%a)"
-             (Format.pp_print_list ~pp_sep:(pp_sep ", ") Rel.Value.pp)
-             row))
-      values
-  | Delete { table; where } ->
-    Format.fprintf ppf "DELETE FROM %s" table;
-    Option.iter (fun w -> Format.fprintf ppf " WHERE %a" pp_predicate w) where
+    str b "INSERT INTO "; str b table; str b " VALUES ";
+    add_list b (fun b row -> chr b '('; add_list b add_value row; chr b ')') values
+  | Delete { table; where } -> str b "DELETE FROM "; str b table; add_where b where
   | Update { table; sets; where } ->
-    Format.fprintf ppf "UPDATE %s SET %a" table
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf (c, e) ->
-           Format.fprintf ppf "%s = %a" c pp_expr e))
-      sets;
-    Option.iter (fun w -> Format.fprintf ppf " WHERE %a" pp_predicate w) where
-  | Drop_table t -> Format.fprintf ppf "DROP TABLE %s" t
-  | Drop_index i -> Format.fprintf ppf "DROP INDEX %s" i
-  | Update_statistics -> Format.pp_print_string ppf "UPDATE STATISTICS"
-  | Vacuum -> Format.pp_print_string ppf "VACUUM"
-  | Set_parallelism n -> Format.fprintf ppf "SET PARALLELISM %d" n
-  | Set_histograms b ->
-    Format.fprintf ppf "SET HISTOGRAMS %s" (if b then "ON" else "OFF")
-  | Set_plan_cache_size n -> Format.fprintf ppf "SET PLAN_CACHE_SIZE %d" n
-  | Set_commit_delay us -> Format.fprintf ppf "SET COMMIT_DELAY %d" us
-  | Set_group_commit b ->
-    Format.fprintf ppf "SET GROUP_COMMIT %s" (if b then "ON" else "OFF")
-  | Begin_transaction -> Format.pp_print_string ppf "BEGIN"
-  | Commit -> Format.pp_print_string ppf "COMMIT"
-  | Rollback -> Format.pp_print_string ppf "ROLLBACK"
+    str b "UPDATE "; str b table; str b " SET ";
+    add_list b (fun b (c, e) -> str b c; str b " = "; add_expr b e) sets;
+    add_where b where
+  | Drop_table t -> str b "DROP TABLE "; str b t
+  | Drop_index i -> str b "DROP INDEX "; str b i
+  | Update_statistics -> str b "UPDATE STATISTICS"
+  | Vacuum -> str b "VACUUM"
+  | Set_parallelism n -> str b "SET PARALLELISM "; str b (string_of_int n)
+  | Set_histograms on -> str b "SET HISTOGRAMS "; str b (on_off on)
+  | Set_plan_cache_size n -> str b "SET PLAN_CACHE_SIZE "; str b (string_of_int n)
+  | Set_commit_delay us -> str b "SET COMMIT_DELAY "; str b (string_of_int us)
+  | Set_group_commit on -> str b "SET GROUP_COMMIT "; str b (on_off on)
+  | Begin_transaction -> str b "BEGIN"
+  | Commit -> str b "COMMIT"
+  | Rollback -> str b "ROLLBACK"
+
+let to_sql stmt =
+  let b = Buffer.create 128 in
+  add_sql b stmt;
+  Buffer.contents b
+
+let pp_expr ppf e =
+  let b = Buffer.create 32 in
+  add_expr b e;
+  Format.pp_print_string ppf (Buffer.contents b)

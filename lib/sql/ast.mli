@@ -96,8 +96,23 @@ type statement =
   | Commit
   | Rollback
 
+(** {2 The SQL writer}
+
+    One writer turns a tree back into SQL text, and {!Parser} reads that
+    text back to the same tree: [Parser.parse_statement (to_sql s) = s] for
+    every statement the parser produces. Result-column names, plan-cache
+    keys ({!Normalize.fingerprint}) and the fuzzers' statements are all
+    written by it. *)
+
+val add_value : Buffer.t -> Rel.Value.t -> unit
+(** A literal: a quoted string with [''] escapes, a float with the fewest
+    significant digits (15 to 17) that read back to the same float, always
+    with a point or an exponent, an int, or [NULL]. *)
+
+val add_sql : Buffer.t -> statement -> unit
+val to_sql : statement -> string
+
 val pp_comparison : Format.formatter -> comparison -> unit
 val pp_expr : Format.formatter -> expr -> unit
-val pp_predicate : Format.formatter -> predicate -> unit
-val pp_query : Format.formatter -> query -> unit
-val pp_statement : Format.formatter -> statement -> unit
+(** The writer's text of the expression; it names an unaliased result
+    column. *)

@@ -54,18 +54,35 @@ let tokenize src =
         emit (Str_lit (Buffer.contents buf)) i;
         go next
       | c when is_digit c ->
+        (* digits, then an optional fraction and an optional exponent; either
+           makes a FLOAT *)
         let rec scan j = if j < n && is_digit src.[j] then scan (j + 1) else j in
         let int_end = scan i in
-        if int_end < n && src.[int_end] = '.' && int_end + 1 < n && is_digit src.[int_end + 1]
-        then begin
-          let frac_end = scan (int_end + 1) in
-          emit (Float_lit (float_of_string (String.sub src i (frac_end - i)))) i;
-          go frac_end
-        end
-        else begin
-          emit (Int_lit (int_of_string (String.sub src i (int_end - i)))) i;
-          go int_end
-        end
+        let frac_end =
+          if int_end + 1 < n && src.[int_end] = '.' && is_digit src.[int_end + 1]
+          then scan (int_end + 1)
+          else int_end
+        in
+        let stop =
+          if frac_end < n && (src.[frac_end] = 'e' || src.[frac_end] = 'E') then
+            let d =
+              if frac_end + 1 < n && (src.[frac_end + 1] = '+' || src.[frac_end + 1] = '-')
+              then frac_end + 2
+              else frac_end + 1
+            in
+            if d < n && is_digit src.[d] then scan d else frac_end
+          else frac_end
+        in
+        let text = String.sub src i (stop - i) in
+        (if stop = int_end then
+           match int_of_string_opt text with
+           | Some k -> emit (Int_lit k) i
+           | None -> raise (Error ("integer literal out of range", i))
+         else
+           let f = float_of_string text in
+           if Float.is_finite f then emit (Float_lit f) i
+           else raise (Error ("float literal out of range", i)));
+        go stop
       | c when is_ident_start c ->
         let rec scan j = if j < n && is_ident_char src.[j] then scan (j + 1) else j in
         let e = scan i in

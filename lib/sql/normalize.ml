@@ -175,7 +175,8 @@ let factors_of_block block =
 
 (* Two statements share a compiled plan when they differ only in the literal
    constants of their WHERE clauses. Canonicalization rewrites each such
-   Const into a positional Param (numbered in traversal order) and extracts
+   Const into a positional Param (numbered left to right, as the parser
+   numbers [?]) and extracts
    the values for rebinding at execution. Only comparison and BETWEEN
    operands are rewritten: IN-list values are raw values in the AST (not
    expressions), and SELECT/GROUP BY/ORDER BY items feed projection and
@@ -217,18 +218,33 @@ let canonicalize (q : Ast.query) =
     match e with
     | Ast.Const v -> param v
     | Ast.Col _ | Ast.Param _ -> e
-    | Ast.Binop (op, a, b) -> Ast.Binop (op, expr a, expr b)
+    | Ast.Binop (op, a, b) ->
+      let a = expr a in
+      Ast.Binop (op, a, expr b)
     | Ast.Agg (f, e) -> Ast.Agg (f, expr e)
   in
   let rec pred (p : Ast.predicate) =
     match p with
-    | Ast.Cmp (a, c, b) -> Ast.Cmp (expr a, c, expr b)
-    | Ast.Between (e, lo, hi) -> Ast.Between (expr e, expr lo, expr hi)
+    | Ast.Cmp (a, c, b) ->
+      let a = expr a in
+      Ast.Cmp (a, c, expr b)
+    | Ast.Between (e, lo, hi) ->
+      let e = expr e in
+      let lo = expr lo in
+      Ast.Between (e, lo, expr hi)
     | Ast.In_list (e, vs) -> Ast.In_list (expr e, vs)
-    | Ast.In_subquery (e, sub, neg) -> Ast.In_subquery (expr e, query sub, neg)
-    | Ast.Cmp_subquery (e, c, sub) -> Ast.Cmp_subquery (expr e, c, query sub)
-    | Ast.And (a, b) -> Ast.And (pred a, pred b)
-    | Ast.Or (a, b) -> Ast.Or (pred a, pred b)
+    | Ast.In_subquery (e, sub, neg) ->
+      let e = expr e in
+      Ast.In_subquery (e, query sub, neg)
+    | Ast.Cmp_subquery (e, c, sub) ->
+      let e = expr e in
+      Ast.Cmp_subquery (e, c, query sub)
+    | Ast.And (a, b) ->
+      let a = pred a in
+      Ast.And (a, pred b)
+    | Ast.Or (a, b) ->
+      let a = pred a in
+      Ast.Or (a, pred b)
     | Ast.Not a -> Ast.Not (pred a)
   and query (q : Ast.query) = { q with where = Option.map pred q.where } in
   let q' = query q in
@@ -239,105 +255,18 @@ let value_ty_tag v =
   | Some ty -> Rel.Value.ty_to_string ty
   | None -> "null"
 
-(* Compact unambiguous serialization of a canonicalized query, written
-   straight into a Buffer. The key is computed on every cache probe, so
-   rendering through Format (boxes, %a dispatch) would cost more than the
-   probe saves; this writer is the fingerprint hot path. Strings are length-
-   prefixed so no identifier or literal can run into the next token. *)
-let render_query buf (q : Ast.query) =
-  let add = Buffer.add_string buf and ch = Buffer.add_char buf in
-  let str s =
-    add (string_of_int (String.length s));
-    ch ':';
-    add s
-  in
-  let value = function
-    | Rel.Value.Int i -> ch 'i'; add (string_of_int i)
-    | Rel.Value.Float f -> ch 'f'; add (string_of_float f)
-    | Rel.Value.Str s -> ch 's'; str s
-    | Rel.Value.Null -> ch 'n'
-  in
-  let rec expr = function
-    | Ast.Col { table; column } ->
-      ch 'c';
-      (match table with Some t -> str t | None -> ch '-');
-      str column
-    | Ast.Const v -> ch 'k'; value v; ch ';'
-    | Ast.Param i -> ch 'p'; add (string_of_int i); ch ';'
-    | Ast.Binop (op, a, b) ->
-      ch (match op with Ast.Add -> '+' | Ast.Sub -> '-' | Ast.Mul -> '*' | Ast.Div -> '/');
-      expr a;
-      expr b
-    | Ast.Agg (f, e) ->
-      add
-        (match f with
-         | Ast.Avg -> "Av" | Ast.Min -> "Mn" | Ast.Max -> "Mx"
-         | Ast.Sum -> "Sm" | Ast.Count -> "Ct");
-      expr e
-  in
-  let cmp op =
-    add
-      (match op with
-       | Ast.Eq -> "=" | Ast.Ne -> "!=" | Ast.Lt -> "<" | Ast.Le -> "<="
-       | Ast.Gt -> ">" | Ast.Ge -> ">=")
-  in
-  let rec pred = function
-    | Ast.Cmp (a, c, b) -> ch 'C'; expr a; cmp c; expr b
-    | Ast.Between (e, lo, hi) -> ch 'B'; expr e; expr lo; expr hi
-    | Ast.In_list (e, vs) ->
-      ch 'I';
-      expr e;
-      List.iter value vs;
-      ch ';'
-    | Ast.In_subquery (e, sub, neg) ->
-      ch (if neg then 'J' else 'j');
-      expr e;
-      query sub
-    | Ast.Cmp_subquery (e, c, sub) -> ch 'S'; expr e; cmp c; query sub
-    | Ast.And (a, b) -> ch '&'; pred a; pred b
-    | Ast.Or (a, b) -> ch '|'; pred a; pred b
-    | Ast.Not a -> ch '!'; pred a
-  and query (q : Ast.query) =
-    ch 'Q';
-    List.iter
-      (function
-        | Ast.Star -> ch '*'
-        | Ast.Sel_expr (e, alias) ->
-          expr e;
-          (match alias with Some a -> ch '@'; str a | None -> ()))
-      q.select;
-    ch 'F';
-    List.iter
-      (fun (t, alias) ->
-        str t;
-        match alias with Some a -> ch '@'; str a | None -> ())
-      q.from;
-    (match q.where with None -> () | Some p -> ch 'W'; pred p);
-    (match q.group_by with
-     | [] -> ()
-     | es -> ch 'G'; List.iter expr es);
-    match q.order_by with
-    | [] -> ()
-    | es ->
-      ch 'O';
-      List.iter
-        (fun (e, d) ->
-          expr e;
-          ch (match d with Ast.Asc -> '^' | Ast.Desc -> 'v'))
-        es
-  in
-  query q
-
 let fingerprint (q : Ast.query) =
   if query_has_param q then None
   else begin
     let q', values = canonicalize q in
-    (* Params render positionally, so appending the extracted values' type
-       vector makes the key unambiguous (same shape, int vs string literal
-       must not collide — an execution-time type error would otherwise turn
-       into a silently different result). *)
+    (* The key is the canonical query's SQL, which the parser reads back to
+       that same query, so two keys are equal only when the canonical
+       queries are. Every extracted literal prints as "?", so the extracted
+       values' type vector is appended: same shape with an int or a string
+       literal must not share a plan (an execution-time type error would
+       otherwise turn into a silently different result). *)
     let buf = Buffer.create 128 in
-    render_query buf q';
+    Ast.add_sql buf (Ast.Select q');
     Buffer.add_char buf '#';
     List.iter
       (fun v ->

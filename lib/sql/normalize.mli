@@ -44,13 +44,15 @@ val sarg_op_of_comparison : Ast.comparison -> Rss.Sarg.op
 
 val canonicalize : Ast.query -> Ast.query * Rel.Value.t list
 (** Rewrite WHERE-clause literal operands (of comparisons and BETWEEN, at
-    every nesting depth) into positional [Param]s, returning the rewritten
-    query and the extracted values in parameter order. IN-list values and
-    SELECT / GROUP BY / ORDER BY literals are left in place. *)
+    every nesting depth) into [Param]s numbered left to right, returning
+    the rewritten query and the extracted values in parameter order.
+    IN-list values and SELECT / GROUP BY / ORDER BY literals are left in
+    place. *)
 
 val fingerprint : Ast.query -> (string * Ast.query * Rel.Value.t list) option
-(** Plan-cache key for a statement: the canonicalized query rendered with a
-    type tag per extracted literal, plus the canonical query and the literal
-    bindings. [None] when the statement already contains user [?] parameters
-    (those are served by the prepared-statement path, which carries its own
-    bindings). *)
+(** Plan-cache key for a statement: the canonicalized query as SQL
+    ({!Ast.add_sql}, which the parser reads back to the same query), then
+    ['#'] and a type tag per extracted literal; plus the canonical query and
+    the literal bindings. [None] when the statement already contains user
+    [?] parameters (those are served by the prepared-statement path, which
+    carries its own bindings). *)

@@ -187,7 +187,7 @@ let fuzz_smoke () =
         (Fuzz_harness.reproducer scenario q)
     | Fuzz_harness.Unsupported msg ->
       Alcotest.failf "seed %d unsupported: %s\n%s" (4200 + i) msg
-        (Fuzz_sql.query_to_string q)
+        (Ast.to_sql (Ast.Select q))
   done;
   Alcotest.(check bool) "ran queries" true (stats.Fuzz_harness.queries = 40)
 
@@ -211,7 +211,7 @@ let parallel_fuzz_smoke () =
         (Fuzz_harness.reproducer scenario q)
     | Fuzz_harness.Unsupported msg ->
       Alcotest.failf "seed %d unsupported: %s\n%s" (7700 + i) msg
-        (Fuzz_sql.query_to_string q)
+        (Ast.to_sql (Ast.Select q))
   done;
   (* multi-page table: ~700 rows span several 4K pages, so the forced
      exchange really partitions and fans out to worker domains *)

@@ -397,12 +397,20 @@ let check_row_intact db =
     Alcotest.failf "row lost or changed: [%s]"
       (String.concat "; " (List.map T.to_string rs))
 
-(* inside a transaction the row survives the failed statements and COMMIT *)
+(* inside a transaction a failed statement aborts it: the row survives the
+   earlier good UPDATE too, and COMMIT reports the rollback *)
 let test_bad_update_in_txn () =
   let db = bad_update_setup () in
-  ignore (Database.exec db "BEGIN");
-  List.iter (expect_update_error db) bad_updates;
-  ignore (Database.exec db "COMMIT");
+  List.iter
+    (fun bad ->
+      ignore (Database.exec db "BEGIN");
+      ignore (Database.exec db "UPDATE T SET B = 11");
+      expect_update_error db bad;
+      match Database.exec db "COMMIT" with
+      | _ -> Alcotest.fail "COMMIT of an aborted transaction succeeded"
+      | exception Database.Error msg ->
+        Alcotest.(check bool) msg true (Fuzz_harness.contains msg "rolled back"))
+    bad_updates;
   check_row_intact db
 
 (* in auto-commit the failure is a [Database.Error], not a stray

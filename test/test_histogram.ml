@@ -286,6 +286,19 @@ let test_feedback_changes_plan () =
   let reset = Plan.describe (Database.optimize db join).Optimizer.plan in
   Alcotest.(check string) "UPDATE STATISTICS clears feedback" before reset
 
+(* A feedback key prints a literal with every digit that tells two floats
+   apart, so two restrictions never share one learned selectivity. *)
+let test_feedback_key_literals () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE F (X FLOAT)");
+  let key sql =
+    Feedback.key ~params:[||] (Normalize.factors_of_block (Database.resolve db sql))
+  in
+  let k1 = key "SELECT X FROM F WHERE X < 0.1234561"
+  and k2 = key "SELECT X FROM F WHERE X < 0.1234564" in
+  Alcotest.(check bool) "keyed" true (k1 <> None);
+  Alcotest.(check bool) "distinct keys" true (k1 <> k2)
+
 let test_histograms_off_disables_feedback () =
   let db = correlated_db () in
   Database.set_histograms db false;
@@ -312,5 +325,7 @@ let () =
         [ Alcotest.test_case "record, retire, settle" `Quick
             test_feedback_records_and_retires;
           Alcotest.test_case "corrected plan" `Quick test_feedback_changes_plan;
+          Alcotest.test_case "float literals in the key" `Quick
+            test_feedback_key_literals;
           Alcotest.test_case "HISTOGRAMS OFF suspends" `Quick
             test_histograms_off_disables_feedback ] ) ]

@@ -152,11 +152,11 @@ let test_concurrent_inserts_no_conflict () =
   ignore (tag s2 "COMMIT");
   Alcotest.check msv "both committed" [ "1"; "2" ] (rows s1 "SELECT a FROM t")
 
-(* A refused lock request is withdrawn: s2's explicit transaction keeps
-   running after its UPDATE fails on s1's tuple lock, but the request it
-   queued must not outlive the refusal. Otherwise, once s1 rolls back, the
-   stale request is promoted and s2 silently holds the tuple, so a third
-   writer is refused until s2 ends. *)
+(* A refused lock request is withdrawn: s2's UPDATE fails on s1's tuple
+   lock, and the request it queued must not outlive the refusal while s2's
+   (aborted) block is still open. Otherwise, once s1 rolls back, the stale
+   request is promoted and s2 silently holds the tuple, so a third writer
+   is refused until s2 ends. *)
 let test_refused_request_is_withdrawn () =
   let db, s1, s2 =
     setup "CREATE TABLE T (K INT, V INT); INSERT INTO T VALUES (1, 0), (2, 0);"
@@ -172,6 +172,35 @@ let test_refused_request_is_withdrawn () =
   ignore (tag s2 "ROLLBACK");
   Alcotest.check msv "s3's write stands" [ "1|3"; "2|0" ]
     (rows s1 "SELECT K, V FROM T");
+  Alcotest.(check int) "no lock entry left" 0
+    (Rss.Lock_table.length (Database.engine db).Engine.locks)
+
+(* A failed statement aborts its transaction. b's UPDATE stamps K=1, then
+   fails on K=2, which a changed after b's snapshot; the abort undoes the
+   stamp at once. Without it, b's COMMIT made the stamp durable and row
+   K=1 was lost. Later statements are refused until the block ends, and
+   COMMIT ends it with an error; ROLLBACK ends it quietly. *)
+let test_failed_statement_aborts_txn () =
+  let db, a, b =
+    setup "CREATE TABLE T (K INT, V INT); INSERT INTO T VALUES (1, 0), (2, 0);"
+  in
+  ignore (tag b "BEGIN");
+  Alcotest.check msv "b's snapshot" [ "1|0"; "2|0" ] (rows b "SELECT K, V FROM T");
+  ignore (tag a "UPDATE T SET V = 5 WHERE K = 2");
+  expect_error ~containing:"serialize" b "UPDATE T SET V = 9";
+  Alcotest.(check bool) "still in the block" true (Session.in_transaction b);
+  expect_error ~containing:"is aborted" b "SELECT K, V FROM T";
+  expect_error ~containing:"is aborted" b "INSERT INTO T VALUES (3, 3)";
+  expect_error ~containing:"is aborted" b "BEGIN";
+  expect_error ~containing:"rolled back" b "COMMIT";
+  Alcotest.check msv "no row lost" [ "1|0"; "2|5" ] (rows a "SELECT K, V FROM T");
+  Alcotest.(check bool) "block closed" false (Session.in_transaction b);
+  ignore (tag b "BEGIN");
+  ignore (tag b "DELETE FROM T WHERE K = 2");
+  expect_error ~containing:"type mismatch" b "UPDATE T SET V = 1.5";
+  Alcotest.(check bool) "ROLLBACK ends the aborted block" true
+    (Fuzz_harness.contains (tag b "ROLLBACK") "rolled back");
+  Alcotest.check msv "nothing changed" [ "1|0"; "2|5" ] (rows b "SELECT K, V FROM T");
   Alcotest.(check int) "no lock entry left" 0
     (Rss.Lock_table.length (Database.engine db).Engine.locks)
 
@@ -277,6 +306,8 @@ let () =
             test_concurrent_inserts_no_conflict;
           Alcotest.test_case "a refused lock request is withdrawn" `Quick
             test_refused_request_is_withdrawn;
+          Alcotest.test_case "a failed statement aborts its transaction" `Quick
+            test_failed_statement_aborts_txn;
           Alcotest.test_case "lock table empties when no txn is open" `Quick
             test_lock_table_bounded ] );
       ( "interleaved-fuzz",

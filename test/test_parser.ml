@@ -27,7 +27,21 @@ let test_lexer_errors () =
    | exception Lexer.Error _ -> ());
   (match Lexer.tokenize "a @ b" with
    | _ -> Alcotest.fail "illegal char accepted"
-   | exception Lexer.Error _ -> ())
+   | exception Lexer.Error _ -> ());
+  List.iter
+    (fun s ->
+      match Lexer.tokenize s with
+      | _ -> Alcotest.fail ("out-of-range literal accepted: " ^ s)
+      | exception Lexer.Error _ -> ())
+    [ "4611686018427387904"; "1e309"; "1.5E+400" ]
+
+let test_lexer_exponents () =
+  let first s = fst (List.hd (Lexer.tokenize s)) in
+  Alcotest.(check bool) "1e+20" true (first "1e+20" = Lexer.Float_lit 1e20);
+  Alcotest.(check bool) "1.5E-7" true (first "1.5E-7" = Lexer.Float_lit 1.5e-7);
+  Alcotest.(check bool) "2e3" true (first "2e3" = Lexer.Float_lit 2000.);
+  (* no digit after the e: the number ends before it *)
+  Alcotest.(check bool) "1e alias" true (first "1e" = Lexer.Int_lit 1)
 
 let test_simple_select () =
   let q = parse "SELECT NAME, SAL FROM EMP WHERE SAL > 100" in
@@ -218,7 +232,7 @@ let test_explain_dml () =
     (fun sql ->
       let stmt = parse_stmt sql in
       Alcotest.(check bool) ("roundtrip " ^ sql) true
-        (parse_stmt (Format.asprintf "%a" A.pp_statement stmt) = stmt))
+        (parse_stmt (A.to_sql stmt) = stmt))
     [ "EXPLAIN DELETE FROM T WHERE A BETWEEN 1 AND 2";
       "EXPLAIN SEARCH UPDATE T SET B = 3, C = A WHERE A > 1";
       "EXPLAIN SELECT A FROM T" ];
@@ -230,9 +244,29 @@ let test_explain_dml () =
     [ "EXPLAIN UPDATE STATISTICS"; "EXPLAIN INSERT INTO T VALUES (1)";
       "EXPLAIN EXPLAIN SELECT A FROM T"; "EXPLAIN" ]
 
-(* --- pretty-print / re-parse roundtrip -------------------------------- *)
+(* --- SQL writer / re-parse roundtrip ------------------------------------ *)
 
 let ident_gen = QCheck.Gen.(map (fun i -> Printf.sprintf "C%d" i) (int_bound 5))
+
+(* literal edge cases: negative ints, floats that need all 17 digits or an
+   exponent, integral floats, strings with quotes *)
+let value_gen =
+  QCheck.Gen.(
+    frequency
+      [ (2, map (fun i -> V.Int (if i = min_int then 0 else i)) int);
+        (1, map (fun i -> V.Int i) (oneofl [ 0; -1; -42; max_int; -max_int ]));
+        ( 2,
+          map (fun f -> V.Float f)
+            (oneofl
+               [ 0.1; 0.1000000000001; 0.30000000000000004; 1. /. 3.; -2.5;
+                 3.0; -0.0; 1e20; 1e-7; 5e-324; max_float; -.max_float;
+                 0.1234561; 0.1234569 ]) );
+        (1, map (fun f -> V.Float (if Float.is_finite f then f else 1.5)) float);
+        ( 1,
+          map (fun s -> V.Str s)
+            (oneofl [ ""; "it's"; "''"; "'"; "a''b'c"; "-- not a comment"; "x\ny" ]) );
+        (1, map (fun s -> V.Str s) string_printable);
+        (1, return V.Null) ])
 
 let expr_gen =
   QCheck.Gen.(
@@ -242,36 +276,55 @@ let expr_gen =
             if n = 0 then
               oneof
                 [ map (fun c -> A.Col { table = None; column = c }) ident_gen;
-                  map (fun i -> A.Const (V.Int i)) (int_bound 100) ]
+                  map (fun c -> A.Col { table = Some "T"; column = c }) ident_gen;
+                  map (fun v -> A.Const v) value_gen ]
             else
               frequency
                 [ (2, map (fun c -> A.Col { table = None; column = c }) ident_gen);
                   ( 1,
                     map3
                       (fun op a b -> A.Binop (op, a, b))
-                      (oneofl [ A.Add; A.Sub; A.Mul ])
+                      (oneofl [ A.Add; A.Sub; A.Mul; A.Div ])
                       (self (n / 2)) (self (n / 2)) ) ])
           (min n 4)))
+
+let sub_query where =
+  { A.select = [ A.Sel_expr (A.Col { table = Some "U"; column = "C0" }, None) ];
+    from = [ ("U", None) ];
+    where;
+    group_by = [];
+    order_by = [] }
 
 let pred_gen =
   QCheck.Gen.(
     sized (fun n ->
         fix
           (fun self n ->
-            if n = 0 then
+            let cmp =
               map3
                 (fun a c b -> A.Cmp (a, c, b))
                 expr_gen
                 (oneofl [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ])
                 expr_gen
+            in
+            if n = 0 then cmp
             else
               frequency
-                [ ( 2,
-                    map3
-                      (fun a c b -> A.Cmp (a, c, b))
+                [ (2, cmp);
+                  (1, map3 (fun e lo hi -> A.Between (e, lo, hi)) expr_gen expr_gen expr_gen);
+                  ( 1,
+                    map2
+                      (fun e vs -> A.In_list (e, vs))
                       expr_gen
-                      (oneofl [ A.Eq; A.Lt; A.Gt ])
-                      expr_gen );
+                      (list_size (int_range 1 3) value_gen) );
+                  ( 1,
+                    map3
+                      (fun e p neg -> A.In_subquery (e, sub_query (Some p), neg))
+                      expr_gen (self (n / 2)) bool );
+                  ( 1,
+                    map2
+                      (fun e c -> A.Cmp_subquery (e, c, sub_query None))
+                      expr_gen (oneofl [ A.Eq; A.Lt ]) );
                   (1, map2 (fun a b -> A.And (a, b)) (self (n / 2)) (self (n / 2)));
                   (1, map2 (fun a b -> A.Or (a, b)) (self (n / 2)) (self (n / 2)));
                   (1, map (fun a -> A.Not a) (self (n / 2))) ])
@@ -284,43 +337,75 @@ let query_of_pred p =
     group_by = [];
     order_by = [] }
 
-let rec expr_equal a b =
-  match a, b with
-  | A.Col { table = t1; column = c1 }, A.Col { table = t2; column = c2 } ->
-    t1 = t2 && c1 = c2
-  | A.Const x, A.Const y -> V.equal x y
-  | A.Binop (o1, a1, b1), A.Binop (o2, a2, b2) ->
-    o1 = o2 && expr_equal a1 a2 && expr_equal b1 b2
-  | A.Agg (f1, e1), A.Agg (f2, e2) -> f1 = f2 && expr_equal e1 e2
-  | A.Param i, A.Param j -> i = j
-  | (A.Col _ | A.Const _ | A.Binop _ | A.Agg _ | A.Param _), _ -> false
+(* a differential-fuzzer query: aliases, COUNT(1), subqueries, GROUP BY and
+   ORDER BY *)
+let fuzz_query_gen =
+  QCheck.Gen.map
+    (fun seed ->
+      let rng = Workload.rand_init seed in
+      Fuzz_gen.gen_query rng (Fuzz_gen.gen_scenario rng))
+    QCheck.Gen.nat
 
-let rec pred_equal a b =
-  match a, b with
-  | A.Cmp (a1, c1, b1), A.Cmp (a2, c2, b2) ->
-    c1 = c2 && expr_equal a1 a2 && expr_equal b1 b2
-  | A.And (a1, b1), A.And (a2, b2) | A.Or (a1, b1), A.Or (a2, b2) ->
-    pred_equal a1 a2 && pred_equal b1 b2
-  | A.Not a1, A.Not a2 -> pred_equal a1 a2
-  | _ -> false
+let other_statements =
+  let t = "T" in
+  [ A.Create_table
+      { table = t;
+        columns =
+          [ { A.col_name = "A"; col_ty = V.Tint };
+            { A.col_name = "B"; col_ty = V.Tfloat };
+            { A.col_name = "C"; col_ty = V.Tstr } ] };
+    A.Create_index { index = "I"; table = t; columns = [ "A"; "B" ]; clustered = true };
+    A.Create_index { index = "J"; table = t; columns = [ "C" ]; clustered = false };
+    A.Drop_table t; A.Drop_index "I"; A.Update_statistics; A.Vacuum;
+    A.Set_parallelism 4; A.Set_histograms true; A.Set_histograms false;
+    A.Set_plan_cache_size 64; A.Set_commit_delay 0; A.Set_commit_delay 200;
+    A.Set_group_commit true; A.Set_group_commit false;
+    A.Begin_transaction; A.Commit; A.Rollback ]
+
+let statement_gen =
+  QCheck.Gen.(
+    let where = option pred_gen in
+    let dml =
+      frequency
+        [ (2, map (fun p -> A.Select (query_of_pred p)) pred_gen);
+          (1, map (fun where -> A.Delete { table = "T"; where }) where);
+          ( 1,
+            map3
+              (fun e v where ->
+                A.Update { table = "T"; sets = [ ("C1", e); ("C2", A.Const v) ]; where })
+              expr_gen value_gen where ) ]
+    in
+    frequency
+      [ (3, map (fun q -> A.Select q) fuzz_query_gen);
+        (3, dml);
+        (1, map2 (fun search stmt -> A.Explain { search; stmt }) bool dml);
+        ( 1,
+          map
+            (fun values -> A.Insert { table = "T"; values })
+            (list_size (int_range 1 3) (list_size (int_range 1 3) value_gen)) );
+        (1, oneofl other_statements) ])
+
+(* A plan-cache key is the canonical query's SQL plus a type-tag vector; the
+   SQL part must parse back to the canonical query. *)
+let key_roundtrip = function
+  | A.Select q ->
+    (match Normalize.fingerprint q with
+     | Some (key, canon, _) -> parse (String.sub key 0 (String.rindex key '#')) = canon
+     | None -> true)
+  | _ -> true
 
 let prop_pp_roundtrip =
-  QCheck.Test.make ~name:"pp then parse is identity" ~count:300
-    (QCheck.make
-       ~print:(fun p -> Format.asprintf "%a" A.pp_predicate p)
-       pred_gen)
-    (fun p ->
-      let sql = Format.asprintf "%a" A.pp_query (query_of_pred p) in
-      match (parse sql).A.where with
-      | Some p' -> pred_equal p p'
-      | None -> false)
+  QCheck.Test.make ~name:"pp then parse is identity" ~count:500
+    (QCheck.make ~print:A.to_sql statement_gen)
+    (fun s -> parse_stmt (A.to_sql s) = s && key_roundtrip s)
 
 let () =
   Alcotest.run "parser"
     [ ( "lexer",
         [ Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "operators" `Quick test_lexer_operators;
-          Alcotest.test_case "errors" `Quick test_lexer_errors ] );
+          Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "exponents" `Quick test_lexer_exponents ] );
       ( "parser",
         [ Alcotest.test_case "simple select" `Quick test_simple_select;
           Alcotest.test_case "star and aliases" `Quick test_star_and_aliases;

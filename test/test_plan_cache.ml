@@ -304,6 +304,25 @@ let test_probe_assertions () =
     rel.Catalog.stats_version;
   Alcotest.(check bool) "entries cached" true (Database.plan_cache_size db > 0)
 
+(* IN-list and select-list literals stay in the key, so the key must tell
+   apart every pair of floats: 0.1 and 0.1000000000001 share their first 12
+   significant digits but must not share a plan. *)
+let test_float_literals_in_key () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE T (X FLOAT, K INT); INSERT INTO T VALUES (0.1, 1), (0.1000000000001, 2);");
+  let col sql = List.map (fun (r : Rel.Tuple.t) -> r.(0)) (Database.query db sql).Executor.rows in
+  Alcotest.(check (list string)) "IN (0.1)" [ "1" ]
+    (List.map V.to_string (col "SELECT K FROM T WHERE X IN (0.1)"));
+  Alcotest.(check (list string)) "IN (0.1000000000001)" [ "2" ]
+    (List.map V.to_string (col "SELECT K FROM T WHERE X IN (0.1000000000001)"));
+  let one sql = match col sql with v :: _ -> v | [] -> Alcotest.fail sql in
+  Alcotest.(check bool) "select-list 0.1" true
+    (V.equal (V.Float 0.1) (one "SELECT 0.1 FROM T"));
+  Alcotest.(check bool) "select-list 0.1000000000001" true
+    (V.equal (V.Float 0.1000000000001) (one "SELECT 0.1000000000001 FROM T"))
+
 (* [exec] and [query] probe the plan cache through one helper: the same
    statement sequence — a miss, an exact repeat, new literals, then an
    invalidation by UPDATE STATISTICS — returns the same rows and leaves the
@@ -426,6 +445,8 @@ let () =
             test_cache_off_vs_on_workload;
           Alcotest.test_case "probe assertions (const-const, DML, collisions)"
             `Quick test_probe_assertions;
+          Alcotest.test_case "float literals in the key" `Quick
+            test_float_literals_in_key;
           Alcotest.test_case "exec and query count probes alike" `Quick
             test_exec_and_query_count_alike ] );
       ( "invalidation",

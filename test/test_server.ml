@@ -414,16 +414,45 @@ let test_deadlock_victim () =
       (match r.Client.error with
        | Some e -> Alcotest.(check bool) "deadlock reported" true (contains e "deadlock")
        | None -> Alcotest.fail "expected a deadlock error");
-      (* the victim's transaction survives (statement-level abort); its
-         ROLLBACK undoes b's t2 delete-mark and releases the tuple lock, so
-         a's queued delete is granted, rechecks a live unmarked tuple, and
-         succeeds *)
+      (* the failed statement aborts the victim's transaction at once: b's
+         t2 delete-mark is undone and its tuple lock released, so a's queued
+         delete is granted, rechecks a live unmarked tuple, and succeeds;
+         b's ROLLBACK closes the aborted block *)
       ignore (Client.ok (Client.simple b "ROLLBACK"));
       let r = Client.ok (Client.read_reply a) in
       Alcotest.(check string) "a proceeds" "1 row deleted" r.Client.tag;
       ignore (Client.ok (Client.simple a "COMMIT"));
       let r = Client.ok (Client.simple a "SELECT a FROM t2") in
       Alcotest.check msv "a's t2 delete committed" (multiset []) (rows_ms r);
+      Client.close a;
+      Client.close b)
+
+(* A failed statement aborts its transaction over the wire too: b's UPDATE
+   stamps row 1, then fails on row 2, which a changed after b's snapshot.
+   The abort undoes the stamp at once; b's later statements are refused
+   and its COMMIT reports the rollback, so no row is lost. *)
+let test_failed_statement_aborts_txn () =
+  with_server ~seed:"CREATE TABLE T (K INT, V INT); INSERT INTO T VALUES (1, 0), (2, 0);"
+    (fun _db srv ->
+      let a = connect srv and b = connect srv in
+      let expect_error c sql needle =
+        match (Client.simple c sql).Client.error with
+        | Some e -> Alcotest.(check bool) (sql ^ ": " ^ e) true (contains e needle)
+        | None -> Alcotest.failf "%s succeeded" sql
+      in
+      ignore (Client.ok (Client.simple b "BEGIN"));
+      ignore (Client.ok (Client.simple b "SELECT K, V FROM T"));
+      ignore (Client.ok (Client.simple a "UPDATE T SET V = 5 WHERE K = 2"));
+      expect_error b "UPDATE T SET V = 9" "serialize";
+      expect_error b "SELECT K, V FROM T" "is aborted";
+      expect_error b "INSERT INTO T VALUES (3, 3)" "is aborted";
+      expect_error b "COMMIT" "rolled back";
+      let r = Client.ok (Client.simple a "SELECT K, V FROM T") in
+      Alcotest.check msv "no row lost"
+        (multiset [ [| V.Int 1; V.Int 0 |]; [| V.Int 2; V.Int 5 |] ])
+        (rows_ms r);
+      let r = Client.ok (Client.simple b "UPDATE T SET V = 1 WHERE K = 1") in
+      Alcotest.(check string) "b runs statements again" "1 row updated" r.Client.tag;
       Client.close a;
       Client.close b)
 
@@ -735,7 +764,7 @@ let test_multi_session_differential () =
   let nqueries = 36 in
   let queries =
     List.init nqueries (fun _ ->
-        Fuzz_sql.query_to_string (Fuzz_gen.gen_query rng scenario))
+        Ast.to_sql (Ast.Select (Fuzz_gen.gen_query rng scenario)))
   in
   (* serial embedded oracle over the same schema/workload *)
   let oracle = Database.create () in
@@ -823,6 +852,8 @@ let () =
             `Quick test_epipe_disconnect_releases_locks;
           Alcotest.test_case "snapshot save latches and refuses active txns"
             `Quick test_snapshot_save_on_shared_engine;
+          Alcotest.test_case "a failed statement aborts its transaction" `Quick
+            test_failed_statement_aborts_txn;
           Alcotest.test_case "deadlock victim errors, survivor proceeds" `Quick
             test_deadlock_victim ] );
       ( "group commit",
