@@ -9,7 +9,7 @@
      simple    one Simple frame per statement, distinct literals per call,
                so every request pays lex + parse + fingerprint before the
                compiled-plan cache can help;
-     prepared  Parse once per connection, then Bind + Execute per call —
+     prepared  Parse once per connection, then one Execute per call —
                the PR-3 cache's steady state with zero parse/fingerprint/
                optimize work per request.
 

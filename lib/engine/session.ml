@@ -248,9 +248,11 @@ let describe_resource (rel : Catalog.relation) = function
    queued request was promoted. Deadlocks are detected at request time and
    surface as an error, failing the statement — a DML statement aborts its
    transaction (see [with_txn]).
-   Unlatched (embedded or the fuzz scheduler), a blocked request is
-   withdrawn and errors immediately — there is no second domain to release
-   the lock. The resource is described only on those error paths. *)
+   Unlatched (embedded or the fuzz scheduler), a blocked request errors
+   immediately — there is no second domain to release the lock. Every such
+   request comes from DML inside [with_txn], so the error aborts the
+   transaction, whose [release_all] drops the queued request. The resource
+   is described only on those error paths. *)
 let acquire_resource s txn_id rel resource mode =
   let eng = s.eng in
   match Rss.Lock_table.acquire eng.Engine.locks txn_id resource mode with
@@ -259,11 +261,8 @@ let acquire_resource s txn_id rel resource mode =
     err "deadlock on %s (transactions %s)" (describe_resource rel resource)
       (String.concat " -> " (List.map string_of_int cycle))
   | Rss.Lock_table.Blocked _ ->
-    if not (Engine.latched eng) then begin
-      Rss.Lock_table.withdraw eng.Engine.locks txn_id resource;
-      err "%s is locked by another transaction"
-        (describe_resource rel resource)
-    end
+    if not (Engine.latched eng) then
+      err "%s is locked by another transaction" (describe_resource rel resource)
     else begin
       Engine.note_blocked eng;
       while not (Rss.Lock_table.holds eng.Engine.locks txn_id resource mode) do
@@ -1059,7 +1058,7 @@ let recover s bytes =
    checked before every execution (a handful of integer compares), and the
    plan silently re-optimizes when UPDATE STATISTICS, index DDL or another
    session's feedback correction moved a dependency — the wire protocol's
-   Bind/Execute path re-parses only on that rare invalidation, never on the
+   Execute path re-parses only on that rare invalidation, never on the
    steady state. *)
 type compiled = {
   c_result : Optimizer.result;

@@ -210,7 +210,7 @@ val recover : t -> string -> int
     optimize time are checked before every execution, and the plan silently
     re-optimizes (from the retained statement text) when UPDATE STATISTICS,
     index DDL or another session's feedback correction moved a dependency.
-    The server's Bind/Execute path therefore re-parses only on that rare
+    The server's Execute path therefore re-parses only on that rare
     invalidation, never in the steady state. *)
 
 type prepared

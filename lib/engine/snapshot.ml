@@ -1,126 +1,120 @@
-let magic = "SYSR1\n"
+(* The image format is documented in snapshot.mli. [checkpoint] is the
+   log's transaction id; recovery moves the loaded engine's ids past it. *)
+let checkpoint = 1
 
-let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+let bad fmt = Printf.ksprintf (fun m -> invalid_arg ("Snapshot.load: " ^ m)) fmt
 
-let add_str buf s =
-  add_int buf (String.length s);
-  Buffer.add_string buf s
-
-let get_int b off = (Int64.to_int (Bytes.get_int64_le b off), off + 8)
-
-let get_str b off =
-  let len, off = get_int b off in
-  (Bytes.sub_string b off len, off + len)
-
-let ty_code = function
-  | Rel.Value.Tint -> 0
-  | Rel.Value.Tfloat -> 1
-  | Rel.Value.Tstr -> 2
-
-let ty_of_code = function
-  | 0 -> Rel.Value.Tint
-  | 1 -> Rel.Value.Tfloat
-  | 2 -> Rel.Value.Tstr
-  | c -> invalid_arg (Printf.sprintf "Snapshot: bad type code %d" c)
-
-(* Serialization runs under the engine's exclusive latch: on a shared engine
-   (wire-protocol server attached) a concurrent writer could otherwise
-   interleave with the heap scans and the snapshot would capture a mix of
-   before- and after-images. Holding the latch is not enough by itself —
-   an open transaction elsewhere has released the latch between its
-   statements while its uncommitted versions sit in the heap — so any
-   in-flight transaction (this session's or another's) refuses the save. *)
-let save db =
-  let eng = Database.engine db in
-  Engine.with_latch eng @@ fun () ->
-  if Database.in_transaction db then
-    invalid_arg "Snapshot.save: a transaction is open";
-  if Rss.Mvcc.active_count (Engine.mvcc eng) > 0 then
-    invalid_arg
-      "Snapshot.save: active transactions in other sessions (quiesce first)";
-  let cat = Database.catalog db in
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf magic;
-  let rels = Catalog.relations cat in
-  add_int buf (List.length rels);
+let ddl cat rels =
+  let b = Buffer.create 1024 in
+  let add st = Ast.add_sql b st; Buffer.add_string b ";\n" in
   List.iter
     (fun (r : Catalog.relation) ->
-      add_str buf r.Catalog.rel_name;
-      let cols = Rel.Schema.columns r.Catalog.schema in
-      add_int buf (List.length cols);
-      List.iter
-        (fun (c : Rel.Schema.column) ->
-          add_str buf c.Rel.Schema.name;
-          add_int buf (ty_code c.Rel.Schema.ty))
-        cols;
-      let tuples =
-        Rss.Scan.to_list
-          (Rss.Scan.open_segment_scan r.Catalog.segment
-             ~rel_id:r.Catalog.rel_id ())
+      let table = r.Catalog.rel_name and schema = r.Catalog.schema in
+      let name c = (Rel.Schema.column schema c).Rel.Schema.name in
+      let columns =
+        List.map
+          (fun { Rel.Schema.name; ty } -> { Ast.col_name = name; col_ty = ty })
+          (Rel.Schema.columns schema)
       in
-      add_int buf (List.length tuples);
-      List.iter (fun (_, t) -> Rel.Tuple.write buf t) tuples;
-      let idxs = Catalog.indexes_on cat r in
-      add_int buf (List.length idxs);
+      add (Ast.Create_table { table; columns });
       List.iter
-        (fun (i : Catalog.index) ->
-          add_str buf i.Catalog.idx_name;
-          add_int buf (if i.Catalog.clustered then 1 else 0);
-          add_int buf (List.length i.Catalog.key_cols);
-          List.iter
-            (fun c ->
-              add_str buf (Rel.Schema.column r.Catalog.schema c).Rel.Schema.name)
-            i.Catalog.key_cols)
-        idxs)
+        (fun { Catalog.idx_name; key_cols; clustered; _ } ->
+          add
+            (Ast.Create_index
+               { index = idx_name; table; columns = List.map name key_cols;
+                 clustered }))
+        (Catalog.indexes_on cat r))
     rels;
-  Buffer.contents buf
+  Buffer.contents b
+
+(* Each Insert names its relation by position in the DDL, which is the
+   rel_id the loaded catalog gives it: a dropped table's gap in the old ids
+   cannot misroute rows. *)
+let log view rels =
+  let b = Buffer.create 65536 in
+  let add r = Buffer.add_string b (Rss.Wal.encode r) in
+  add (Rss.Wal.Begin checkpoint);
+  List.iteri
+    (fun pos (r : Catalog.relation) ->
+      List.iter
+        (fun (tid, tuple) ->
+          add (Rss.Wal.Insert { txn = checkpoint; rel_id = pos; tid; tuple }))
+        (Rss.Scan.to_list
+           (Rss.Scan.open_segment_scan r.Catalog.segment
+              ~rel_id:r.Catalog.rel_id ~snap:view ())))
+    rels;
+  add (Rss.Wal.Commit checkpoint);
+  Buffer.contents b
+
+(* One statement snapshot under the shared latch: concurrent writers are
+   excluded for the scan, and another session's uncommitted versions are
+   invisible to it, so the image is the committed state. *)
+let save db =
+  let eng = Database.engine db in
+  Engine.with_read_latch eng @@ fun () ->
+  let cat = Engine.catalog eng and m = Engine.mvcc eng in
+  let rels = Catalog.relations cat in
+  let ddl = ddl cat rels
+  and log = log (Rss.Mvcc.view m (Rss.Mvcc.statement_snapshot m)) rels in
+  Printf.sprintf "systemr-snapshot 2 %d %d\n%s%s" (String.length ddl)
+    (String.length log) ddl log
+
+(* The image's DDL and log, once the header's lengths account for every
+   byte of it. *)
+let split s =
+  let line =
+    match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
+  in
+  (* a length is at most the input's, so the sum below cannot overflow *)
+  let len x =
+    match int_of_string_opt x with
+    | Some n when n >= 0 && n <= String.length s && string_of_int n = x -> n
+    | _ -> bad "bad header"
+  in
+  match String.split_on_char ' ' line with
+  | [ "systemr-snapshot"; "2"; d; l ] ->
+    let off = String.length line + 1 and d = len d and l = len l in
+    if off + d + l <> String.length s then
+      bad "%d bytes, the header promises %d" (String.length s) (off + d + l);
+    (String.sub s off d, String.sub s (off + d) l)
+  | _ -> bad "bad header"
+
+(* The number of Inserts, once the log decodes byte for byte to exactly one
+   Begin/Insert.../Commit transaction. [Rss.Wal.of_bytes] would drop a torn
+   tail without a word. *)
+let inserts log =
+  let next off =
+    try Rss.Wal.decode log off
+    with Invalid_argument _ -> bad "log record at byte %d does not decode" off
+  in
+  let not_one () = bad "the log is not one checkpoint transaction" in
+  match next 0 with
+  | Rss.Wal.Begin c, off ->
+    let rec go n off =
+      match next off with
+      | Rss.Wal.Insert { txn; _ }, off when txn = c -> go (n + 1) off
+      | Rss.Wal.Commit c', off when c' = c && off = String.length log -> n
+      | _ -> not_one ()
+    in
+    go 0 off
+  | _ -> not_one ()
 
 let load ?buffer_pages ?w s =
-  if String.length s < String.length magic
-     || String.sub s 0 (String.length magic) <> magic then
-    invalid_arg "Snapshot.load: not a systemr snapshot";
-  let b = Bytes.unsafe_of_string s in
+  let ddl, log = split s in
+  (match Parser.parse_script ddl with
+   | stmts ->
+     List.iter
+       (function
+         | Ast.Create_table _ | Ast.Create_index _ -> ()
+         | st -> bad "the DDL holds %s" (Ast.to_sql st))
+       stmts
+   | exception Parser.Error (m, off) -> bad "DDL at byte %d: %s" off m);
+  let n = inserts log in
   let db = Database.create ?buffer_pages ?w () in
-  let cat = Database.catalog db in
-  let off = ref (String.length magic) in
-  let read_int () =
-    let v, o = get_int b !off in
-    off := o;
-    v
-  in
-  let read_str () =
-    let v, o = get_str b !off in
-    off := o;
-    v
-  in
-  let nrels = read_int () in
-  for _ = 1 to nrels do
-    let name = read_str () in
-    let ncols = read_int () in
-    let cols =
-      List.init ncols (fun _ ->
-          let cname = read_str () in
-          let ty = ty_of_code (read_int ()) in
-          { Rel.Schema.name = cname; ty })
-    in
-    let rel = Catalog.create_relation cat ~name ~schema:(Rel.Schema.make cols) in
-    let ntuples = read_int () in
-    for _ = 1 to ntuples do
-      let t, o = Rel.Tuple.read b !off in
-      off := o;
-      ignore (Catalog.insert_tuple cat rel t)
-    done;
-    let nidx = read_int () in
-    for _ = 1 to nidx do
-      let iname = read_str () in
-      let clustered = read_int () = 1 in
-      let nkeys = read_int () in
-      let columns = List.init nkeys (fun _ -> read_str ()) in
-      ignore (Catalog.create_index cat ~name:iname ~rel ~columns ~clustered)
-    done
-  done;
-  if !off <> String.length s then
-    invalid_arg "Snapshot.load: trailing bytes (corrupt snapshot)";
+  (try ignore (Database.exec_script db ddl)
+   with Database.Error m -> bad "DDL: %s" m);
+  let restored = Database.recover db log in
+  if restored <> n then bad "%d of %d rows restored" restored n;
   Database.update_statistics db;
   db
 

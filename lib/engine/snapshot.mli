@@ -1,20 +1,31 @@
-(** Whole-database snapshots.
+(** Whole-database snapshots: a checkpoint image of the committed state.
 
-    Serializes the catalog (schemas, index definitions) and every relation's
-    tuples to a versioned byte string, and rebuilds a database from one —
-    the cold-storage companion to the WAL's crash recovery. Indexes are
-    re-created (not serialized) and statistics re-collected on load, so a
-    loaded database is immediately optimizable. *)
+    An image is three parts, each written by code the engine already uses:
+    - a header line, [systemr-snapshot 2 <d> <l>], giving the byte lengths
+      of the next two parts;
+    - the catalog as SQL: [CREATE TABLE] and [CREATE [CLUSTERED] INDEX]
+      statements written by {!Ast.to_sql}, relations in rel_id order;
+    - the rows as one committed WAL transaction, [Begin; Insert...; Commit],
+      written by {!Rss.Wal.encode}, each relation's rows in heap order. An
+      Insert names its relation by its position in the DDL.
+
+    Loading an image is crash recovery: the DDL runs on a fresh database,
+    {!Database.recover} replays the log, which re-logs the rows as the new
+    database's checkpoint, and UPDATE STATISTICS collects statistics again,
+    so a loaded database is immediately optimizable. *)
 
 val save : Database.t -> string
-(** Runs under the engine's exclusive latch, so it is safe to call while a
-    wire-protocol server shares the engine — concurrent statements are
-    excluded for the duration of the scan.
-    @raise Invalid_argument if any transaction is open — this session's or
-    a concurrent session's (uncommitted versions must not be serialized). *)
+(** The rows visible to one statement snapshot, taken under the engine's
+    shared latch: the committed state. Uncommitted versions of any session
+    are left out, so a save needs no quiet moment and refuses nothing. *)
 
 val load : ?buffer_pages:int -> ?w:float -> string -> Database.t
-(** @raise Invalid_argument on a corrupt or version-mismatched snapshot. *)
+(** @raise Invalid_argument when the input is not an image exactly: a bad
+    header; a length that does not account for every byte (truncation or
+    trailing bytes); DDL that does not parse or holds anything but CREATE
+    TABLE and CREATE INDEX, or that fails to run; a log that does not decode
+    byte for byte to one Begin/Insert.../Commit transaction; or an Insert
+    that recovery does not restore. *)
 
 val save_to_file : Database.t -> string -> unit
 val load_from_file : ?buffer_pages:int -> ?w:float -> string -> Database.t

@@ -35,12 +35,14 @@
    effects are rolled back, every later statement of the block fails as
    "aborted", ROLLBACK ends the block and COMMIT ends it with an error. The
    streams go on after a failure, so some histories COMMIT an aborted
-   transaction. After the schedule drains, the driver rolls back every open
-   or aborted block on both sides, audits every table against the model's
-   committed state and the lock table for leftover entries, runs VACUUM
-   (count checked), re-audits, and cross-checks heap/index integrity. An
-   engine exception other than Session.Error is a divergence too, so it is
-   shrunk and reported with a reproducer like any other. *)
+   transaction. After the schedule drains, [run] saves a snapshot and
+   checks the loaded tables against the model's committed state, then rolls
+   back every open or aborted block on both sides, audits every table
+   against the model's committed state and the lock table for leftover
+   entries, runs VACUUM (count checked), re-audits, and cross-checks
+   heap/index integrity. An engine exception other than Session.Error is a
+   divergence too, so it is shrunk and reported with a reproducer like any
+   other. *)
 
 module V = Rel.Value
 
@@ -467,6 +469,21 @@ let run (h : history) : divergence option =
         while take 0 || take 1 do
           ()
         done;
+        (* a snapshot saved while blocks are still open or aborted holds
+           exactly what a statement snapshot sees *)
+        let image = Snapshot.load (Snapshot.save db) in
+        List.iter
+          (fun (t : Fuzz_gen.table) ->
+            let tname = t.Fuzz_gen.tname in
+            let expected = m_rows model tname ~self:0 ~snap:model.m_csn None in
+            let out = Database.query image ("SELECT * FROM " ^ tname) in
+            let actual = Fuzz_harness.multiset out.Executor.rows in
+            if actual <> expected then
+              diverge !step (-1) "(snapshot)"
+                ("snapshot of " ^ tname ^ " differs from the committed state")
+                (String.concat "; " expected)
+                (String.concat "; " actual))
+          h.scenario.Fuzz_gen.tables;
         (* end of history: ROLLBACK every open or aborted block on both
            sides, then audit *)
         Array.iteri

@@ -122,11 +122,12 @@ let reference (w : workload) =
 (* A deliberately cramped instance: 2 buffer pages force evictions and
    order-4 B-trees force splits on workloads of a dozen rows. [data] is off
    for recovery targets — their contents come from the log, not the DDL. *)
-let build_db ~data (s : Fuzz_gen.scenario) =
+let small_btrees f =
   Rss.Btree.set_order_override (Some 4);
-  Fun.protect
-    ~finally:(fun () -> Rss.Btree.set_order_override None)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Rss.Btree.set_order_override None) f
+
+let build_db ~data (s : Fuzz_gen.scenario) =
+  small_btrees (fun () ->
       let db = Database.create ~buffer_pages:2 () in
       ignore (Database.exec_script db (Fuzz_harness.ddl_script ~data s));
       db)
@@ -227,18 +228,36 @@ let diff_tables (s : Fuzz_gen.scenario) db ~site ~hit ~torn ~detail expected =
              ~torn detail))
     (List.mapi (fun i t -> (i, t)) s.Fuzz_gen.tables)
 
-(* Recover a fresh database from [bytes] and compare it against the oracle:
-   committed effects present, uncommitted effects absent, heap and indexes
-   in agreement. *)
-let check_recovery (s : Fuzz_gen.scenario) bytes ~site ~hit ~torn =
+(* [db] against the committed state of [bytes]: heap and indexes in
+   agreement, committed effects present, uncommitted effects absent. *)
+let check_state ~what s db bytes ~site ~hit ~torn =
+  match Database.check_integrity db with
+  | Error msg ->
+    Some (divergence ~site ~hit ~torn ("integrity after " ^ what ^ ": " ^ msg))
+  | Ok () ->
+    diff_tables s db ~site ~hit ~torn
+      ~detail:(what ^ ": state differs from committed prefix")
+      (oracle_multisets bytes)
+
+let recover_fresh s bytes =
   let rdb = build_db ~data:false s in
   ignore (Database.recover rdb bytes);
-  match Database.check_integrity rdb with
-  | Error msg -> Some (divergence ~site ~hit ~torn ("integrity after recovery: " ^ msg))
-  | Ok () ->
-    diff_tables s rdb ~site ~hit ~torn
-      ~detail:"recovered state differs from committed prefix"
-      (oracle_multisets bytes)
+  rdb
+
+let check_recovery s bytes =
+  check_state ~what:"recovery" s (recover_fresh s bytes) bytes
+
+(* Save the final engine and load the image. The loaded database holds the
+   committed state of [bytes], and so does a fresh engine recovered from
+   the loaded database's own log: the load is logged. *)
+let check_snapshot s db bytes =
+  let ldb =
+    small_btrees (fun () -> Snapshot.load ~buffer_pages:2 (Snapshot.save db))
+  in
+  let rdb = recover_fresh s (W.to_bytes (Database.wal ldb)) in
+  List.find_map
+    (fun (what, db) -> check_state ~what s db bytes ~site:"snapshot" ~hit:0 ~torn:0)
+    [ ("snapshot load", ldb); ("recovery from the loaded log", rdb) ]
 
 (* --- multi-session interleaved workloads --------------------------------- *)
 
@@ -490,6 +509,7 @@ let sweep ?(crash_every = 1) (tg : target) : int * int * divergence option =
     in
     check (tg.clean db ~committed ~acked:!acked);
     check (check_recovery tg.scenario bytes ~site:"clean" ~hit:0 ~torn:0);
+    check (check_snapshot tg.scenario db bytes);
     List.iter
       (fun (site, total) ->
         let k = ref 1 in

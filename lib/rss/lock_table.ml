@@ -139,26 +139,6 @@ let release_all t txn =
         settle t r e)
     (List.rev rs)
 
-let withdraw t txn r =
-  t.last_granted <- [];
-  match Hashtbl.find_opt t.table r with
-  | None -> ()
-  | Some e ->
-    e.queue <- List.filter (fun (w, _) -> w <> txn) e.queue;
-    if not (List.mem_assoc txn e.holders) then begin
-      match List.filter (( <> ) r) (touched t txn) with
-      | [] -> Hashtbl.remove t.touched txn
-      | rs -> Hashtbl.replace t.touched txn rs
-    end;
-    let still_waiting r' =
-      match Hashtbl.find_opt t.table r' with
-      | Some e' -> List.mem_assoc txn e'.queue
-      | None -> false
-    in
-    if not (List.exists still_waiting (touched t txn)) then
-      Hashtbl.remove t.waits_for txn;
-    settle t r e
-
 let holds t txn r mode =
   match Hashtbl.find_opt t.table r with
   | None -> false

@@ -3,11 +3,12 @@
     The RSS is responsible for locking in a multi-user environment. We
     implement hierarchical S/X locking at relation and tuple granularity with
     wait-for-graph deadlock detection. A conflicting request is queued and
-    reported [Blocked]; the caller decides whether to wait or to
-    {!withdraw} it. The served engine waits: the session sleeps on the
-    engine's [locks_changed] condition, surrendering its write latch, until
-    a release promotes its request. Queued requests are granted in arrival
-    order as releases make them compatible.
+    reported [Blocked]; the caller decides whether to wait for it or to
+    give up, which aborts its transaction, and {!release_all} then drops
+    the queued request with its locks. The served engine waits: the session
+    sleeps on the engine's [locks_changed] condition, surrendering its write
+    latch, until a release promotes its request. Queued requests are
+    granted in arrival order as releases make them compatible.
 
     An entry lives exactly as long as some transaction holds or awaits it,
     so the table's size is the number of resources currently locked or
@@ -46,21 +47,15 @@ val release_all : t -> txn -> unit
     any queued requests that became compatible, in arrival order. Visits
     only the resources the transaction held or was queued on. *)
 
-val withdraw : t -> txn -> resource -> unit
-(** Take back the transaction's queued request on the resource, as for a
-    [Blocked] request the caller will not wait for, and grant any queued
-    requests that became compatible. Its locks stay held. Its waits-for
-    edges are dropped once it has no queued request left. *)
-
 val holds : t -> txn -> resource -> mode -> bool
 
 val holders : t -> resource -> (txn * mode) list
 val waiting : t -> resource -> (txn * mode) list
 val granted_since : t -> txn -> (txn * resource * mode) list
-(** Requests granted by the last [release_all] or {!withdraw} (so a test
-    harness can resume them), newest first. Reversed, the grants on one
-    resource follow arrival order, and resources follow the order in which
-    the releasing transaction first touched them. *)
+(** Requests granted by the last {!release_all} (so a test harness can
+    resume them), newest first. Reversed, the grants on one resource follow
+    arrival order, and resources follow the order in which the releasing
+    transaction first touched them. *)
 
 val length : t -> int
 (** Number of live entries: resources some transaction holds or awaits. *)

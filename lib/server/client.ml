@@ -74,7 +74,6 @@ let read_reply t =
     | Some (Protocol.Complete tag) -> go { acc with tag } batches
     | Some Protocol.Suspended -> go { acc with suspended = true } batches
     | Some (Protocol.Parse_ok n) -> go { acc with param_count = Some n } batches
-    | Some Protocol.Bind_ok -> go acc batches
     | Some (Protocol.Err e) -> go { acc with error = Some e } batches
   in
   go empty_reply []
@@ -86,7 +85,6 @@ let roundtrip t msg =
 
 let simple t sql = roundtrip t (Protocol.Simple sql)
 let parse t ~name sql = roundtrip t (Protocol.Parse { name; sql })
-let bind t ~name params = roundtrip t (Protocol.Bind { name; params })
 let execute t ?(fetch = 0) ?params name =
   roundtrip t (Protocol.Execute { name; params; fetch })
 let fetch t n = roundtrip t (Protocol.Fetch n)

@@ -42,11 +42,10 @@ val io : t -> Protocol.io
 
 val simple : t -> string -> reply
 val parse : t -> name:string -> string -> reply
-val bind : t -> name:string -> Rel.Value.t list -> reply
 val execute : t -> ?fetch:int -> ?params:Rel.Value.t list -> string -> reply
-(** [?params] binds values inline in the Execute frame — one message per
-    call, no separate {!bind} round. Without it, the last {!bind} applies.
-    Execute replies carry no row description (it is fixed at Parse time). *)
+(** [?params] binds values in the Execute frame — one message per call.
+    Without it the statement runs with no bindings. Execute replies carry
+    no row description (it is fixed at Parse time). *)
 
 val fetch : t -> int -> reply
 val close_stmt : t -> string -> reply

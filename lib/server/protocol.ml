@@ -23,7 +23,8 @@ exception Disconnected
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let version = 1
+(* Version 2: Execute carries its bindings; there is no Bind frame. *)
+let version = 2
 let magic = 0x53595352 (* "SYSR" *)
 
 let max_frame = 1 lsl 26
@@ -98,12 +99,11 @@ type client_msg =
   | Startup of int  (** protocol version *)
   | Simple of string  (** one SQL statement, any kind *)
   | Parse of { name : string; sql : string }
-  | Bind of { name : string; params : Rel.Value.t list }
   | Execute of { name : string; params : Rel.Value.t list option; fetch : int }
       (** [fetch = 0]: stream the whole result; [> 0]: open a portal and
           return at most [fetch] rows, the rest via {!Fetch}. [params]
-          inline bindings for this call — the steady-state hot path is one
-          Execute frame per call; [None] falls back to the last {!Bind} *)
+          binds for this call — the steady-state hot path is one Execute
+          frame per call; [None] runs with no bindings *)
   | Fetch of int
   | Close_stmt of string
   | Terminate
@@ -111,7 +111,6 @@ type client_msg =
 type server_msg =
   | Ready
   | Parse_ok of int  (** placeholder count *)
-  | Bind_ok
   | Row_desc of string list
   | Row_batch of Rel.Tuple.t list
   | Complete of string  (** command tag, e.g. ["SELECT 42"] *)
@@ -140,10 +139,6 @@ let encode_client_into b msg =
       put_str b name;
       put_str b sql;
       'P'
-    | Bind { name; params } ->
-      put_str b name;
-      encode_values b params;
-      'B'
     | Execute { name; params; fetch } ->
       put_str b name;
       put_u32 b fetch;
@@ -179,9 +174,6 @@ let decode_client_at typ c =
     | 'P' ->
       let name = get_str c in
       Parse { name; sql = get_str c }
-    | 'B' ->
-      let name = get_str c in
-      Bind { name; params = decode_values c }
     | 'E' ->
       let name = get_str c in
       let fetch = get_u32 c in
@@ -209,7 +201,6 @@ let encode_server_into b msg =
     | Parse_ok n ->
       put_u16 b n;
       'p'
-    | Bind_ok -> 'b'
     | Row_desc cols ->
       put_u16 b (List.length cols);
       List.iter (put_str b) cols;
@@ -242,7 +233,6 @@ let decode_server_at typ c =
     match typ with
     | 'Z' -> Ready
     | 'p' -> Parse_ok (get_u16 c)
-    | 'b' -> Bind_ok
     | 'D' ->
       let n = get_u16 c in
       Row_desc (List.init n (fun _ -> get_str c))

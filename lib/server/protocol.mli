@@ -26,12 +26,11 @@ type client_msg =
   | Startup of int  (** protocol version *)
   | Simple of string  (** one SQL statement, any kind *)
   | Parse of { name : string; sql : string }
-  | Bind of { name : string; params : Rel.Value.t list }
   | Execute of { name : string; params : Rel.Value.t list option; fetch : int }
       (** [fetch = 0]: stream the whole result; [> 0]: open a portal and
           return at most [fetch] rows, the rest via {!Fetch}. [Some vs]
-          binds [vs] inline for this call (the one-frame-per-call hot
-          path); [None] uses the bindings of the last {!Bind} *)
+          binds [vs] for this call (one frame per call); [None] runs with
+          no bindings *)
   | Fetch of int
   | Close_stmt of string
   | Terminate
@@ -39,7 +38,6 @@ type client_msg =
 type server_msg =
   | Ready
   | Parse_ok of int  (** placeholder count *)
-  | Bind_ok
   | Row_desc of string list
   | Row_batch of Rel.Tuple.t list
   | Complete of string  (** command tag, e.g. ["SELECT 42"] *)

@@ -62,9 +62,6 @@ type conn = {
   io : Protocol.io;
   sess : Session.t;
   stmts : (string, Session.prepared) Hashtbl.t;
-  binds : (string, Rel.Value.t list) Hashtbl.t;
-      (* Bind overwrites, Execute consumes-or-defaults-to-[]: rebinding
-         without re-parsing is the protocol's steady state *)
   mutable portal : Rel.Tuple.t list option;
       (* rows remaining from an Execute with fetch > 0 *)
 }
@@ -123,25 +120,13 @@ let dispatch conn msg =
     let p = Session.prepare conn.sess sql in
     Hashtbl.replace conn.stmts name p;
     Protocol.send conn.io (Protocol.Parse_ok (Session.prepared_param_count p))
-  | Protocol.Bind { name; params } ->
-    if not (Hashtbl.mem conn.stmts name) then
-      Protocol.send conn.io
-        (Protocol.Err (Printf.sprintf "no prepared statement %S" name))
-    else begin
-      Hashtbl.replace conn.binds name params;
-      Protocol.send conn.io Protocol.Bind_ok
-    end
   | Protocol.Execute { name; params; fetch } ->
     (match Hashtbl.find_opt conn.stmts name with
      | None ->
        Protocol.send conn.io
          (Protocol.Err (Printf.sprintf "no prepared statement %S" name))
      | Some p ->
-       let params =
-         match params with
-         | Some vs -> vs
-         | None -> Option.value (Hashtbl.find_opt conn.binds name) ~default:[]
-       in
+       let params = Option.value params ~default:[] in
        let out = Session.execute_prepared conn.sess p params in
        send_rows conn out ~describe:false ~fetch)
   | Protocol.Fetch n ->
@@ -162,7 +147,6 @@ let dispatch conn msg =
        end)
   | Protocol.Close_stmt name ->
     Hashtbl.remove conn.stmts name;
-    Hashtbl.remove conn.binds name;
     Protocol.send conn.io (Protocol.Complete "CLOSE")
   | Protocol.Terminate -> raise Exit
 
@@ -175,8 +159,7 @@ let handle t fd =
   let sess =
     Session.create ~serial_only:true ~counters:(Rss.Counters.create ()) t.eng
   in
-  let conn = { io; sess; stmts = Hashtbl.create 8; binds = Hashtbl.create 8;
-               portal = None } in
+  let conn = { io; sess; stmts = Hashtbl.create 8; portal = None } in
   (try
      (match Protocol.recv_client io with
       | Some (Protocol.Startup v) when v = Protocol.version ->

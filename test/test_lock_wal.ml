@@ -197,8 +197,7 @@ let test_deadlock_three_txns_mixed_resources () =
 
 (* The lock table before releases were indexed per transaction: every entry
    ever created stays, and release_all filters and promotes all of them.
-   Acquire and promotion are the same rules; [withdraw] is spelled out the
-   same full-scan way. *)
+   Acquire and promotion are the same rules. *)
 module Model = struct
   type entry = {
     mutable holders : (L.txn * L.mode) list;
@@ -286,17 +285,6 @@ module Model = struct
         promote t r e)
       t.table
 
-  let withdraw t txn r =
-    t.last_granted <- [];
-    let e = entry t r in
-    e.queue <- List.filter (fun (w, _) -> w <> txn) e.queue;
-    let waiting = ref false in
-    Hashtbl.iter
-      (fun _ e -> if List.mem_assoc txn e.queue then waiting := true)
-      t.table;
-    if not !waiting then Hashtbl.remove t.waits_for txn;
-    promote t r e
-
   let get t r f =
     match Hashtbl.find_opt t.table r with None -> [] | Some e -> f e
 
@@ -312,7 +300,7 @@ module Model = struct
       t.table 0
 end
 
-(* Seeded random acquire / release_all / withdraw sequences over 3–5
+(* Seeded random acquire / release_all sequences over 3–5
    transactions and a few relation and tuple resources, S and X: after
    every step the indexed table must agree with the full-scan model on the
    outcome, holds, holders, waiting and (as multisets) granted_since, and
@@ -341,10 +329,6 @@ let test_model_random_sequences () =
          L.release_all lt txn;
          Model.release_all m txn;
          if L.granted_since lt txn <> [] then note "promotion"
-       | 2 ->
-         L.withdraw lt txn r;
-         Model.withdraw m txn r;
-         note "withdraw"
        | _ ->
          let mode = if Random.State.bool rng then L.Shared else L.Exclusive in
          if L.holds lt txn r L.Shared && mode = L.Exclusive then note "upgrade";
@@ -380,11 +364,12 @@ let test_model_random_sequences () =
     (fun what ->
       if not (Hashtbl.mem seen what) then
         Alcotest.failf "the random sequences never hit %s" what)
-    [ "granted"; "blocked"; "deadlock"; "upgrade"; "promotion"; "withdraw" ]
+    [ "granted"; "blocked"; "deadlock"; "upgrade"; "promotion" ]
 
 (* Entries live exactly as long as a holder or waiter: a Deadlock adds
-   none, releases drop emptied entries, and a withdrawn request leaves
-   nothing behind. *)
+   none, releases drop emptied entries, and a queued request its
+   transaction gives up on leaves nothing behind once that transaction
+   releases. *)
 let test_entries_die_with_last_holder () =
   let lt = L.create () in
   ignore (L.acquire lt 1 (rel 0) L.Exclusive);
@@ -402,10 +387,10 @@ let test_entries_die_with_last_holder () =
   (match L.acquire lt 4 (rel 5) L.Shared with
    | L.Blocked [ 3 ] -> ()
    | _ -> Alcotest.fail "t4 should queue behind t3");
-  L.withdraw lt 4 (rel 5);
+  L.release_all lt 4;
   Alcotest.(check int) "t4 no longer waits" 0 (List.length (L.waiting lt (rel 5)));
   L.release_all lt 3;
-  Alcotest.(check int) "withdrawn request left nothing" 0 (L.length lt)
+  Alcotest.(check int) "given-up request left nothing" 0 (L.length lt)
 
 (* --- WAL ------------------------------------------------------------------ *)
 

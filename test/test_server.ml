@@ -1,7 +1,7 @@
 (* Server, sessions & wire protocol.
 
    - protocol encode/decode roundtrips and malformed-stream rejection
-   - simple-query and Parse/Bind/Execute/Fetch conversations over a real
+   - simple-query and Parse/Execute/Fetch conversations over a real
      Unix-domain socket
    - per-session isolation: SET overrides, transactions, counters folding
      into the engine-global record at session close
@@ -69,9 +69,11 @@ let test_protocol_roundtrip () =
     [ P.Startup P.version;
       P.Simple "SELECT 1 FROM t";
       P.Parse { name = "q0"; sql = "SELECT a FROM t WHERE a = ?" };
-      P.Bind { name = "q0"; params = [ V.Int 42; V.Null; V.Str "x"; V.Float 1.5 ] };
       P.Execute { name = "q0"; params = None; fetch = 7 };
       P.Execute { name = "q0"; params = Some [ V.Int 3; V.Str "y" ]; fetch = 0 };
+      P.Execute
+        { name = "q0"; params = Some [ V.Int 42; V.Null; V.Str "x"; V.Float 1.5 ];
+          fetch = 1 };
       P.Execute { name = "q0"; params = Some []; fetch = 0 };
       P.Fetch 12;
       P.Close_stmt "q0";
@@ -83,7 +85,6 @@ let test_protocol_roundtrip () =
   let smsgs =
     [ P.Ready;
       P.Parse_ok 3;
-      P.Bind_ok;
       P.Row_desc [ "a"; "b" ];
       P.Row_batch [ [| V.Int 1; V.Str "x" |]; [| V.Null; V.Float 2. |] ];
       P.Complete "SELECT 2";
@@ -176,18 +177,20 @@ let test_prepared_path () =
       let c = connect srv in
       let r = Client.ok (Client.parse c ~name:"q" "SELECT a FROM t WHERE a >= ?") in
       Alcotest.(check (option int)) "param count" (Some 1) r.Client.param_count;
-      ignore (Client.ok (Client.bind c ~name:"q" [ V.Int 4 ]));
-      let r = Client.ok (Client.execute c "q") in
+      let r = Client.ok (Client.execute c ~params:[ V.Int 4 ] "q") in
       Alcotest.check msv "bound execute"
         (multiset [ [| V.Int 4 |]; [| V.Int 5 |] ]) (rows_ms r);
       (* rebind without re-parsing *)
-      ignore (Client.ok (Client.bind c ~name:"q" [ V.Int 2 ]));
-      let r = Client.ok (Client.execute c "q") in
+      let r = Client.ok (Client.execute c ~params:[ V.Int 2 ] "q") in
       Alcotest.(check string) "rebound tag" "SELECT 4" r.Client.tag;
       (* binding count mismatch is a statement error, connection survives *)
-      ignore (Client.ok (Client.bind c ~name:"q" []));
-      let r = Client.execute c "q" in
+      let r = Client.execute c ~params:[] "q" in
       Alcotest.(check bool) "arity error" true (r.Client.error <> None);
+      let r = Client.execute c "q" in
+      Alcotest.(check bool) "no bindings is an arity error" true
+        (r.Client.error <> None);
+      let r = Client.ok (Client.execute c ~params:[ V.Int 5 ] "q") in
+      Alcotest.(check string) "connection survives" "SELECT 1" r.Client.tag;
       (* unknown statement *)
       let r = Client.execute c "nope" in
       Alcotest.(check bool) "unknown statement" true (r.Client.error <> None);
@@ -375,26 +378,26 @@ let test_epipe_disconnect_releases_locks () =
         "1 row deleted" r.Client.tag;
       Client.close b)
 
-(* Snapshot.save on a shared engine: latched against concurrent statements,
-   refused outright while any session's transaction is open (uncommitted
-   versions must never be serialized), accepted again once it commits. *)
+(* Snapshot.save on a shared engine holds the committed state: a's
+   uncommitted insert and delete are both left out while its transaction
+   is open, and both are in once it commits. *)
 let test_snapshot_save_on_shared_engine () =
   with_server ~seed:"CREATE TABLE t (a INT); INSERT INTO t VALUES (1);"
     (fun db srv ->
+      let image () =
+        let out = Database.query (Snapshot.load (Snapshot.save db)) "SELECT a FROM t" in
+        multiset out.Executor.rows
+      in
       let a = connect srv in
       ignore (Client.ok (Client.simple a "BEGIN"));
       ignore (Client.ok (Client.simple a "INSERT INTO t VALUES (2)"));
-      (match Snapshot.save db with
-       | exception Invalid_argument _ -> ()
-       | _ -> Alcotest.fail "save must refuse while a transaction is open");
+      ignore (Client.ok (Client.simple a "DELETE FROM t WHERE a = 1"));
+      Alcotest.check msv "open transaction left out"
+        (multiset [ [| V.Int 1 |] ]) (image ());
       ignore (Client.ok (Client.simple a "COMMIT"));
-      let bytes = Snapshot.save db in
-      Client.close a;
-      let db' = Snapshot.load bytes in
-      let out = Database.query db' "SELECT a FROM t" in
-      Alcotest.check msv "snapshot captured committed state"
-        (multiset [ [| V.Int 1 |]; [| V.Int 2 |] ])
-        (multiset out.Executor.rows))
+      Alcotest.check msv "committed transaction in"
+        (multiset [ [| V.Int 2 |] ]) (image ());
+      Client.close a)
 
 let test_deadlock_victim () =
   with_server
@@ -674,14 +677,13 @@ let test_prepared_invalidation_cross_session () =
     (fun _db srv ->
       let a = connect srv and b = connect srv in
       ignore (Client.ok (Client.parse a ~name:"q" "SELECT a FROM s WHERE a >= ?"));
-      ignore (Client.ok (Client.bind a ~name:"q" [ V.Int 0 ]));
-      let r = Client.ok (Client.execute a "q") in
+      let r = Client.ok (Client.execute a ~params:[ V.Int 0 ] "q") in
       Alcotest.(check string) "initial" "SELECT 3" r.Client.tag;
       (* another session grows the table and moves its statistics *)
       ignore (Client.ok (Client.simple b "INSERT INTO s VALUES (4), (5)"));
       ignore (Client.ok (Client.simple b "UPDATE STATISTICS"));
       (* a's prepared plan revalidates and re-optimizes transparently *)
-      let r = Client.ok (Client.execute a "q") in
+      let r = Client.ok (Client.execute a ~params:[ V.Int 0 ] "q") in
       Alcotest.(check string) "revalidated plan sees new rows" "SELECT 5"
         r.Client.tag;
       Client.close a;
@@ -850,7 +852,7 @@ let () =
             test_midtxn_disconnect_releases_locks;
           Alcotest.test_case "EPIPE on pending replies is a clean disconnect"
             `Quick test_epipe_disconnect_releases_locks;
-          Alcotest.test_case "snapshot save latches and refuses active txns"
+          Alcotest.test_case "snapshot save holds the committed state"
             `Quick test_snapshot_save_on_shared_engine;
           Alcotest.test_case "a failed statement aborts its transaction" `Quick
             test_failed_statement_aborts_txn;
