@@ -80,21 +80,24 @@ let indexes_on t rel =
 let key_of idx tuple =
   Array.of_list (List.map (fun c -> Rel.Tuple.get tuple c) idx.key_cols)
 
-(* Every physical version of the relation, delete-marked or not, with no
-   I/O accounting: VACUUM, index builds, wipes and integrity checks walk
-   the raw heap. *)
-let scan_versions rel =
+(* Every physical version of the relation, delete-marked or not, page by
+   page in place, with no I/O accounting: VACUUM, index builds, wipes and
+   integrity checks walk the raw heap. [f] may remove or restamp the version
+   it is given. *)
+let iter_versions rel f =
   let pager = Rss.Segment.pager rel.segment in
-  List.concat_map
+  List.iter
     (fun pid ->
-      let page = Rss.Pager.data_page pager pid in
-      List.filter_map
-        (fun (slot, rid, tuple, xmin, xmax) ->
-          if rid = rel.rel_id then
-            Some ({ Rss.Tid.page = pid; slot }, tuple, xmin, xmax)
-          else None)
-        (Rss.Page.versions page))
+      Rss.Page.iter_versions (Rss.Pager.data_page pager pid)
+        (fun slot rid tuple xmin xmax ->
+          if rid = rel.rel_id then f { Rss.Tid.page = pid; slot } tuple xmin xmax))
     (Rss.Segment.page_ids rel.segment)
+
+let scan_versions rel =
+  let acc = ref [] in
+  iter_versions rel (fun tid tuple xmin xmax ->
+      acc := (tid, tuple, xmin, xmax) :: !acc);
+  List.rev !acc
 
 let create_index ?order t ~name ~rel ~columns ~clustered =
   let key = norm name in
@@ -117,9 +120,8 @@ let create_index ?order t ~name ~rel ~columns ~clustered =
      a DDL operation, not a measured query. *)
   (* Include delete-marked versions: they may still be visible to older
      snapshots, and index scans re-check visibility per TID anyway. *)
-  List.iter
-    (fun (tid, tuple, _, _) -> Rss.Btree.insert btree (key_of idx tuple) tid)
-    (scan_versions rel);
+  iter_versions rel (fun tid tuple _ _ ->
+      Rss.Btree.insert btree (key_of idx tuple) tid);
   Hashtbl.replace t.idxs key idx;
   rel.stats_version <- rel.stats_version + 1;
   idx
@@ -146,9 +148,7 @@ let remove_version rel idxs tid tuple =
    committed survivors. *)
 let wipe_relation t rel =
   let idxs = indexes_on t rel in
-  List.iter
-    (fun (tid, tuple, _, _) -> ignore (remove_version rel idxs tid tuple))
-    (scan_versions rel)
+  iter_versions rel (fun tid tuple _ _ -> ignore (remove_version rel idxs tid tuple))
 
 let drop_relation t name =
   match find_relation t name with
@@ -188,21 +188,18 @@ let delete_tid t rel tid tuple = remove_version rel (indexes_on t rel) tid tuple
 let vacuum_relation t rel (mvcc : Rss.Mvcc.t) ~horizon =
   let idxs = indexes_on t rel in
   let reclaimed = ref 0 in
-  List.iter
-    (fun (tid, tuple, xmin, xmax) ->
-      let committed_by xid =
-        xid <> 0
-        && (match Rss.Mvcc.commit_csn mvcc xid with
-            | Some csn -> csn <= horizon
-            | None -> false)
-      in
+  let committed_by xid =
+    xid <> 0
+    && (match Rss.Mvcc.commit_csn mvcc xid with
+        | Some csn -> csn <= horizon
+        | None -> false)
+  in
+  iter_versions rel (fun tid tuple xmin xmax ->
       if committed_by xmax then begin
         ignore (remove_version rel idxs tid tuple);
         incr reclaimed
       end
-      else if committed_by xmin then
-        Rss.Segment.set_xmin rel.segment tid 0)
-    (scan_versions rel);
+      else if committed_by xmin then Rss.Segment.set_xmin rel.segment tid 0);
   if !reclaimed > 0 then rel.stats_version <- rel.stats_version + 1;
   !reclaimed
 
@@ -240,18 +237,36 @@ let update_relation_statistics t rel =
   let p = if nonempty = 0 then 1.0 else float_of_int tcard /. float_of_int nonempty in
   rel.rstats <- Some { Stats.ncard; tcard; p };
   (* Per-column histograms from one full scan, for every column — indexed or
-     not. Counter-neutral like index creation: statistics collection is DDL,
-     not a measured query. *)
+     not. The scan fills one array of NCARD values per column (it sees
+     exactly the versions [tuple_count] counts). Counter-neutral like index
+     creation: statistics collection is DDL, not a measured query. *)
   let snapshot = Rss.Counters.snapshot (Rss.Pager.counters t.pgr) in
-  let tuples =
-    Rss.Scan.to_list (Rss.Scan.open_segment_scan rel.segment ~rel_id:rel.rel_id ())
-    |> List.map snd
+  let columns =
+    Array.init (Rel.Schema.arity rel.schema) (fun _ -> Array.make ncard Rel.Value.Null)
   in
+  let scan = Rss.Scan.open_segment_scan rel.segment ~rel_id:rel.rel_id () in
+  (* the two walks must agree: a short scan would leave NULL padding in the
+     histograms, a long one would overrun the arrays *)
+  let miscount seen =
+    failwith
+      (Printf.sprintf "UPDATE STATISTICS %s: scan saw %s rows, NCARD is %d"
+         rel.rel_name seen ncard)
+  in
+  let rec fill row =
+    match Rss.Scan.next scan with
+    | None ->
+      Rss.Scan.close scan;
+      if row <> ncard then miscount (string_of_int row)
+    | Some _ when row = ncard ->
+      Rss.Scan.close scan;
+      miscount (Printf.sprintf "more than %d" ncard)
+    | Some (_, tup) ->
+      Array.iteri (fun col values -> values.(row) <- Rel.Tuple.get tup col) columns;
+      fill (row + 1)
+  in
+  fill 0;
   Rss.Counters.restore (Rss.Pager.counters t.pgr) ~from:snapshot;
-  rel.cstats <-
-    Array.init (Rel.Schema.arity rel.schema) (fun col ->
-        let values = List.map (fun tup -> Rel.Tuple.get tup col) tuples in
-        { Stats.hist = Histogram.build values });
+  rel.cstats <- Array.map (fun values -> { Stats.hist = Histogram.build values }) columns;
   (* runtime feedback corrections are superseded by the fresh histograms *)
   Hashtbl.reset rel.feedback;
   List.iter

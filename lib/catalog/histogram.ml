@@ -39,30 +39,33 @@ let distinct t = t.distinct
 let null_fraction t =
   if t.rows = 0 then 0. else float_of_int t.nulls /. float_of_int t.rows
 
-let build ?(max_buckets = default_buckets) values =
-  let nulls = List.length (List.filter Rel.Value.is_null values) in
-  let a =
-    Array.of_list (List.filter (fun v -> not (Rel.Value.is_null v)) values)
+let build ?(max_buckets = default_buckets) a =
+  (* NULL sorts below every value, so after the sort the NULLs are a prefix
+     and the non-NULL values follow it in order. *)
+  Array.stable_sort Rel.Value.compare a;
+  let len = Array.length a in
+  let nulls =
+    let rec count i = if i < len && Rel.Value.is_null a.(i) then count (i + 1) else i in
+    count 0
   in
-  Array.sort Rel.Value.compare a;
-  let n = Array.length a in
+  let n = len - nulls in
   if n = 0 then { rows = nulls; nulls; distinct = 0; buckets = [||] }
   else begin
     let depth = max 1 ((n + max_buckets - 1) / max_buckets) in
     let buckets = ref [] in
     let total_distinct = ref 0 in
-    let i = ref 0 in
-    while !i < n do
+    let i = ref nulls in
+    while !i < len do
       let start = !i in
       let distinct = ref 1 in
       let j = ref (start + 1) in
       (* extend to the target depth, counting value changes as we go *)
-      while !j < n && !j - start < depth do
+      while !j < len && !j - start < depth do
         if Rel.Value.compare a.(!j) a.(!j - 1) <> 0 then incr distinct;
         incr j
       done;
       (* never split a value across buckets: absorb the rest of its run *)
-      while !j < n && Rel.Value.compare a.(!j) a.(!j - 1) = 0 do
+      while !j < len && Rel.Value.compare a.(!j) a.(!j - 1) = 0 do
         incr j
       done;
       buckets :=
@@ -72,7 +75,7 @@ let build ?(max_buckets = default_buckets) values =
       total_distinct := !total_distinct + !distinct;
       i := !j
     done;
-    { rows = n + nulls;
+    { rows = len;
       nulls;
       distinct = !total_distinct;
       buckets = Array.of_list (List.rev !buckets) }

@@ -22,10 +22,11 @@ type t = {
   buckets : bucket array;
 }
 
-val build : ?max_buckets:int -> Rel.Value.t list -> t
-(** Sort the non-NULL values and partition them into runs of roughly equal
-    row count. [max_buckets] (default 32) is a target: the actual count can
-    be lower — a boundary never splits one value's run across buckets. *)
+val build : ?max_buckets:int -> Rel.Value.t array -> t
+(** Sort the column's values {e in place} ([Array.stable_sort]) and
+    partition the non-NULL ones into runs of roughly equal row count.
+    [max_buckets] (default 32) is a target: the actual count can be lower —
+    a boundary never splits one value's run across buckets. *)
 
 val rows : t -> int
 val distinct : t -> int

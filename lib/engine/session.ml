@@ -1007,22 +1007,14 @@ let recover s bytes =
       let cat = Engine.catalog eng in
       let c = Rss.Pager.counters (Engine.pager eng) in
       let snap = Rss.Counters.snapshot c in
-      let wal = Rss.Wal.of_bytes bytes in
-      let result = Rss.Recovery.replay wal in
+      let result = Rss.Recovery.replay (Rss.Wal.of_bytes bytes) in
       s.active <- None;
       s.aborted <- None;
       eng.Engine.locks <- Rss.Lock_table.create ();
       Plan_cache.clear eng.Engine.plan_cache;
       (* transaction ids stay unique across the crash *)
-      let max_txn =
-        List.fold_left
-          (fun acc r ->
-            match r with
-            | Rss.Wal.Begin tx | Rss.Wal.Commit tx | Rss.Wal.Abort tx -> max acc tx
-            | Rss.Wal.Insert { txn; _ } | Rss.Wal.Delete { txn; _ } -> max acc txn)
-          0 (Rss.Wal.records wal)
-      in
-      eng.Engine.next_txn <- max eng.Engine.next_txn (max_txn + 1);
+      eng.Engine.next_txn <-
+        max eng.Engine.next_txn (result.Rss.Recovery.max_txn + 1);
       Rss.Mvcc.reset (Engine.mvcc eng);
       (* wipe current contents physically — delete-marked versions included;
          the log alone defines the recovered state *)

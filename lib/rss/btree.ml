@@ -24,25 +24,34 @@ let compare_prefix (bound : key) (k : key) =
   in
   go 0
 
-type entry = key * Tid.t
-
 (* Entries are totally ordered by (key, TID); separators are full entries so
-   duplicate keys route deterministically. *)
-let compare_entry ((k1, t1) : entry) ((k2, t2) : entry) =
+   duplicate keys route deterministically. TIDs are held packed
+   (Tid.pack), whose int order is Tid.compare's order. *)
+let compare_entry (k1 : key) (t1 : int) (k2 : key) (t2 : int) =
   let d = compare_key k1 k2 in
-  if d <> 0 then d else Tid.compare t1 t2
+  if d <> 0 then d else Int.compare t1 t2
 
+(* A leaf holds its [n] entries, in order, in the prefix of two parallel
+   arrays: the keys and the packed TIDs. No per-entry pair or TID record
+   exists; a cursor builds one as it yields an entry. The arrays may have
+   spare capacity past [n] (never more than [order] slots), so an insert or
+   delete shifts entries in place; slots past [n] hold [no_key] and keep
+   nothing alive. *)
 type leaf = {
   lpage : int;
-  mutable entries : entry array;
+  mutable keys : key array;
+  mutable tids : int array;
+  mutable n : int;
   mutable next : leaf option;
   mutable prev : leaf option;
 }
 
 type internal = {
   ipage : int;
-  (* children.(i) covers entries e with seps.(i-1) <= e < seps.(i) *)
-  mutable seps : entry array;
+  (* children.(i) covers entries e with sep (i-1) <= e < sep i, where sep i
+     is (sep_keys.(i), sep_tids.(i)) *)
+  mutable sep_keys : key array;
+  mutable sep_tids : int array;
   mutable children : node array;
 }
 
@@ -56,6 +65,7 @@ type t = {
   mutable root : node;
 }
 
+let no_key : key = [||]
 
 (* Debug hook for the torture harness: an override makes every new tree use
    a tiny order so that a handful of tuples already drives the split paths
@@ -70,30 +80,40 @@ let create ?(order = 128) pgr =
   let order = match !order_override with Some o -> o | None -> order in
   if order < 4 then invalid_arg "Btree.create: order < 4";
   let root =
-    Leaf { lpage = Pager.alloc_page_id pgr; entries = [||]; next = None; prev = None }
+    Leaf
+      { lpage = Pager.alloc_page_id pgr; keys = [||]; tids = [||]; n = 0;
+        next = None; prev = None }
   in
   { pgr; order; root }
 
 let pager t = t.pgr
 
-(* First index of sorted [arr] at which the monotone predicate [ok] holds
-   ([ok] is false on a prefix of the array and true on the rest);
-   [Array.length arr] when it never holds. Separator and entry arrays are
-   sorted and every predicate below is monotone over that order, so every
-   position search is logarithmic — a point probe must not pay a linear
-   walk over a node. *)
-let lower_bound arr ok =
-  let lo = ref 0 and hi = ref (Array.length arr) in
+(* First index in [0, n) at which the monotone predicate [ok] holds ([ok] is
+   false on a prefix of the indices and true on the rest); [n] when it never
+   holds. Separator and entry arrays are sorted and every predicate below is
+   monotone over that order, so every position search is logarithmic — a
+   point probe must not pay a linear walk over a node. *)
+let lower_bound n ok =
+  let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if ok (Array.unsafe_get arr mid) then hi := mid else lo := mid + 1
+    if ok mid then hi := mid else lo := mid + 1
   done;
   !lo
 
-(* Child covering [e]: the number of separators <= e. *)
-let child_index (n : internal) (e : entry) =
-  lower_bound n.seps (fun sep -> compare_entry sep e > 0)
+(* Child covering entry (k, tid): the number of separators <= it. *)
+let child_index (n : internal) k tid =
+  lower_bound (Array.length n.sep_keys) (fun i ->
+      compare_entry (Array.unsafe_get n.sep_keys i) (Array.unsafe_get n.sep_tids i)
+        k tid
+      > 0)
 
+(* Position of the first leaf entry >= (k, tid). *)
+let leaf_index (l : leaf) k tid =
+  lower_bound l.n (fun i ->
+      compare_entry (Array.unsafe_get l.keys i) (Array.unsafe_get l.tids i) k tid >= 0)
+
+(* Internal nodes are few (one per ~order leaves): they copy on insert. *)
 let insert_at arr i x =
   let n = Array.length arr in
   let out = Array.make (n + 1) x in
@@ -101,77 +121,106 @@ let insert_at arr i x =
   Array.blit arr i out (i + 1) (n - i);
   out
 
-let remove_at arr i =
-  let n = Array.length arr in
-  let out = Array.make (n - 1) arr.(0) in
-  Array.blit arr 0 out 0 i;
-  Array.blit arr (i + 1) out i (n - 1 - i);
-  out
+(* A full leaf has [order] slots; below that the capacity doubles. *)
+let grow t (l : leaf) =
+  let cap = min t.order (max 4 (2 * l.n)) in
+  let keys = Array.make cap no_key and tids = Array.make cap 0 in
+  Array.blit l.keys 0 keys 0 l.n;
+  Array.blit l.tids 0 tids 0 l.n;
+  l.keys <- keys;
+  l.tids <- tids
 
-type split = (entry * node) option
+type split = (key * int * node) option
 
-let rec insert_node t node entry : split =
+let insert_leaf t (l : leaf) k tid : split =
+  let i = leaf_index l k tid in
+  let n = l.n in
+  if n < t.order then begin
+    if n = Array.length l.keys then grow t l;
+    Array.blit l.keys i l.keys (i + 1) (n - i);
+    Array.blit l.tids i l.tids (i + 1) (n - i);
+    l.keys.(i) <- k;
+    l.tids.(i) <- tid;
+    l.n <- n + 1;
+    None
+  end
+  else begin
+    Failpoint.hit "btree.split";
+    (* The leaf overflows to order + 1 entries: the first half stays, the
+       rest moves to a new right sibling, each half in arrays sized to its
+       entries (an ascending load never inserts into the left half again). *)
+    let total = n + 1 in
+    let mid = total / 2 in
+    let key_at j = if j < i then l.keys.(j) else if j = i then k else l.keys.(j - 1) in
+    let tid_at j = if j < i then l.tids.(j) else if j = i then tid else l.tids.(j - 1) in
+    let right =
+      { lpage = Pager.alloc_page_id t.pgr;
+        keys = Array.init (total - mid) (fun j -> key_at (mid + j));
+        tids = Array.init (total - mid) (fun j -> tid_at (mid + j));
+        n = total - mid; next = l.next; prev = Some l }
+    in
+    l.keys <- Array.init mid key_at;
+    l.tids <- Array.init mid tid_at;
+    l.n <- mid;
+    (match l.next with Some nx -> nx.prev <- Some right | None -> ());
+    l.next <- Some right;
+    Some (right.keys.(0), right.tids.(0), Leaf right)
+  end
+
+let rec insert_node t node k tid : split =
   match node with
-  | Leaf l ->
-    let i = lower_bound l.entries (fun e -> compare_entry e entry >= 0) in
-    l.entries <- insert_at l.entries i entry;
-    if Array.length l.entries <= t.order then None
-    else begin
-      Failpoint.hit "btree.split";
-      let n = Array.length l.entries in
-      let mid = n / 2 in
-      let right_entries = Array.sub l.entries mid (n - mid) in
-      l.entries <- Array.sub l.entries 0 mid;
-      let right =
-        { lpage = Pager.alloc_page_id t.pgr; entries = right_entries;
-          next = l.next; prev = Some l }
-      in
-      (match l.next with Some n -> n.prev <- Some right | None -> ());
-      l.next <- Some right;
-      Some (right_entries.(0), Leaf right)
-    end
+  | Leaf l -> insert_leaf t l k tid
   | Internal n ->
-    let i = child_index n entry in
-    (match insert_node t n.children.(i) entry with
+    let i = child_index n k tid in
+    (match insert_node t n.children.(i) k tid with
      | None -> None
-     | Some (sep, right_child) ->
-       n.seps <- insert_at n.seps i sep;
+     | Some (sep_k, sep_t, right_child) ->
+       n.sep_keys <- insert_at n.sep_keys i sep_k;
+       n.sep_tids <- insert_at n.sep_tids i sep_t;
        n.children <- insert_at n.children (i + 1) right_child;
        if Array.length n.children <= t.order then None
        else begin
          Failpoint.hit "btree.split";
          let c = Array.length n.children in
          let mid = c / 2 in
+         let s = Array.length n.sep_keys in
          (* separator promoted to the parent, not kept in either half *)
-         let up = n.seps.(mid - 1) in
+         let up_k = n.sep_keys.(mid - 1) and up_t = n.sep_tids.(mid - 1) in
          let right =
            { ipage = Pager.alloc_page_id t.pgr;
-             seps = Array.sub n.seps mid (Array.length n.seps - mid);
+             sep_keys = Array.sub n.sep_keys mid (s - mid);
+             sep_tids = Array.sub n.sep_tids mid (s - mid);
              children = Array.sub n.children mid (c - mid) }
          in
-         n.seps <- Array.sub n.seps 0 (mid - 1);
+         n.sep_keys <- Array.sub n.sep_keys 0 (mid - 1);
+         n.sep_tids <- Array.sub n.sep_tids 0 (mid - 1);
          n.children <- Array.sub n.children 0 mid;
-         Some (up, Internal right)
+         Some (up_k, up_t, Internal right)
        end)
 
 let insert t k tid =
-  match insert_node t t.root (k, tid) with
+  match insert_node t t.root k (Tid.pack tid) with
   | None -> ()
-  | Some (sep, right) ->
+  | Some (sep_k, sep_t, right) ->
     let root =
       Internal
         { ipage = Pager.alloc_page_id t.pgr;
-          seps = [| sep |];
+          sep_keys = [| sep_k |];
+          sep_tids = [| sep_t |];
           children = [| t.root; right |] }
     in
     t.root <- root
 
-let rec delete_node node entry =
+let rec delete_node node k tid =
   match node with
   | Leaf l ->
-    let i = lower_bound l.entries (fun e -> compare_entry e entry >= 0) in
-    if i < Array.length l.entries && compare_entry l.entries.(i) entry = 0 then begin
-      l.entries <- remove_at l.entries i;
+    let i = leaf_index l k tid in
+    if i < l.n && compare_entry l.keys.(i) l.tids.(i) k tid = 0 then begin
+      let n = l.n - 1 in
+      Array.blit l.keys (i + 1) l.keys i (n - i);
+      Array.blit l.tids (i + 1) l.tids i (n - i);
+      l.keys.(n) <- no_key;
+      l.n <- n;
       true
     end
     else false
@@ -180,13 +229,15 @@ let rec delete_node node entry =
        left across equal separators until found. *)
     let rec try_from i =
       if i < 0 then false
-      else if delete_node n.children.(i) entry then true
-      else if i > 0 && compare_entry n.seps.(i - 1) entry = 0 then try_from (i - 1)
+      else if delete_node n.children.(i) k tid then true
+      else if
+        i > 0 && compare_entry n.sep_keys.(i - 1) n.sep_tids.(i - 1) k tid = 0
+      then try_from (i - 1)
       else false
     in
-    try_from (child_index n entry)
+    try_from (child_index n k tid)
 
-let delete t k tid = delete_node t.root (k, tid)
+let delete t k tid = delete_node t.root k (Tid.pack tid)
 
 (* Leftmost leaf that may contain entries whose key is >= the bound, charging
    the leaf when [accounted]. [lo_cmp sep_key] compares the bound against a
@@ -208,7 +259,8 @@ let rec descend t ~accounted node lo_cmp =
            while the bound is strictly greater than separator i's key (a
            separator sharing the bound's prefix may still have matches to
            its left). *)
-        lower_bound n.seps (fun sep -> cmp (fst sep) <= 0)
+        lower_bound (Array.length n.sep_keys) (fun i ->
+            cmp (Array.unsafe_get n.sep_keys i) <= 0)
     in
     descend t ~accounted n.children.(i) lo_cmp
 
@@ -226,7 +278,8 @@ let rec descend_hi t node hi_cmp =
       | Some cmp ->
         (* Step left from the last child while its lower separator is
            strictly above the bound. *)
-        lower_bound n.seps (fun sep -> cmp (fst sep) < 0)
+        lower_bound (Array.length n.sep_keys) (fun i ->
+            cmp (Array.unsafe_get n.sep_keys i) < 0)
     in
     descend_hi t n.children.(i) hi_cmp
 
@@ -246,27 +299,29 @@ type bound = Rel.Value.t array * [ `Inclusive | `Exclusive ]
    the low bound. Descending: last entry at or below the high bound (may be -1,
    which sends the traversal to the prev leaf). Only the start leaf needs a
    search — every entry of the leaves that follow is past the bound. *)
-let asc_start entries lo_ok = lower_bound entries (fun (k, _) -> lo_ok k)
-let desc_start entries hi_ok =
-  lower_bound entries (fun (k, _) -> not (hi_ok k)) - 1
+let asc_start (l : leaf) lo_ok =
+  lower_bound l.n (fun i -> lo_ok (Array.unsafe_get l.keys i))
+let desc_start (l : leaf) hi_ok =
+  lower_bound l.n (fun i -> not (hi_ok (Array.unsafe_get l.keys i))) - 1
 
 (* The one range walk: a dispenser over mutable leaf/offset state, with no
    Seq cell or continuation closure per entry. The executor's index scans
-   pull every indexed tuple through it, so the per-entry path is one array
-   load and one bound check. Each leaf page is charged when entered (the
-   start leaf by the descent) unless [accounted] is false, which leaves the
-   counters and the buffer pool untouched. *)
+   pull every indexed tuple through it, so the per-entry path is one key
+   load and one bound check; the (key, TID) pair is built only for an entry
+   it yields. Each leaf page is charged when entered (the start leaf by the
+   descent) unless [accounted] is false, which leaves the counters and the
+   buffer pool untouched. *)
 let cursor ~accounted ?lo ?hi t =
   let lo_ok = bound_cmp_lo lo and hi_ok = bound_cmp_hi hi in
   let lo_probe = Option.map (fun (k, _) -> fun sep -> compare_prefix k sep) lo in
   let start = descend t ~accounted t.root lo_probe in
   let leaf = ref (Some start) in
-  let i = ref (asc_start start.entries lo_ok) in
+  let i = ref (asc_start start lo_ok) in
   let rec next () =
     match !leaf with
     | None -> None
     | Some l ->
-      if !i >= Array.length l.entries then begin
+      if !i >= l.n then begin
         (match l.next with
          | None -> leaf := None
          | Some nl ->
@@ -276,14 +331,15 @@ let cursor ~accounted ?lo ?hi t =
         next ()
       end
       else begin
-        let (k, _) as e = Array.unsafe_get l.entries !i in
+        let k = Array.unsafe_get l.keys !i in
         if not (hi_ok k) then begin
           leaf := None;
           None
         end
         else begin
+          let tid = Array.unsafe_get l.tids !i in
           incr i;
-          if lo_ok k then Some e else next ()
+          if lo_ok k then Some (k, Tid.unpack tid) else next ()
         end
       end
   in
@@ -298,7 +354,7 @@ let range_cursor_desc ?lo ?hi t =
   let hi_probe = Option.map (fun (k, _) -> fun sep -> compare_prefix k sep) hi in
   let start = descend_hi t t.root hi_probe in
   let leaf = ref (Some start) in
-  let i = ref (desc_start start.entries hi_ok) in
+  let i = ref (desc_start start hi_ok) in
   let rec next () =
     match !leaf with
     | None -> None
@@ -309,18 +365,19 @@ let range_cursor_desc ?lo ?hi t =
          | Some pl ->
            Pager.touch t.pgr pl.lpage;
            leaf := Some pl;
-           i := Array.length pl.entries - 1);
+           i := pl.n - 1);
         next ()
       end
       else begin
-        let (k, _) as e = Array.unsafe_get l.entries !i in
+        let k = Array.unsafe_get l.keys !i in
         if not (lo_ok k) then begin
           leaf := None;  (* descending: below the low bound *)
           None
         end
         else begin
+          let tid = Array.unsafe_get l.tids !i in
           decr i;
-          if hi_ok k then Some e else next ()
+          if hi_ok k then Some (k, Tid.unpack tid) else next ()
         end
       end
   in
@@ -347,7 +404,7 @@ let split_range ?lo ?hi t ~parts =
       match t.root with
       | Leaf _ -> []
       | Internal n ->
-        let top = Array.to_list n.seps |> List.map fst in
+        let top = Array.to_list n.sep_keys in
         if List.length top >= parts - 1 then top
         else
           (* Root fan-out too small; pull in the grandchildren's separators
@@ -357,8 +414,7 @@ let split_range ?lo ?hi t ~parts =
               (fun acc c ->
                 match c with
                 | Leaf _ -> acc
-                | Internal m ->
-                  Array.fold_left (fun acc (k, _) -> k :: acc) acc m.seps)
+                | Internal m -> Array.fold_left (fun acc k -> k :: acc) acc m.sep_keys)
               [] n.children
           in
           List.sort_uniq compare_key (top @ deeper)
@@ -392,18 +448,24 @@ let rec fold_leaves f acc node =
   | Leaf l -> f acc l
   | Internal n -> Array.fold_left (fun acc c -> fold_leaves f acc c) acc n.children
 
-let entry_count t = fold_leaves (fun acc l -> acc + Array.length l.entries) 0 t.root
+let entry_count t = fold_leaves (fun acc l -> acc + l.n) 0 t.root
+
+let leaf_sizes t = List.rev (fold_leaves (fun acc l -> l.n :: acc) [] t.root)
 
 let distinct_keys t =
   let count, _ =
     fold_leaves
       (fun (count, prev) l ->
-        Array.fold_left
-          (fun (count, prev) (k, _) ->
-            match prev with
-            | Some p when compare_key p k = 0 -> count, prev
-            | _ -> count + 1, Some k)
-          (count, prev) l.entries)
+        let count = ref count and prev = ref prev in
+        for i = 0 to l.n - 1 do
+          let k = l.keys.(i) in
+          match !prev with
+          | Some p when compare_key p k = 0 -> ()
+          | _ ->
+            incr count;
+            prev := Some k
+        done;
+        (!count, !prev))
       (0, None) t.root
   in
   count
@@ -419,47 +481,56 @@ let height t = height_node t.root
 let min_key t =
   let l = descend t ~accounted:false t.root None in
   let rec first l =
-    if Array.length l.entries > 0 then Some (fst l.entries.(0))
+    if l.n > 0 then Some l.keys.(0)
     else match l.next with None -> None | Some n -> first n
   in
   first l
 
 let max_key t =
   (* Lazy deletion can leave trailing leaves empty; walk all leaves. *)
-  fold_leaves
-    (fun acc l ->
-      if Array.length l.entries > 0 then Some (fst l.entries.(Array.length l.entries - 1))
-      else acc)
-    None t.root
+  fold_leaves (fun acc l -> if l.n > 0 then Some l.keys.(l.n - 1) else acc) None t.root
 
 let check_invariants t =
   let ( let* ) = Result.bind in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  (* 1. entries sorted within every leaf *)
+  (* 1. leaf layout: the entry count fits the capacity and the order, and
+     the slots past it are empty; entries sorted within every leaf *)
   let* () =
     fold_leaves
       (fun acc l ->
         let* () = acc in
-        let rec go i =
-          if i + 1 >= Array.length l.entries then Ok ()
-          else if compare_entry l.entries.(i) l.entries.(i + 1) > 0 then
-            err "leaf %d not sorted at %d" l.lpage i
-          else go (i + 1)
-        in
-        go 0)
+        let cap = Array.length l.keys in
+        if Array.length l.tids <> cap || l.n < 0 || l.n > cap || cap > t.order
+        then
+          err "leaf %d: %d entries, %d keys, %d tids (order %d)" l.lpage l.n cap
+            (Array.length l.tids) t.order
+        else if
+          not (Array.for_all (fun k -> k == no_key) (Array.sub l.keys l.n (cap - l.n)))
+        then err "leaf %d: a slot past the entries holds a key" l.lpage
+        else
+          let rec go i =
+            if i + 1 >= l.n then Ok ()
+            else if compare_entry l.keys.(i) l.tids.(i) l.keys.(i + 1) l.tids.(i + 1) > 0
+            then err "leaf %d not sorted at %d" l.lpage i
+            else go (i + 1)
+          in
+          go 0)
       (Ok ()) t.root
   in
   (* 2. entries sorted across the whole leaf chain *)
   let* () =
     let all =
       fold_leaves
-        (fun acc l -> Array.fold_left (fun a e -> e :: a) acc l.entries)
+        (fun acc l ->
+          let acc = ref acc in
+          for i = 0 to l.n - 1 do acc := (l.keys.(i), l.tids.(i)) :: !acc done;
+          !acc)
         [] t.root
       |> List.rev
     in
     let rec sorted = function
-      | a :: (b :: _ as rest) ->
-        if compare_entry a b > 0 then Error "entries not globally sorted"
+      | (k1, t1) :: ((k2, t2) :: _ as rest) ->
+        if compare_entry k1 t1 k2 t2 > 0 then Error "entries not globally sorted"
         else sorted rest
       | [ _ ] | [] -> Ok ()
     in
@@ -469,24 +540,26 @@ let check_invariants t =
      separator only when it is an exact duplicate of it (duplicates of one
      (key, TID) pair can straddle their separator) *)
   let rec check_sep node lo hi =
-    let in_range e =
-      (match lo with None -> true | Some b -> compare_entry b e <= 0)
-      && match hi with None -> true | Some b -> compare_entry e b <= 0
+    let in_range k tid =
+      (match lo with None -> true | Some (bk, bt) -> compare_entry bk bt k tid <= 0)
+      && match hi with None -> true | Some (bk, bt) -> compare_entry k tid bk bt <= 0
     in
     match node with
     | Leaf l ->
-      if Array.for_all in_range l.entries then Ok ()
-      else err "leaf %d violates separator bounds" l.lpage
+      let rec go i = i >= l.n || (in_range l.keys.(i) l.tids.(i) && go (i + 1)) in
+      if go 0 then Ok () else err "leaf %d violates separator bounds" l.lpage
     | Internal n ->
-      if Array.length n.children <> Array.length n.seps + 1 then
-        err "internal %d: %d children, %d seps" n.ipage
-          (Array.length n.children) (Array.length n.seps)
+      let s = Array.length n.sep_keys in
+      if Array.length n.children <> s + 1 || Array.length n.sep_tids <> s then
+        err "internal %d: %d children, %d sep keys, %d sep tids" n.ipage
+          (Array.length n.children) s (Array.length n.sep_tids)
       else
+        let sep i = Some (n.sep_keys.(i), n.sep_tids.(i)) in
         let rec go i acc =
           if i >= Array.length n.children then acc
           else
-            let lo_i = if i = 0 then lo else Some n.seps.(i - 1) in
-            let hi_i = if i = Array.length n.seps then hi else Some n.seps.(i) in
+            let lo_i = if i = 0 then lo else sep (i - 1) in
+            let hi_i = if i = s then hi else sep i in
             let* () = acc in
             go (i + 1) (check_sep n.children.(i) lo_i hi_i)
         in

@@ -10,7 +10,13 @@
 
     Deletion is lazy (entries are removed but underfull nodes are not merged),
     the strategy production B-trees such as PostgreSQL's use; NINDX can
-    therefore only be reduced by rebuilding, which UPDATE STATISTICS notes. *)
+    therefore only be reduced by rebuilding, which UPDATE STATISTICS notes.
+
+    A leaf keeps its entries in two parallel arrays edited in place — the
+    keys and the TIDs packed into ints ({!Tid.pack}) — so an entry costs a
+    key slot, an int slot and its key array; no (key, TID) pair or TID
+    record is stored. The split rule (a leaf or node splits when it would
+    exceed [order] entries, at the midpoint) fixes every tree's shape. *)
 
 type key = Rel.Value.t array
 
@@ -67,6 +73,10 @@ val split_range :
     accesses are charged. *)
 
 val entry_count : t -> int
+
+val leaf_sizes : t -> int list
+(** Entry count of each leaf, in key order: the tree's shape at the leaf
+    level, which tests pin. *)
 
 val distinct_keys : t -> int
 (** ICARD(I): number of distinct keys in the index. *)

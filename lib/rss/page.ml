@@ -95,19 +95,8 @@ let delete t ~slot =
 
 let slots t = t.nslots
 
-(* Default visibility (no snapshot): versions not delete-marked. Reproduces
-   pre-MVCC behavior for statistics and single-session embedded use. *)
-let live_tuples t =
-  let acc = ref [] in
-  for i = t.nslots - 1 downto 0 do
-    match t.slots.(i) with
-    | Live { rel_id; tuple; xmax = 0; _ } -> acc := (i, rel_id, tuple) :: !acc
-    | Live _ | Dead -> ()
-  done;
-  !acc
-
 (* Every physically live version, delete-marked or not: scans apply their
-   own snapshot, VACUUM and index builds need the full chain. *)
+   own snapshot. *)
 let versions t =
   let acc = ref [] in
   for i = t.nslots - 1 downto 0 do
@@ -117,6 +106,15 @@ let versions t =
     | Dead -> ()
   done;
   !acc
+
+(* The same versions, visited in place: VACUUM and index builds need the
+   full chain, and may tombstone or restamp the slot they are given. *)
+let iter_versions t f =
+  for i = 0 to t.nslots - 1 do
+    match t.slots.(i) with
+    | Live { rel_id; tuple; xmin; xmax; _ } -> f i rel_id tuple xmin xmax
+    | Dead -> ()
+  done
 
 let is_empty t =
   let rec go i = i >= t.nslots || (match t.slots.(i) with Dead -> go (i + 1) | Live _ -> false) in

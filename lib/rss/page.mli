@@ -44,14 +44,15 @@ val delete : t -> slot:int -> bool
 val slots : t -> int
 (** Number of slots ever allocated (live or dead). *)
 
-val live_tuples : t -> (int * int * Rel.Tuple.t) list
-(** [(slot, rel_id, tuple)] for every live slot that is not delete-marked
-    ([xmax = 0]), in slot order — default visibility, matching pre-MVCC
-    behavior for statistics and single-session use. *)
-
 val versions : t -> (int * int * Rel.Tuple.t * int * int) list
 (** [(slot, rel_id, tuple, xmin, xmax)] for every physically live slot,
-    delete-marked or not — snapshot scans, VACUUM and index builds. *)
+    delete-marked or not — snapshot scans. *)
+
+val iter_versions : t -> (int -> int -> Rel.Tuple.t -> int -> int -> unit) -> unit
+(** [iter_versions p f] calls [f slot rel_id tuple xmin xmax] for every
+    physically live slot, delete-marked or not, in slot order, building no
+    list — heap walks, counts, VACUUM and index builds. [f] may tombstone or
+    restamp the slot it is given. *)
 
 val is_empty : t -> bool
 (** No live tuples on the page. *)

@@ -2,6 +2,7 @@ type result = {
   survivors : (int * Rel.Tuple.t) list;
   committed : Wal.txn list;
   discarded : Wal.txn list;
+  max_txn : Wal.txn;
 }
 
 module Int_set = Set.Make (Int)
@@ -23,6 +24,14 @@ let replay wal =
     List.fold_left
       (fun acc r -> match r with Wal.Begin tx -> Int_set.add tx acc | _ -> acc)
       Int_set.empty recs
+  in
+  let max_txn =
+    List.fold_left
+      (fun acc r ->
+        match r with
+        | Wal.Begin tx | Wal.Commit tx | Wal.Abort tx -> max acc tx
+        | Wal.Insert { txn; _ } | Wal.Delete { txn; _ } -> max acc txn)
+      0 recs
   in
   let redo tx = Int_set.mem tx committed || not !commit_filter in
   (* Logical REDO keyed by original TID: inserts register the tuple, deletes
@@ -49,4 +58,5 @@ let replay wal =
   in
   { survivors;
     committed = Int_set.elements committed;
-    discarded = Int_set.elements (Int_set.diff started committed) }
+    discarded = Int_set.elements (Int_set.diff started committed);
+    max_txn }

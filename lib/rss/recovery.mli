@@ -12,6 +12,9 @@ type result = {
           live, in log order *)
   committed : Wal.txn list;
   discarded : Wal.txn list;
+  max_txn : Wal.txn;
+      (** the largest transaction id any record carries (0 for an empty
+          log): recovery keeps new ids above it *)
 }
 
 val replay : Wal.t -> result

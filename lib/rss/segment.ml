@@ -100,21 +100,18 @@ let nonempty_page_count t =
       if Page.is_empty (Pager.data_page t.pager pid) then acc else acc + 1)
     0 t.pages
 
+(* Live (not delete-marked) versions of [rel_id] on page [pid], counted in
+   place. *)
+let live_on t pid ~rel_id =
+  let n = ref 0 in
+  Page.iter_versions (Pager.data_page t.pager pid) (fun _ rid _ _ xmax ->
+      if rid = rel_id && xmax = 0 then incr n);
+  !n
+
 let pages_holding t ~rel_id =
   List.fold_left
-    (fun acc pid ->
-      let p = Pager.data_page t.pager pid in
-      let holds =
-        List.exists (fun (_, rid, _) -> rid = rel_id) (Page.live_tuples p)
-      in
-      if holds then acc + 1 else acc)
+    (fun acc pid -> if live_on t pid ~rel_id > 0 then acc + 1 else acc)
     0 t.pages
 
 let tuple_count t ~rel_id =
-  List.fold_left
-    (fun acc pid ->
-      let p = Pager.data_page t.pager pid in
-      acc
-      + List.length
-          (List.filter (fun (_, rid, _) -> rid = rel_id) (Page.live_tuples p)))
-    0 t.pages
+  List.fold_left (fun acc pid -> acc + live_on t pid ~rel_id) 0 t.pages

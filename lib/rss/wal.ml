@@ -7,11 +7,14 @@ type record =
   | Commit of txn
   | Abort of txn
 
-(* The log is staged: [append] only buffers a record ([pending]); [flush]
-   moves everything buffered to the durable image in one batch — the single
-   durability boundary group commit amortizes. A batch whose flush failed
-   stays in [flushing] and is retried (prepended) by the next flush, so a
-   leader failure between append and durability loses nothing silently.
+(* The log is staged: [append] only buffers a record's encoding ([pending]);
+   [flush] moves everything buffered to the durable image in one batch — the
+   single durability boundary group commit amortizes. A batch whose flush
+   failed stays in [flushing] and is retried (prepended) by the next flush,
+   so a leader failure between append and durability loses nothing
+   silently. Each stage is bytes plus a record count: the encoding is the
+   log, and [records] decodes it on demand, so no decoded copy of the log
+   stays resident.
 
    The mutex exists because a group-commit leader flushes *outside* the
    engine latch (so other sessions keep executing statements — and appending
@@ -20,14 +23,12 @@ type record =
    (the engine's leader flag / per-commit latch enforces that). *)
 type t = {
   m : Mutex.t;
-  mutable durable_recs : record list;   (* newest first, flushed *)
-  mutable flushing_recs : record list;  (* newest first, batch mid-flush *)
-  mutable pending_recs : record list;   (* newest first, not yet flushed *)
   durable_buf : Buffer.t;               (* serialized durable image *)
-  mutable flushing_bytes : string;
-  pending_buf : Buffer.t;
-  mutable count : int;                  (* all records, all stages *)
-  mutable bytes : int;
+  mutable flushing_bytes : string;      (* batch mid-flush *)
+  mutable flushing_count : int;
+  pending_buf : Buffer.t;               (* not yet flushed *)
+  mutable pending_count : int;
+  mutable bytes : int;                  (* all stages *)
   mutable last_flush : int;             (* byte size of the last flushed batch *)
   mutable flushes : int;
   mutable flush_hook : (unit -> unit) option;
@@ -35,13 +36,11 @@ type t = {
 
 let create () =
   { m = Mutex.create ();
-    durable_recs = [];
-    flushing_recs = [];
-    pending_recs = [];
     durable_buf = Buffer.create 256;
     flushing_bytes = "";
+    flushing_count = 0;
     pending_buf = Buffer.create 256;
-    count = 0;
+    pending_count = 0;
     bytes = 0;
     last_flush = 0;
     flushes = 0;
@@ -111,8 +110,7 @@ let append t r =
      surviving byte image a recovery will read. *)
   if not (Failpoint.halted ()) then begin
     locked t (fun () ->
-        t.pending_recs <- r :: t.pending_recs;
-        t.count <- t.count + 1;
+        t.pending_count <- t.pending_count + 1;
         let enc = encode r in
         t.bytes <- t.bytes + String.length enc;
         Buffer.add_string t.pending_buf enc);
@@ -125,7 +123,7 @@ let append t r =
 let set_flush_hook t h = locked t (fun () -> t.flush_hook <- h)
 
 let unflushed t =
-  locked t (fun () -> List.length t.pending_recs + List.length t.flushing_recs)
+  locked t (fun () -> t.pending_count + t.flushing_count)
 
 let last_flush_size t = locked t (fun () -> t.last_flush)
 let flushes t = locked t (fun () -> t.flushes)
@@ -139,9 +137,9 @@ let flush t =
           (* Absorb pending into the in-flight batch. A previous failed flush
              leaves its batch in [flushing]; the retry covers it too. *)
           if Buffer.length t.pending_buf > 0 then begin
-            t.flushing_recs <- t.pending_recs @ t.flushing_recs;
+            t.flushing_count <- t.flushing_count + t.pending_count;
             t.flushing_bytes <- t.flushing_bytes ^ Buffer.contents t.pending_buf;
-            t.pending_recs <- [];
+            t.pending_count <- 0;
             Buffer.clear t.pending_buf
           end;
           t.flushing_bytes, t.flush_hook)
@@ -153,10 +151,9 @@ let flush t =
          the batch stays in [flushing]: not durable, not lost. *)
       (match hook with Some f -> f () | None -> ());
       locked t (fun () ->
-          t.durable_recs <- t.flushing_recs @ t.durable_recs;
           Buffer.add_string t.durable_buf t.flushing_bytes;
           t.last_flush <- String.length t.flushing_bytes;
-          t.flushing_recs <- [];
+          t.flushing_count <- 0;
           t.flushing_bytes <- "";
           t.flushes <- t.flushes + 1);
       (* The site fires after the batch reached the device, so a crash here
@@ -168,19 +165,34 @@ let flush t =
 
 let clear t =
   locked t (fun () ->
-      t.durable_recs <- [];
-      t.flushing_recs <- [];
-      t.pending_recs <- [];
-      Buffer.clear t.durable_buf;
+      (* reset, not clear: the truncated log's capacity is released too *)
+      Buffer.reset t.durable_buf;
       t.flushing_bytes <- "";
+      t.flushing_count <- 0;
       Buffer.clear t.pending_buf;
-      t.count <- 0;
+      t.pending_count <- 0;
       t.bytes <- 0;
       t.last_flush <- 0)
 
+(* Every record of [s], in order, stopping at the end or at the first record
+   that does not decode (a torn tail). *)
+let decode_all s =
+  let rec go off acc =
+    if off >= String.length s then List.rev acc
+    else
+      match decode s off with
+      | r, next -> go next (r :: acc)
+      | exception Invalid_argument _ -> List.rev acc
+  in
+  go 0 []
+
 let records t =
-  locked t (fun () ->
-      List.rev (t.pending_recs @ t.flushing_recs @ t.durable_recs))
+  let stages =
+    locked t (fun () ->
+        [ Buffer.contents t.durable_buf; t.flushing_bytes;
+          Buffer.contents t.pending_buf ])
+  in
+  List.concat_map decode_all stages
 
 let byte_size t = locked t (fun () -> t.bytes)
 
@@ -190,21 +202,20 @@ let to_bytes t =
   locked t (fun () -> Buffer.contents t.durable_buf)
 
 let of_bytes s =
-  let t = create () in
-  let rec go off =
-    if off >= String.length s then ()
+  (* Straight into the durable stage: these bytes *are* the device. The
+     image keeps only whole records; a torn tail is dropped. The records
+     decoded here to find the cut are not kept. *)
+  let rec cut off =
+    if off >= String.length s then off
     else
       match decode s off with
-      | r, next ->
-        (* Straight into the durable stage: these bytes *are* the device. *)
-        t.durable_recs <- r :: t.durable_recs;
-        t.count <- t.count + 1;
-        t.bytes <- t.bytes + (next - off);
-        Buffer.add_substring t.durable_buf s off (next - off);
-        go next
-      | exception Invalid_argument _ -> ()  (* torn tail *)
+      | _, next -> cut next
+      | exception Invalid_argument _ -> off
   in
-  go 0;
+  let valid = cut 0 in
+  let t = create () in
+  Buffer.add_substring t.durable_buf s 0 valid;
+  t.bytes <- valid;
   t
 
 let equal_record a b =

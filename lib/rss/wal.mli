@@ -10,7 +10,10 @@
     the single fsync-equivalent boundary a commit group shares. Only
     {!to_bytes} (the surviving byte image a recovery reads) reflects the
     durable stage; {!records} still sees every appended record, flushed or
-    not, because in-process replay of a live log is not a crash. *)
+    not, because in-process replay of a live log is not a crash.
+
+    The log is one byte image: each stage holds only its records' encodings
+    and a count, and {!records} decodes them on demand. *)
 
 type txn = int
 
@@ -63,7 +66,8 @@ val clear : t -> unit
     checkpoint after reloading the surviving state). *)
 
 val records : t -> record list
-(** In append order, including records not yet flushed. *)
+(** In append order, including records not yet flushed, decoded from the
+    byte image on each call. *)
 
 val byte_size : t -> int
 (** Encoded size of all records, including records not yet flushed. *)
@@ -77,9 +81,9 @@ val to_bytes : t -> string
 (** The durable byte image only — what survives a crash. *)
 
 val of_bytes : string -> t
-(** Decode an entire serialized log; every decoded record is durable (the
-    bytes {e are} the device). Trailing garbage (a torn final write) is
-    ignored, as a real recovery would. *)
+(** A log whose durable image is the serialized log [s] (the bytes {e are}
+    the device), cut after its last whole record: trailing garbage (a torn
+    final write) is dropped, as a real recovery would. *)
 
 val equal_record : record -> record -> bool
 val pp_record : Format.formatter -> record -> unit

@@ -346,6 +346,257 @@ let prop_model =
       in
       expected = actual)
 
+(* --- packed TIDs ----------------------------------------------------------- *)
+
+let test_pack_boundary () =
+  let ok page slot =
+    let t = { Rss.Tid.page; slot } in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d.%d round-trips" page slot)
+      true
+      (Rss.Tid.equal t (Rss.Tid.unpack (Rss.Tid.pack t)))
+  in
+  let bad page slot =
+    match Rss.Tid.pack { Rss.Tid.page; slot } with
+    | _ -> Alcotest.failf "%d.%d packed" page slot
+    | exception Invalid_argument _ -> ()
+  in
+  ok 0 0;
+  ok 0 65535;
+  ok 12345 (Rss.Page.size / 8);
+  ok (max_int lsr 16) 65535;
+  bad 0 65536;
+  bad 0 (-1);
+  bad (-1) 0;
+  bad ((max_int lsr 16) + 1) 0;
+  (* a page holds at most one slot per 8 bytes: the guard never fires for a
+     TID the pager hands out *)
+  Alcotest.(check bool) "slots fit 16 bits" true (Rss.Page.size / 8 < 1 lsl 16)
+
+let tid_gen =
+  QCheck.Gen.(
+    map2 (fun page slot -> { Rss.Tid.page; slot })
+      (oneof [ int_bound 1000; int_bound (1 lsl 40) ])
+      (oneof [ int_bound 8; int_bound 65535 ]))
+
+let prop_pack_order =
+  QCheck.Test.make ~name:"packed TIDs round-trip and order as Tid.compare"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Format.asprintf "%a %a" Rss.Tid.pp a Rss.Tid.pp b)
+       (QCheck.Gen.pair tid_gen tid_gen))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      Rss.Tid.equal a (Rss.Tid.unpack (Rss.Tid.pack a))
+      && sign (Int.compare (Rss.Tid.pack a) (Rss.Tid.pack b))
+         = sign (Rss.Tid.compare a b))
+
+(* --- tree shape against the copy-on-insert tree ---------------------------- *)
+
+(* The B-tree as it was before leaves became packed, in-place arrays: one
+   (key, TID) pair per entry, every insert copying the node. Kept here as
+   the shape oracle — the packed tree must split at exactly the same points,
+   so NINDX, ICARD, plans and COST counts cannot move. *)
+module Copy_tree = struct
+  type entry = B.key * Rss.Tid.t
+
+  let compare_entry ((k1, t1) : entry) ((k2, t2) : entry) =
+    let d = B.compare_key k1 k2 in
+    if d <> 0 then d else Rss.Tid.compare t1 t2
+
+  type node =
+    | Leaf of entry array ref
+    | Internal of internal
+
+  and internal = { mutable seps : entry array; mutable children : node array }
+
+  type t = { order : int; mutable root : node }
+
+  let create order = { order; root = Leaf (ref [||]) }
+
+  let lower_bound arr ok =
+    let lo = ref 0 and hi = ref (Array.length arr) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if ok arr.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  let child_index n e = lower_bound n.seps (fun sep -> compare_entry sep e > 0)
+
+  let insert_at arr i x =
+    let n = Array.length arr in
+    let out = Array.make (n + 1) x in
+    Array.blit arr 0 out 0 i;
+    Array.blit arr i out (i + 1) (n - i);
+    out
+
+  let remove_at arr i =
+    Array.append (Array.sub arr 0 i) (Array.sub arr (i + 1) (Array.length arr - i - 1))
+
+  let rec insert_node t node e =
+    match node with
+    | Leaf l ->
+      let i = lower_bound !l (fun x -> compare_entry x e >= 0) in
+      l := insert_at !l i e;
+      let n = Array.length !l in
+      if n <= t.order then None
+      else begin
+        let mid = n / 2 in
+        let right = Array.sub !l mid (n - mid) in
+        l := Array.sub !l 0 mid;
+        Some (right.(0), Leaf (ref right))
+      end
+    | Internal n ->
+      let i = child_index n e in
+      (match insert_node t n.children.(i) e with
+       | None -> None
+       | Some (sep, right) ->
+         n.seps <- insert_at n.seps i sep;
+         n.children <- insert_at n.children (i + 1) right;
+         let c = Array.length n.children in
+         if c <= t.order then None
+         else begin
+           let mid = c / 2 in
+           let up = n.seps.(mid - 1) in
+           let right =
+             { seps = Array.sub n.seps mid (Array.length n.seps - mid);
+               children = Array.sub n.children mid (c - mid) }
+           in
+           n.seps <- Array.sub n.seps 0 (mid - 1);
+           n.children <- Array.sub n.children 0 mid;
+           Some (up, Internal right)
+         end)
+
+  let insert t k tid =
+    match insert_node t t.root (k, tid) with
+    | None -> ()
+    | Some (sep, right) ->
+      t.root <- Internal { seps = [| sep |]; children = [| t.root; right |] }
+
+  let rec delete_node node e =
+    match node with
+    | Leaf l ->
+      let i = lower_bound !l (fun x -> compare_entry x e >= 0) in
+      if i < Array.length !l && compare_entry !l.(i) e = 0 then begin
+        l := remove_at !l i;
+        true
+      end
+      else false
+    | Internal n ->
+      let rec try_from i =
+        if i < 0 then false
+        else if delete_node n.children.(i) e then true
+        else if i > 0 && compare_entry n.seps.(i - 1) e = 0 then try_from (i - 1)
+        else false
+      in
+      try_from (child_index n e)
+
+  let delete t k tid = delete_node t.root (k, tid)
+
+  let rec leaves = function
+    | Leaf l -> [ !l ]
+    | Internal n -> List.concat_map leaves (Array.to_list n.children)
+
+  let entries t = List.concat_map Array.to_list (leaves t.root)
+  let leaf_sizes t = List.map Array.length (leaves t.root)
+
+  let rec height = function Leaf _ -> 1 | Internal n -> 1 + height n.children.(0)
+
+  let distinct_keys t =
+    let rec go prev = function
+      | [] -> 0
+      | (k, _) :: rest ->
+        (match prev with Some p when B.compare_key p k = 0 -> 0 | _ -> 1)
+        + go (Some k) rest
+    in
+    go None (entries t)
+end
+
+type shape_op = Put of int * int | Drop of int * int
+
+let shape_ops_gen ~keys ~max_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 max_ops)
+      (frequency
+         [ (3, map2 (fun k x -> Put (k, x)) (int_bound keys) (int_bound 12));
+           (1, map2 (fun k x -> Drop (k, x)) (int_bound keys) (int_bound 12)) ]))
+
+let same_shape ~order ops =
+  let t, _ = fresh ~order () in
+  let c = Copy_tree.create order in
+  (* TIDs repeat (x < 13), so (key, TID) pairs repeat too *)
+  let tid_of x = { Rss.Tid.page = x; slot = x mod 3 } in
+  List.iter
+    (function
+      | Put (k, x) ->
+        B.insert t (key k) (tid_of x);
+        Copy_tree.insert c (key k) (tid_of x)
+      | Drop (k, x) ->
+        let a = B.delete t (key k) (tid_of x) in
+        if a <> Copy_tree.delete c (key k) (tid_of x) then
+          failwith "delete result differs")
+    ops;
+  (match B.check_invariants t with Ok () -> () | Error m -> failwith m);
+  let entry_eq (k1, t1) (k2, t2) = B.compare_key k1 k2 = 0 && Rss.Tid.equal t1 t2 in
+  let mine = B.entries t and theirs = Copy_tree.entries c in
+  List.length mine = List.length theirs
+  && List.for_all2 entry_eq mine theirs
+  && B.leaf_sizes t = Copy_tree.leaf_sizes c
+  && B.leaf_pages t = List.length (Copy_tree.leaf_sizes c)
+  && B.height t = Copy_tree.height c.Copy_tree.root
+  && B.distinct_keys t = Copy_tree.distinct_keys c
+  && B.entry_count t = List.length theirs
+
+let show_shape_ops ops =
+  String.concat ";"
+    (List.map
+       (function
+         | Put (k, x) -> Printf.sprintf "+%d/%d" k x
+         | Drop (k, x) -> Printf.sprintf "-%d/%d" k x)
+       ops)
+
+let prop_shape_order4 =
+  QCheck.Test.make ~name:"order 4: same shape as the copy-on-insert tree" ~count:300
+    (QCheck.make ~print:show_shape_ops (shape_ops_gen ~keys:40 ~max_ops:300))
+    (same_shape ~order:4)
+
+let prop_shape_order128 =
+  QCheck.Test.make ~name:"order 128: same shape as the copy-on-insert tree" ~count:20
+    (QCheck.make ~print:show_shape_ops (shape_ops_gen ~keys:400 ~max_ops:6000))
+    (same_shape ~order:128)
+
+(* --- footprint ----------------------------------------------------------------- *)
+
+(* Words reachable from the tree but not from its pager, per entry, for a
+   10,000-entry single-INT index loaded in the given key order. Each entry
+   owns its one-value key (array + boxed INT, 4 words), a key slot and a
+   packed-TID slot; the rest is spare leaf capacity and upper levels. *)
+let words_per_entry keys =
+  let t, pager = fresh () in
+  Array.iter
+    (fun k -> B.insert t (key k) { Rss.Tid.page = k / 50; slot = k mod 50 })
+    keys;
+  let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr pager) in
+  float_of_int words /. float_of_int (Array.length keys)
+
+let test_footprint () =
+  let n = 10_000 in
+  let ascending = Array.init n Fun.id in
+  let shuffled = Array.copy ascending in
+  let st = Random.State.make [| 24 |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- x
+  done;
+  List.iter
+    (fun (name, keys) ->
+      let w = words_per_entry keys in
+      if w > 8.0 then Alcotest.failf "%s load: %.2f words per entry (> 8)" name w)
+    [ ("ascending", ascending); ("random", shuffled) ]
+
 (* Engine integration: with the debug order override forcing order-4 trees
    (as the crash-torture harness does), a modest engine-level DML workload
    drives real leaf and internal splits; the B-tree invariants and the
@@ -392,7 +643,11 @@ let () =
           Alcotest.test_case "descending scan" `Quick test_desc_scan;
           Alcotest.test_case "bad order" `Quick test_bad_order;
           Alcotest.test_case "engine DML at order 4" `Quick
-            test_engine_integration_small_order ] );
+            test_engine_integration_small_order;
+          Alcotest.test_case "packed TID boundary" `Quick test_pack_boundary;
+          Alcotest.test_case "footprint: <= 8 words per entry" `Quick
+            test_footprint ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_model; prop_cursor_model ] ) ]
+          [ prop_model; prop_cursor_model; prop_pack_order; prop_shape_order4;
+            prop_shape_order128 ] ) ]

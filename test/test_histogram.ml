@@ -37,7 +37,7 @@ let test_build_skewed () =
     List.init 500 (fun _ -> V.Int 7)
     @ List.init 500 (fun i -> V.Int (100 + i))
   in
-  let h = Histogram.build values in
+  let h = Histogram.build (Array.of_list values) in
   check_invariants h;
   Alcotest.(check int) "rows" 1000 (Histogram.rows h);
   Alcotest.(check int) "distinct" 501 (Histogram.distinct h);
@@ -55,7 +55,7 @@ let test_build_null_heavy () =
   let values =
     List.init 300 (fun _ -> V.Null) @ List.init 100 (fun i -> V.Int i)
   in
-  let h = Histogram.build values in
+  let h = Histogram.build (Array.of_list values) in
   check_invariants h;
   Alcotest.(check int) "rows include NULLs" 400 (Histogram.rows h);
   feq "null fraction" 0.75 (Histogram.null_fraction h);
@@ -67,7 +67,7 @@ let test_build_null_heavy () =
   feq "NULL probe qualifies nothing" 0. (Histogram.selectivity_eq h V.Null)
 
 let test_build_constant () =
-  let h = Histogram.build (List.init 50 (fun _ -> V.Int 9)) in
+  let h = Histogram.build (Array.make 50 (V.Int 9)) in
   check_invariants h;
   Alcotest.(check int) "one bucket" 1 (Array.length h.Histogram.buckets);
   Alcotest.(check int) "distinct 1" 1 (Histogram.distinct h);
@@ -77,13 +77,144 @@ let test_build_constant () =
   feq "gt of the value" 0. (Histogram.selectivity_cmp h `Gt (V.Int 9))
 
 let test_build_empty_and_all_null () =
-  let h = Histogram.build [] in
+  let h = Histogram.build [||] in
   Alcotest.(check int) "empty rows" 0 (Histogram.rows h);
   feq "empty eq" 0. (Histogram.selectivity_eq h (V.Int 1));
-  let h = Histogram.build [ V.Null; V.Null ] in
+  let h = Histogram.build [| V.Null; V.Null |] in
   Alcotest.(check int) "all-NULL distinct" 0 (Histogram.distinct h);
   feq "all-NULL fraction" 1.0 (Histogram.null_fraction h);
   feq "all-NULL cmp" 0. (Histogram.selectivity_cmp h `Le (V.Int 5))
+
+(* ---- one entry point, over an array ---------------------------------- *)
+
+let same_histogram name (a : Histogram.t) (b : Histogram.t) =
+  let open Histogram in
+  Alcotest.(check int) (name ^ ": rows") a.rows b.rows;
+  Alcotest.(check int) (name ^ ": nulls") a.nulls b.nulls;
+  Alcotest.(check int) (name ^ ": distinct") a.distinct b.distinct;
+  Alcotest.(check int) (name ^ ": buckets") (Array.length a.buckets)
+    (Array.length b.buckets);
+  Array.iter2
+    (fun x y ->
+      Alcotest.(check bool) (name ^ ": bucket bounds") true
+        (V.equal x.b_lo y.b_lo && V.equal x.b_hi y.b_hi);
+      Alcotest.(check int) (name ^ ": bucket rows") x.b_rows y.b_rows;
+      Alcotest.(check int) (name ^ ": bucket distinct") x.b_distinct y.b_distinct)
+    a.buckets b.buckets
+
+let shuffle st a =
+  let a = Array.copy a in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+(* [build] sorts its array in place; the order the column arrives in must
+   not matter. *)
+let test_build_order_independent () =
+  let st = Random.State.make [| 11 |] in
+  let columns =
+    [ ("skewed",
+       Array.append (Array.make 500 (V.Int 7))
+         (Array.init 500 (fun i -> V.Int (100 + i))));
+      ("NULL-heavy",
+       Array.append (Array.make 300 V.Null) (Array.init 100 (fun i -> V.Int (i mod 37))));
+      ("all-equal", Array.make 64 (V.Str "x"));
+      ("all-NULL", Array.make 10 V.Null);
+      ("strings",
+       Array.init 700 (fun i -> V.Str (Printf.sprintf "s%03d" (i * 7 mod 301)))) ]
+  in
+  List.iter
+    (fun (name, col) ->
+      let sorted = Array.copy col in
+      Array.stable_sort V.compare sorted;
+      let reference = Histogram.build sorted in
+      for round = 1 to 3 do
+        same_histogram
+          (Printf.sprintf "%s, shuffle %d" name round)
+          reference
+          (Histogram.build (shuffle st col))
+      done)
+    columns
+
+(* The list-based construction the array-based [build] replaced, kept as a
+   reference: drop the NULLs, sort the rest, cut runs of equal depth. *)
+let reference_build ?(max_buckets = 32) (values : V.t list) =
+  let nulls = List.length (List.filter V.is_null values) in
+  let a = Array.of_list (List.filter (fun v -> not (V.is_null v)) values) in
+  Array.sort V.compare a;
+  let n = Array.length a in
+  if n = 0 then { Histogram.rows = nulls; nulls; distinct = 0; buckets = [||] }
+  else begin
+    let depth = max 1 ((n + max_buckets - 1) / max_buckets) in
+    let buckets = ref [] and total = ref 0 and i = ref 0 in
+    while !i < n do
+      let start = !i and distinct = ref 1 and j = ref (!i + 1) in
+      while !j < n && !j - start < depth do
+        if V.compare a.(!j) a.(!j - 1) <> 0 then incr distinct;
+        incr j
+      done;
+      while !j < n && V.compare a.(!j) a.(!j - 1) = 0 do incr j done;
+      buckets :=
+        { Histogram.b_lo = a.(start); b_hi = a.(!j - 1); b_rows = !j - start;
+          b_distinct = !distinct }
+        :: !buckets;
+      total := !total + !distinct;
+      i := !j
+    done;
+    { Histogram.rows = n + nulls; nulls; distinct = !total;
+      buckets = Array.of_list (List.rev !buckets) }
+  end
+
+(* UPDATE STATISTICS builds every column's histogram from one array per
+   column; on every relation of every Workload dataset it must equal the
+   reference built from the column as a list. *)
+let test_statistics_match_reference () =
+  let datasets =
+    [ ("emp/dept/job", fun db -> Workload.load_emp_dept_job db);
+      ("sales", fun db -> Workload.load_sales db);
+      ( "uniform",
+        fun db ->
+          Workload.load_uniform db ~name:"U" ~rows:1500
+            ~cols:
+              [ { Workload.col = "A"; distinct = 40 };
+                { Workload.col = "B"; distinct = 700 } ]
+            ~indexes:[ ("U_A", [ "A" ], true) ]
+            ~seed:9 () );
+      ( "zipf",
+        fun db ->
+          Workload.load_zipf db ~name:"Z" ~rows:1500
+            ~cols:[ ("X", 60, 1.2); ("Y", 300, 0.6) ]
+            ~seed:9 () ) ]
+  in
+  List.iter
+    (fun (name, load) ->
+      let db = Database.create () in
+      load db;
+      List.iter
+        (fun (rel : Catalog.relation) ->
+          let tuples =
+            Rss.Scan.to_list
+              (Rss.Scan.open_segment_scan rel.Catalog.segment
+                 ~rel_id:rel.Catalog.rel_id ())
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s.%s: one histogram per column" name rel.Catalog.rel_name)
+            (Rel.Schema.arity rel.Catalog.schema)
+            (Array.length rel.Catalog.cstats);
+          Array.iteri
+            (fun col (st : Stats.column) ->
+              same_histogram
+                (Printf.sprintf "%s.%s col %d" name rel.Catalog.rel_name col)
+                (reference_build
+                   (List.map (fun (_, tup) -> Rel.Tuple.get tup col) tuples))
+                st.Stats.hist)
+            rel.Catalog.cstats)
+        (Catalog.relations (Database.catalog db)))
+    datasets
 
 (* ---- estimator monotonicity & consistency ----------------------------- *)
 
@@ -92,7 +223,7 @@ let test_monotonic () =
   let values =
     List.init 2000 (fun _ -> V.Int (Random.State.int st 500 * Random.State.int st 3))
   in
-  let h = Histogram.build values in
+  let h = Histogram.build (Array.of_list values) in
   check_invariants h;
   let prev_le = ref (-1.) and prev_gt = ref 2. in
   for v = -10 to 1510 do
@@ -314,7 +445,11 @@ let () =
         [ Alcotest.test_case "skewed column" `Quick test_build_skewed;
           Alcotest.test_case "NULL-heavy column" `Quick test_build_null_heavy;
           Alcotest.test_case "constant column" `Quick test_build_constant;
-          Alcotest.test_case "empty / all-NULL" `Quick test_build_empty_and_all_null ] );
+          Alcotest.test_case "empty / all-NULL" `Quick test_build_empty_and_all_null;
+          Alcotest.test_case "shuffled column, same histogram" `Quick
+            test_build_order_independent;
+          Alcotest.test_case "statistics = list-based reference" `Quick
+            test_statistics_match_reference ] );
       ( "estimators",
         [ Alcotest.test_case "monotone and consistent" `Quick test_monotonic;
           Alcotest.test_case "zipf estimate vs oracle" `Quick test_zipf_vs_oracle ] );

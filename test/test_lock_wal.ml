@@ -625,6 +625,59 @@ let test_crash_at_group_flush_boundary () =
       Alcotest.(check string) "halted log rejects writes" image
         (W.to_bytes wal))
 
+(* The log is one byte image: [records] decodes every stage — durable, a
+   batch whose flush failed, and records still buffered — in append order. *)
+let test_records_decode_every_stage () =
+  let wal = W.create () in
+  let tuple = T.make [ V.Int 5 ] in
+  let durable =
+    [ W.Begin 1; W.Insert { txn = 1; rel_id = 2; tid = tid 3 4; tuple }; W.Commit 1 ]
+  and in_flight = [ W.Begin 2 ]
+  and pending = [ W.Delete { txn = 2; rel_id = 2; tid = tid 3 4; tuple }; W.Abort 2 ] in
+  let recs = durable @ in_flight @ pending in
+  List.iter (W.append wal) durable;
+  W.flush wal;
+  (* a flush whose device sync fails leaves its batch in flight *)
+  List.iter (W.append wal) in_flight;
+  W.set_flush_hook wal (Some (fun () -> failwith "sync failed"));
+  (try W.flush wal with Failure _ -> ());
+  W.set_flush_hook wal None;
+  List.iter (W.append wal) pending;
+  Alcotest.(check int) "unflushed" 3 (W.unflushed wal);
+  let got = W.records wal in
+  Alcotest.(check int) "every stage" (List.length recs) (List.length got);
+  List.iter2
+    (fun a b -> Alcotest.(check bool) "append order" true (W.equal_record a b))
+    recs got;
+  Alcotest.(check int) "byte size"
+    (List.fold_left (fun a r -> a + String.length (W.encode r)) 0 recs)
+    (W.byte_size wal);
+  W.flush wal;
+  Alcotest.(check int) "durable after retry" (List.length recs)
+    (List.length (W.records (W.of_bytes (W.to_bytes wal))))
+
+(* Footprint: the log keeps its records as bytes only. A tuple appended and
+   flushed, then dropped by its owner, is collectable: no decoded record
+   keeps it alive. *)
+let[@inline never] append_dropped_tuple wal weak =
+  let tuple = T.make [ V.Int 1; V.Str (String.make 64 'x') ] in
+  Weak.set weak 0 (Some tuple);
+  List.iter (W.append wal)
+    [ W.Begin 1; W.Insert { txn = 1; rel_id = 0; tid = tid 0 0; tuple }; W.Commit 1 ];
+  W.flush wal
+
+let test_wal_keeps_no_tuple () =
+  let wal = W.create () in
+  let weak = Weak.create 1 in
+  append_dropped_tuple wal weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "appended tuple collected" false (Weak.check weak 0);
+  match W.records wal with
+  | [ W.Begin 1; W.Insert { tuple; _ }; W.Commit 1 ] ->
+    Alcotest.(check bool) "record decodes from the bytes" true
+      (T.equal tuple (T.make [ V.Int 1; V.Str (String.make 64 'x') ]))
+  | _ -> Alcotest.fail "expected Begin/Insert/Commit"
+
 (* --- recovery -------------------------------------------------------------- *)
 
 let test_recovery_redo_committed_only () =
@@ -644,13 +697,15 @@ let test_recovery_redo_committed_only () =
   let result = Rss.Recovery.replay wal in
   Alcotest.(check (list int)) "committed" [ 1 ] result.Rss.Recovery.committed;
   Alcotest.(check (list int)) "discarded" [ 2 ] result.Rss.Recovery.discarded;
+  Alcotest.(check int) "largest txn id" 2 result.Rss.Recovery.max_txn;
   (match result.Rss.Recovery.survivors with
    | [ (0, t) ] -> Alcotest.(check bool) "kept tuple" true (T.equal t t1)
    | _ -> Alcotest.fail "expected exactly the committed insert")
 
 let test_recovery_empty_log () =
   let result = Rss.Recovery.replay (W.create ()) in
-  Alcotest.(check int) "nothing" 0 (List.length result.Rss.Recovery.survivors)
+  Alcotest.(check int) "nothing" 0 (List.length result.Rss.Recovery.survivors);
+  Alcotest.(check int) "no txn id" 0 result.Rss.Recovery.max_txn
 
 let () =
   Alcotest.run "lock_wal"
@@ -680,7 +735,11 @@ let () =
           Alcotest.test_case "unflushed window lost whole" `Quick
             test_unflushed_window_lost;
           Alcotest.test_case "crash at group-flush boundary" `Quick
-            test_crash_at_group_flush_boundary ] );
+            test_crash_at_group_flush_boundary;
+          Alcotest.test_case "records decode every stage" `Quick
+            test_records_decode_every_stage;
+          Alcotest.test_case "footprint: no decoded record kept" `Quick
+            test_wal_keeps_no_tuple ] );
       ( "recovery",
         [ Alcotest.test_case "redo committed only" `Quick
             test_recovery_redo_committed_only;
