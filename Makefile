@@ -21,6 +21,7 @@ check: build test
 	dune exec fuzz/fuzz_main.exe -- --seed 42 --count 300
 	dune exec torture/torture_main.exe -- --seed 42 --count 5 --crash-every 5
 	dune exec torture/torture_main.exe -- --seed 42 --count 1 --break-commit-filter
+	dune exec fuzz/fuzz_main.exe -- --seed 42 --count 5 --break-invalidation
 
 # differential fuzzing: random queries cross-checked against the naive
 # oracle under every engine configuration (see DESIGN.md); FUZZ_SEED and

@@ -53,7 +53,6 @@ let setup () =
   fill "PT" [ "K"; "X" ] n_t (fun i -> [ V.Int (i mod 50); V.Int (i mod 30) ]);
   fill "PU" [ "C2"; "Y" ] n_u (fun i -> [ V.Int (i mod 10); V.Int (i mod 40) ]);
   Catalog.update_statistics cat;
-  Database.set_plan_cache db false;
   db
 
 let render (out : Executor.output) = List.map T.to_string out.Executor.rows
@@ -62,7 +61,7 @@ let render (out : Executor.output) = List.map T.to_string out.Executor.rows
 let via_optimizer db sql dop =
   Database.set_parallelism db dop;
   Database.set_force_parallel db (dop > 1);
-  let rows = render (Database.query db sql) in
+  let rows = render (Database.run_plan db (Database.optimize db sql)) in
   Database.set_force_parallel db false;
   Database.set_parallelism db 1;
   rows

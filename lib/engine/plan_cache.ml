@@ -1,5 +1,6 @@
 (* Compiled-plan cache: optimized results keyed by statement fingerprint
-   (Normalize.fingerprint), invalidated precisely through per-relation
+   (Normalize.fingerprint) or, for prepared statements, by statement text,
+   invalidated precisely through per-relation
    stats_version and feedback_gen counters. An entry records, for every
    relation any of its blocks scans, the (name, rel_id, stats_version,
    feedback_gen) tuple observed at compile time; a probe revalidates against
@@ -25,11 +26,9 @@ type dep = {
          correction retires the plans costed under the stale estimate *)
 }
 
-type deps = dep list
-
 type entry = {
   result : Optimizer.result;
-  deps : deps;
+  deps : dep list;
   mutable used : int;  (* recency tick for LRU eviction *)
 }
 
@@ -52,7 +51,6 @@ type t = {
          path of [Database.query] costs a hash lookup and a version check *)
   mutable cap : int;
   mutable tick : int;
-  mutable enabled : bool;
   mutable validate : bool;
       (* debug hook: when false, probes skip the dep check and serve whatever
          is cached — used by the fuzz harness to prove the differential
@@ -72,7 +70,7 @@ let default_cap = 512
 let create () =
   { lock = Mutex.create ();
     tbl = Hashtbl.create 64; texts = Hashtbl.create 64; cap = default_cap;
-    tick = 0; enabled = true; validate = true; on_evict = ignore }
+    tick = 0; validate = true; on_evict = ignore }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -82,12 +80,6 @@ let clear t =
   locked t (fun () ->
       Hashtbl.reset t.tbl;
       Hashtbl.reset t.texts)
-
-let set_enabled t on =
-  t.enabled <- on;
-  if not on then clear t
-
-let enabled t = t.enabled
 
 let set_validation t on = t.validate <- on
 
@@ -160,41 +152,32 @@ let deps_valid cat deps =
       | None -> false)
     deps
 
-let capture_deps = deps_of
-
 let find t cat key =
-  if not t.enabled then Miss
-  else
-    locked t (fun () ->
-        match Hashtbl.find_opt t.tbl key with
-        | None -> Miss
-        | Some e when (not t.validate) || deps_valid cat e.deps ->
-          e.used <- tick t;
-          Hit e.result
-        | Some _ ->
-          Hashtbl.remove t.tbl key;
-          Invalidated)
+  locked t (fun () ->
+      match Hashtbl.find_opt t.tbl key with
+      | None -> Miss
+      | Some e when (not t.validate) || deps_valid cat e.deps ->
+        e.used <- tick t;
+        Hit e.result
+      | Some _ ->
+        Hashtbl.remove t.tbl key;
+        Invalidated)
 
 let store t key r =
-  if t.enabled then
-    locked t (fun () ->
-        Hashtbl.replace t.tbl key
-          { result = r; deps = deps_of r; used = tick t };
-        shrink_to t t.cap t.tbl (fun e -> e.used))
+  locked t (fun () ->
+      Hashtbl.replace t.tbl key { result = r; deps = deps_of r; used = tick t };
+      shrink_to t t.cap t.tbl (fun e -> e.used))
 
 let memo_text t ~sql ~key ~values =
-  if t.enabled then
-    locked t (fun () ->
-        Hashtbl.replace t.texts sql
-          { t_key = key; t_values = values; t_used = tick t };
-        shrink_to t t.cap t.texts (fun e -> e.t_used))
+  locked t (fun () ->
+      Hashtbl.replace t.texts sql
+        { t_key = key; t_values = values; t_used = tick t };
+      shrink_to t t.cap t.texts (fun e -> e.t_used))
 
 let text_entry t sql =
-  if not t.enabled then None
-  else
-    locked t (fun () ->
-        match Hashtbl.find_opt t.texts sql with
-        | None -> None
-        | Some e ->
-          e.t_used <- tick t;
-          Some (e.t_key, e.t_values))
+  locked t (fun () ->
+      match Hashtbl.find_opt t.texts sql with
+      | None -> None
+      | Some e ->
+        e.t_used <- tick t;
+        Some (e.t_key, e.t_values))

@@ -1,7 +1,8 @@
-(** Compiled-plan cache with precise statistics-version invalidation.
-
-    Statements are keyed by {!Normalize.fingerprint} — same shape, different
-    WHERE literals share one parameterized plan. Each entry remembers the
+(** Compiled-plan cache with precise statistics-version invalidation: the
+    one store of every cached plan. Simple SELECTs are keyed by
+    {!Normalize.fingerprint} — same shape, different WHERE literals share
+    one parameterized plan — and prepared statements by their statement
+    text (see {!Session.prepare}). Each entry remembers the
     [stats_version] and [feedback_gen] of every relation its blocks scan; a
     probe revalidates against the live catalog, so UPDATE STATISTICS, index
     DDL, or a runtime cardinality-feedback correction retires exactly the
@@ -12,7 +13,7 @@ type t
 
 type probe =
   | Hit of Optimizer.result  (** valid cached plan, execute with rebinding *)
-  | Miss                     (** nothing cached (or cache disabled) *)
+  | Miss                     (** nothing cached *)
   | Invalidated              (** cached plan found stale and evicted *)
 
 val create : unit -> t
@@ -20,11 +21,9 @@ val create : unit -> t
 (** {2 LRU bound}
 
     Both the plan table and the statement-text memo are bounded (default
-    {!default_cap} entries each): inserting past the cap evicts the
+    512 entries each): inserting past the cap evicts the
     least-recently-used entry, so long-lived server sessions replace rather
     than grow. SET PLAN_CACHE_SIZE adjusts the bound at runtime. *)
-
-val default_cap : int
 
 val set_cap : t -> int -> unit
 (** Clamp to [>= 1]; shrinks immediately when below the current size. *)
@@ -37,13 +36,8 @@ val set_evict_hook : t -> (int -> unit) -> unit
     the engine wires this to the active {!Rss.Counters} record. *)
 
 val clear : t -> unit
-(** Drop every entry (e.g. when the optimizer's W changes: cached plans
-    embed cost decisions made under the old weighting). *)
+(** Drop every entry (crash recovery replaces every relation's heap). *)
 
-val set_enabled : t -> bool -> unit
-(** Disabling also clears: re-enabling starts cold. *)
-
-val enabled : t -> bool
 val size : t -> int
 
 val set_validation : t -> bool -> unit
@@ -55,8 +49,7 @@ val set_validation : t -> bool -> unit
 val find : t -> Catalog.t -> string -> probe
 
 val store : t -> string -> Optimizer.result -> unit
-(** No-op when disabled. Dependencies are captured from the result's blocks
-    at store time. *)
+(** Dependencies are captured from the result's blocks at store time. *)
 
 (** {2 Statement-text layer}
 
@@ -67,15 +60,3 @@ val store : t -> string -> Optimizer.result -> unit
 
 val memo_text : t -> sql:string -> key:string -> values:Rel.Value.t list -> unit
 val text_entry : t -> string -> (string * Rel.Value.t list) option
-
-(** {2 Dependency capture}
-
-    The prepared-statement path keeps its optimized plan outside the keyed
-    cache but validates it the same way: capture the dependency versions at
-    optimize time, check them before each execution, re-optimize when a
-    dependency moved (UPDATE STATISTICS or DDL from any session). *)
-
-type deps
-
-val capture_deps : Optimizer.result -> deps
-val deps_valid : Catalog.t -> deps -> bool

@@ -182,15 +182,14 @@ let ctx ?(params = [||]) s =
 
 (* --- SET-style session settings ----------------------------------------- *)
 
-(* Settings changes clear the shared plan cache (they are rare, and cached
-   plans embed decisions made under the old setting); the settings signature
-   in the key additionally guarantees that sessions with different settings
-   can never serve each other's plans. *)
+(* A settings change only recomputes the session's signature: plans cached
+   under the old settings stay for the sessions still using them, and the
+   signature in every key keeps sessions with different settings from
+   serving each other's plans. *)
 let change_setting s changed assign =
   if changed then begin
     assign ();
-    recompute_sig s;
-    Plan_cache.clear (Engine.plan_cache s.eng)
+    recompute_sig s
   end
 
 let set_w s w = change_setting s (w <> s.w) (fun () -> s.w <- w)
@@ -211,8 +210,6 @@ let set_feedback s on =
   change_setting s (on <> s.use_feedback) (fun () -> s.use_feedback <- on)
 
 let last_feedback s = s.last_feedback
-
-let set_plan_cache s on = Plan_cache.set_enabled (Engine.plan_cache s.eng) on
 
 let set_plan_cache_validation s on =
   Plan_cache.set_validation (Engine.plan_cache s.eng) on
@@ -626,6 +623,18 @@ let probe ~count s full_key =
     None
   | Plan_cache.Miss -> None
 
+(* Serve the valid plan cached under [full_key], counting the hit; or count
+   the miss, run [optimize] and cache its plan. *)
+let probe_or_optimize s full_key optimize =
+  match probe ~count:true s full_key with
+  | Some r -> r
+  | None ->
+    let c = Rss.Pager.counters (Engine.pager s.eng) in
+    c.Rss.Counters.plan_cache_misses <- c.Rss.Counters.plan_cache_misses + 1;
+    let r = optimize () in
+    Plan_cache.store (Engine.plan_cache s.eng) full_key r;
+    r
+
 (* SELECT through the compiled-plan cache: fingerprint the statement, serve
    a valid cached plan by rebinding the extracted literals as parameters, or
    optimize the canonicalized (parameterized) statement once and cache it.
@@ -637,30 +646,19 @@ let probe ~count s full_key =
    given, is memoized against the key so that {!query} can serve an exact
    repeat without parsing. *)
 let query_cached ?text s q =
-  let cache = Engine.plan_cache s.eng in
-  let fp = if Plan_cache.enabled cache then Normalize.fingerprint q else None in
-  match fp with
+  match Normalize.fingerprint q with
   | None -> query_block s (resolve_query s q)
   | Some (key, canon_q, values) ->
-    let full_key = compose_key s key in
     let params = Array.of_list values in
     let r =
-      match probe ~count:true s full_key with
-      | Some r -> r
-      | None ->
-        let c = Rss.Pager.counters (Engine.pager s.eng) in
-        c.Rss.Counters.plan_cache_misses <- c.Rss.Counters.plan_cache_misses + 1;
-        (* resolve the literal statement first: parameter positions always
-           type-check, so a type error in the original must still surface *)
-        ignore (resolve_query s q);
-        let r =
-          optimize_block ~ctx:(ctx ~params s) s (resolve_query s canon_q)
-        in
-        Plan_cache.store cache full_key r;
-        r
+      probe_or_optimize s (compose_key s key) (fun () ->
+          (* resolve the literal statement first: parameter positions always
+             type-check, so a type error in the original must still surface *)
+          ignore (resolve_query s q);
+          optimize_block ~ctx:(ctx ~params s) s (resolve_query s canon_q))
     in
     (match text with
-     | Some sql -> Plan_cache.memo_text cache ~sql ~key ~values
+     | Some sql -> Plan_cache.memo_text (Engine.plan_cache s.eng) ~sql ~key ~values
      | None -> ());
     run_observed s r ~params
 
@@ -672,7 +670,7 @@ let explain_cache_line s =
     c.Rss.Counters.plan_cache_hits c.Rss.Counters.plan_cache_misses
     c.Rss.Counters.plan_cache_invalidations c.Rss.Counters.plan_cache_evictions
     (Plan_cache.size cache) (Plan_cache.cap cache)
-  ^ Printf.sprintf "parallelism: max_dop=%d\n" s.max_dop
+  ^ Printf.sprintf "parallelism: max_dop=%d\n" (effective_dop s)
   ^ Printf.sprintf "histograms: %s\n" (if s.use_histograms then "on" else "off")
   ^ Printf.sprintf "feedback: misestimates=%d retirements=%d%s\n"
       c.Rss.Counters.feedback_misestimates
@@ -1045,59 +1043,61 @@ let recover s bytes =
 (* --- prepared statements ------------------------------------------------- *)
 
 (* The paper's closing argument: compile once, run many. A prepared
-   statement keeps its optimized plan outside the keyed cache but validates
-   it the same way: the dependency versions captured at optimize time are
-   checked before every execution (a handful of integer compares), and the
-   plan silently re-optimizes when UPDATE STATISTICS, index DDL or another
-   session's feedback correction moved a dependency — the wire protocol's
-   Execute path re-parses only on that rare invalidation, never on the
-   steady state. *)
-type compiled = {
-  c_result : Optimizer.result;
-  c_params : int;
-  c_deps : Plan_cache.deps;
-  c_sig : string;
-  c_gen : int;  (* revalidation re-optimizations since prepare *)
-}
-
+   statement's generic plan is a plan-cache entry like any other, keyed by
+   the session's settings signature, a prefix no fingerprint key starts
+   with (those start with SELECT) and the statement's SQL, so sessions
+   preparing the same text share one plan. Every execution probes that key
+   — the validation, counters and LRU bound of a Simple SELECT — and
+   re-optimizes from the retained statement on a miss or an invalidation
+   (UPDATE STATISTICS, DDL or a feedback correction moved a dependency). *)
 type prepared = {
-  p_sql : string;
-  mutable p_plan : compiled;
+  p_query : Ast.query;
+  p_key : string;
+  p_params : int;
+  mutable p_plan : Optimizer.result;  (* the plan last served *)
+  mutable p_types : Rel.Value.ty option list;
+      (* the binding types last type-checked against [p_plan]'s tables *)
 }
 
-(* Resolve and optimize [sql] under the session's current settings,
-   capturing what revalidation checks. *)
-let compile s sql ~gen =
-  let block = resolve_i s sql in
-  let r = optimize_block s block in
-  { c_result = r;
-    c_params = Semant.param_count block;
-    c_deps = Plan_cache.capture_deps r;
-    c_sig = s.cache_sig;
-    c_gen = gen }
+let prepared_plan_i s q key =
+  probe_or_optimize s (compose_key s key) (fun () ->
+      optimize_block s (resolve_query s q))
 
 let prepare s sql =
-  with_engine_read s (fun () -> { p_sql = sql; p_plan = compile s sql ~gen:0 })
+  let q = wrap (fun () -> Parser.parse_query sql) in
+  let key = "prepared:" ^ Ast.to_sql (Ast.Select q) in
+  with_engine_read s (fun () ->
+      let r = prepared_plan_i s q key in
+      { p_query = q;
+        p_key = key;
+        p_params = Semant.param_count r.Optimizer.block;
+        p_plan = r;
+        p_types = [] })
 
-let prepared_param_count p = p.p_plan.c_params
-let prepared_plan p = p.p_plan.c_result
-let prepared_generation p = p.p_plan.c_gen
+let prepared_param_count p = p.p_params
+let prepared_plan p = p.p_plan
 
+(* A binding must pass the type check its literal would get on the Simple
+   path: the bound statement is resolved whenever the binding types or the
+   plan (and so, after DDL, the tables' schemas) changed since the last
+   check. *)
 let execute_prepared s p bindings =
-  let n = p.p_plan.c_params in
+  let n = p.p_params in
   if List.length bindings <> n then
     err "prepared statement takes %d parameter%s, %d given" n
       (if n = 1 then "" else "s")
       (List.length bindings);
+  let params = Array.of_list bindings in
+  let types = List.map Rel.Value.type_of bindings in
   with_engine_read s (fun () ->
-      let c = p.p_plan in
-      if
-        c.c_sig <> s.cache_sig
-        || not (Plan_cache.deps_valid (Engine.catalog s.eng) c.c_deps)
-      then p.p_plan <- compile s p.p_sql ~gen:(c.c_gen + 1);
+      let r = prepared_plan_i s p.p_query p.p_key in
+      if r != p.p_plan || types <> p.p_types then begin
+        ignore (resolve_query s (Normalize.bind p.p_query params));
+        p.p_plan <- r;
+        p.p_types <- types
+      end;
       wrap (fun () ->
-          Executor.run ~snap:(read_view s) ~params:(Array.of_list bindings)
-            (Engine.catalog s.eng) p.p_plan.c_result))
+          Executor.run ~snap:(read_view s) ~params (Engine.catalog s.eng) r))
 
 let commit s =
   let id = with_engine s (fun () -> end_explicit s ~commit:true) in

@@ -68,10 +68,11 @@ val ctx : ?params:Rel.Value.t array -> t -> Ctx.t
 
 (** {2 Session settings}
 
-    Each change flushes the shared plan cache (cached plans embed decisions
-    made under the old setting); the settings signature baked into every
-    cache key additionally keeps sessions with different settings from
-    serving each other's plans. *)
+    The settings signature baked into every plan-cache key keeps sessions
+    with different settings from serving each other's plans: a change
+    makes this session's next statements re-optimize (or find the plans
+    cached under its new settings), and leaves other sessions' plans
+    cached. *)
 
 val set_w : t -> float -> unit
 (** The optimizer's W weighting of RSI calls against page fetches. *)
@@ -107,6 +108,7 @@ val last_feedback : t -> (float * int * float * bool) option
 
 (** {2 Compiled-plan cache}
 
+    The engine's one plan store, always on, shared by every session.
     SELECT statements executed through {!exec} / {!query} are fingerprinted
     after canonicalization ({!Normalize.fingerprint}): statements differing
     only in WHERE literals share one parameterized plan, re-optimized only
@@ -116,12 +118,10 @@ val last_feedback : t -> (float * int * float * bool) option
     literals for histogram estimates, so the cached plan is the one chosen
     for the literals first seen. {!query} additionally remembers statement
     text, so an exact repeat skips parsing and fingerprinting altogether.
-    Both paths count a probe the same way. Hit/miss/invalidation counts
-    surface through {!Rss.Counters} and the EXPLAIN output. On by
-    default. *)
-
-val set_plan_cache : t -> bool -> unit
-(** Disabling also clears the cache. *)
+    Prepared statements keep their plans in the same cache (see below).
+    Every path counts a probe the same way. Hit/miss/invalidation counts
+    surface through {!Rss.Counters} and the EXPLAIN output. The uncached
+    plan of a literal statement is {!optimize}'s, run by {!run_plan}. *)
 
 val set_plan_cache_validation : t -> bool -> unit
 (** Debug hook for the fuzz harness: with validation off the cache serves
@@ -205,13 +205,15 @@ val recover : t -> string -> int
     ((1 - NULL fraction) / distinct from the histogram, else TABLE 1's
     1/ICARD) and ranges fall back to the value-independent defaults.
 
-    A prepared statement keeps its optimized plan outside the keyed plan
-    cache but validates it the same way: the dependency versions captured at
-    optimize time are checked before every execution, and the plan silently
-    re-optimizes (from the retained statement text) when UPDATE STATISTICS,
-    index DDL or another session's feedback correction moved a dependency.
-    The server's Execute path therefore re-parses only on that rare
-    invalidation, never in the steady state. *)
+    The generic plan is an entry of the shared plan cache, keyed by the
+    session's settings and the statement's SQL: sessions preparing the same
+    text optimize it once, and every execution probes the cache — counted
+    as a hit, miss or invalidation like a Simple SELECT, under the same LRU
+    bound. A plan that was evicted, or invalidated by UPDATE STATISTICS,
+    DDL or a feedback correction, re-optimizes from the retained statement;
+    the steady state never parses. A non-NULL binding whose type the
+    Simple path would reject as a literal in the same position is rejected
+    with the same error. *)
 
 type prepared
 
@@ -220,9 +222,8 @@ val prepare : t -> string -> prepared
 
 val prepared_param_count : prepared -> int
 val prepared_plan : prepared -> Optimizer.result
-
-val prepared_generation : prepared -> int
-(** Number of revalidation re-optimizations since prepare. *)
+(** The plan the statement was last served (at prepare or execution). *)
 
 val execute_prepared : t -> prepared -> Rel.Value.t list -> Executor.output
-(** @raise Error when the binding count differs from the placeholder count. *)
+(** @raise Error when the binding count differs from the placeholder count,
+    or a binding fails the type check. *)

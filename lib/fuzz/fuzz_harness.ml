@@ -1,11 +1,14 @@
 (* Differential check: one generated (scenario, query) pair is executed under
    every engine configuration — with and without indexes, W in {0, 1/3, 3},
-   before and after UPDATE STATISTICS, plan cache off / cold / warm, B&B off
-   (exhaustive DP reference), forced parallelism at DOP 2 and 4 — and every
-   result multiset must agree with the naive cross-product oracle. A final stage
-   recreates a scanned table with mutated rows behind a warmed plan cache,
-   which must never serve the stale plan (it does when the harness is run
-   with [~break_invalidation:true], the intentional fault used to prove the
+   before and after UPDATE STATISTICS, the literal statement's uncached
+   plan, plan cache cold / warm, the canonical form prepared (literals as
+   [?]) and executed with the extracted values, B&B off (exhaustive DP
+   reference), forced parallelism at DOP 2 and 4 — and every result
+   multiset must agree with the naive cross-product oracle. A final stage
+   recreates a scanned table with mutated rows behind a warmed plan cache
+   and a statement prepared before the recreate, neither of which may be
+   served the stale plan (both are when the harness is run with
+   [~break_invalidation:true], the intentional fault used to prove the
    harness catches stale-plan corruption).
 
    Before any of that, the query's SQL text (Ast.to_sql) must parse back to
@@ -164,31 +167,41 @@ let mutate_rows (t : Fuzz_gen.table) =
         t.cols ]
   | _ :: rest -> List.map (List.map bump) rest
 
-(* Recreate the first FROM table with mutated rows behind a warmed cache;
-   the rerun must match a fresh oracle (it does not when invalidation is
-   broken: the stale plan scans the dropped table's old segment). *)
+(* The query's canonical form prepared: literals become [?] placeholders,
+   executed with the extracted values. *)
+let prepare_canonical db (q : Ast.query) =
+  let canon, values = Normalize.canonicalize q in
+  (Database.prepare db (Ast.to_sql (Ast.Select canon)), values)
+
+(* Recreate the first FROM table with mutated rows behind a warmed cache and
+   a statement prepared before the recreate; both reruns must match a fresh
+   oracle (they do not when invalidation is broken: the stale plan scans the
+   dropped table's old segment). *)
 let stale_stage db (scenario : Fuzz_gen.scenario) (q : Ast.query) sql st =
   match q.Ast.from with
   | [] -> ()
   | (tname, _) :: _ ->
     let t = List.find (fun (t : Fuzz_gen.table) -> t.tname = tname) scenario.tables in
-    Database.set_plan_cache db true;
     ignore (Database.query db sql);  (* warm the cache and the text memo *)
+    let p, values = prepare_canonical db q in
     ignore (Database.exec db ("DROP TABLE " ^ tname));
     ignore (Database.exec_script db (script (table_ddl t (mutate_rows t))));
     let block = Database.resolve db sql in
     let expected = multiset (Fuzz_oracle.query (Database.catalog db) block) in
-    let out = Database.query db sql in
-    (match st with Some st -> st.executions <- st.executions + 1 | None -> ());
-    let actual = multiset out.Executor.rows in
-    if actual <> expected then
-      raise
-        (Found
-           { d_sql = sql;
-             d_config = "stale-cache (recreate " ^ tname ^ ")";
-             d_detail = "rows";
-             d_expected = expected;
-             d_actual = actual })
+    List.iter
+      (fun (config, run) ->
+        let actual = multiset (run ()).Executor.rows in
+        (match st with Some st -> st.executions <- st.executions + 1 | None -> ());
+        if actual <> expected then
+          raise
+            (Found
+               { d_sql = sql;
+                 d_config = Printf.sprintf "stale-%s (recreate %s)" config tname;
+                 d_detail = "rows";
+                 d_expected = expected;
+                 d_actual = actual }))
+      [ ("prepared", fun () -> Database.execute_prepared db p values);
+        ("cache", fun () -> Database.query db sql) ]
 
 let check ?(break_invalidation = false) ?stats
     (scenario : Fuzz_gen.scenario) (q : Ast.query) : verdict =
@@ -217,6 +230,7 @@ let check ?(break_invalidation = false) ?stats
         let block = Database.resolve db sql in
         let expected = multiset (Fuzz_oracle.query (Database.catalog db) block) in
         let keys = order_positions block in
+        let prepared, values = prepare_canonical db q in
         let compare_out config (out : Executor.output) =
           bump_exec ();
           let actual = multiset out.Executor.rows in
@@ -248,23 +262,23 @@ let check ?(break_invalidation = false) ?stats
                   Printf.sprintf "%s idx=%b W=%.2f stats=%s" part indexed w
                     (match phase with `Before -> "cold" | `After -> "updated")
                 in
-                (* plan cache off, compiled execution *)
-                Database.set_plan_cache db false;
-                compare_out (name "cache-off") (Database.query db sql);
+                (* the literal statement's uncached plan *)
+                compare_out (name "uncached")
+                  (Database.run_plan db (Database.optimize db sql));
                 (* branch-and-bound off: exhaustive DP reference *)
                 let ctx = Ctx.create ~w ~use_bnb:false (Database.catalog db) in
                 compare_out (name "bnb-off")
                   (Database.run_plan db (Database.optimize ~ctx db sql));
                 (* plan cache cold then warm *)
-                Database.set_plan_cache db true;
                 compare_out (name "cache-cold") (Database.query db sql);
-                compare_out (name "cache-warm") (Database.query db sql))
+                compare_out (name "cache-warm") (Database.query db sql);
+                compare_out (name "prepared")
+                  (Database.execute_prepared db prepared values))
               w_points;
             (* forced-parallel execution: exchange plans at DOP 2 and 4 must
                produce the identical multiset (and order) even on inputs the
                cost model would run serially *)
             Database.set_w db Ctx.default_w;
-            Database.set_plan_cache db false;
             Database.set_force_parallel db true;
             List.iter
               (fun dop ->
@@ -273,7 +287,8 @@ let check ?(break_invalidation = false) ?stats
                   Printf.sprintf "parallel-%d idx=%b stats=%s" dop indexed
                     (match phase with `Before -> "cold" | `After -> "updated")
                 in
-                compare_out config (Database.query db sql))
+                compare_out config
+                  (Database.run_plan db (Database.optimize db sql)))
               [ 2; 4 ];
             Database.set_force_parallel db false;
             Database.set_parallelism db 1)

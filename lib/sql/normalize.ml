@@ -182,42 +182,14 @@ let factors_of_block block =
    expressions), and SELECT/GROUP BY/ORDER BY items feed projection and
    ordering, where a literal swap can change the output shape. *)
 
-let rec query_has_param (q : Ast.query) =
-  let rec expr = function
-    | Ast.Param _ -> true
-    | Ast.Col _ | Ast.Const _ -> false
-    | Ast.Binop (_, a, b) -> expr a || expr b
-    | Ast.Agg (_, e) -> expr e
-  in
-  let rec pred = function
-    | Ast.Cmp (a, _, b) -> expr a || expr b
-    | Ast.Between (e, lo, hi) -> expr e || expr lo || expr hi
-    | Ast.In_list (e, _) -> expr e
-    | Ast.In_subquery (e, q, _) -> expr e || query_has_param q
-    | Ast.Cmp_subquery (e, _, q) -> expr e || query_has_param q
-    | Ast.And (a, b) | Ast.Or (a, b) -> pred a || pred b
-    | Ast.Not a -> pred a
-  in
-  List.exists
-    (function Ast.Star -> false | Ast.Sel_expr (e, _) -> expr e)
-    q.select
-  || Option.fold ~none:false ~some:pred q.where
-  || List.exists expr q.group_by
-  || List.exists (fun (e, _) -> expr e) q.order_by
-
-let canonicalize (q : Ast.query) =
-  let values = ref [] in
-  let n = ref 0 in
-  let param v =
-    let k = !n in
-    incr n;
-    values := v :: !values;
-    Ast.Param k
-  in
+(* [q] with [leaf] applied, left to right, to every Const and Param in its
+   WHERE clause at every nesting depth — and with [~select] to those of its
+   select lists too. *)
+let map_operands ?(select = false) leaf (q : Ast.query) =
   let rec expr (e : Ast.expr) =
     match e with
-    | Ast.Const v -> param v
-    | Ast.Col _ | Ast.Param _ -> e
+    | Ast.Const _ | Ast.Param _ -> leaf e
+    | Ast.Col _ -> e
     | Ast.Binop (op, a, b) ->
       let a = expr a in
       Ast.Binop (op, a, expr b)
@@ -246,9 +218,44 @@ let canonicalize (q : Ast.query) =
       let a = pred a in
       Ast.Or (a, pred b)
     | Ast.Not a -> Ast.Not (pred a)
-  and query (q : Ast.query) = { q with where = Option.map pred q.where } in
-  let q' = query q in
+  and query (q : Ast.query) =
+    let item = function
+      | Ast.Sel_expr (e, alias) when select -> Ast.Sel_expr (expr e, alias)
+      | item -> item
+    in
+    let sel = List.map item q.select in
+    { q with select = sel; where = Option.map pred q.where }
+  in
+  query q
+
+let canonicalize q =
+  let values = ref [] in
+  let n = ref 0 in
+  let leaf = function
+    | Ast.Const v ->
+      values := v :: !values;
+      incr n;
+      Ast.Param (!n - 1)
+    | e -> e
+  in
+  let q' = map_operands leaf q in
   (q', List.rev !values)
+
+(* A [?] in a WHERE clause or select list; one anywhere else (GROUP BY,
+   ORDER BY) fails resolution. *)
+let has_param q =
+  let found = ref false in
+  let leaf e =
+    (match e with Ast.Param _ -> found := true | _ -> ());
+    e
+  in
+  ignore (map_operands ~select:true leaf q);
+  !found
+
+let bind q values =
+  map_operands ~select:true
+    (function Ast.Param i -> Ast.Const values.(i) | e -> e)
+    q
 
 let value_ty_tag v =
   match Rel.Value.type_of v with
@@ -256,7 +263,7 @@ let value_ty_tag v =
   | None -> "null"
 
 let fingerprint (q : Ast.query) =
-  if query_has_param q then None
+  if has_param q then None
   else begin
     let q', values = canonicalize q in
     (* The key is the canonical query's SQL, which the parser reads back to

@@ -49,6 +49,11 @@ val canonicalize : Ast.query -> Ast.query * Rel.Value.t list
     IN-list values and SELECT / GROUP BY / ORDER BY literals are left in
     place. *)
 
+val bind : Ast.query -> Rel.Value.t array -> Ast.query
+(** Replace every [?] placeholder [i] (in the WHERE clause and the select
+    lists, at every nesting depth) with the literal [values.(i)]: the
+    statement as the Simple path would have received it. *)
+
 val fingerprint : Ast.query -> (string * Ast.query * Rel.Value.t list) option
 (** Plan-cache key for a statement: the canonicalized query as SQL
     ({!Ast.add_sql}, which the parser reads back to the same query), then

@@ -142,7 +142,6 @@ let engine_rows db sql =
 let rebind_case (opname, q1, q2) () =
   let db = Database.create () in
   ignore (Database.exec_script db rebind_table_sql);
-  Database.set_plan_cache db true;
   (* run shape with literal A (cold), literal B (rebinding hit), A again *)
   List.iter
     (fun sql ->

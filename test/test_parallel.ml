@@ -192,10 +192,9 @@ let test_counter_fold_exact () =
   let measure sql =
     Rss.Counters.reset c;
     Rss.Pager.evict_all (Database.pager db);
-    ignore (Database.query db sql);
+    ignore (Database.run_plan db (Database.optimize db sql));
     (c.Rss.Counters.page_fetches, c.Rss.Counters.rsi_calls)
   in
-  Database.set_plan_cache db false;
   (* pure scan: the exchange runs the identical access path split in slices,
      so the folded worker counters must match serial to the unit *)
   let scan_sql = "SELECT B FROM BIG WHERE B >= 100" in

@@ -1,7 +1,8 @@
 (* Compiled-plan cache semantics: fingerprint sharing and collision safety,
    literal rebinding, hit/miss/invalidation accounting, precise
    stats_version invalidation (UPDATE STATISTICS, index DDL, DROP/CREATE),
-   and cache-off vs cache-on result equality over the full workload. *)
+   uncached vs cached result equality over the full workload, and prepared
+   statements' plans in the same cache. *)
 
 module V = Rel.Value
 
@@ -77,9 +78,7 @@ let test_hit_miss_and_rebinding () =
   Alcotest.(check int) "shared-shape statement hits" (base_h + 2)
     c.Rss.Counters.plan_cache_hits;
   Alcotest.(check int) "still one entry" 1 (Database.plan_cache_size db);
-  Database.set_plan_cache db false;
-  let out2_off = Database.query db q2 in
-  Database.set_plan_cache db true;
+  let out2_off = Database.run_plan db (Database.optimize db q2) in
   Alcotest.(check (list string)) "rebound literal gives uncached answer"
     (canon_rows out2_off) (canon_rows out2);
   Alcotest.(check bool) "different literals, different rows" true
@@ -153,12 +152,25 @@ let test_drop_create_table_never_stale () =
   Alcotest.(check int) "fresh table, fresh plan" 1
     (List.length (Database.query db q).Executor.rows)
 
-let test_set_w_flushes () =
+(* A SET changes only its own session's settings signature: that session
+   re-optimizes, while a session that kept its settings still hits. *)
+let test_set_keeps_other_sessions_plans () =
   let db = emp_db () in
-  ignore (Database.query db "SELECT NAME FROM EMP WHERE DNO = 17");
-  Alcotest.(check bool) "cached" true (Database.plan_cache_size db > 0);
+  let other = Session.create (Database.engine db) in
+  let c = counters db in
+  let q = "SELECT NAME FROM EMP WHERE DNO = 17" in
+  ignore (Database.query db q);
+  ignore (Session.query other q);
+  let h0 = c.Rss.Counters.plan_cache_hits in
+  let m0 = c.Rss.Counters.plan_cache_misses in
   Database.set_w db 2.0;
-  Alcotest.(check int) "W change flushes" 0 (Database.plan_cache_size db)
+  ignore (Database.query db q);
+  Alcotest.(check int) "changed session re-optimizes" (m0 + 1)
+    c.Rss.Counters.plan_cache_misses;
+  ignore (Session.query other q);
+  Alcotest.(check int) "unchanged session still hits" (h0 + 1)
+    c.Rss.Counters.plan_cache_hits;
+  Session.close other
 
 (* --- stats shift: unclustered index becomes effectively clustered ------- *)
 
@@ -225,7 +237,7 @@ let test_stats_shift_changes_cached_plan () =
   Alcotest.(check int) "row count" 601
     (List.length (Database.query db q).Executor.rows)
 
-(* --- cache-off vs cache-on over the full workload ----------------------- *)
+(* --- uncached vs cached over the full workload --------------------------- *)
 
 let workload_corpus =
   [ Workload.fig1_query;
@@ -250,9 +262,11 @@ let test_cache_off_vs_on_workload () =
   Workload.load_emp_dept_job db;
   Workload.load_sales db;
   let run () = List.map (fun sql -> canon_rows (Database.query db sql)) workload_corpus in
-  Database.set_plan_cache db false;
-  let off = run () in
-  Database.set_plan_cache db true;
+  let off =
+    List.map
+      (fun sql -> canon_rows (Database.run_plan db (Database.optimize db sql)))
+      workload_corpus
+  in
   let cold = run () in
   let warm = run () in
   List.iteri
@@ -432,6 +446,56 @@ let test_lru_cap_and_evictions () =
      Alcotest.(check bool) "explain shows cap" true (contains s "cap=2")
    | _ -> Alcotest.fail "EXPLAIN: expected Text")
 
+(* --- prepared statements in the same cache -------------------------------- *)
+
+let t_db () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2), (3), (4), (5);");
+  db
+
+(* Two sessions preparing one text optimize it once, and their executions
+   count as hits. *)
+let test_prepared_shared_across_sessions () =
+  let db = t_db () in
+  let other = Session.create (Database.engine db) in
+  let c = counters db in
+  let m0 = c.Rss.Counters.plan_cache_misses in
+  let sql = "SELECT a FROM t WHERE a >= ?" in
+  let p1 = Database.prepare db sql in
+  let p2 = Session.prepare other sql in
+  Alcotest.(check int) "one miss in total" (m0 + 1) c.Rss.Counters.plan_cache_misses;
+  Alcotest.(check bool) "one plan" true
+    (Database.prepared_plan p1 == Session.prepared_plan p2);
+  let h0 = c.Rss.Counters.plan_cache_hits in
+  let n out = List.length out.Executor.rows in
+  Alcotest.(check int) "a >= 2" 4 (n (Database.execute_prepared db p1 [ V.Int 2 ]));
+  Alcotest.(check int) "a >= 5" 1 (n (Session.execute_prepared other p2 [ V.Int 5 ]));
+  Alcotest.(check int) "executions hit" (h0 + 2) c.Rss.Counters.plan_cache_hits;
+  Alcotest.(check int) "still one miss" (m0 + 1) c.Rss.Counters.plan_cache_misses;
+  Session.close other
+
+(* The LRU bound covers prepared plans: one evicted by a later statement
+   re-optimizes on its next execution and answers as before. *)
+let test_prepared_evicted_reoptimizes () =
+  let db = t_db () in
+  let c = counters db in
+  ignore (Database.exec db "SET PLAN_CACHE_SIZE 1");
+  let p = Database.prepare db "SELECT a FROM t WHERE a > ?" in
+  let e0 = c.Rss.Counters.plan_cache_evictions in
+  ignore (Database.query db "SELECT a FROM t WHERE a = 1");
+  Alcotest.(check int) "prepared plan evicted" (e0 + 1)
+    c.Rss.Counters.plan_cache_evictions;
+  let m0 = c.Rss.Counters.plan_cache_misses in
+  let out = Database.execute_prepared db p [ V.Int 3 ] in
+  Alcotest.(check int) "re-optimized" (m0 + 1) c.Rss.Counters.plan_cache_misses;
+  Alcotest.(check (list string)) "right rows" [ "(4)"; "(5)" ] (canon_rows out);
+  let h0 = c.Rss.Counters.plan_cache_hits in
+  Alcotest.(check (list string)) "then hits" [ "(4)"; "(5)" ]
+    (canon_rows (Database.execute_prepared db p [ V.Int 3 ]));
+  Alcotest.(check int) "hit" (h0 + 1) c.Rss.Counters.plan_cache_hits
+
 let () =
   Alcotest.run "plan_cache"
     [ ( "fingerprint",
@@ -456,11 +520,17 @@ let () =
             test_invalidation_is_precise;
           Alcotest.test_case "drop/create table" `Quick
             test_drop_create_table_never_stale;
-          Alcotest.test_case "W change flushes" `Quick test_set_w_flushes;
+          Alcotest.test_case "SET re-optimizes only its own session" `Quick
+            test_set_keeps_other_sessions_plans;
           Alcotest.test_case "unclustered->clustered stats shift" `Quick
             test_stats_shift_changes_cached_plan;
           Alcotest.test_case "validation debug hook" `Quick
             test_validation_hook ] );
+      ( "prepared",
+        [ Alcotest.test_case "two sessions, one optimization" `Quick
+            test_prepared_shared_across_sessions;
+          Alcotest.test_case "evicted plan re-optimizes" `Quick
+            test_prepared_evicted_reoptimizes ] );
       ( "lru",
         [ Alcotest.test_case "cap, evictions, recency" `Quick
             test_lru_cap_and_evictions ] ) ]

@@ -689,27 +689,76 @@ let test_prepared_invalidation_cross_session () =
       Client.close a;
       Client.close b)
 
-(* Embedded flavor: the revalidation is observable via prepared_generation. *)
-let test_prepared_generation () =
+(* Embedded flavor: the revalidation is observable through the session's
+   plan-cache miss and invalidation counters. *)
+let test_prepared_revalidation () =
   let eng = Engine.create () in
-  let s1 = Session.create eng in
+  let c = Rss.Counters.create () in
+  let s1 = Session.create ~counters:c eng in
   let s2 = Session.create eng in
   ignore (Session.exec s1 "CREATE TABLE g (a INT)");
   ignore (Session.exec s1 "INSERT INTO g VALUES (1), (2)");
   let p = Session.prepare s1 "SELECT a FROM g WHERE a >= ?" in
-  Alcotest.(check int) "fresh" 0 (Session.prepared_generation p);
+  let reoptimized () =
+    (c.Rss.Counters.plan_cache_misses, c.Rss.Counters.plan_cache_invalidations)
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "fresh: one miss" (1, 0) (reoptimized ());
   ignore (Session.execute_prepared s1 p [ V.Int 0 ]);
-  Alcotest.(check int) "steady state: no re-optimize" 0
-    (Session.prepared_generation p);
+  Alcotest.check pair "steady state: no re-optimize" (1, 0) (reoptimized ());
   Session.update_statistics s2;
   let out = Session.execute_prepared s1 p [ V.Int 0 ] in
-  Alcotest.(check int) "stats moved: re-optimized once" 1
-    (Session.prepared_generation p);
+  Alcotest.check pair "stats moved: re-optimized once" (2, 1) (reoptimized ());
   Alcotest.(check int) "rows intact" 2 (List.length out.Executor.rows);
   ignore (Session.execute_prepared s1 p [ V.Int 0 ]);
-  Alcotest.(check int) "steady again" 1 (Session.prepared_generation p);
+  Alcotest.check pair "steady again" (2, 1) (reoptimized ());
   Session.close s2;
   Session.close s1
+
+(* A binding gets the type check its literal gets on the Simple path: a
+   string bound against an INT column fails Execute with the Simple path's
+   message (it used to match nothing, silently); NULL stays accepted. *)
+let test_prepared_binding_types () =
+  with_server ~seed:"CREATE TABLE g (a INT); INSERT INTO g VALUES (1), (2);"
+    (fun _db srv ->
+      let c = connect srv in
+      let simple = Client.simple c "SELECT a FROM g WHERE a = 'x'" in
+      Alcotest.(check bool) "Simple path rejects the literal" true
+        (simple.Client.error <> None);
+      List.iter
+        (fun (name, sql) ->
+          ignore (Client.ok (Client.parse c ~name sql));
+          let r = Client.execute c ~params:[ V.Str "x" ] name in
+          Alcotest.(check (option string)) (sql ^ ": same error")
+            simple.Client.error r.Client.error;
+          let r = Client.ok (Client.execute c ~params:[ V.Null ] name) in
+          Alcotest.(check string) (sql ^ ": NULL accepted") "SELECT 0" r.Client.tag;
+          let r = Client.ok (Client.execute c ~params:[ V.Int 1 ] name) in
+          Alcotest.(check bool) (sql ^ ": INT still runs") true
+            (r.Client.tag = "SELECT 1"))
+        [ ("eq", "SELECT a FROM g WHERE a = ?"); ("gt", "SELECT a FROM g WHERE a > ?") ];
+      (* a recreated table re-plans the statement, and the check follows the
+         new column type even for binding types checked before *)
+      ignore (Client.ok (Client.simple c "DROP TABLE g"));
+      ignore (Client.ok (Client.simple c "CREATE TABLE g (a STRING)"));
+      let simple = Client.simple c "SELECT a FROM g WHERE a = 1" in
+      Alcotest.(check bool) "Simple path rejects the INT literal" true
+        (simple.Client.error <> None);
+      let r = Client.execute c ~params:[ V.Int 1 ] "eq" in
+      Alcotest.(check (option string)) "re-planned: same error"
+        simple.Client.error r.Client.error;
+      Client.close c)
+
+(* Server sessions run serial plans whatever SET PARALLELISM says, and
+   EXPLAIN reports the cap their plans actually get. *)
+let test_explain_server_dop () =
+  with_server ~seed:"CREATE TABLE t (a INT);" (fun _db srv ->
+      let c = connect srv in
+      ignore (Client.ok (Client.simple c "SET PARALLELISM 4"));
+      let e = (Client.ok (Client.simple c "EXPLAIN SELECT a FROM t")).Client.tag in
+      Alcotest.(check bool) "serial cap reported" true
+        (contains e "parallelism: max_dop=1\n");
+      Client.close c)
 
 (* --- per-session counters -------------------------------------------------- *)
 
@@ -842,7 +891,11 @@ let () =
           Alcotest.test_case "cross-session invalidation" `Quick
             test_prepared_invalidation_cross_session;
           Alcotest.test_case "revalidation generation (embedded)" `Quick
-            test_prepared_generation ] );
+            test_prepared_revalidation;
+          Alcotest.test_case "binding type check" `Quick
+            test_prepared_binding_types;
+          Alcotest.test_case "EXPLAIN reports the serial cap" `Quick
+            test_explain_server_dop ] );
       ( "locking",
         [ Alcotest.test_case "same-tuple writers conflict, first committer wins"
             `Quick test_writer_blocks_writer;
