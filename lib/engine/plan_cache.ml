@@ -12,10 +12,88 @@
 
    Both tables are LRU-bounded (SET PLAN_CACHE_SIZE): a long-lived server
    session issuing millions of distinct statements replaces entries instead
-   of growing the cache without bound. Recency is a monotonic tick stamped
-   on every hit; eviction scans for the stalest entry — an O(size) walk that
-   only runs on an insert past the cap, where the preceding optimization
-   (or parse, for the text memo) dwarfs it. *)
+   of growing the cache without bound. *)
+
+(* A hash table threaded onto a doubly-linked recency list, most recent at
+   the front: a hit moves its node to the front and eviction pops the back,
+   so both are O(1) whatever the table's size. *)
+module Lru = struct
+  type 'a node =
+    | Nil
+    | Node of {
+        key : string;
+        value : 'a;
+        mutable prev : 'a node;
+        mutable next : 'a node;
+      }
+
+  type 'a t = {
+    tbl : (string, 'a node) Hashtbl.t;
+    mutable front : 'a node;
+    mutable back : 'a node;
+  }
+
+  let create () = { tbl = Hashtbl.create 64; front = Nil; back = Nil }
+  let length t = Hashtbl.length t.tbl
+
+  let reset t =
+    Hashtbl.reset t.tbl;
+    t.front <- Nil;
+    t.back <- Nil
+
+  let unlink t = function
+    | Nil -> ()
+    | Node n ->
+      (match n.prev with Nil -> t.front <- n.next | Node p -> p.next <- n.next);
+      (match n.next with Nil -> t.back <- n.prev | Node x -> x.prev <- n.prev);
+      n.prev <- Nil;
+      n.next <- Nil
+
+  let push_front t = function
+    | Nil -> ()
+    | Node n as node ->
+      n.next <- t.front;
+      (match t.front with Nil -> t.back <- node | Node f -> f.prev <- node);
+      t.front <- node
+
+  (* The value under [key], which becomes the most recently used. *)
+  let use t key =
+    match Hashtbl.find_opt t.tbl key with
+    | Some (Node n as node) ->
+      if t.front != node then begin
+        unlink t node;
+        push_front t node
+      end;
+      Some n.value
+    | Some Nil | None -> None
+
+  let remove t key =
+    match Hashtbl.find_opt t.tbl key with
+    | Some node ->
+      Hashtbl.remove t.tbl key;
+      unlink t node
+    | None -> ()
+
+  let replace t key value =
+    remove t key;
+    let node = Node { key; value; prev = Nil; next = Nil } in
+    Hashtbl.replace t.tbl key node;
+    push_front t node
+
+  (* Drop least-recently-used entries until at most [cap] remain; returns
+     how many went. *)
+  let shrink t cap =
+    let evicted = ref 0 in
+    while Hashtbl.length t.tbl > cap do
+      match t.back with
+      | Node n as node ->
+        unlink t node;
+        Hashtbl.remove t.tbl n.key;
+        incr evicted
+      | Nil -> assert false (* a non-empty table has a back *)
+    done;
+    !evicted
+end
 
 type dep = {
   rel_name : string;
@@ -29,13 +107,6 @@ type dep = {
 type entry = {
   result : Optimizer.result;
   deps : dep list;
-  mutable used : int;  (* recency tick for LRU eviction *)
-}
-
-type text_entry = {
-  t_key : string;
-  t_values : Rel.Value.t list;
-  mutable t_used : int;
 }
 
 type t = {
@@ -44,13 +115,12 @@ type t = {
          *shared* latch (read-only statements run concurrently), so its two
          tables guard themselves; the critical sections are hash lookups and
          version checks, far below statement cost *)
-  tbl : (string, entry) Hashtbl.t;
-  texts : (string, text_entry) Hashtbl.t;
+  plans : entry Lru.t;
+  texts : (string * Rel.Value.t list) Lru.t;
       (* statement text -> (fingerprint key, extracted literals): identical
          text repeats skip parsing and fingerprinting entirely — the hit
          path of [Database.query] costs a hash lookup and a version check *)
   mutable cap : int;
-  mutable tick : int;
   mutable validate : bool;
       (* debug hook: when false, probes skip the dep check and serve whatever
          is cached — used by the fuzz harness to prove the differential
@@ -69,8 +139,8 @@ let default_cap = 512
 
 let create () =
   { lock = Mutex.create ();
-    tbl = Hashtbl.create 64; texts = Hashtbl.create 64; cap = default_cap;
-    tick = 0; validate = true; on_evict = ignore }
+    plans = Lru.create (); texts = Lru.create (); cap = default_cap;
+    validate = true; on_evict = ignore }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -78,47 +148,28 @@ let locked t f =
 
 let clear t =
   locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      Hashtbl.reset t.texts)
+      Lru.reset t.plans;
+      Lru.reset t.texts)
 
 let set_validation t on = t.validate <- on
 
 let set_evict_hook t f = t.on_evict <- f
 
-let size t = Hashtbl.length t.tbl
-let text_size t = Hashtbl.length t.texts
+let size t = Lru.length t.plans
+let text_size t = Lru.length t.texts
 let cap t = t.cap
 
-let tick t =
-  t.tick <- t.tick + 1;
-  t.tick
-
-(* Evict least-recently-used entries until [table] holds at most [cap]. *)
-let shrink_to t cap table used =
-  let evicted = ref 0 in
-  while Hashtbl.length table > cap do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, best) when best <= used e -> acc
-          | _ -> Some (k, used e))
-        table None
-    in
-    match victim with
-    | Some (k, _) ->
-      Hashtbl.remove table k;
-      incr evicted
-    | None -> ()
-  done;
-  if !evicted > 0 then t.on_evict !evicted
+(* Evict past the cap, reporting the count. *)
+let shrink t table =
+  let evicted = Lru.shrink table t.cap in
+  if evicted > 0 then t.on_evict evicted
 
 let set_cap t n =
   let n = max 1 n in
   locked t (fun () ->
       t.cap <- n;
-      shrink_to t n t.tbl (fun e -> e.used);
-      shrink_to t n t.texts (fun e -> e.t_used))
+      shrink t t.plans;
+      shrink t t.texts)
 
 let rec blocks_of (r : Optimizer.result) acc =
   List.fold_left
@@ -154,30 +205,21 @@ let deps_valid cat deps =
 
 let find t cat key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
+      match Lru.use t.plans key with
       | None -> Miss
-      | Some e when (not t.validate) || deps_valid cat e.deps ->
-        e.used <- tick t;
-        Hit e.result
+      | Some e when (not t.validate) || deps_valid cat e.deps -> Hit e.result
       | Some _ ->
-        Hashtbl.remove t.tbl key;
+        Lru.remove t.plans key;
         Invalidated)
 
 let store t key r =
   locked t (fun () ->
-      Hashtbl.replace t.tbl key { result = r; deps = deps_of r; used = tick t };
-      shrink_to t t.cap t.tbl (fun e -> e.used))
+      Lru.replace t.plans key { result = r; deps = deps_of r };
+      shrink t t.plans)
 
 let memo_text t ~sql ~key ~values =
   locked t (fun () ->
-      Hashtbl.replace t.texts sql
-        { t_key = key; t_values = values; t_used = tick t };
-      shrink_to t t.cap t.texts (fun e -> e.t_used))
+      Lru.replace t.texts sql (key, values);
+      shrink t t.texts)
 
-let text_entry t sql =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.texts sql with
-      | None -> None
-      | Some e ->
-        e.t_used <- tick t;
-        Some (e.t_key, e.t_values))
+let text_entry t sql = locked t (fun () -> Lru.use t.texts sql)

@@ -226,9 +226,22 @@ type result =
 
 let wrap f =
   try f () with
-  | Parser.Error (msg, off) -> err "syntax error at offset %d: %s" off msg
   | Semant.Error msg -> err "semantic error: %s" msg
   | Invalid_argument msg -> err "%s" msg
+
+(* Every parse a session runs goes through here, and the statements it
+   yields are counted: the counter shows which requests paid the front end
+   (a prepared statement's Execute must not). *)
+let parse_counted s ~count parser src =
+  match parser src with
+  | x ->
+    s.counters.Rss.Counters.statements_parsed <-
+      s.counters.Rss.Counters.statements_parsed + count x;
+    x
+  | exception Parser.Error (msg, off) -> err "syntax error at offset %d: %s" off msg
+
+let parse_query s sql = parse_counted s ~count:(fun _ -> 1) Parser.parse_query sql
+let parse_stmt s sql = parse_counted s ~count:(fun _ -> 1) Parser.parse_statement sql
 
 (* --- locking ------------------------------------------------------------- *)
 
@@ -419,9 +432,7 @@ let with_ddl_lock s (rel : Catalog.relation) f =
 
 let resolve_query s q = wrap (fun () -> Semant.resolve (Engine.catalog s.eng) q)
 
-let resolve_i s sql =
-  let q = wrap (fun () -> Parser.parse_query sql) in
-  resolve_query s q
+let resolve_i s sql = resolve_query s (parse_query s sql)
 
 let optimize_block ?ctx:c s block =
   let c = Option.value c ~default:(ctx s) in
@@ -809,11 +820,6 @@ let exec_stmt s (stmt : Ast.statement) =
     let id = end_explicit s ~commit:false in
     Done (Printf.sprintf "transaction %d rolled back" id)
 
-let syntax_error msg off = err "syntax error at offset %d: %s" off msg
-
-let parse_stmt sql =
-  try Parser.parse_statement sql with Parser.Error (msg, off) -> syntax_error msg off
-
 (* --- public entry points (each takes the engine step exactly once) ------- *)
 
 (* The ack rule: if the engine step committed a transaction into the
@@ -846,16 +852,13 @@ let step s (stmt : Ast.statement) =
     sync_commit s;
     r
 
-let exec s sql = step s (parse_stmt sql)
+let exec s sql = step s (parse_stmt s sql)
 
 (* one engine step per statement: a long script does not starve concurrent
    sessions, and explicit transactions still hold their locks across
    statements (that is the lock table's job, not the latch's) *)
 let exec_script s src =
-  let stmts =
-    try Parser.parse_script src with Parser.Error (msg, off) -> syntax_error msg off
-  in
-  List.map (step s) stmts
+  List.map (step s) (parse_counted s ~count:List.length Parser.parse_script src)
 
 (* The text fast path serves an exact repeat of a memoized SELECT without
    parsing or fingerprinting; a stale entry (its invalidation counted by the
@@ -876,7 +879,7 @@ let query s sql =
   match fast with
   | Some out -> out
   | None ->
-    (match parse_stmt sql with
+    (match parse_stmt s sql with
      | Ast.Select q -> with_engine_read s (fun () -> query_cached ~text:sql s q)
      | _ -> err "not a SELECT: %s" sql)
 
@@ -886,11 +889,8 @@ let cached_plan s sql =
         match Plan_cache.text_entry (Engine.plan_cache s.eng) sql with
         | Some (key, _) -> Some key
         | None ->
-          let q =
-            try Parser.parse_query sql
-            with Parser.Error (msg, off) -> syntax_error msg off
-          in
-          Option.map (fun (key, _, _) -> key) (Normalize.fingerprint q)
+          Option.map (fun (key, _, _) -> key)
+            (Normalize.fingerprint (parse_query s sql))
       in
       Option.bind key (fun key -> probe ~count:false s (compose_key s key)))
 
@@ -1064,7 +1064,7 @@ let prepared_plan_i s q key =
       optimize_block s (resolve_query s q))
 
 let prepare s sql =
-  let q = wrap (fun () -> Parser.parse_query sql) in
+  let q = parse_query s sql in
   let key = "prepared:" ^ Ast.to_sql (Ast.Select q) in
   with_engine_read s (fun () ->
       let r = prepared_plan_i s q key in

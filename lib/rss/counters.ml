@@ -15,6 +15,7 @@ type t = {
   mutable wal_flushes : int;
   mutable subquery_calls : int;
   mutable subquery_evals : int;
+  mutable statements_parsed : int;
 }
 
 let create () =
@@ -33,7 +34,8 @@ let create () =
     group_commits = 0;
     wal_flushes = 0;
     subquery_calls = 0;
-    subquery_evals = 0 }
+    subquery_evals = 0;
+    statements_parsed = 0 }
 
 let reset t =
   t.page_fetches <- 0;
@@ -51,7 +53,8 @@ let reset t =
   t.group_commits <- 0;
   t.wal_flushes <- 0;
   t.subquery_calls <- 0;
-  t.subquery_evals <- 0
+  t.subquery_evals <- 0;
+  t.statements_parsed <- 0
 
 let snapshot t =
   { page_fetches = t.page_fetches;
@@ -69,7 +72,8 @@ let snapshot t =
     group_commits = t.group_commits;
     wal_flushes = t.wal_flushes;
     subquery_calls = t.subquery_calls;
-    subquery_evals = t.subquery_evals }
+    subquery_evals = t.subquery_evals;
+    statements_parsed = t.statements_parsed }
 
 let restore t ~from =
   t.page_fetches <- from.page_fetches;
@@ -87,7 +91,8 @@ let restore t ~from =
   t.group_commits <- from.group_commits;
   t.wal_flushes <- from.wal_flushes;
   t.subquery_calls <- from.subquery_calls;
-  t.subquery_evals <- from.subquery_evals
+  t.subquery_evals <- from.subquery_evals;
+  t.statements_parsed <- from.statements_parsed
 
 let add t ~into =
   into.page_fetches <- into.page_fetches + t.page_fetches;
@@ -106,7 +111,8 @@ let add t ~into =
   into.group_commits <- into.group_commits + t.group_commits;
   into.wal_flushes <- into.wal_flushes + t.wal_flushes;
   into.subquery_calls <- into.subquery_calls + t.subquery_calls;
-  into.subquery_evals <- into.subquery_evals + t.subquery_evals
+  into.subquery_evals <- into.subquery_evals + t.subquery_evals;
+  into.statements_parsed <- into.statements_parsed + t.statements_parsed
 
 let diff ~after ~before =
   { page_fetches = after.page_fetches - before.page_fetches;
@@ -126,7 +132,8 @@ let diff ~after ~before =
     group_commits = after.group_commits - before.group_commits;
     wal_flushes = after.wal_flushes - before.wal_flushes;
     subquery_calls = after.subquery_calls - before.subquery_calls;
-    subquery_evals = after.subquery_evals - before.subquery_evals }
+    subquery_evals = after.subquery_evals - before.subquery_evals;
+    statements_parsed = after.statements_parsed - before.statements_parsed }
 
 let cost ~w t =
   float_of_int (t.page_fetches + t.pages_written) +. (w *. float_of_int t.rsi_calls)

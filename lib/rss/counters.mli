@@ -44,6 +44,9 @@ type t = {
   mutable subquery_evals : int;
       (** nested blocks actually executed (calls the executor's subquery
           cache did not answer) *)
+  mutable statements_parsed : int;
+      (** statements a session ran through the parser: a Simple statement
+          parses one, an Execute of a prepared statement none *)
 }
 
 val create : unit -> t
@@ -69,5 +72,5 @@ val cost : w:float -> t -> float
     applied to measured counts. *)
 
 val pp : Format.formatter -> t -> unit
-(** The I/O, plan-cache, feedback and commit counters; the subquery counts
-    are not printed. *)
+(** The I/O, plan-cache, feedback and commit counters; the subquery and
+    parse counts are not printed. *)

@@ -9,24 +9,41 @@ type token =
 
 exception Error of string * int
 
-let keywords =
-  [ "SELECT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "IN"; "BETWEEN"; "GROUP";
-    "ORDER"; "BY"; "ASC"; "DESC"; "AS"; "CREATE"; "TABLE"; "INDEX"; "CLUSTERED";
-    "ON"; "INSERT"; "INTO"; "VALUES"; "DELETE"; "UPDATE"; "SET"; "STATISTICS"; "SEARCH";
-    "PARALLELISM"; "HISTOGRAMS"; "OFF"; "PLAN_CACHE_SIZE"; "COMMIT_DELAY"; "GROUP_COMMIT";
-    "BEGIN"; "TRANSACTION"; "COMMIT"; "ROLLBACK"; "EXPLAIN"; "DROP"; "INT"; "FLOAT";
-    "STRING"; "NULL"; "VACUUM"; "AVG"; "MIN"; "MAX"; "SUM"; "COUNT" ]
+(* Membership test against the keyword set. A string [match] compiles to a
+   decision tree over the string's machine words, so a word costs a few
+   comparisons, not a walk over the set. *)
+let is_keyword = function
+  | "SELECT" | "FROM" | "WHERE" | "AND" | "OR" | "NOT" | "IN" | "BETWEEN"
+  | "GROUP" | "ORDER" | "BY" | "ASC" | "DESC" | "AS" | "CREATE" | "TABLE"
+  | "INDEX" | "CLUSTERED" | "ON" | "INSERT" | "INTO" | "VALUES" | "DELETE"
+  | "UPDATE" | "SET" | "STATISTICS" | "SEARCH" | "PARALLELISM" | "HISTOGRAMS"
+  | "OFF" | "PLAN_CACHE_SIZE" | "COMMIT_DELAY" | "GROUP_COMMIT" | "BEGIN"
+  | "TRANSACTION" | "COMMIT" | "ROLLBACK" | "EXPLAIN" | "DROP" | "INT" | "FLOAT"
+  | "STRING" | "NULL" | "VACUUM" | "AVG" | "MIN" | "MAX" | "SUM" | "COUNT" ->
+    true
+  | _ -> false
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+(* Tokens are consed up as they are found and copied once, into an array of
+   exactly their number, filled from the end. (An array grown by doubling
+   would leave a long statement's outgrown copies as major-heap garbage.) *)
 let tokenize src =
   let n = String.length src in
   let toks = ref [] in
-  let emit tok off = toks := (tok, off) :: !toks in
+  let len = ref 0 in
+  let emit tok off =
+    toks := (tok, off) :: !toks;
+    incr len
+  in
   let rec go i =
-    if i >= n then emit Eof i
+    if i >= n then begin
+      (* a second EOF sentinel lets two-token lookahead run safely at the end *)
+      emit Eof i;
+      emit Eof n
+    end
     else
       match src.[i] with
       | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
@@ -88,7 +105,7 @@ let tokenize src =
         let e = scan i in
         let word = String.sub src i (e - i) in
         let up = String.uppercase_ascii word in
-        if List.mem up keywords then emit (Kw up) i else emit (Ident word) i;
+        if is_keyword up then emit (Kw up) i else emit (Ident word) i;
         go e
       | '<' when i + 1 < n && (src.[i + 1] = '=' || src.[i + 1] = '>') ->
         emit (Sym (String.sub src i 2)) i;
@@ -105,7 +122,9 @@ let tokenize src =
       | c -> raise (Error (Printf.sprintf "illegal character %C" c, i))
   in
   go 0;
-  List.rev !toks
+  let arr = Array.make !len (Eof, n) in
+  List.iteri (fun i tok -> arr.(!len - 1 - i) <- tok) !toks;
+  arr
 
 let pp_token ppf = function
   | Ident s -> Format.fprintf ppf "identifier %S" s

@@ -443,9 +443,7 @@ let make_state src =
     try Lexer.tokenize src
     with Lexer.Error (msg, off) -> raise (Error (msg, off))
   in
-  (* A second EOF sentinel lets two-token lookahead run safely at the end. *)
-  let toks = toks @ [ (Lexer.Eof, String.length src) ] in
-  { toks = Array.of_list toks; pos = 0; params = 0 }
+  { toks; pos = 0; params = 0 }
 
 let check_eof st =
   ignore (accept_sym st ";");

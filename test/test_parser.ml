@@ -5,7 +5,7 @@ let parse = Parser.parse_query
 let parse_stmt = Parser.parse_statement
 
 let test_lexer_basics () =
-  let toks = Lexer.tokenize "SELECT x, 42, 3.5, 'it''s' FROM t -- comment\n;" in
+  let toks = Array.to_list (Lexer.tokenize "SELECT x, 42, 3.5, 'it''s' FROM t -- comment\n;") in
   let kinds = List.map fst toks in
   Alcotest.(check bool) "keyword" true (List.mem (Lexer.Kw "SELECT") kinds);
   Alcotest.(check bool) "ident" true (List.mem (Lexer.Ident "x") kinds);
@@ -17,7 +17,8 @@ let test_lexer_basics () =
   Alcotest.(check bool) "eof last" true (List.rev kinds |> List.hd = Lexer.Eof)
 
 let test_lexer_operators () =
-  let ops s = List.filter_map (function Lexer.Sym x, _ -> Some x | _ -> None) (Lexer.tokenize s) in
+  let ops s = List.filter_map (function Lexer.Sym x, _ -> Some x | _ -> None)
+      (Array.to_list (Lexer.tokenize s)) in
   Alcotest.(check (list string)) "comparison ops" [ "<="; ">="; "<>"; "<>"; "<"; ">"; "=" ]
     (ops "<= >= <> != < > =")
 
@@ -36,12 +37,147 @@ let test_lexer_errors () =
     [ "4611686018427387904"; "1e309"; "1.5E+400" ]
 
 let test_lexer_exponents () =
-  let first s = fst (List.hd (Lexer.tokenize s)) in
+  let first s = fst (Lexer.tokenize s).(0) in
   Alcotest.(check bool) "1e+20" true (first "1e+20" = Lexer.Float_lit 1e20);
   Alcotest.(check bool) "1.5E-7" true (first "1.5E-7" = Lexer.Float_lit 1.5e-7);
   Alcotest.(check bool) "2e3" true (first "2e3" = Lexer.Float_lit 2000.);
   (* no digit after the e: the number ends before it *)
   Alcotest.(check bool) "1e alias" true (first "1e" = Lexer.Int_lit 1)
+
+(* The keyword-list lexer as it stood before the keyword test became a
+   compiled match and the tokens an array: the reference the lexer must
+   agree with, token for token and offset for offset, error for error. *)
+module Ref_lexer = struct
+  open Lexer
+
+  let keywords =
+    [ "SELECT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "IN"; "BETWEEN"; "GROUP";
+      "ORDER"; "BY"; "ASC"; "DESC"; "AS"; "CREATE"; "TABLE"; "INDEX"; "CLUSTERED";
+      "ON"; "INSERT"; "INTO"; "VALUES"; "DELETE"; "UPDATE"; "SET"; "STATISTICS"; "SEARCH";
+      "PARALLELISM"; "HISTOGRAMS"; "OFF"; "PLAN_CACHE_SIZE"; "COMMIT_DELAY"; "GROUP_COMMIT";
+      "BEGIN"; "TRANSACTION"; "COMMIT"; "ROLLBACK"; "EXPLAIN"; "DROP"; "INT"; "FLOAT";
+      "STRING"; "NULL"; "VACUUM"; "AVG"; "MIN"; "MAX"; "SUM"; "COUNT" ]
+
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+  let is_digit c = c >= '0' && c <= '9'
+
+  let tokenize src =
+    let n = String.length src in
+    let toks = ref [] in
+    let emit tok off = toks := (tok, off) :: !toks in
+    let rec go i =
+      if i >= n then emit Eof i
+      else
+        match src.[i] with
+        | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
+        | '-' when i + 1 < n && src.[i + 1] = '-' ->
+          let rec skip j = if j < n && src.[j] <> '\n' then skip (j + 1) else j in
+          go (skip (i + 2))
+        | '\'' ->
+          let buf = Buffer.create 16 in
+          let rec scan j =
+            if j >= n then raise (Error ("unterminated string literal", i))
+            else if src.[j] = '\'' then
+              if j + 1 < n && src.[j + 1] = '\'' then begin
+                Buffer.add_char buf '\'';
+                scan (j + 2)
+              end
+              else j + 1
+            else begin
+              Buffer.add_char buf src.[j];
+              scan (j + 1)
+            end
+          in
+          let next = scan (i + 1) in
+          emit (Str_lit (Buffer.contents buf)) i;
+          go next
+        | c when is_digit c ->
+          let rec scan j = if j < n && is_digit src.[j] then scan (j + 1) else j in
+          let int_end = scan i in
+          let frac_end =
+            if int_end + 1 < n && src.[int_end] = '.' && is_digit src.[int_end + 1]
+            then scan (int_end + 1)
+            else int_end
+          in
+          let stop =
+            if frac_end < n && (src.[frac_end] = 'e' || src.[frac_end] = 'E') then
+              let d =
+                if frac_end + 1 < n
+                   && (src.[frac_end + 1] = '+' || src.[frac_end + 1] = '-')
+                then frac_end + 2
+                else frac_end + 1
+              in
+              if d < n && is_digit src.[d] then scan d else frac_end
+            else frac_end
+          in
+          let text = String.sub src i (stop - i) in
+          (if stop = int_end then
+             match int_of_string_opt text with
+             | Some k -> emit (Int_lit k) i
+             | None -> raise (Error ("integer literal out of range", i))
+           else
+             let f = float_of_string text in
+             if Float.is_finite f then emit (Float_lit f) i
+             else raise (Error ("float literal out of range", i)));
+          go stop
+        | c when is_ident_start c ->
+          let rec scan j = if j < n && is_ident_char src.[j] then scan (j + 1) else j in
+          let e = scan i in
+          let word = String.sub src i (e - i) in
+          let up = String.uppercase_ascii word in
+          if List.mem up keywords then emit (Kw up) i else emit (Ident word) i;
+          go e
+        | '<' when i + 1 < n && (src.[i + 1] = '=' || src.[i + 1] = '>') ->
+          emit (Sym (String.sub src i 2)) i;
+          go (i + 2)
+        | '>' when i + 1 < n && src.[i + 1] = '=' ->
+          emit (Sym ">=") i;
+          go (i + 2)
+        | '!' when i + 1 < n && src.[i + 1] = '=' ->
+          emit (Sym "<>") i;
+          go (i + 2)
+        | ('=' | '<' | '>' | '(' | ')' | ',' | '.' | '*' | '+' | '-' | '/' | ';' | '?')
+          as c ->
+          emit (Sym (String.make 1 c)) i;
+          go (i + 1)
+        | c -> raise (Error (Printf.sprintf "illegal character %C" c, i))
+    in
+    go 0;
+    (* the parser's second EOF sentinel *)
+    List.rev ((Eof, n) :: !toks)
+end
+
+let lex_outcome f s =
+  match f s with
+  | toks -> Ok toks
+  | exception Lexer.Error (msg, off) -> Error (msg, off)
+
+let same_as_reference s =
+  lex_outcome (fun s -> Array.to_list (Lexer.tokenize s)) s
+  = lex_outcome Ref_lexer.tokenize s
+
+let test_lexer_keywords () =
+  let mixed k =
+    String.mapi (fun i c -> if i mod 2 = 0 then Char.lowercase_ascii c else c) k
+  in
+  let check s =
+    if not (same_as_reference s) then Alcotest.failf "lexer differs on %S" s
+  in
+  List.iter
+    (fun k ->
+      List.iter check
+        [ k; String.lowercase_ascii k; mixed k; k ^ "X"; "X" ^ k; k ^ "_"; "_" ^ k;
+          k ^ "1"; k ^ "." ^ k; "(" ^ k ^ ")"; k ^ " " ^ k ])
+    Ref_lexer.keywords;
+  List.iter check
+    [ "SELECTED"; "FROMX"; "IN_"; "_AND"; "ORDERS"; "selected FROMx in_ _and Orders";
+      "SELECT_"; "INTO1"; "NULLS"; "COUNTS(*)"; "GROUP_COMMITS"; "PLAN_CACHE" ];
+  Alcotest.(check bool) "keyword token" true
+    ((Lexer.tokenize "select").(0) = (Lexer.Kw "SELECT", 0));
+  Alcotest.(check bool) "identifier keeps its case" true
+    ((Lexer.tokenize "Selected").(0) = (Lexer.Ident "Selected", 0))
+
 
 let test_simple_select () =
   let q = parse "SELECT NAME, SAL FROM EMP WHERE SAL > 100" in
@@ -399,13 +535,47 @@ let prop_pp_roundtrip =
     (QCheck.make ~print:A.to_sql statement_gen)
     (fun s -> parse_stmt (A.to_sql s) = s && key_roundtrip s)
 
+(* Strings drawn from lexically interesting pieces, glued with or without
+   separators, so words run into keywords and numbers into exponents. *)
+let lexeme_soup_gen =
+  QCheck.Gen.(
+    let piece =
+      frequency
+        [ (4, oneofl Ref_lexer.keywords);
+          (2, map String.lowercase_ascii (oneofl Ref_lexer.keywords));
+          ( 4,
+            oneofl
+              [ "x"; "ab_1"; "_"; "e"; "E"; "1"; "42"; "3.5"; "1e"; "1e+"; "2E-7";
+                "1.5e309"; "4611686018427387904"; "'"; "''"; "'it''s'"; "--"; "\n";
+                " "; "\t"; "<"; ">"; "="; "!"; "<>"; "<="; ">="; "!="; "("; ")"; ",";
+                "."; "*"; "+"; "-"; "/"; ";"; "?"; "@"; "#" ] );
+          (1, string_size ~gen:printable (int_range 1 3)) ]
+    in
+    map (String.concat "") (list_size (int_range 0 12) piece))
+
+let prop_lexer_statements =
+  QCheck.Test.make ~name:"lexer = reference on printed statements" ~count:500
+    (QCheck.make ~print:A.to_sql statement_gen)
+    (fun s -> same_as_reference (A.to_sql s))
+
+let prop_lexer_random =
+  QCheck.Test.make ~name:"lexer = reference on random text" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [ (1, string_size ~gen:printable (int_range 0 40));
+             (2, lexeme_soup_gen) ]))
+    same_as_reference
+
 let () =
   Alcotest.run "parser"
     [ ( "lexer",
         [ Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "operators" `Quick test_lexer_operators;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
-          Alcotest.test_case "exponents" `Quick test_lexer_exponents ] );
+          Alcotest.test_case "exponents" `Quick test_lexer_exponents;
+          Alcotest.test_case "keywords match the reference" `Quick
+            test_lexer_keywords ] );
       ( "parser",
         [ Alcotest.test_case "simple select" `Quick test_simple_select;
           Alcotest.test_case "star and aliases" `Quick test_star_and_aliases;
@@ -422,4 +592,7 @@ let () =
           Alcotest.test_case "script" `Quick test_script;
           Alcotest.test_case "syntax errors" `Quick test_syntax_errors;
           Alcotest.test_case "EXPLAIN DELETE / UPDATE" `Quick test_explain_dml ] );
-      ("props", [ QCheck_alcotest.to_alcotest prop_pp_roundtrip ]) ]
+      ( "props",
+        [ QCheck_alcotest.to_alcotest prop_pp_roundtrip;
+          QCheck_alcotest.to_alcotest prop_lexer_statements;
+          QCheck_alcotest.to_alcotest prop_lexer_random ] ) ]

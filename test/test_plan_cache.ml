@@ -496,6 +496,137 @@ let test_prepared_evicted_reoptimizes () =
     (canon_rows (Database.execute_prepared db p [ V.Int 3 ]));
   Alcotest.(check int) "hit" (h0 + 1) c.Rss.Counters.plan_cache_hits
 
+(* Every statement a session parses is counted, and an Execute parses
+   nothing: the counter the server bench's gate reads. *)
+let test_parses_counted () =
+  let db = t_db () in
+  let c = counters db in
+  let p0 = c.Rss.Counters.statements_parsed in
+  let parsed what n =
+    Alcotest.(check int) what (p0 + n) c.Rss.Counters.statements_parsed
+  in
+  ignore (Database.exec db "SELECT a FROM t WHERE a = 1");
+  parsed "Simple statement" 1;
+  ignore (Database.exec_script db "SELECT a FROM t; SELECT a FROM t WHERE a = 2;");
+  parsed "script statements" 3;
+  let p = Database.prepare db "SELECT a FROM t WHERE a = ?" in
+  parsed "prepare" 4;
+  ignore (Database.execute_prepared db p [ V.Int 1 ]);
+  ignore (Database.execute_prepared db p [ V.Int 2 ]);
+  parsed "Execute parses nothing" 4;
+  ignore (Database.query db "SELECT a FROM t WHERE a = 3");
+  ignore (Database.query db "SELECT a FROM t WHERE a = 3");
+  parsed "an exact repeat skips the parse" 5;
+  (match Database.exec db "SELEC a FROM t" with
+   | _ -> Alcotest.fail "syntax error accepted"
+   | exception Database.Error _ -> ());
+  parsed "a syntax error parses no statement" 5
+
+(* Random operation sequences against a list model of LRU (most recent
+   first, one cap for both tables): every probe answers as the model does,
+   every operation evicts as many entries as the model, and the survivors
+   are the model's. *)
+type lru_op =
+  | Store of int
+  | Find of int
+  | Memo of int * int
+  | Text of int
+  | Cap of int
+
+let lru_op_gen =
+  QCheck.Gen.(
+    let key = int_bound 9 in
+    frequency
+      [ (4, map (fun k -> Store k) key);
+        (4, map (fun k -> Find k) key);
+        (4, map2 (fun k v -> Memo (k, v)) key (int_bound 3));
+        (4, map (fun k -> Text k) key);
+        (1, map (fun n -> Cap n) (int_range 0 6)) ])
+
+let print_lru_op = function
+  | Store k -> Printf.sprintf "store %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Memo (k, v) -> Printf.sprintf "memo %d=%d" k v
+  | Text k -> Printf.sprintf "text %d" k
+  | Cap n -> Printf.sprintf "cap %d" n
+
+let prop_lru_matches_model =
+  let db = t_db () in
+  let plan = Database.optimize db "SELECT a FROM t WHERE a = 1" in
+  let cat = Database.catalog db in
+  QCheck.Test.make ~name:"LRU = list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_lru_op ops))
+       QCheck.Gen.(
+         map2 (fun n ops -> Cap n :: ops) (int_range 1 6)
+           (list_size (int_range 1 60) lru_op_gen)))
+    (fun ops ->
+      let cache = Plan_cache.create () in
+      let evicted = ref 0 in
+      Plan_cache.set_evict_hook cache (fun n -> evicted := !evicted + n);
+      let cap = ref (Plan_cache.cap cache) in
+      (* model tables: (key, value) lists, most recent first *)
+      let plans = ref [] and texts = ref [] in
+      let touch tbl k v = tbl := (k, v) :: List.remove_assoc k !tbl in
+      let trim tbl =
+        let n = List.length !tbl - !cap in
+        if n > 0 then tbl := List.filteri (fun i _ -> i < !cap) !tbl;
+        max n 0
+      in
+      let key k = "k" ^ string_of_int k in
+      let step op =
+        evicted := 0;
+        let expected_evictions =
+          match op with
+          | Store k ->
+            Plan_cache.store cache (key k) plan;
+            touch plans k ();
+            trim plans
+          | Find k ->
+            let got =
+              match Plan_cache.find cache cat (key k) with
+              | Plan_cache.Hit _ -> true
+              | Plan_cache.Miss -> false
+              | Plan_cache.Invalidated -> QCheck.Test.fail_report "invalidated"
+            in
+            let want = List.mem_assoc k !plans in
+            if want then touch plans k ();
+            if got <> want then QCheck.Test.fail_reportf "find %d: hit=%b" k got;
+            0
+          | Memo (k, v) ->
+            Plan_cache.memo_text cache ~sql:(key k) ~key:(key v)
+              ~values:[ V.Int v ];
+            touch texts k v;
+            trim texts
+          | Text k ->
+            let got = Plan_cache.text_entry cache (key k) in
+            let want = List.assoc_opt k !texts in
+            Option.iter (touch texts k) want;
+            let want = Option.map (fun v -> (key v, [ V.Int v ])) want in
+            if got <> want then QCheck.Test.fail_reportf "text %d differs" k;
+            0
+          | Cap n ->
+            Plan_cache.set_cap cache n;
+            cap := max 1 n;
+            let a = trim plans in
+            a + trim texts
+        in
+        if !evicted <> expected_evictions then
+          QCheck.Test.fail_reportf "%s: %d evicted, model %d" (print_lru_op op)
+            !evicted expected_evictions;
+        if Plan_cache.size cache <> List.length !plans
+           || Plan_cache.text_size cache <> List.length !texts
+        then QCheck.Test.fail_reportf "%s: sizes differ" (print_lru_op op)
+      in
+      List.iter step ops;
+      (* survivors: probing every key settles membership (a probe evicts
+         nothing) *)
+      for k = 0 to 9 do
+        step (Find k);
+        step (Text k)
+      done;
+      true)
+
 let () =
   Alcotest.run "plan_cache"
     [ ( "fingerprint",
@@ -530,7 +661,9 @@ let () =
         [ Alcotest.test_case "two sessions, one optimization" `Quick
             test_prepared_shared_across_sessions;
           Alcotest.test_case "evicted plan re-optimizes" `Quick
-            test_prepared_evicted_reoptimizes ] );
+            test_prepared_evicted_reoptimizes;
+          Alcotest.test_case "Execute parses nothing" `Quick test_parses_counted ] );
       ( "lru",
         [ Alcotest.test_case "cap, evictions, recency" `Quick
-            test_lru_cap_and_evictions ] ) ]
+            test_lru_cap_and_evictions;
+          QCheck_alcotest.to_alcotest prop_lru_matches_model ] ) ]
