@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-smoke bench-parallel bench-qerror bench-server bench-mvcc bench-commit fuzz torture clean
+.PHONY: all build test check bench bench-smoke bench-qerror bench-server bench-mvcc bench-commit fuzz torture clean
 
 all: build
 
@@ -11,7 +11,6 @@ test:
 # tier-1 gate: everything CI runs on each change, in ci.yml's order and with
 # its arguments (keep the two in step)
 check: build test
-	SYSTEMR_DOMAINS=2 dune runtest --force
 	dune build @bench-smoke
 	BENCH_SMOKE=1 BENCH_ENFORCE_CACHE_SPEEDUP=1 dune exec bench/main.exe -- s5b
 	BENCH_SMOKE=1 BENCH_ENFORCE_QERROR=1 dune exec bench/main.exe -- qerr
@@ -49,11 +48,6 @@ bench:
 # same suite on tiny inputs (BENCH_SMOKE=1) — seconds, not minutes
 bench-smoke:
 	dune build @bench-smoke
-
-# parallel scaling only (writes BENCH_parallel.json); speedups are
-# meaningful on multicore hosts — the JSON records the core count
-bench-parallel:
-	dune exec bench/main.exe -- par
 
 # cardinality estimate quality only (writes BENCH_qerror.json): q-error
 # quantiles of the TABLE 1 constants vs histogram estimation over a fuzz

@@ -17,7 +17,6 @@ let benches =
     ("n1", "nested queries: correlated caching", Bench_nested.run);
     ("e2", "extension: selectivity under skew", Bench_skew.run);
     ("qerr", "cardinality q-error: TABLE 1 constants vs histograms", Bench_qerror.run);
-    ("par", "parallel scaling: exchange/sort/group-by over domains", Bench_parallel.run);
     ("srv", "server throughput: simple vs prepared QPS over the wire", Bench_server.run);
     ("mvcc", "MVCC: point-SELECT QPS scaling under a live writer", Bench_mvcc.run);
     ("commit", "group commit: commit QPS vs per-commit flushes", Bench_commit.run) ]

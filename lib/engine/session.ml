@@ -47,13 +47,7 @@ type t = {
       (* where this session's statements account their I/O; the engine-global
          record for the embedded default session, a private record (folded
          into the global one at close) for server sessions *)
-  serial_only : bool;
-      (* server sessions run on Domain_pool workers, which must never submit
-         exchange subtasks (the pool's deadlock-freedom invariant); their
-         plans are pinned serial regardless of SET PARALLELISM *)
   mutable w : float;
-  mutable max_dop : int;
-  mutable force_parallel : bool;
   mutable use_histograms : bool;
       (* SET HISTOGRAMS ON/OFF: estimate selectivities from the per-column
          equi-depth histograms UPDATE STATISTICS collects; OFF pins the
@@ -75,23 +69,13 @@ type t = {
   mutable cache_sig : string;
       (* settings fingerprint prefixed onto plan-cache keys: sessions with
          identical settings share cached plans, sessions with different W /
-         parallelism / histogram modes never serve each other's plans *)
+         histogram modes never serve each other's plans *)
   mutable closed : bool;
 }
 
 exception Error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
-
-(* SYSTEMR_DOMAINS seeds the parallelism cap for every new session, so CI
-   can run the whole suite with parallel plans enabled without touching the
-   tests; SET PARALLELISM overrides it per session. *)
-let default_max_dop () =
-  match Sys.getenv_opt "SYSTEMR_DOMAINS" with
-  | Some s -> (match int_of_string_opt (String.trim s) with
-               | Some n when n >= 1 -> n
-               | _ -> 1)
-  | None -> 1
 
 (* q-error above which an execution counts as a gross misestimate *)
 let feedback_threshold = 4.0
@@ -100,14 +84,11 @@ let feedback_threshold = 4.0
    estimation: SET HISTOGRAMS OFF pins the paper's constants exactly *)
 let feedback_active s = s.use_feedback && s.use_histograms
 
-let effective_dop s = if s.serial_only then 1 else s.max_dop
-
 let recompute_sig s =
   s.cache_sig <-
-    Printf.sprintf "%h|%d|%b|%b|%b#" s.w (effective_dop s) s.force_parallel
-      s.use_histograms (feedback_active s)
+    Printf.sprintf "%h|%b|%b#" s.w s.use_histograms (feedback_active s)
 
-let create ?(w = Ctx.default_w) ?counters ?(serial_only = false) eng =
+let create ?(w = Ctx.default_w) ?counters ?serial_only:_ eng =
   let counters =
     match counters with
     | Some c -> c
@@ -116,10 +97,7 @@ let create ?(w = Ctx.default_w) ?counters ?(serial_only = false) eng =
   let s =
     { eng;
       counters;
-      serial_only;
       w;
-      max_dop = default_max_dop ();
-      force_parallel = false;
       use_histograms = true;
       use_feedback = true;
       last_feedback = None;
@@ -176,9 +154,8 @@ let read_view s =
 let compose_key s key = s.cache_sig ^ key
 
 let ctx ?(params = [||]) s =
-  Ctx.create ~w:s.w ~max_dop:(effective_dop s) ~force_parallel:s.force_parallel
-    ~use_histograms:s.use_histograms ~use_feedback:(feedback_active s) ~params
-    (Engine.catalog s.eng)
+  Ctx.create ~w:s.w ~use_histograms:s.use_histograms
+    ~use_feedback:(feedback_active s) ~params (Engine.catalog s.eng)
 
 (* --- SET-style session settings ----------------------------------------- *)
 
@@ -193,15 +170,6 @@ let change_setting s changed assign =
   end
 
 let set_w s w = change_setting s (w <> s.w) (fun () -> s.w <- w)
-
-let set_parallelism s n =
-  let n = max 1 n in
-  change_setting s (n <> s.max_dop) (fun () -> s.max_dop <- n)
-
-let parallelism s = s.max_dop
-
-let set_force_parallel s on =
-  change_setting s (on <> s.force_parallel) (fun () -> s.force_parallel <- on)
 
 let set_histograms s on =
   change_setting s (on <> s.use_histograms) (fun () -> s.use_histograms <- on)
@@ -452,13 +420,9 @@ let table_block s table select where =
 
 (* The victim search of DELETE / UPDATE — and what EXPLAIN DELETE / UPDATE
    print: SELECT * FROM table WHERE where, through the same access path
-   selection as any query (no WHERE is just a segment scan). Optimized at
-   DOP 1: it runs under the write latch on the calling domain. *)
+   selection as any query (no WHERE is just a segment scan). *)
 let victim_plan s table where =
-  optimize_block
-    ~ctx:{ (ctx s) with Ctx.max_dop = 1; force_parallel = false }
-    s
-    (table_block s table [ Ast.Star ] where)
+  optimize_block s (table_block s table [ Ast.Star ] where)
 
 (* Stamp every version the victim plan yields under the transaction's
    snapshot, by TID. The relation Shared lock comes first, so no DDL can
@@ -681,7 +645,6 @@ let explain_cache_line s =
     c.Rss.Counters.plan_cache_hits c.Rss.Counters.plan_cache_misses
     c.Rss.Counters.plan_cache_invalidations c.Rss.Counters.plan_cache_evictions
     (Plan_cache.size cache) (Plan_cache.cap cache)
-  ^ Printf.sprintf "parallelism: max_dop=%d\n" (effective_dop s)
   ^ Printf.sprintf "histograms: %s\n" (if s.use_histograms then "on" else "off")
   ^ Printf.sprintf "feedback: misestimates=%d retirements=%d%s\n"
       c.Rss.Counters.feedback_misestimates
@@ -792,9 +755,6 @@ let exec_stmt s (stmt : Ast.statement) =
     let n = Catalog.vacuum (Engine.catalog s.eng) (Engine.mvcc s.eng) in
     Done
       (Printf.sprintf "%d dead version%s reclaimed" n (if n = 1 then "" else "s"))
-  | Ast.Set_parallelism n ->
-    set_parallelism s n;
-    Done (Printf.sprintf "parallelism set to %d" (parallelism s))
   | Ast.Set_histograms on ->
     set_histograms s on;
     Done (Printf.sprintf "histograms %s" (if on then "on" else "off"))

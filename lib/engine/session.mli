@@ -42,9 +42,9 @@ val create : ?w:float -> ?counters:Rss.Counters.t -> ?serial_only:bool ->
   Engine.t -> t
 (** [counters] defaults to the engine-global record (the embedded default
     session); the server passes a fresh record per connection, folded back
-    into the global one by {!close}. [serial_only] pins plans to DOP 1
-    regardless of SET PARALLELISM — required for sessions executing on
-    {!Rss.Domain_pool} workers, which must never submit exchange subtasks. *)
+    into the global one by {!close}. Every session plans serially;
+    [serial_only] is accepted and ignored, and remains only because
+    [perfbench/pb_replay.ml] passes it. *)
 
 val engine : t -> Engine.t
 (** The shared engine under this session; further sessions may be created
@@ -76,17 +76,6 @@ val ctx : ?params:Rel.Value.t array -> t -> Ctx.t
 
 val set_w : t -> float -> unit
 (** The optimizer's W weighting of RSI calls against page fetches. *)
-
-val set_parallelism : t -> int -> unit
-(** Cap the degree of parallelism the optimizer may choose (SET PARALLELISM;
-    initial value from [SYSTEMR_DOMAINS], default 1). Clamped to [>= 1]. *)
-
-val parallelism : t -> int
-
-val set_force_parallel : t -> bool -> unit
-(** Debug/fuzz switch: wrap every shape-eligible plan at the full parallelism
-    cap regardless of cost, so parallel execution is exercised on inputs the
-    cost model would correctly run serially. *)
 
 val set_histograms : t -> bool -> unit
 (** SET HISTOGRAMS ON/OFF (default on): estimate selectivities from the

@@ -10,8 +10,7 @@ let drain c =
    search arguments and bind its index bounds. Factors that fail to compile
    (a dynamic value unavailable in this context) come back appended to the
    residuals. *)
-let open_rss_scan block env ~partition ~snap ~join ~tab ~access ~sargs
-    ~residual =
+let open_rss_scan block env ~snap ~join ~tab ~access ~sargs ~residual =
   let tr = List.nth block.Semant.tables tab in
   let rel = tr.Semant.rel in
   let rel_id = rel.Catalog.rel_id in
@@ -24,42 +23,28 @@ let open_rss_scan block env ~partition ~snap ~join ~tab ~access ~sargs
       (Rss.Sarg.always_true, []) sargs
   in
   let scan =
-    match access, partition with
-    | Plan.Seg_scan, None ->
+    match access with
+    | Plan.Seg_scan ->
       Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap
         ~sargs:compiled_sargs ()
-    | Plan.Seg_scan, Some (Parallel.Pages pages) ->
-      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ~pages ?snap
-        ~sargs:compiled_sargs ()
-    | Plan.Idx_scan { index; lo; hi; dir; _ }, None ->
+    | Plan.Idx_scan { index; lo; hi; dir; _ } ->
       let lo = Option.map (Eval.bound_key env join) lo in
       let hi = Option.map (Eval.bound_key env join) hi in
       let dir = match dir with Ast.Asc -> `Asc | Ast.Desc -> `Desc in
       Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
         ?lo ?hi ~dir ?snap ~sargs:compiled_sargs ()
-    | Plan.Idx_scan { index; _ }, Some (Parallel.Key_range (lo, hi)) ->
-      (* the split ranges already absorbed the plan's lo/hi bounds *)
-      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
-        ?lo ?hi ~dir:`Asc ?snap ~sargs:compiled_sargs ()
-    | Plan.Seg_scan, Some (Parallel.Key_range _)
-    | Plan.Idx_scan _, Some (Parallel.Pages _) ->
-      invalid_arg "Cursor: partition kind does not match the access path"
   in
   (scan, residual @ List.rev fallback)
 
-(* [partition], when given, restricts the leftmost scan of the plan to one
-   slice of a [Plan.Exchange] fan-out; it threads through nested-loop outers
-   down to the leaf scan. *)
-let rec open_plan catalog block (env : Eval.env) ?partition ?snap ~join
+let rec open_plan catalog block (env : Eval.env) ?snap ~join
     (p : Plan.t) : t =
   match p.Plan.node with
   | Plan.Scan { tab; access; sargs; residual } ->
-    open_scan catalog block env ~partition ~snap ~join ~tab ~access
-      ~sargs ~residual
+    open_scan catalog block env ~snap ~join ~tab ~access ~sargs ~residual
   | Plan.Nl_join { outer; inner } ->
     (match join with
      | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
-     | None -> open_nl catalog block env ~partition ~snap ~outer ~inner)
+     | None -> open_nl catalog block env ~snap ~outer ~inner)
   | Plan.Merge_join { outer; inner; outer_col; inner_col; residual } ->
     (match join with
      | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
@@ -68,10 +53,6 @@ let rec open_plan catalog block (env : Eval.env) ?partition ?snap ~join
          ~inner_col ~residual)
   | Plan.Sort { input; key } ->
     open_sort catalog block env ~snap ~join ~input ~key
-  | Plan.Exchange { input; dop } ->
-    (match join with
-     | Some _ -> invalid_arg "Cursor: exchange cannot be a join inner"
-     | None -> open_exchange catalog block env ~snap ~input ~dop)
   | Plan.Filter { input; preds } ->
     let inner = open_plan catalog block env ?snap ~join input in
     let layout = layout_of block input in
@@ -83,11 +64,9 @@ let rec open_plan catalog block (env : Eval.env) ?partition ?snap ~join
     in
     pull
 
-and open_scan _catalog block env ~partition ~snap ~join ~tab ~access
-    ~sargs ~residual =
+and open_scan _catalog block env ~snap ~join ~tab ~access ~sargs ~residual =
   let scan, residual =
-    open_rss_scan block env ~partition ~snap ~join ~tab ~access ~sargs
-      ~residual
+    open_rss_scan block env ~snap ~join ~tab ~access ~sargs ~residual
   in
   let self_layout = Layout.of_tables block [ tab ] in
   match join with
@@ -128,10 +107,8 @@ and open_scan _catalog block env ~partition ~snap ~join ~tab ~access
     in
     pull
 
-and open_nl catalog block env ~partition ~snap ~outer ~inner =
-  let outer_cur =
-    open_plan catalog block env ?partition ?snap ~join:None outer
-  in
+and open_nl catalog block env ~snap ~outer ~inner =
+  let outer_cur = open_plan catalog block env ?snap ~join:None outer in
   let outer_layout = layout_of block outer in
   let state = ref None in
   let rec pull () =
@@ -266,54 +243,11 @@ and open_sort catalog block env ~snap ~join ~input ~key =
       key
   in
   let cmp = Eval.compile_cmp layout key in
-  let pager = Catalog.pager catalog in
-  let serial () =
-    let input_cur = open_plan catalog block env ?snap ~join input in
-    (* the plan cursor feeds run formation directly and the final merge
-       streams straight to the consumer — the sorted result is never
-       rematerialized *)
-    Rss.Sort.sort_stream ~cmp pager ~key:sort_key input_cur
-  in
-  match input.Plan.node, join with
-  | Plan.Exchange { input = inner; dop }, None
-    when not (Rss.Failpoint.enabled ()) ->
-    (* Sort over an exchange: fan out run formation instead of gathering an
-       unsorted stream — each worker forms the sorted runs for one contiguous
-       partition, and the main domain merges the concatenated run lists.
-       Byte-identical to the serial sort (see {!Rss.Sort.runs_of_dispenser}). *)
-    (match Parallel.partitions block env inner ~dop with
-     | None | Some ([] | [ _ ]) -> serial ()
-     | Some parts ->
-       let runs =
-         Parallel.map_partitions pager
-           (List.map
-              (fun part () ->
-                Rss.Sort.runs_of_dispenser ~cmp pager ~key:sort_key
-                  (open_plan catalog block env ~partition:part ?snap
-                     ~join:None inner))
-              parts)
-         |> List.concat
-       in
-       Rss.Sort.merge_stream ~cmp pager ~key:sort_key runs)
-  | _ -> serial ()
-
-and open_exchange catalog block env ~snap ~input ~dop =
-  (* Torture testing is single-domain-only: with the failpoint registry
-     armed, an exchange degrades to serial execution of its input (results
-     are identical by construction). *)
-  let serial () = open_plan catalog block env ?snap ~join:None input in
-  if Rss.Failpoint.enabled () then serial ()
-  else
-    match Parallel.partitions block env input ~dop with
-    | None | Some ([] | [ _ ]) -> serial ()
-    | Some parts ->
-      let g =
-        Parallel.gather (Catalog.pager catalog) ~partitions:parts
-          ~open_partition:(fun part ->
-            open_plan catalog block env ~partition:part ?snap
-              ~join:None input)
-      in
-      g.Parallel.next
+  let input_cur = open_plan catalog block env ?snap ~join input in
+  (* the plan cursor feeds run formation directly and the final merge
+     streams straight to the consumer — the sorted result is never
+     rematerialized *)
+  Rss.Sort.sort_stream ~cmp (Catalog.pager catalog) ~key:sort_key input_cur
 
 (* DML victim search: the same scan opening, but each qualifying tuple
    comes back with its TID, so DELETE and UPDATE stamp exactly the versions
@@ -323,8 +257,7 @@ let rec open_tids block env ?snap (p : Plan.t) =
   match p.Plan.node with
   | Plan.Scan { tab; access; sargs; residual } ->
     let scan, residual =
-      open_rss_scan block env ~partition:None ~snap ~join:None ~tab ~access
-        ~sargs ~residual
+      open_rss_scan block env ~snap ~join:None ~tab ~access ~sargs ~residual
     in
     tid_filter (Eval.compile_preds env (layout_of block p) residual) (fun () ->
         Rss.Scan.next scan)
@@ -332,7 +265,7 @@ let rec open_tids block env ?snap (p : Plan.t) =
     tid_filter
       (Eval.compile_preds env (layout_of block input) preds)
       (open_tids block env ?snap input)
-  | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Sort _ | Plan.Exchange _ ->
+  | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Sort _ ->
     invalid_arg "Cursor.open_tids: not a single-table scan plan"
 
 and tid_filter keep next =

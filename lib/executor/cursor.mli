@@ -18,7 +18,6 @@ val open_plan :
   Catalog.t ->
   Semant.block ->
   Eval.env ->
-  ?partition:Parallel.partition ->
   ?snap:Rss.Mvcc.view ->
   join:Eval.frame option ->
   Plan.t ->
@@ -26,16 +25,7 @@ val open_plan :
 (** [snap] is the MVCC read view every leaf scan of the plan filters
     through (threaded to {!Rss.Scan.open_segment_scan} /
     {!Rss.Scan.open_index_scan}); omitted, scans see exactly the
-    not-delete-marked heap — the single-session behavior.
-
-    [partition] restricts the plan's leftmost scan to one slice of an
-    exchange fan-out (threaded through nested-loop outers to the leaf);
-    workers opening their plan copy pass it, everything else omits it.
-    An [Exchange] node opens as a {!Parallel.gather} over its partitions —
-    or serially when the input is too small to partition or the failpoint
-    registry is armed (torture testing is single-domain-only). A [Sort] over
-    an [Exchange] fans out run formation and merges the per-partition runs
-    on the calling domain. *)
+    not-delete-marked heap — the single-session behavior. *)
 
 val layout_of : Semant.block -> Plan.t -> Layout.t
 (** Layout of the composite tuples the plan produces. *)
@@ -50,6 +40,6 @@ val open_tids :
 (** A cursor over a single-table plan — a scan, possibly under a [Filter] —
     that yields each qualifying tuple with its TID: the victims of DELETE and
     UPDATE. Scans open exactly as in {!open_plan}.
-    @raise Invalid_argument on joins, [Sort] and [Exchange]. *)
+    @raise Invalid_argument on joins and [Sort]. *)
 
 val drain : (unit -> 'a option) -> 'a list

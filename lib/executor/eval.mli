@@ -57,18 +57,6 @@ val compile_preds : env -> Layout.t -> Semant.spred list -> Rel.Tuple.t -> bool
     results are unaffected). Subquery conjuncts keep the exact three-valued
     path of {!compile_pred}. *)
 
-val compile_expr_pair :
-  env ->
-  Layout.t ->
-  Layout.t ->
-  Semant.sexpr ->
-  Rel.Tuple.t ->
-  Rel.Tuple.t ->
-  Rel.Value.t
-(** Like {!compile_expr} but over an uncombined (left, right) tuple pair —
-    each column reference resolves to (side, offset) at compile time, so join
-    residuals evaluate without first concatenating the composite. *)
-
 val compile_preds_pair :
   env ->
   Layout.t ->

@@ -37,31 +37,3 @@ val group_stream :
   Rel.Tuple.t list
 (** Input must arrive ordered on the GROUP BY columns; one row per group,
     emitted as each group's sorted run streams by. *)
-
-(** {2 Partial aggregation (parallel execution)}
-
-    Each worker folds its partition of the input into a {!partial} —
-    per-group constant-size accumulators built in a hash table, no sort —
-    and the main domain merges the partials. For a grouped block the merged
-    result equals [group_stream] over the sorted serial input: merged groups
-    are re-sorted ascending on the grouping columns (the order group plans
-    always request), compare-equal keys re-merge keeping the earlier group,
-    and representatives come from the earliest partition (= serial first
-    occurrence, since partitions are contiguous and in order). Count/Min/Max
-    and all-int Sum/Avg merges are exact; float sums may associate
-    differently than the serial fold (see DESIGN.md). *)
-
-type partial
-
-val fold_partial :
-  Eval.env ->
-  Layout.t ->
-  Semant.block ->
-  (unit -> Rel.Tuple.t option) ->
-  partial
-(** Fold one partition's cursor (scan order, not group order). *)
-
-val merge_partials :
-  Layout.t -> Semant.block -> partial list -> Rel.Tuple.t list
-(** Merge in partition order; returns the block's output rows (one for a
-    scalar block, one per group in ascending group order otherwise). *)

@@ -104,65 +104,13 @@ and run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
       r.Optimizer.plan
   in
   let layout = Cursor.layout_of block r.Optimizer.plan in
-  (* Parallel aggregation: instead of gathering the exchange's tuple stream
-     and folding it serially, fold each partition into partial accumulators
-     on its worker and merge the partials here — the gather queues never
-     carry the input tuples at all. Only blocks without subqueries are
-     parallelized (the optimizer guarantees this), so workers never touch
-     the subquery cache. [None] = shape/size not eligible, run serially. *)
-  let fold_parallel inner dop =
-    if Rss.Failpoint.enabled () then None
-    else
-      match Parallel.partitions block env inner ~dop with
-      | None | Some ([] | [ _ ]) -> None
-      | Some parts ->
-        let partials =
-          Parallel.map_partitions (Catalog.pager st.catalog)
-            (List.map
-               (fun part () ->
-                 Exec_agg.fold_partial env layout block
-                   (Cursor.open_plan st.catalog block env
-                      ~partition:part ?snap:st.snap ~join:None inner))
-               parts)
-        in
-        Some (Exec_agg.merge_partials layout block partials)
-  in
-  (* the sort the optimizer put under a grouped block orders exactly on the
-     grouping columns, ascending — checked structurally before the partial
-     path replaces it *)
-  let key_is_group_by (key : Interesting_order.order) =
-    List.length key = List.length block.Semant.group_by
-    && List.for_all2
-         (fun ((c : Semant.col_ref), d) (g : Semant.col_ref) ->
-           d = Ast.Asc && c.Semant.tab = g.Semant.tab && c.Semant.col = g.Semant.col)
-         key block.Semant.group_by
-  in
   (* The cursor is consumed incrementally in every mode: aggregation folds
      tuples into O(1) accumulator state as they stream by, so the plan's
      output is never materialized ahead of the result rows. *)
-  if block.Semant.scalar_agg then begin
-    let parallel =
-      match r.Optimizer.plan.Plan.node with
-      | Plan.Exchange { input; dop } -> fold_parallel input dop
-      | _ -> None
-    in
-    match parallel with
-    | Some rows -> rows
-    | None -> [ Exec_agg.scalar_stream env layout block (open_cur ()) ]
-  end
+  if block.Semant.scalar_agg then
+    [ Exec_agg.scalar_stream env layout block (open_cur ()) ]
   else if block.Semant.group_by <> [] then begin
-    let parallel =
-      match r.Optimizer.plan.Plan.node with
-      | Plan.Sort { input = { Plan.node = Plan.Exchange { input; dop }; _ }; key }
-        when key_is_group_by key ->
-        fold_parallel input dop
-      | _ -> None
-    in
-    let rows =
-      match parallel with
-      | Some rows -> rows
-      | None -> Exec_agg.group_stream env layout block (open_cur ())
-    in
+    let rows = Exec_agg.group_stream env layout block (open_cur ()) in
     match block.Semant.order_by with
     | [] -> rows
     | obs ->

@@ -93,41 +93,4 @@ let merge_join_ordered_inner ~outer ~inner_whole ~matches =
   let extra_rsi = Float.max 0. (matches -. inner_whole.rsi) in
   add (add outer inner_whole) { pages = 0.; rsi = extra_rsi }
 
-(* --- parallel execution --------------------------------------------------- *)
-
-(* Per-worker startup overhead in RSI-call units: queue setup, task
-   submission, and the gather synchronization — CPU-side work proportional
-   to the degree of parallelism, not to the data. *)
-let parallel_startup_rsi = 500.
-
-let parallel ~dop c =
-  (* CPU (RSI calls) divides across the workers; I/O does not — every page
-     still passes through the single shared buffer pool, so a parallel plan
-     only wins where it is CPU-bound (large W, big RSICARD). *)
-  let d = float_of_int dop in
-  { pages = c.pages; rsi = (parallel_startup_rsi *. d) +. (c.rsi /. d) }
-
-let choose_dop ~w ~max_dop c =
-  if max_dop <= 1 then None
-  else begin
-    (* candidate degrees: powers of two up to the cap, plus the cap itself *)
-    let rec doubles acc d =
-      if d > max_dop then List.rev acc else doubles (d :: acc) (2 * d)
-    in
-    let cands = doubles [] 2 in
-    let cands = if List.mem max_dop cands then cands else cands @ [ max_dop ] in
-    let best =
-      List.fold_left
-        (fun best dop ->
-          let pc = parallel ~dop c in
-          match best with
-          | Some (_, bc) when total ~w bc <= total ~w pc -> best
-          | _ -> Some (dop, pc))
-        None cands
-    in
-    match best with
-    | Some (dop, pc) when total ~w pc < total ~w c -> Some (dop, pc)
-    | _ -> None  (* strictly-better rule: serial wins ties and small inputs *)
-  end
-
 let pp ppf c = Format.fprintf ppf "{pages=%.2f; rsi=%.2f}" c.pages c.rsi

@@ -70,17 +70,4 @@ val merge_join_ordered_inner : outer:t -> inner_whole:t -> matches:float -> t
     is walked once in total; synchronization avoids rescans, and matches
     beyond the first visit of a tuple cost only the RSI call. *)
 
-val parallel : dop:int -> t -> t
-(** DOP-adjusted cost of running a plan as a [dop]-way exchange: RSI calls
-    (CPU) divide across the workers plus a per-worker startup charge; page
-    fetches do not divide — all I/O still flows through the one shared
-    buffer pool. *)
-
-val choose_dop : w:float -> max_dop:int -> t -> (int * t) option
-(** Cheapest degree of parallelism for a plan of serial cost [c], trying
-    powers of two up to [max_dop] (and [max_dop] itself). [None] unless the
-    parallel total is {e strictly} below the serial total — ties, small
-    inputs, and [w = 0] (pure I/O cost, which parallelism cannot reduce)
-    stay serial. Smaller degrees win cost ties. *)
-
 val pp : Format.formatter -> t -> unit

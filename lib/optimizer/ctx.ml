@@ -6,8 +6,6 @@ type t = {
   use_interesting_orders : bool;
   use_bnb : bool;
   refined_pages : bool;
-  max_dop : int;
-  force_parallel : bool;
   use_histograms : bool;
   use_feedback : bool;
   params : Rel.Value.t array;
@@ -32,15 +30,13 @@ let default_w = 0.5
 
 let create ?(w = default_w) ?buffer_pages ?(use_heuristic = true)
     ?(use_interesting_orders = true) ?(use_bnb = true) ?(refined_pages = false)
-    ?(max_dop = 1) ?(force_parallel = false) ?(use_histograms = true)
-    ?(use_feedback = true) ?(params = [||]) catalog =
+    ?(use_histograms = true) ?(use_feedback = true) ?(params = [||]) catalog =
   let buffer_pages =
     Option.value buffer_pages
       ~default:(Rss.Pager.buffer_pages (Catalog.pager catalog))
   in
   { catalog; w; buffer_pages; use_heuristic; use_interesting_orders; use_bnb;
-    refined_pages; max_dop; force_parallel; use_histograms; use_feedback;
-    params }
+    refined_pages; use_histograms; use_feedback; params }
 
 (* "We assume that a lack of statistics implies that the relation is small,
    so an arbitrary factor is chosen." *)

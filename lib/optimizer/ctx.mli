@@ -26,13 +26,6 @@ type t = {
           Cardenas/Yao distinct-page formula instead of TABLE 2's
           TCARD-or-NCARD bracketing — the "more work on validation of the
           optimizer cost formulas" the paper's conclusion calls for *)
-  max_dop : int;
-      (** maximum degree of parallelism the parallelization post-pass may
-          choose (SET PARALLELISM / SYSTEMR_DOMAINS); 1 = serial only *)
-  force_parallel : bool;
-      (** debug/fuzz switch: wrap every shape-eligible plan at [max_dop]
-          regardless of cost, so parallel execution is exercised on inputs
-          the cost model would correctly run serially *)
   use_histograms : bool;
       (** consult per-column equi-depth histograms (and bound parameter
           values) for selectivity; off = the paper's value-independent
@@ -73,8 +66,6 @@ val create :
   ?use_interesting_orders:bool ->
   ?use_bnb:bool ->
   ?refined_pages:bool ->
-  ?max_dop:int ->
-  ?force_parallel:bool ->
   ?use_histograms:bool ->
   ?use_feedback:bool ->
   ?params:Rel.Value.t array ->

@@ -16,8 +16,6 @@ val build : Semant.block -> Normalize.factor list -> env
 val canon : env -> Semant.col_ref -> Semant.col_ref
 (** Class representative. *)
 
-val canonical_order : env -> order -> order
-
 val equivalent : env -> order -> order -> bool
 
 val satisfies : env -> produced:order -> required:order -> bool

@@ -168,8 +168,7 @@ let merge_join s ~outer ~inner ~outer_col ~inner_col ~merge_factor ~others =
       in
       Cost_model.merge_join_sorted_inner s.ctx ~outer:outer.Plan.cost
         ~inner_build:inner.Plan.cost ~temppages ~matches
-    | Plan.Scan _ | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Filter _
-    | Plan.Exchange _ ->
+    | Plan.Scan _ | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Filter _ ->
       Cost_model.merge_join_ordered_inner ~outer:outer.Plan.cost
         ~inner_whole:inner.Plan.cost ~matches
   in

@@ -17,9 +17,5 @@ type result = {
 
 val optimize : Ctx.t -> Semant.block -> result
 
-val find_subresult : result -> Semant.block -> result
-(** Plan for a nested block (physical-identity lookup).
-    @raise Not_found when the block is not nested in this result. *)
-
 val total_cost : Ctx.t -> result -> float
 (** COST = PAGE FETCHES + W * RSI CALLS of the chosen plan. *)

@@ -35,7 +35,6 @@ type node =
     }
   | Sort of { input : t; key : Interesting_order.order }
   | Filter of { input : t; preds : Semant.spred list }
-  | Exchange of { input : t; dop : int }
 
 and t = {
   node : node;
@@ -45,12 +44,6 @@ and t = {
   out_card : float;
 }
 
-let rec scan_tab t =
-  match t.node with
-  | Scan { tab; _ } -> Some tab
-  | Filter { input; _ } | Exchange { input; _ } -> scan_tab input
-  | Nl_join _ | Merge_join _ | Sort _ -> None
-
 let rec join_methods_used t =
   match t.node with
   | Scan _ -> []
@@ -58,8 +51,7 @@ let rec join_methods_used t =
     join_methods_used outer @ join_methods_used inner @ [ "NL" ]
   | Merge_join { outer; inner; _ } ->
     join_methods_used outer @ join_methods_used inner @ [ "MERGE" ]
-  | Sort { input; _ } | Filter { input; _ } | Exchange { input; _ } ->
-    join_methods_used input
+  | Sort { input; _ } | Filter { input; _ } -> join_methods_used input
 
 let default_name tab = Printf.sprintf "t%d" tab
 
@@ -95,8 +87,6 @@ let rec describe ?(names = default_name) t =
     Printf.sprintf "MERGE(%s, %s)" (describe ~names outer) (describe ~names inner)
   | Sort { input; _ } -> Printf.sprintf "Sort(%s)" (describe ~names input)
   | Filter { input; _ } -> Printf.sprintf "Filter(%s)" (describe ~names input)
-  | Exchange { input; dop } ->
-    Printf.sprintf "Exchange[%d](%s)" dop (describe ~names input)
 
 let pp ?(names = default_name) ppf t =
   let rec go indent t =
@@ -126,9 +116,6 @@ let pp ?(names = default_name) ppf t =
       go (indent + 2) input
     | Filter { input; preds } ->
       line "FILTER (%d predicates)" (List.length preds);
-      go (indent + 2) input
-    | Exchange { input; dop } ->
-      line "EXCHANGE dop=%d (gather)" dop;
       go (indent + 2) input
   in
   Format.fprintf ppf "@[<v>";

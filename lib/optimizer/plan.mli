@@ -56,12 +56,6 @@ type node =
   | Filter of { input : t; preds : Semant.spred list }
       (** residual predicates evaluated above the joins — in particular the
           boolean factors containing subqueries *)
-  | Exchange of { input : t; dop : int }
-      (** run [dop] copies of [input] over disjoint contiguous partitions of
-          its leftmost scan, on worker domains, and gather their outputs in
-          partition order — result identical to running [input] serially.
-          Inserted by the optimizer's parallelization post-pass when the
-          DOP-adjusted cost wins *)
 
 and t = {
   node : node;
@@ -71,10 +65,6 @@ and t = {
   out_card : float;
       (** estimated tuples produced; for a join inner this is per opening *)
 }
-
-val scan_tab : t -> int option
-(** The FROM position when the plan is a bare (possibly filtered) single
-    scan. *)
 
 val join_methods_used : t -> string list
 (** ["NL"; "MERGE"] etc., outermost last; for tests and explain output. *)

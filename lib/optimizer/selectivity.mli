@@ -27,6 +27,3 @@ val block_qcard : Ctx.t -> Semant.block -> float
     estimate under GROUP BY. Used both for top blocks and for the
     "expected cardinality of the subquery result" in TABLE 1's
     [columnA IN subquery] rule. *)
-
-val cardinality_product : Ctx.t -> Semant.block -> float
-(** Product of the cardinalities of all relations in the block's FROM list. *)

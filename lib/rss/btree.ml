@@ -392,57 +392,6 @@ let entries t = drain (cursor ~accounted:false t)
 let lookup t k =
   drain (range_cursor ~lo:(k, `Inclusive) ~hi:(k, `Inclusive) t) |> List.map snd
 
-(* Split [lo, hi) into up to [parts] contiguous key ranges along existing
-   separator keys, for parallel index scans. Splitting at a separator key [k]
-   with hi-`Exclusive` / lo-`Inclusive` sends every duplicate of [k] into the
-   right-hand range, so the concatenation of the ranges' scans is exactly the
-   serial scan. Planning-time only: no I/O is charged. *)
-let split_range ?lo ?hi t ~parts =
-  if parts <= 1 then [ (lo, hi) ]
-  else
-    let cands =
-      match t.root with
-      | Leaf _ -> []
-      | Internal n ->
-        let top = Array.to_list n.sep_keys in
-        if List.length top >= parts - 1 then top
-        else
-          (* Root fan-out too small; pull in the grandchildren's separators
-             so a freshly split root can still feed several partitions. *)
-          let deeper =
-            Array.fold_left
-              (fun acc c ->
-                match c with
-                | Leaf _ -> acc
-                | Internal m -> Array.fold_left (fun acc k -> k :: acc) acc m.sep_keys)
-              [] n.children
-          in
-          List.sort_uniq compare_key (top @ deeper)
-    in
-    (* Keep only split keys strictly inside (lo, hi): every resulting range
-       must be able to hold at least one key. *)
-    let inside k =
-      (match lo with None -> true | Some (b, _) -> compare_prefix b k < 0)
-      && match hi with None -> true | Some (b, _) -> compare_prefix b k > 0
-    in
-    let cands = List.filter inside cands |> List.sort_uniq compare_key in
-    match cands with
-    | [] -> [ (lo, hi) ]
-    | _ ->
-      let arr = Array.of_list cands in
-      let n = Array.length arr in
-      let want = min (parts - 1) n in
-      let picks =
-        List.init want (fun j -> arr.((j + 1) * n / (want + 1)))
-        |> List.sort_uniq compare_key
-      in
-      let rec build prev = function
-        | [] -> [ (prev, hi) ]
-        | k :: rest ->
-          (prev, Some (k, `Exclusive)) :: build (Some (k, `Inclusive)) rest
-      in
-      build lo picks
-
 let rec fold_leaves f acc node =
   match node with
   | Leaf l -> f acc l

@@ -60,18 +60,6 @@ val entries : t -> (key * Tid.t) list
 val lookup : t -> key -> Tid.t list
 (** All TIDs for an exact key (accounted). *)
 
-val split_range :
-  ?lo:bound -> ?hi:bound -> t -> parts:int ->
-  (bound option * bound option) list
-(** Split the range [lo, hi] into up to [parts] contiguous sub-ranges along
-    existing separator keys, in key order, for parallel index scans. The
-    concatenation of the sub-ranges' ascending cursors yields exactly the
-    entries of the serial scan, in the same order: splits fall on full key
-    values with the left range excluding and the right range including the
-    split key, so duplicates never straddle a boundary. Returns a single
-    range when the tree is too small to split. Planning-time only — no page
-    accesses are charged. *)
-
 val entry_count : t -> int
 
 val leaf_sizes : t -> int list

@@ -15,8 +15,8 @@ type t = {
   mutable mru : int;  (* id at [head], or min_int when empty *)
   m : Mutex.t;
   mutable latched : bool;
-      (* serialize [touch] under the mutex; set only while a parallel query
-         phase has worker domains sharing the pool *)
+      (* serialize [touch] under the mutex; set while the engine serves
+         several sessions, whose readers share the pool across domains *)
 }
 
 let create ~capacity =

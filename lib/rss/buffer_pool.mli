@@ -18,11 +18,10 @@ val touch : t -> int -> [ `Hit | `Miss ]
     in, evicting the least recently used page when full). *)
 
 val set_latched : t -> bool -> unit
-(** While latched, {!touch} serializes under an internal mutex so worker
-    domains may share the pool during a parallel query phase. Unlatched (the
-    default), touch is the bare serial fast path. Toggled only from the main
-    domain with no workers running ({!Pager.enter_parallel} /
-    [exit_parallel]). *)
+(** While latched, {!touch} serializes under an internal mutex so sessions
+    on several domains may share the pool. Unlatched (the default), touch is
+    the bare serial fast path. Toggled by {!Pager.set_shared} while no
+    statement runs. *)
 
 val contains : t -> int -> bool
 val evict_all : t -> unit

@@ -59,10 +59,9 @@ val restore : t -> from:t -> unit
     from I/O accounting. *)
 
 val add : t -> into:t -> unit
-(** Component-wise accumulation of [t] into [into] — how a parallel worker's
-    domain-local scratch counters fold back into the pager's main counters
-    when the worker finishes, so per-domain accounting sums exactly to the
-    serial totals. *)
+(** Component-wise accumulation of [t] into [into] — how a session's
+    domain-local counters fold back into the pager's engine-global record
+    when the session closes ({!Pager.base_counters}). *)
 
 val diff : after:t -> before:t -> t
 (** Component-wise difference; for measuring one operation. *)

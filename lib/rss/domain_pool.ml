@@ -1,29 +1,16 @@
-(* A process-wide pool of worker domains for parallel query execution.
+(* A process-wide pool of worker domains for the server's connection
+   handlers.
 
    OCaml 5 domains are heavyweight (each carries a minor heap and
-   participates in every GC), so the executor never spawns one per
-   operator: it submits closures to this fixed pool, which grows on demand
+   participates in every GC), so the server never spawns one per
+   connection: it submits handlers to this fixed pool, which grows on demand
    up to [max_workers] and is never torn down — idle workers block on the
    task queue's condition variable and cost nothing, and process exit
    (Stdlib.exit terminates all domains) reaps them.
 
    Scheduling is deliberately simple: one global FIFO, any worker takes the
-   next task. Deadlock-freedom rests on an invariant the executor
-   maintains: tasks never submit subtasks and never block on another job's
-   completion — only the main domain joins. A pool smaller than the
-   requested degree of parallelism is therefore safe; excess tasks just
-   queue. *)
-
-type 'a state =
-  | Pending
-  | Done of 'a
-  | Failed of exn
-
-type 'a job = {
-  jm : Mutex.t;
-  jc : Condition.t;
-  mutable state : 'a state;
-}
+   next task. A handler holds its worker for the connection's lifetime, so
+   connections beyond the worker count queue until one closes. *)
 
 let max_workers = 8
 
@@ -52,7 +39,6 @@ let rec worker_loop () =
   done;
   let task = Queue.pop tasks in
   Mutex.unlock m;
-  (* the task wrapper stores its own outcome, including exceptions *)
   (try task () with _ -> ());
   worker_loop ()
 
@@ -72,40 +58,9 @@ let ensure n =
   done;
   Mutex.unlock m
 
-let size () =
-  Mutex.lock m;
-  let n = !workers in
-  Mutex.unlock m;
-  n
-
-let submit f =
-  let j = { jm = Mutex.create (); jc = Condition.create (); state = Pending } in
-  let task () =
-    let r = match f () with v -> Done v | exception e -> Failed e in
-    Mutex.lock j.jm;
-    j.state <- r;
-    Condition.broadcast j.jc;
-    Mutex.unlock j.jm
-  in
+let submit task =
   Mutex.lock m;
   if !workers = 0 then spawn_locked ();
   Queue.push task tasks;
   Condition.signal cv;
-  Mutex.unlock m;
-  j
-
-let join j =
-  Mutex.lock j.jm;
-  let rec wait () =
-    match j.state with
-    | Pending ->
-      Condition.wait j.jc j.jm;
-      wait ()
-    | Done v ->
-      Mutex.unlock j.jm;
-      v
-    | Failed e ->
-      Mutex.unlock j.jm;
-      raise e
-  in
-  wait ()
+  Mutex.unlock m

@@ -1,24 +1,15 @@
-(** Process-wide pool of worker domains for parallel query execution.
+(** Process-wide pool of worker domains that run the server's connection
+    handlers.
 
     The pool grows on demand up to a small cap and is never torn down; idle
-    workers block on the task queue. Submitted closures run on an arbitrary
-    worker; their result (or exception) is retrieved with {!join}.
-
-    Invariant the executor maintains, on which deadlock-freedom rests:
-    tasks never submit subtasks and never join other jobs — only the main
-    domain consumes results. A pool smaller than the requested degree of
-    parallelism is then safe: excess tasks queue until a worker frees up. *)
-
-type 'a job
+    workers block on the task queue. A submitted task runs on an arbitrary
+    worker and occupies it until it returns; tasks beyond the worker count
+    queue until a worker frees up. *)
 
 val ensure : int -> unit
 (** Grow the pool to at least [min n max_workers] workers (never shrinks). *)
 
-val size : unit -> int
-(** Workers currently spawned. *)
-
-val submit : (unit -> 'a) -> 'a job
-(** Enqueue a task; spawns the first worker if the pool is empty. *)
-
-val join : 'a job -> 'a
-(** Block until the job completes; re-raises the task's exception. *)
+val submit : (unit -> unit) -> unit
+(** Enqueue a task; spawns the first worker if the pool is empty. An
+    exception escaping the task is dropped; a task that must report its
+    outcome does so itself. *)

@@ -10,10 +10,9 @@ let halted_flag = ref false
 
 (* The registry is global mutable state with no synchronization: it is
    single-domain-only by contract. Arming asserts it runs on the main domain,
-   and the executor refuses to enter parallel execution while any mode is
-   active ([Pager.enter_parallel] checks {!enabled}), so worker domains only
-   ever observe [live = false] — a benign read of an immutable-in-practice
-   flag. *)
+   and every plan runs serially on the domain that opened it, so other
+   domains (server connection workers) only ever observe [live = false] — a
+   benign read of an immutable-in-practice flag. *)
 let main_domain = Domain.self ()
 
 let assert_main_domain what =

@@ -18,10 +18,9 @@
 
     The registry is global (sites live in code that has no handle to thread a
     registry through) and is {b single-domain-only}: arming asserts it runs
-    on the main domain, and parallel query execution refuses to start while
-    any mode is active (exchange operators degrade to serial execution, and
-    {!Pager.enter_parallel} rejects an armed registry outright). Worker
-    domains therefore only ever read the inert fast-path flag. *)
+    on the main domain, and every plan runs serially on the domain that
+    opened it. Other domains therefore only ever read the inert fast-path
+    flag. *)
 
 exception Crash of string
 (** Raised by {!hit} at the armed trigger; the payload is the site name. *)

@@ -50,11 +50,6 @@ let snapshot t ~txn = { csn = t.last_csn; txn }
 
 let statement_snapshot t = { csn = t.last_csn; txn = 0 }
 
-let active_count t =
-  Hashtbl.fold
-    (fun _ s acc -> match s with Active _ -> acc + 1 | _ -> acc)
-    t.status 0
-
 (* The oldest CSN any in-flight transaction's snapshot can still read.
    Versions whose deleter committed at-or-before this horizon are invisible
    to every present and future snapshot, hence reclaimable. *)

@@ -32,9 +32,6 @@ val abort : t -> int -> unit
 val snapshot : t -> txn:int -> snapshot
 val statement_snapshot : t -> snapshot
 
-val active_count : t -> int
-(** Number of in-flight (Active) transactions engine-wide. *)
-
 val horizon : t -> int
 (** Oldest CSN any in-flight snapshot can still read: versions whose
     deleter committed at-or-before it are reclaimable. *)

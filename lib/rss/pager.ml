@@ -4,21 +4,13 @@ type t = {
   pool : Buffer_pool.t;
   counters : Counters.t;
   buffer_pages : int;
-  latch : Mutex.t;
-  mutable parallel_depth : int;
-      (* nesting of enter/exit_parallel; pool latched while > 0 *)
-  mutable shared : bool;
-      (* engine in multi-session (server) mode: concurrent reader statements
-         may touch the pool from several domains, so keep it latched even
-         outside parallel query phases *)
 }
 
 (* Per-domain scratch counters. Accounting lands in the domain-local record
-   when one is installed — a worker domain under [as_worker], or a server
-   session's statement under [with_counters] — and in the engine-global
-   [t.counters] otherwise. Domain-local redirection is what lets concurrent
-   reader statements on different domains bump counters without
-   synchronization: each domain has exactly one writer target. *)
+   when one is installed — a session's statement under [with_counters] — and
+   in the engine-global [t.counters] otherwise. Domain-local redirection is
+   what lets concurrent reader statements on different domains bump counters
+   without synchronization: each domain has exactly one writer target. *)
 let scratch_key : Counters.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -31,10 +23,7 @@ let create ?(buffer_pages = 64) () =
     data_pages = Hashtbl.create 1024;
     pool = Buffer_pool.create ~capacity:buffer_pages;
     counters;
-    buffer_pages;
-    latch = Mutex.create ();
-    parallel_depth = 0;
-    shared = false }
+    buffer_pages }
 
 let counters t = cnt t
 let base_counters t = t.counters
@@ -82,31 +71,6 @@ let note_merge_pass t =
 
 let evict_all t = Buffer_pool.evict_all t.pool
 
-let refresh_pool_latch t =
-  Buffer_pool.set_latched t.pool (t.shared || t.parallel_depth > 0)
-
-let set_shared t on =
-  t.shared <- on;
-  refresh_pool_latch t
-
-let enter_parallel t =
-  if Failpoint.enabled () then
-    invalid_arg
-      "Pager.enter_parallel: failpoint registry armed (single-domain-only)";
-  t.parallel_depth <- t.parallel_depth + 1;
-  if t.parallel_depth = 1 then refresh_pool_latch t
-
-let exit_parallel t =
-  t.parallel_depth <- t.parallel_depth - 1;
-  if t.parallel_depth = 0 then refresh_pool_latch t
-
-let as_worker t f =
-  let scratch = Counters.create () in
-  Domain.DLS.set scratch_key (Some scratch);
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set scratch_key None;
-      Mutex.lock t.latch;
-      Counters.add scratch ~into:t.counters;
-      Mutex.unlock t.latch)
-    f
+(* Multi-session (server) mode: concurrent reader statements touch the pool
+   from several domains, so it is latched exactly while the pager is shared. *)
+let set_shared t on = Buffer_pool.set_latched t.pool on

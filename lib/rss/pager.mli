@@ -56,26 +56,5 @@ val evict_all : t -> unit
 (** Cold the cache (bench harness between runs). *)
 
 val set_shared : t -> bool -> unit
-(** Multi-session (server) mode: keep the buffer pool latched even outside
-    parallel query phases, since concurrent reader statements touch it from
-    several domains. Composes with {!enter_parallel} nesting. *)
-
-val enter_parallel : t -> unit
-(** Bracket a parallel query phase (matched by {!exit_parallel}; nests). On
-    the outermost entry the buffer pool is latched so worker domains may
-    touch it concurrently. Called from the main domain before any worker
-    starts.
-    @raise Invalid_argument while the failpoint registry is armed — torture
-    testing is single-domain-only and the executor must have degraded to
-    serial execution already. *)
-
-val exit_parallel : t -> unit
-(** Leave a parallel phase; on the outermost exit the buffer pool latch is
-    released. Called from the main domain after every worker has finished. *)
-
-val as_worker : t -> (unit -> 'a) -> 'a
-(** Run [f] with this domain's I/O accounting redirected to a fresh
-    domain-local scratch {!Counters.t}, folded into {!counters} under a latch
-    when [f] returns (normally or not). Wrap every task submitted to
-    {!Domain_pool} in this so per-domain counts sum exactly to the serial
-    totals. *)
+(** Multi-session (server) mode: latch the buffer pool while on, since
+    concurrent reader statements touch it from several domains. *)

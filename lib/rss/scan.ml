@@ -14,12 +14,9 @@ type t = {
    [snap] selects which versions qualify: with a read view, MVCC snapshot
    visibility over (xmin, xmax); without one, default visibility (not
    delete-marked), which reproduces pre-MVCC single-session behavior. *)
-let open_segment_scan segment ~rel_id ?pages ?snap ?(sargs = Sarg.always_true)
-    () =
+let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
   let pager = Segment.pager segment in
-  let pages =
-    ref (match pages with Some ps -> ps | None -> Segment.page_ids segment)
-  in
+  let pages = ref (Segment.page_ids segment) in
   let current : (int * int * Rel.Tuple.t * int * int) list ref = ref [] in
   let current_page = ref (-1) in
   let qualifies xmin xmax =

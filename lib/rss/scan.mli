@@ -15,15 +15,11 @@ type t
 val open_segment_scan :
   Segment.t ->
   rel_id:int ->
-  ?pages:int list ->
   ?snap:Mvcc.view ->
   ?sargs:Sarg.t ->
   unit ->
   t
-(** [pages] restricts the scan to the given page-id subset (in the order
-    given) instead of every page of the segment — parallel scans hand each
-    worker one contiguous chunk of [Segment.page_ids], whose concatenation
-    is exactly the serial scan. [snap] applies MVCC snapshot visibility;
+(** [snap] applies MVCC snapshot visibility;
     without it, versions that are not delete-marked qualify (pre-MVCC
     default). *)
 

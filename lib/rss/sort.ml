@@ -325,41 +325,22 @@ let merge_pass cmp ~key pager ~fan_in runs =
       match group with [ r ] -> r | _ -> merge_runs cmp ~key pager group)
     (batch [] [] 0 runs)
 
-(* Run formation and merging are separate entry points so run formation can
-   be fanned out across domains: each worker forms the runs for one
-   contiguous input partition ([runs_of_dispenser]), and the main domain
-   merges the concatenation of the per-partition run lists
-   ([merge_stream]). Output is byte-identical to [sort_stream] over the
-   concatenated input: run formation is per-partition deterministic, the
-   concatenated run list preserves input order exactly as serial formation
-   does (partitions are contiguous and in order), and ties are broken by run
-   index at every merge level. *)
-
-let runs_of_dispenser ?run_pages ?cmp pager ~key next =
-  let cmp = match cmp with Some c -> c | None -> compare_tuples key in
-  let run_pages, _ = resolve_params ?run_pages pager in
-  form_runs cmp ~key pager ~run_pages next
-
 (* Intermediate passes materialize as usual, but the last merge — once no
    more than fan-in runs survive — feeds the consumer on the fly: the final
    sorted result is never written to temp pages at all. *)
-let merge_stream ?fan_in ?cmp pager ~key runs =
+let sort_stream ?run_pages ?fan_in ?cmp pager ~key next =
   let cmp = match cmp with Some c -> c | None -> compare_tuples key in
-  let _, fan_in = resolve_params ?fan_in pager in
+  let run_pages, fan_in = resolve_params ?run_pages ?fan_in pager in
   let rec reduce runs =
     if List.length runs <= fan_in then runs
     else reduce (merge_pass cmp ~key pager ~fan_in runs)
   in
-  match reduce runs with
+  match reduce (form_runs cmp ~key pager ~run_pages next) with
   | [] -> fun () -> None
   | [ r ] -> Temp_list.cursor r.tl
   | runs ->
     Pager.note_merge_pass pager;
     merge_dispenser cmp ~key runs
-
-let sort_stream ?run_pages ?fan_in ?cmp pager ~key next =
-  merge_stream ?fan_in ?cmp pager ~key
-    (runs_of_dispenser ?run_pages ?cmp pager ~key next)
 
 let passes ?run_pages ?fan_in ~buffer_pages ~tuples ~tuples_per_page () =
   let run_pages = Option.value run_pages ~default:(max 1 buffer_pages) in

@@ -52,39 +52,6 @@ val sort_stream :
     would be pure overhead. The streamed final merge still counts one
     [merge_passes] level, keeping observed passes aligned with {!passes}. *)
 
-type run
-(** One sorted run spilled to temp pages (with its normalized-key cache when
-    the first key column is all-Int). *)
-
-val runs_of_dispenser :
-  ?run_pages:int ->
-  ?cmp:(Rel.Tuple.t -> Rel.Tuple.t -> int) ->
-  Pager.t ->
-  key:key ->
-  (unit -> Rel.Tuple.t option) ->
-  run list
-(** Run-formation half of {!sort_stream}: drain the dispenser into sorted
-    runs (in input order) without merging them. Parallel sorts call this on
-    each worker over one contiguous input partition; concatenating the
-    per-partition run lists in partition order and handing them to
-    {!merge_stream} produces output byte-identical to a serial
-    {!sort_stream} of the whole input — run formation is deterministic per
-    partition and merge ties are broken by run index at every level, so run
-    order (= input order) decides ties exactly as in the serial sort. *)
-
-val merge_stream :
-  ?fan_in:int ->
-  ?cmp:(Rel.Tuple.t -> Rel.Tuple.t -> int) ->
-  Pager.t ->
-  key:key ->
-  run list ->
-  unit ->
-  Rel.Tuple.t option
-(** Merge half of {!sort_stream}: reduce the runs with materialized
-    [fan_in]-wide passes until one streamed tournament merge can feed the
-    returned dispenser. [sort_stream next = merge_stream (runs_of_dispenser
-    next)] with identical accounting, provided [cmp]/[key] match. *)
-
 val passes :
   ?run_pages:int ->
   ?fan_in:int ->

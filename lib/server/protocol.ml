@@ -371,12 +371,6 @@ let rec refill io =
 (* True when a request is already buffered (or the stream is detectably
    corrupt): the server keeps answering without flushing while this holds,
    giving pipelined batches one write(2) per drain. Must not consume. *)
-let input_pending io =
-  io.rlen >= 4
-  &&
-  let len = frame_len io in
-  len < 1 || len > max_frame || io.rlen >= 4 + len
-
 let rec recv_with : 'a. io -> (char -> cursor -> 'a) -> 'a option =
  fun io decode ->
   match take_frame io decode with

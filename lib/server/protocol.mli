@@ -20,7 +20,6 @@ exception Disconnected
     instead. *)
 
 val version : int
-val max_frame : int
 
 type client_msg =
   | Startup of int  (** protocol version *)
@@ -68,10 +67,6 @@ val send_raw : io -> string -> unit
     broken frames with this. *)
 
 val flush : io -> unit
-
-val input_pending : io -> bool
-(** A complete request frame is already buffered (or the stream is
-    detectably corrupt — the reader will fault on it next). *)
 
 val recv_client : io -> client_msg option
 val recv_server : io -> server_msg option

@@ -13,11 +13,9 @@
    client can never strand a lock.
 
    Connection handlers occupy their pool worker for the connection's
-   lifetime, which is exactly why server sessions are serial_only: a worker
-   must never submit-and-join exchange subtasks (Domain_pool's
-   deadlock-freedom invariant). Keep the concurrent-connection count below
-   the pool cap if the same process also runs parallel plans from an
-   embedded session. *)
+   lifetime; connections beyond the worker count queue until one closes. The
+   server keeps only a count of live handlers, never a record per accepted
+   connection, so its own state stays bounded however many it serves. *)
 
 type addr =
   | Unix_sock of string
@@ -43,9 +41,10 @@ type t = {
   listen_fd : Unix.file_descr;
   addr : addr;  (* resolved: TCP port 0 replaced by the bound port *)
   m : Mutex.t;
+  handlers_done : Condition.t;  (* broadcast as each handler exits *)
   mutable running : bool;
   mutable conns : Unix.file_descr list;
-  mutable jobs : unit Rss.Domain_pool.job list;
+  mutable live : int;  (* handlers submitted and not yet finished *)
   mutable accept_dom : unit Domain.t option;
 }
 
@@ -156,9 +155,7 @@ let dispatch conn msg =
    is the mid-transaction-disconnect guarantee. *)
 let handle t fd =
   let io = Protocol.io_of_fd fd in
-  let sess =
-    Session.create ~serial_only:true ~counters:(Rss.Counters.create ()) t.eng
-  in
+  let sess = Session.create ~counters:(Rss.Counters.create ()) t.eng in
   let conn = { io; sess; stmts = Hashtbl.create 8; portal = None } in
   (try
      (match Protocol.recv_client io with
@@ -203,6 +200,12 @@ let handle t fd =
   Mutex.unlock t.m;
   (try Unix.close fd with Unix.Unix_error _ -> ())
 
+let handler_exit t =
+  Mutex.lock t.m;
+  t.live <- t.live - 1;
+  Condition.broadcast t.handlers_done;
+  Mutex.unlock t.m
+
 (* --- listener ------------------------------------------------------------- *)
 
 let rec accept_loop t =
@@ -215,9 +218,10 @@ let rec accept_loop t =
     end
     else begin
       t.conns <- fd :: t.conns;
-      let job = Rss.Domain_pool.submit (fun () -> handle t fd) in
-      t.jobs <- job :: t.jobs;
+      t.live <- t.live + 1;
       Mutex.unlock t.m;
+      Rss.Domain_pool.submit (fun () ->
+          Fun.protect ~finally:(fun () -> handler_exit t) (fun () -> handle t fd));
       accept_loop t
     end
   | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
@@ -257,7 +261,8 @@ let start ?(workers = 4) ~engine addr =
   Engine.set_latched engine true;
   let t =
     { eng = engine; listen_fd = fd; addr = resolved; m = Mutex.create ();
-      running = true; conns = []; jobs = []; accept_dom = None }
+      handlers_done = Condition.create (); running = true; conns = []; live = 0;
+      accept_dom = None }
   in
   t.accept_dom <- Some (Domain.spawn (fun () -> accept_loop t));
   t
@@ -306,10 +311,10 @@ let stop t =
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       conns;
     Mutex.lock t.m;
-    let jobs = t.jobs in
-    t.jobs <- [];
+    while t.live > 0 do
+      Condition.wait t.handlers_done t.m
+    done;
     Mutex.unlock t.m;
-    List.iter (fun j -> try Rss.Domain_pool.join j with _ -> ()) jobs;
     (match t.addr with
      | Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
      | Tcp _ -> ());

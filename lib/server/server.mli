@@ -3,9 +3,7 @@
 
     The accept loop runs on its own domain; connection handlers run on the
     shared {!Rss.Domain_pool} and occupy their worker for the connection's
-    lifetime (which is why server sessions are [serial_only] — pool tasks
-    must never submit exchange subtasks). Keep concurrent connections below
-    the pool cap if the same process also runs parallel plans.
+    lifetime; connections beyond the worker count queue until one closes.
 
     Starting the server flips the engine into latched mode
     ({!Engine.set_latched}) for the listener's lifetime: statements
@@ -38,4 +36,5 @@ val engine : t -> Engine.t
 
 val stop : t -> unit
 (** Close the listener, disconnect every client (their sessions roll back
-    and release locks), join all handlers, unlatch the engine. Idempotent. *)
+    and release locks), wait for every handler to finish, unlatch the
+    engine. Idempotent. *)

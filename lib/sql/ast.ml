@@ -61,7 +61,6 @@ type statement =
   | Drop_index of string
   | Update_statistics
   | Vacuum
-  | Set_parallelism of int
   | Set_histograms of bool
   | Set_plan_cache_size of int
   | Set_commit_delay of int
@@ -203,7 +202,6 @@ let rec add_sql b stmt =
   | Drop_index i -> str b "DROP INDEX "; str b i
   | Update_statistics -> str b "UPDATE STATISTICS"
   | Vacuum -> str b "VACUUM"
-  | Set_parallelism n -> str b "SET PARALLELISM "; str b (string_of_int n)
   | Set_histograms on -> str b "SET HISTOGRAMS "; str b (on_off on)
   | Set_plan_cache_size n -> str b "SET PLAN_CACHE_SIZE "; str b (string_of_int n)
   | Set_commit_delay us -> str b "SET COMMIT_DELAY "; str b (string_of_int us)

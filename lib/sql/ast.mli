@@ -73,9 +73,6 @@ type statement =
   | Drop_index of string
   | Update_statistics
   | Vacuum
-  | Set_parallelism of int
-      (** SET PARALLELISM n: cap the degree of parallelism the optimizer may
-          choose for subsequent queries; 1 disables parallel execution *)
   | Set_histograms of bool
       (** SET HISTOGRAMS ON/OFF: whether selectivity estimation consults the
           per-column histograms UPDATE STATISTICS collects; OFF pins the

@@ -16,8 +16,8 @@ let is_keyword = function
   | "SELECT" | "FROM" | "WHERE" | "AND" | "OR" | "NOT" | "IN" | "BETWEEN"
   | "GROUP" | "ORDER" | "BY" | "ASC" | "DESC" | "AS" | "CREATE" | "TABLE"
   | "INDEX" | "CLUSTERED" | "ON" | "INSERT" | "INTO" | "VALUES" | "DELETE"
-  | "UPDATE" | "SET" | "STATISTICS" | "SEARCH" | "PARALLELISM" | "HISTOGRAMS"
-  | "OFF" | "PLAN_CACHE_SIZE" | "COMMIT_DELAY" | "GROUP_COMMIT" | "BEGIN"
+  | "UPDATE" | "SET" | "STATISTICS" | "SEARCH" | "HISTOGRAMS" | "OFF"
+  | "PLAN_CACHE_SIZE" | "COMMIT_DELAY" | "GROUP_COMMIT" | "BEGIN"
   | "TRANSACTION" | "COMMIT" | "ROLLBACK" | "EXPLAIN" | "DROP" | "INT" | "FLOAT"
   | "STRING" | "NULL" | "VACUUM" | "AVG" | "MIN" | "MAX" | "SUM" | "COUNT" ->
     true

@@ -35,12 +35,8 @@ val boolean_factors : Semant.spred -> Semant.spred list
     into its two strict comparisons). Distribution of OR over AND is capped;
     pathological inputs stay as single un-distributed factors. *)
 
-val classify : Semant.block -> Semant.spred -> factor
-
 val factors_of_block : Semant.block -> factor list
 (** [boolean_factors] of the block's WHERE, classified. *)
-
-val sarg_op_of_comparison : Ast.comparison -> Rss.Sarg.op
 
 val canonicalize : Ast.query -> Ast.query * Rel.Value.t list
 (** Rewrite WHERE-clause literal operands (of comparisons and BETWEEN, at

@@ -405,23 +405,13 @@ let rec statement st =
           (Format.asprintf "expected commit delay in microseconds, found %a"
              Lexer.pp_token t)
     end
-    else if accept_kw st "GROUP_COMMIT" then begin
+    else begin
+      expect_kw st "GROUP_COMMIT";
       if accept_kw st "ON" then Ast.Set_group_commit true
       else begin
         expect_kw st "OFF";
         Ast.Set_group_commit false
       end
-    end
-    else begin
-      expect_kw st "PARALLELISM";
-      match peek st with
-      | Lexer.Int_lit n when n >= 1 ->
-        advance st;
-        Ast.Set_parallelism n
-      | t ->
-        fail st
-          (Format.asprintf "expected positive degree of parallelism, found %a"
-             Lexer.pp_token t)
     end
   | Lexer.Kw "BEGIN" ->
     advance st;

@@ -344,7 +344,6 @@ let rec pred_tables_set = function
   | P_and (a, b) | P_or (a, b) -> Int_set.union (pred_tables_set a) (pred_tables_set b)
   | P_not a -> pred_tables_set a
 
-let expr_tables e = Int_set.elements (expr_tables_set e)
 let pred_tables p = Int_set.elements (pred_tables_set p)
 
 let rec pred_correlated = function

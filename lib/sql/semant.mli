@@ -60,14 +60,11 @@ val type_of_expr : block -> sexpr -> Rel.Value.ty option
     are typed against the blocks recorded at resolution; the function is
     total on resolved expressions. *)
 
-val expr_tables : sexpr -> int list
-(** FROM positions of the current block referenced by the expression
-    (outer references excluded), sorted, without duplicates. *)
-
 val pred_tables : spred -> int list
-(** Same for a predicate, including tables referenced anywhere inside
-    subquery operands' correlation references to this block — a predicate
-    with a correlated subquery "uses" the correlated columns. *)
+(** FROM positions of the current block referenced by the predicate (outer
+    references excluded), sorted, without duplicates. Tables referenced by
+    a subquery operand's correlation references to this block count too: a
+    predicate with a correlated subquery "uses" the correlated columns. *)
 
 val pred_correlated : spred -> bool
 (** Does the predicate involve a subquery that references this block or any
@@ -79,5 +76,4 @@ val param_count : block -> int
 (** Number of [?] placeholders in the block (and its nested blocks): the
     arity of the binding list an execution must supply. *)
 
-val pp_sexpr : Format.formatter -> sexpr -> unit
 val pp_spred : Format.formatter -> spred -> unit

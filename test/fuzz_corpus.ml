@@ -190,14 +190,11 @@ let fuzz_smoke () =
   done;
   Alcotest.(check bool) "ran queries" true (stats.Fuzz_harness.queries = 40)
 
-(* Parallel-focused seeded smoke: a distinct seed range whose scenarios flow
-   through the same lattice, which since the parallel-execution work includes
-   forced-exchange runs at DOP 2 and 4. Generated tables are small (usually a
-   single page, where the exchange correctly degrades to serial), so a
-   hand-built multi-page scenario rides along; afterwards the worker pool
-   must have actually spawned — proof the corpus did not silently degrade
-   every query to the serial path. *)
-let parallel_fuzz_smoke () =
+(* A second seeded smoke over a distinct seed range, through the same
+   lattice. Generated tables are small (usually a single page), so a
+   hand-built multi-page scenario rides along with ORDER BY and GROUP BY
+   queries whose scans, sorts and groups cross page boundaries. *)
+let multi_page_fuzz_smoke () =
   for i = 0 to 11 do
     let rng = Workload.rand_init (7700 + i) in
     let scenario = FG.gen_scenario rng in
@@ -212,8 +209,8 @@ let parallel_fuzz_smoke () =
       Alcotest.failf "seed %d unsupported: %s\n%s" (7700 + i) msg
         (Ast.to_sql (Ast.Select q))
   done;
-  (* multi-page table: ~700 rows span several 4K pages, so the forced
-     exchange really partitions and fans out to worker domains *)
+  (* multi-page table: ~700 rows span several 4K pages, so every lattice
+     point scans, sorts and groups across page boundaries *)
   let big =
     { FG.tables =
         [ table "big"
@@ -224,11 +221,10 @@ let parallel_fuzz_smoke () =
   in
   List.iter
     (fun sql ->
-      check_case "parallel big" big sql ())
+      check_case "multi-page big" big sql ())
     [ "SELECT c0, c1 FROM big WHERE c1 >= 10 ORDER BY c1";
       "SELECT c0, SUM(c1) FROM big GROUP BY c0";
-      "SELECT SUM(c1) FROM big WHERE c0 = 3" ];
-  Alcotest.(check bool) "worker domains spawned" true (Rss.Domain_pool.size () > 0)
+      "SELECT SUM(c1) FROM big WHERE c0 = 3" ]
 
 (* --- shrinker self-test against broken cache invalidation ---------------- *)
 
@@ -285,7 +281,7 @@ let () =
       ("rebind", rebind_tests);
       ( "fuzz",
         [ Alcotest.test_case "seeded smoke (40 queries)" `Quick fuzz_smoke;
-          Alcotest.test_case "parallel seeded smoke (12 queries)" `Quick
-            parallel_fuzz_smoke;
+          Alcotest.test_case "multi-page seeded smoke (12 queries)" `Quick
+            multi_page_fuzz_smoke;
           Alcotest.test_case "shrinker vs broken invalidation" `Quick
             shrinker_self_test ] ) ]

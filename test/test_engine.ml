@@ -451,14 +451,11 @@ let kv_db ks =
   db
 
 (* EXPLAIN DELETE / UPDATE print the victim plan: the plan of SELECT * with
-   the same WHERE, chosen serially (the victim search runs on the calling
-   domain), and nothing is written. *)
+   the same WHERE, and nothing is written. *)
 let test_explain_dml () =
   let db = kv_db (List.init 2000 Fun.id) in
-  Database.set_parallelism db 1;
   let plan_lines text =
-    List.filter (fun l -> contains l "SCAN" || contains l "EXCHANGE")
-      (String.split_on_char '\n' text)
+    List.filter (fun l -> contains l "SCAN") (String.split_on_char '\n' text)
   in
   List.iter
     (fun (dml, select) ->
@@ -473,12 +470,6 @@ let test_explain_dml () =
     (contains (explain_text db "UPDATE T SET V = 0 WHERE K = 7") "Idx(T:T_K");
   Alcotest.(check bool) "EXPLAIN SEARCH" true
     (contains (explain_text db "SEARCH DELETE FROM T WHERE K = 7") "chosen plan:");
-  Database.set_parallelism db 4;
-  Database.set_force_parallel db true;
-  Alcotest.(check bool) "SELECT goes parallel" true
-    (contains (explain_text db "SELECT * FROM T") "EXCHANGE");
-  Alcotest.(check bool) "victim search stays serial" false
-    (contains (explain_text db "DELETE FROM T") "EXCHANGE");
   Alcotest.(check (list (list int))) "nothing written" [ [ 2000 ] ]
     (int_rows db "SELECT COUNT(*) FROM T");
   match Database.exec db "EXPLAIN DELETE FROM NOWHERE" with
@@ -614,9 +605,7 @@ let test_prepared_statements () =
     | Plan.Scan _ -> false
     | Plan.Nl_join { outer; inner } | Plan.Merge_join { outer; inner; _ } ->
       idx_bound outer || idx_bound inner
-    | Plan.Sort { input; _ } | Plan.Filter { input; _ }
-    | Plan.Exchange { input; _ } ->
-      idx_bound input
+    | Plan.Sort { input; _ } | Plan.Filter { input; _ } -> idx_bound input
   in
   Alcotest.(check bool) "param used as index bound" true
     (idx_bound (Database.prepared_plan p).Optimizer.plan);

@@ -106,7 +106,7 @@ let test_merge_join_has_sorts_when_needed () =
     | P.Scan _ -> 0
     | P.Nl_join { outer; inner } -> count_sorts outer + count_sorts inner
     | P.Merge_join { outer; inner; _ } -> count_sorts outer + count_sorts inner
-    | P.Filter { input; _ } | P.Exchange { input; _ } -> count_sorts input
+    | P.Filter { input; _ } -> count_sorts input
   in
   Alcotest.(check bool) "unindexed merge needs sorts" true (count_sorts plan >= 1)
 
@@ -125,7 +125,7 @@ let test_order_by_uses_index_order () =
     | P.Scan _ -> false
     | P.Nl_join { outer; inner } | P.Merge_join { outer; inner; _ } ->
       has_sort outer || has_sort inner
-    | P.Filter { input; _ } | P.Exchange { input; _ } -> has_sort input
+    | P.Filter { input; _ } -> has_sort input
   in
   (* a selective range on the ordering column: the matching clustered index
      delivers both the restriction and the order, far cheaper than scanning
@@ -179,7 +179,7 @@ let test_order_equivalence_class_transfers () =
      the ORDER BY: no sort sits above the join *)
   (match r.Optimizer.plan.P.node with
    | P.Sort _ -> Alcotest.fail "final sort should be unnecessary"
-   | P.Nl_join _ | P.Merge_join _ | P.Scan _ | P.Filter _ | P.Exchange _ -> ());
+   | P.Nl_join _ | P.Merge_join _ | P.Scan _ | P.Filter _ -> ());
   Alcotest.(check bool) "plan order satisfies ORDER BY" true
     (r.Optimizer.plan.P.order <> [])
 
@@ -239,7 +239,7 @@ let test_grouping_accepts_permuted_order () =
     | P.Scan _ -> false
     | P.Nl_join { outer; inner } | P.Merge_join { outer; inner; _ } ->
       has_sort outer || has_sort inner
-    | P.Filter { input; _ } | P.Exchange { input; _ } -> has_sort input
+    | P.Filter { input; _ } -> has_sort input
   in
   (* the (B,A) index order groups (A,B) without sorting — it must at least be
      an admissible ordered solution; with a segment scan + sort as the rival,
@@ -277,7 +277,6 @@ let check_factor_coverage (r : Optimizer.result) =
     | P.Filter { input; preds } ->
       applied := preds @ !applied;
       walk input
-    | P.Exchange { input; _ } -> walk input
   in
   walk r.Optimizer.plan;
   (* CNF rebuilds nodes, so compare by rendered form (multiset) rather than

@@ -54,7 +54,7 @@ module Ref_lexer = struct
     [ "SELECT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "IN"; "BETWEEN"; "GROUP";
       "ORDER"; "BY"; "ASC"; "DESC"; "AS"; "CREATE"; "TABLE"; "INDEX"; "CLUSTERED";
       "ON"; "INSERT"; "INTO"; "VALUES"; "DELETE"; "UPDATE"; "SET"; "STATISTICS"; "SEARCH";
-      "PARALLELISM"; "HISTOGRAMS"; "OFF"; "PLAN_CACHE_SIZE"; "COMMIT_DELAY"; "GROUP_COMMIT";
+      "HISTOGRAMS"; "OFF"; "PLAN_CACHE_SIZE"; "COMMIT_DELAY"; "GROUP_COMMIT";
       "BEGIN"; "TRANSACTION"; "COMMIT"; "ROLLBACK"; "EXPLAIN"; "DROP"; "INT"; "FLOAT";
       "STRING"; "NULL"; "VACUUM"; "AVG"; "MIN"; "MAX"; "SUM"; "COUNT" ]
 
@@ -350,7 +350,8 @@ let test_syntax_errors () =
   bad "SELECT * FROM T GROUP DNO";
   bad "CREATE TABLE T ()";
   bad "INSERT INTO T VALUES (A)";
-  bad "SELECT * FROM T; garbage"
+  bad "SELECT * FROM T; garbage";
+  bad "SET PARALLELISM 4"
 
 (* EXPLAIN takes the victim search of a DELETE or UPDATE as well as a
    SELECT, and prints back to text that parses to the same statement. *)
@@ -493,7 +494,7 @@ let other_statements =
     A.Create_index { index = "I"; table = t; columns = [ "A"; "B" ]; clustered = true };
     A.Create_index { index = "J"; table = t; columns = [ "C" ]; clustered = false };
     A.Drop_table t; A.Drop_index "I"; A.Update_statistics; A.Vacuum;
-    A.Set_parallelism 4; A.Set_histograms true; A.Set_histograms false;
+    A.Set_histograms true; A.Set_histograms false;
     A.Set_plan_cache_size 64; A.Set_commit_delay 0; A.Set_commit_delay 200;
     A.Set_group_commit true; A.Set_group_commit false;
     A.Begin_transaction; A.Commit; A.Rollback ]

@@ -749,17 +749,6 @@ let test_prepared_binding_types () =
         simple.Client.error r.Client.error;
       Client.close c)
 
-(* Server sessions run serial plans whatever SET PARALLELISM says, and
-   EXPLAIN reports the cap their plans actually get. *)
-let test_explain_server_dop () =
-  with_server ~seed:"CREATE TABLE t (a INT);" (fun _db srv ->
-      let c = connect srv in
-      ignore (Client.ok (Client.simple c "SET PARALLELISM 4"));
-      let e = (Client.ok (Client.simple c "EXPLAIN SELECT a FROM t")).Client.tag in
-      Alcotest.(check bool) "serial cap reported" true
-        (contains e "parallelism: max_dop=1\n");
-      Client.close c)
-
 (* --- per-session counters -------------------------------------------------- *)
 
 let test_session_counters_fold () =
@@ -784,6 +773,25 @@ let test_session_counters_fold () =
   Alcotest.(check bool) "default session accounts globally" true
     (base.Rss.Counters.rsi_calls > base_rsi + s1_rsi);
   Session.close s0
+
+(* The server keeps a count of live handlers, not a record per accepted
+   connection: hundreds of connections opened and closed one after another
+   leave no session behind, and stop still waits for every handler. *)
+let test_many_connections_leave_nothing () =
+  let eng = Engine.create () in
+  let s0 = Session.create eng in
+  ignore (Session.exec s0 "CREATE TABLE c (a INT)");
+  ignore (Session.exec s0 "INSERT INTO c VALUES (1)");
+  Session.close s0;
+  let srv = Server.start ~engine:eng (Server.Unix_sock (sock_path ())) in
+  for _ = 1 to 300 do
+    let c = connect srv in
+    let r = Client.ok (Client.simple c "SELECT a FROM c") in
+    Alcotest.(check int) "one row" 1 (List.length r.Client.rows);
+    Client.close c
+  done;
+  Server.stop srv;
+  Alcotest.(check int) "no live session after stop" 0 eng.Engine.live_sessions
 
 (* --- multi-session differential ------------------------------------------- *)
 
@@ -893,9 +901,7 @@ let () =
           Alcotest.test_case "revalidation generation (embedded)" `Quick
             test_prepared_revalidation;
           Alcotest.test_case "binding type check" `Quick
-            test_prepared_binding_types;
-          Alcotest.test_case "EXPLAIN reports the serial cap" `Quick
-            test_explain_server_dop ] );
+            test_prepared_binding_types ] );
       ( "locking",
         [ Alcotest.test_case "same-tuple writers conflict, first committer wins"
             `Quick test_writer_blocks_writer;
@@ -920,7 +926,9 @@ let () =
             test_leader_failure_does_not_strand_followers ] );
       ( "sessions",
         [ Alcotest.test_case "counters fold at close" `Quick
-            test_session_counters_fold ] );
+            test_session_counters_fold;
+          Alcotest.test_case "many connections leave nothing" `Quick
+            test_many_connections_leave_nothing ] );
       ( "differential",
         [ Alcotest.test_case "N concurrent sessions = serial embedded" `Quick
             test_multi_session_differential ] ) ]

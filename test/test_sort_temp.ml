@@ -252,8 +252,9 @@ let prop_heap_merge_stable =
 (* [sort_stream] against the List.stable_sort oracle (under the same tuple
    comparator) in the three merge regimes: all-Int first columns (runs
    carry the normalized-key cache), string keys (cache disabled,
-   full-comparator path), and a multi-column key whose first-column ties
-   fall through to the comparator. *)
+   full-comparator path), a multi-column key whose first-column ties
+   fall through to the comparator, and NULL-heavy mixed-type columns under an
+   ASC, DESC key. *)
 let prop_stream_stable_sort =
   QCheck.Test.make ~name:"sort_stream = List.stable_sort" ~count:60
     QCheck.(pair (int_range 2 4) (list (int_bound 5)))
@@ -270,9 +271,23 @@ let prop_stream_stable_sort =
           (fun i k -> T.make [ V.Str (Printf.sprintf "s%02d" k); V.Int i ])
           ks
       in
+      let mixed =
+        List.mapi
+          (fun i k ->
+            let v j =
+              match (k + j) mod 4 with
+              | 0 -> V.Null
+              | 1 -> V.Int k
+              | 2 -> V.Str (Printf.sprintf "s%d" k)
+              | _ -> V.Float (float_of_int k)
+            in
+            T.make [ v 0; v i; V.Int i ])
+          ks
+      in
       agree ~key:[ (0, Rss.Sort.Asc) ] ints
       && agree ~key:[ (0, Rss.Sort.Asc); (1, Rss.Sort.Desc) ] ints
-      && agree ~key:[ (0, Rss.Sort.Asc) ] strs)
+      && agree ~key:[ (0, Rss.Sort.Asc) ] strs
+      && agree ~key:[ (0, Rss.Sort.Asc); (1, Rss.Sort.Desc) ] mixed)
 
 let () =
   Alcotest.run "sort_temp"
