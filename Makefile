@@ -59,7 +59,9 @@ bench-qerror:
 # wire protocol at 1/2/4 connections, simple-query text vs the prepared
 # Parse/Execute path (the QPS ratio is data); BENCH_ENFORCE_SERVER=1 gates on
 # the sessions' counters: every point-select Execute is a plan-cache hit with
-# no miss and no statement parsed, and every Simple request parses one
+# no miss and no statement parsed, every Simple request parses one, every
+# request that reaches a plan (DML included) probes the cache once, and each
+# statement shape misses at most once
 bench-server:
 	dune exec bench/main.exe -- srv
 

@@ -15,10 +15,12 @@
 
    Writes BENCH_server.json; the prepared/simple QPS ratio is reported as
    data. With BENCH_ENFORCE_SERVER=1 the bench exits nonzero unless the
-   sessions' counters show what the prepared path claims: on every prepared
-   point-select cell each Execute is one plan-cache hit, with no miss and no
-   statement parsed, and in every cell each Simple request parses exactly
-   one statement. *)
+   sessions' counters show what the statement pipeline claims: in every
+   cell each Simple request parses exactly one statement, every SELECT,
+   UPDATE, DELETE, Execute and Parse probes the plan cache once, and no
+   more plans are optimized than the cell has statement shapes; on every
+   prepared point-select cell each Execute is one plan-cache hit, with no
+   miss and no statement parsed. *)
 
 let enforce = Sys.getenv_opt "BENCH_ENFORCE_SERVER" <> None
 
@@ -115,8 +117,9 @@ let requests workload mode conn_id =
                Protocol.Simple (Printf.sprintf "DELETE FROM KV WHERE K = %d" k) ])),
       4 * (iters / 4) )
   | `Write, `Prepared ->
-    (* prepared statements are SELECT-only (System R cursors); the DML
-       stays textual, so only the read leg of the mix rides the cache *)
+    (* prepared statements are SELECT-only (System R cursors), so the DML
+       stays textual; its victim search probes the cache under the shape
+       SELECT * FROM KV WHERE K = ?, as a SELECT would *)
     ( List.concat
         (List.init (iters / 4) (fun i ->
              let k = wkey i in
@@ -137,20 +140,49 @@ let prepare_all c =
     (fun (name, sql) -> ignore (Client.ok (Client.parse c ~name sql)))
     prepared_sql
 
-(* Requests sent, by kind: what the session counters are checked against. *)
-type sent = { simple : int; execute : int; parse : int }
+(* Requests sent, by kind: what the session counters are checked against.
+   [probes] counts the requests that reach a plan (SELECT, UPDATE, DELETE,
+   Execute, Parse) and [shapes] their distinct plan-cache keys. *)
+type sent = {
+  simple : int;
+  execute : int;
+  parse : int;
+  probes : int;
+  shapes : string list;
+}
 
-let no_sent = { simple = 0; execute = 0; parse = 0 }
+let no_sent = { simple = 0; execute = 0; parse = 0; probes = 0; shapes = [] }
 
 let add_sent a b =
   { simple = a.simple + b.simple; execute = a.execute + b.execute;
-    parse = a.parse + b.parse }
+    parse = a.parse + b.parse; probes = a.probes + b.probes;
+    shapes = List.sort_uniq compare (a.shapes @ b.shapes) }
+
+(* The plan-cache key a statement's plan is reached under: its own shape,
+   or for DELETE / UPDATE that of its victim search. *)
+let shape sql =
+  let key q =
+    let k, _, _ = Normalize.canonicalize q in
+    Some k
+  in
+  match Parser.parse_statement sql with
+  | Ast.Select q -> key q
+  | Ast.Update { table; where; _ } | Ast.Delete { table; where } ->
+    key { Ast.select = [ Ast.Star ]; from = [ (table, None) ]; where;
+          group_by = []; order_by = [] }
+  | _ -> None
+
+let probing acc sql =
+  match shape sql with
+  | Some k -> add_sent acc { no_sent with probes = 1; shapes = [ k ] }
+  | None -> acc
 
 let tally msgs =
   List.fold_left
     (fun acc -> function
-      | Protocol.Simple _ -> { acc with simple = acc.simple + 1 }
-      | Protocol.Execute _ -> { acc with execute = acc.execute + 1 }
+      | Protocol.Simple sql -> probing { acc with simple = acc.simple + 1 } sql
+      | Protocol.Execute { name; _ } ->
+        probing { acc with execute = acc.execute + 1 } (List.assoc name prepared_sql)
       | _ -> acc)
     no_sent msgs
 
@@ -175,15 +207,17 @@ let run_cell_once addr workload mode conns =
         match mode with
         | `Prepared ->
           prepare_all c;
-          List.length prepared_sql
-        | `Simple -> 0
+          List.fold_left
+            (fun acc (_, sql) -> probing { acc with parse = acc.parse + 1 } sql)
+            no_sent prepared_sql
+        | `Simple -> no_sent
       in
       let msgs, ops = requests workload mode conn_id in
       (* warm up: plan cache, buffer pool, allocator *)
       let warm, _ = requests workload mode (conn_id + 100) in
       let warm = List.filteri (fun i _ -> i < 8) warm in
       drive c warm;
-      (c, msgs, ops, { (add_sent (tally warm) (tally msgs)) with parse = parses })
+      (c, msgs, ops, add_sent parses (add_sent (tally warm) (tally msgs)))
     with
     | exception e ->
       Atomic.incr ready;
@@ -252,9 +286,12 @@ let workload_name = function
   | `Write -> "write_mix"
 
 (* The gate, on one cell's counters: every Simple request and every Parse
-   parses exactly one statement (so an Execute parses none), and on point
-   selects every Execute is a plan-cache hit with no miss (the Parse
-   requests probe too, and hit the plan the warm-up cached). *)
+   parses exactly one statement (so an Execute parses none); every request
+   that reaches a plan probes the cache once, and each probe counts one hit
+   or one miss (a probe that finds a stale entry counts an invalidation as
+   well as its miss); a shape misses at most once; and on point selects
+   every Execute is a plan-cache hit with no miss (the Parse requests probe
+   too, and hit the plan the warm-up cached). *)
 let cell_faults workload mode conns (sent, (c : Rss.Counters.t)) =
   let cell =
     Printf.sprintf "%s/%s/%d conns" (workload_name workload)
@@ -262,19 +299,27 @@ let cell_faults workload mode conns (sent, (c : Rss.Counters.t)) =
       conns
   in
   let parsed = c.Rss.Counters.statements_parsed in
+  let hits = c.Rss.Counters.plan_cache_hits
+  and misses = c.Rss.Counters.plan_cache_misses in
   (if parsed <> sent.simple + sent.parse then
      [ Printf.sprintf "%s: %d statements parsed for %d Simple + %d Parse requests"
          cell parsed sent.simple sent.parse ]
    else [])
+  @ (if hits + misses <> sent.probes then
+       [ Printf.sprintf "%s: %d plan-cache hits + %d misses for %d requests that \
+                         reach a plan"
+           cell hits misses sent.probes ]
+     else [])
+  @ (if misses > List.length sent.shapes then
+       [ Printf.sprintf "%s: %d plan-cache misses for %d statement shapes" cell
+           misses (List.length sent.shapes) ]
+     else [])
   @
   match workload, mode with
-  | `Point, `Prepared
-    when c.Rss.Counters.plan_cache_misses <> 0
-         || c.Rss.Counters.plan_cache_hits <> sent.execute + sent.parse ->
+  | `Point, `Prepared when misses <> 0 || hits <> sent.execute + sent.parse ->
     [ Printf.sprintf "%s: %d plan-cache hits, %d misses for %d Execute + %d Parse \
                       requests"
-        cell c.Rss.Counters.plan_cache_hits c.Rss.Counters.plan_cache_misses
-        sent.execute sent.parse ]
+        cell hits misses sent.execute sent.parse ]
   | _ -> []
 
 let run () =
@@ -312,7 +357,7 @@ let run () =
   Bench_util.print_table
     ~header:
       [ "workload"; "conns"; "simple QPS"; "prepared QPS"; "speedup";
-        "parsed/simple req"; "parsed/Execute"; "hits/Execute" ]
+        "parsed/simple req"; "parsed/Execute"; "hits/plan req" ]
     (List.concat_map
        (fun (conns, per_workload) ->
          List.map
@@ -325,7 +370,7 @@ let run () =
                per
                  (p_cnt.Rss.Counters.statements_parsed - p_sent.simple - p_sent.parse)
                  p_sent.execute;
-               per (p_cnt.Rss.Counters.plan_cache_hits - p_sent.parse) p_sent.execute ])
+               per p_cnt.Rss.Counters.plan_cache_hits p_sent.probes ])
            per_workload)
        results);
   Printf.printf
@@ -357,6 +402,8 @@ let run () =
       [ ("simple_requests", J_int sent.simple);
         ("execute_requests", J_int sent.execute);
         ("parse_requests", J_int sent.parse);
+        ("plan_requests", J_int sent.probes);
+        ("statement_shapes", J_int (List.length sent.shapes));
         ("statements_parsed", J_int c.Rss.Counters.statements_parsed);
         ("plan_cache_hits", J_int c.Rss.Counters.plan_cache_hits);
         ("plan_cache_misses", J_int c.Rss.Counters.plan_cache_misses) ]
@@ -398,8 +445,9 @@ let run () =
     | [] ->
       Printf.printf
         "ENFORCE: every Execute a plan-cache hit with nothing parsed, one \
-         statement parsed per Simple request — ok (prepared/simple on point \
-         selects %.2fx, data only)\n"
+         statement parsed per Simple request, one probe per request that \
+         reaches a plan, at most one miss per shape — ok (prepared/simple on \
+         point selects %.2fx, data only)\n"
         best_ratio
     | _ ->
       List.iter (Printf.printf "ENFORCE FAILED: %s\n") faults;

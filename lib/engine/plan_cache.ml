@@ -1,5 +1,5 @@
-(* Compiled-plan cache: optimized results keyed by statement fingerprint
-   (Normalize.fingerprint) or, for prepared statements, by statement text,
+(* Compiled-plan cache: optimized results keyed by statement shape
+   (Normalize.canonicalize) under a session's settings signature,
    invalidated precisely through per-relation
    stats_version and feedback_gen counters. An entry records, for every
    relation any of its blocks scans, the (name, rel_id, stats_version,
@@ -107,6 +107,8 @@ type dep = {
 type entry = {
   result : Optimizer.result;
   deps : dep list;
+  mutable passed : Rel.Value.ty option array list;
+      (* the binding type vectors already type-checked against this plan *)
 }
 
 type t = {
@@ -116,10 +118,10 @@ type t = {
          tables guard themselves; the critical sections are hash lookups and
          version checks, far below statement cost *)
   plans : entry Lru.t;
-  texts : (string * Rel.Value.t list) Lru.t;
-      (* statement text -> (fingerprint key, extracted literals): identical
-         text repeats skip parsing and fingerprinting entirely — the hit
-         path of [Database.query] costs a hash lookup and a version check *)
+  texts : (string * Rel.Value.t array) Lru.t;
+      (* statement text -> (shape key, parameter vector): identical text
+         repeats skip parsing and canonicalizing entirely — the hit path of
+         [Database.query] costs a hash lookup and a version check *)
   mutable cap : int;
   mutable validate : bool;
       (* debug hook: when false, probes skip the dep check and serve whatever
@@ -203,18 +205,30 @@ let deps_valid cat deps =
       | None -> false)
     deps
 
-let find t cat key =
+let types params = Array.map Rel.Value.type_of params
+
+let find ?bind t cat key =
   locked t (fun () ->
       match Lru.use t.plans key with
       | None -> Miss
-      | Some e when (not t.validate) || deps_valid cat e.deps -> Hit e.result
+      | Some e when (not t.validate) || deps_valid cat e.deps ->
+        Option.iter
+          (fun (params, check) ->
+            let tys = types params in
+            if not (List.mem tys e.passed) then begin
+              check ();
+              e.passed <- tys :: e.passed
+            end)
+          bind;
+        Hit e.result
       | Some _ ->
         Lru.remove t.plans key;
         Invalidated)
 
-let store t key r =
+let store ?passed t key r =
+  let passed = Option.to_list (Option.map types passed) in
   locked t (fun () ->
-      Lru.replace t.plans key { result = r; deps = deps_of r };
+      Lru.replace t.plans key { result = r; deps = deps_of r; passed };
       shrink t t.plans)
 
 let memo_text t ~sql ~key ~values =

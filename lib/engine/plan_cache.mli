@@ -1,13 +1,14 @@
 (** Compiled-plan cache with precise statistics-version invalidation: the
-    one store of every cached plan. Simple SELECTs are keyed by
-    {!Normalize.fingerprint} — same shape, different WHERE literals share
-    one parameterized plan — and prepared statements by their statement
-    text (see {!Session.prepare}). Each entry remembers the
-    [stats_version] and [feedback_gen] of every relation its blocks scan; a
-    probe revalidates against the live catalog, so UPDATE STATISTICS, index
-    DDL, or a runtime cardinality-feedback correction retires exactly the
-    plans depending on the changed relation, and a dropped or recreated
-    table (rel_id change) can never serve a stale plan. *)
+    one store of every cached plan. Entries are keyed by a session's
+    settings signature and a statement's shape ({!Normalize.canonicalize}):
+    a Simple SELECT, a prepared statement with [?] in the same places and
+    the victim search of a DELETE / UPDATE share one parameterized plan.
+    Each entry remembers the [stats_version] and [feedback_gen] of every
+    relation its blocks scan; a probe revalidates against the live catalog,
+    so UPDATE STATISTICS, index DDL, or a runtime cardinality-feedback
+    correction retires exactly the plans depending on the changed relation,
+    and a dropped or recreated table (rel_id change) can never serve a
+    stale plan. *)
 
 type t
 
@@ -46,17 +47,22 @@ val set_validation : t -> bool -> unit
     harness can demonstrate that it detects stale-plan corruption; never
     disable in normal operation. *)
 
-val find : t -> Catalog.t -> string -> probe
+val find :
+  ?bind:Rel.Value.t array * (unit -> unit) -> t -> Catalog.t -> string -> probe
+(** With [bind = (params, check)], a valid entry that has not yet passed
+    [params]'s type vector runs [check] (which raises the bound literal
+    statement's error) under the cache's lock, then records it as passed. *)
 
-val store : t -> string -> Optimizer.result -> unit
-(** Dependencies are captured from the result's blocks at store time. *)
+val store : ?passed:Rel.Value.t array -> t -> string -> Optimizer.result -> unit
+(** Dependencies are captured from the result's blocks at store time;
+    [passed] is a binding already type-checked against the plan. *)
 
 (** {2 Statement-text layer}
 
-    Identical statement text always canonicalizes to the same fingerprint
-    and literal vector, so remembering [text -> (key, values)] lets a repeat
-    of the exact same string skip parsing and fingerprinting — the hit path
+    Identical statement text always canonicalizes to the same key and
+    parameter vector, so remembering [text -> (key, values)] lets a repeat
+    of the exact same string skip parsing and canonicalizing — the hit path
     becomes a hash lookup plus the stats_version check. *)
 
-val memo_text : t -> sql:string -> key:string -> values:Rel.Value.t list -> unit
-val text_entry : t -> string -> (string * Rel.Value.t list) option
+val memo_text : t -> sql:string -> key:string -> values:Rel.Value.t array -> unit
+val text_entry : t -> string -> (string * Rel.Value.t array) option

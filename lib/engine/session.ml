@@ -408,21 +408,73 @@ let optimize_block ?ctx:c s block =
 
 let optimize_i ?ctx s sql = optimize_block ?ctx s (resolve_i s sql)
 
-let run_plan_i s r =
-  wrap (fun () -> Executor.run ~snap:(read_view s) (Engine.catalog s.eng) r)
+(* SELECT [select] FROM [table] WHERE [where]. The victim search of a
+   DELETE / UPDATE is this query with [select = [Star]], through the same
+   access path selection as any query (no WHERE is just a segment scan). *)
+let table_query table select where =
+  { Ast.select; from = [ (table, None) ]; where; group_by = []; order_by = [] }
 
-let query_block s block = run_plan_i s (optimize_block s block)
+(* --- the statement pipeline ------------------------------------------------ *)
 
-(* SELECT [select] FROM [table] WHERE [where], resolved. *)
-let table_block s table select where =
-  resolve_query s
-    { Ast.select; from = [ (table, None) ]; where; group_by = []; order_by = [] }
+(* Look up a composed plan-cache key, type-checking [bind] (see
+   Plan_cache.find). With [count], a hit or an invalidation bumps its
+   counter (the caller that goes on to optimize counts the miss); the
+   invalidated entry is evicted either way, so a re-probe of the same key
+   finds a plain miss. *)
+let probe ?bind ~count s full_key =
+  let c = Rss.Pager.counters (Engine.pager s.eng) in
+  match
+    Plan_cache.find ?bind (Engine.plan_cache s.eng) (Engine.catalog s.eng) full_key
+  with
+  | Plan_cache.Hit r ->
+    if count then
+      c.Rss.Counters.plan_cache_hits <- c.Rss.Counters.plan_cache_hits + 1;
+    Some r
+  | Plan_cache.Invalidated ->
+    if count then
+      c.Rss.Counters.plan_cache_invalidations <-
+        c.Rss.Counters.plan_cache_invalidations + 1;
+    None
+  | Plan_cache.Miss -> None
 
-(* The victim search of DELETE / UPDATE — and what EXPLAIN DELETE / UPDATE
-   print: SELECT * FROM table WHERE where, through the same access path
-   selection as any query (no WHERE is just a segment scan). *)
-let victim_plan s table where =
-  optimize_block s (table_block s table [ Ast.Star ] where)
+(* A statement's shape (Normalize.canonicalize) takes as many arguments as
+   its highest [?] number plus one. *)
+let arity (_, _, slots) =
+  Array.fold_left
+    (fun n -> function Normalize.Arg i -> max n (i + 1) | Normalize.Lit _ -> n)
+    0 slots
+
+(* The shape's parameter vector, with the user's arguments [args] in its
+   [Arg] slots: the arity is checked before anything is planned, read or
+   stamped. *)
+let bind_args ((_, _, slots) as shape) args =
+  let n = arity shape in
+  if Array.length args <> n then
+    err "statement takes %d parameter%s, %d given" n (if n = 1 then "" else "s")
+      (Array.length args);
+  Array.map (function Normalize.Lit v -> v | Normalize.Arg i -> args.(i)) slots
+
+(* The one way a plannable statement reaches a plan: a Simple SELECT, a
+   prepared statement's Parse and Execute, and the victim search of a
+   DELETE / UPDATE all probe the key of their shape [(key, canon, _)] under
+   the session's settings. A miss optimizes the canonical query, peeking at
+   [params], the values of the request that missed (a Parse has none, so
+   its plan is generic), and stores the plan. Bound values are type-checked
+   once per type vector per plan, by resolving the bound literal statement,
+   so a binding fails exactly as its literal would. *)
+let plan ?params s (key, canon, _) =
+  let key = compose_key s key in
+  let check params () = ignore (resolve_query s (Normalize.bind canon params)) in
+  let bind = Option.map (fun params -> (params, check params)) params in
+  match probe ?bind ~count:true s key with
+  | Some r -> r
+  | None ->
+    let c = Rss.Pager.counters (Engine.pager s.eng) in
+    c.Rss.Counters.plan_cache_misses <- c.Rss.Counters.plan_cache_misses + 1;
+    Option.iter (fun params -> check params ()) params;
+    let r = optimize_block ~ctx:(ctx ?params s) s (resolve_query s canon) in
+    Plan_cache.store ?passed:params (Engine.plan_cache s.eng) key r;
+    r
 
 (* Stamp every version the victim plan yields under the transaction's
    snapshot, by TID. The relation Shared lock comes first, so no DDL can
@@ -436,11 +488,15 @@ let victim_plan s table where =
    stamped xmax = txn and logged; the heap slot and index entries stay for
    concurrent snapshots (VACUUM reclaims them later). *)
 let dml_delete_where s txn (rel : Catalog.relation) where =
+  let shape =
+    Normalize.canonicalize (table_query rel.Catalog.rel_name [ Ast.Star ] where)
+  in
+  let params = bind_args shape [||] in
   acquire_rel_lock s txn.txn_id rel Rss.Lock_table.Shared;
-  let r = victim_plan s rel.Catalog.rel_name where in
+  let r = plan ~params s shape in
   let victims =
     wrap (fun () ->
-        Executor.victims
+        Executor.victims ~params
           ~snap:(Rss.Mvcc.view (Engine.mvcc s.eng) txn.snap)
           (Engine.catalog s.eng) r)
   in
@@ -469,9 +525,10 @@ let dml_delete_where s txn (rel : Catalog.relation) where =
 let update_where s txn (rel : Catalog.relation) sets where =
   let schema = rel.Catalog.schema in
   let set_block =
-    table_block s rel.Catalog.rel_name
-      (List.map (fun (_, e) -> Ast.Sel_expr (e, None)) sets)
-      None
+    resolve_query s
+      (table_query rel.Catalog.rel_name
+         (List.map (fun (_, e) -> Ast.Sel_expr (e, None)) sets)
+         None)
   in
   let targets =
     List.map
@@ -580,62 +637,18 @@ let run_observed s r ~params =
   feedback_note s r ~params (List.length out.Executor.rows);
   out
 
-(* Look up a composed plan-cache key. With [count], a hit or an
-   invalidation bumps its counter (the caller that goes on to optimize
-   counts the miss); the invalidated entry is evicted either way, so a
-   re-probe of the same key finds a plain miss. *)
-let probe ~count s full_key =
-  let c = Rss.Pager.counters (Engine.pager s.eng) in
-  match Plan_cache.find (Engine.plan_cache s.eng) (Engine.catalog s.eng) full_key with
-  | Plan_cache.Hit r ->
-    if count then
-      c.Rss.Counters.plan_cache_hits <- c.Rss.Counters.plan_cache_hits + 1;
-    Some r
-  | Plan_cache.Invalidated ->
-    if count then
-      c.Rss.Counters.plan_cache_invalidations <-
-        c.Rss.Counters.plan_cache_invalidations + 1;
-    None
-  | Plan_cache.Miss -> None
-
-(* Serve the valid plan cached under [full_key], counting the hit; or count
-   the miss, run [optimize] and cache its plan. *)
-let probe_or_optimize s full_key optimize =
-  match probe ~count:true s full_key with
-  | Some r -> r
-  | None ->
-    let c = Rss.Pager.counters (Engine.pager s.eng) in
-    c.Rss.Counters.plan_cache_misses <- c.Rss.Counters.plan_cache_misses + 1;
-    let r = optimize () in
-    Plan_cache.store (Engine.plan_cache s.eng) full_key r;
-    r
-
-(* SELECT through the compiled-plan cache: fingerprint the statement, serve
-   a valid cached plan by rebinding the extracted literals as parameters, or
-   optimize the canonicalized (parameterized) statement once and cache it.
-   The optimization "peeks" at the extracted literals (Ctx.params), so
-   histogram estimates stay value-aware on the parameterized plan; like any
-   bind-peeking scheme, the cached plan is the one chosen for the literals
-   first seen. Statements that already carry user [?] parameters bypass the
-   cache — the prepared-statement path owns their bindings. [text], when
-   given, is memoized against the key so that {!query} can serve an exact
-   repeat without parsing. *)
-let query_cached ?text s q =
-  match Normalize.fingerprint q with
-  | None -> query_block s (resolve_query s q)
-  | Some (key, canon_q, values) ->
-    let params = Array.of_list values in
-    let r =
-      probe_or_optimize s (compose_key s key) (fun () ->
-          (* resolve the literal statement first: parameter positions always
-             type-check, so a type error in the original must still surface *)
-          ignore (resolve_query s q);
-          optimize_block ~ctx:(ctx ~params s) s (resolve_query s canon_q))
-    in
-    (match text with
-     | Some sql -> Plan_cache.memo_text (Engine.plan_cache s.eng) ~sql ~key ~values
-     | None -> ());
-    run_observed s r ~params
+(* A SELECT: Parse and Execute of its shape with its extracted literals as
+   the parameter vector, through the one pipeline. [text], when given, is
+   memoized against the key so that {!query} can serve an exact repeat
+   without parsing. *)
+let select ?text s q =
+  let ((key, _, _) as shape) = Normalize.canonicalize q in
+  let params = bind_args shape [||] in
+  let r = plan ~params s shape in
+  Option.iter
+    (fun sql -> Plan_cache.memo_text (Engine.plan_cache s.eng) ~sql ~key ~values:params)
+    text;
+  run_observed s r ~params
 
 let explain_cache_line s =
   let c = Rss.Pager.counters (Engine.pager s.eng) in
@@ -666,15 +679,16 @@ let explain_cache_line s =
 let exec_stmt s (stmt : Ast.statement) =
   (match stmt with Ast.Commit | Ast.Rollback -> () | _ -> refuse_if_aborted s);
   match stmt with
-  | Ast.Select q -> Rows (query_cached s q)
+  | Ast.Select q -> Rows (select s q)
   | Ast.Explain { search; stmt } ->
-    let r =
+    let q =
       match stmt with
       | Ast.Delete { table; where } | Ast.Update { table; where; _ } ->
-        victim_plan s table where
-      | Ast.Select q -> optimize_block s (resolve_query s q)
+        table_query table [ Ast.Star ] where
+      | Ast.Select q -> q
       | _ -> err "EXPLAIN applies to SELECT, DELETE and UPDATE"
     in
+    let r = optimize_block s (resolve_query s q) in
     let cache_line = explain_cache_line s in
     if search then
       Text
@@ -821,42 +835,46 @@ let exec_script s src =
   List.map (step s) (parse_counted s ~count:List.length Parser.parse_script src)
 
 (* The text fast path serves an exact repeat of a memoized SELECT without
-   parsing or fingerprinting; a stale entry (its invalidation counted by the
-   probe) falls through to the parsed path, which re-optimizes and counts
-   the miss — the same accounting as one {!exec}. Anything but a SELECT is
-   rejected before it runs. *)
+   parsing or canonicalizing; a stale entry (its invalidation counted by
+   the probe) falls through to the parsed path, which re-optimizes and
+   counts the miss — the same accounting as one {!exec}. The memoized text
+   is itself the bound literal statement a new binding type is checked
+   against. Anything but a SELECT is rejected before it runs. *)
 let query s sql =
   let cache = Engine.plan_cache s.eng in
   let fast =
     with_engine_read s (fun () ->
         match Plan_cache.text_entry cache sql with
         | None -> None
-        | Some (key, values) ->
-          (match probe ~count:true s (compose_key s key) with
-           | Some r -> Some (run_observed s r ~params:(Array.of_list values))
-           | None -> None))
+        | Some (key, params) ->
+          let check () = ignore (resolve_i s sql) in
+          Option.map
+            (fun r -> run_observed s r ~params)
+            (probe ~bind:(params, check) ~count:true s (compose_key s key)))
   in
   match fast with
   | Some out -> out
   | None ->
     (match parse_stmt s sql with
-     | Ast.Select q -> with_engine_read s (fun () -> query_cached ~text:sql s q)
+     | Ast.Select q -> with_engine_read s (fun () -> select ~text:sql s q)
      | _ -> err "not a SELECT: %s" sql)
 
 let cached_plan s sql =
   with_engine_read s (fun () ->
       let key =
         match Plan_cache.text_entry (Engine.plan_cache s.eng) sql with
-        | Some (key, _) -> Some key
+        | Some (key, _) -> key
         | None ->
-          Option.map (fun (key, _, _) -> key)
-            (Normalize.fingerprint (parse_query s sql))
+          let key, _, _ = Normalize.canonicalize (parse_query s sql) in
+          key
       in
-      Option.bind key (fun key -> probe ~count:false s (compose_key s key)))
+      probe ~count:false s (compose_key s key))
 
 let resolve s sql = with_engine_read s (fun () -> resolve_i s sql)
 let optimize ?ctx s sql = with_engine_read s (fun () -> optimize_i ?ctx s sql)
-let run_plan s r = with_engine_read s (fun () -> run_plan_i s r)
+let run_plan s r =
+  with_engine_read s (fun () ->
+      wrap (fun () -> Executor.run ~snap:(read_view s) (Engine.catalog s.eng) r))
 let explain s sql = Explain.plan (optimize s sql)
 let update_statistics s =
   with_engine s (fun () -> Catalog.update_statistics (Engine.catalog s.eng))
@@ -1003,61 +1021,31 @@ let recover s bytes =
 (* --- prepared statements ------------------------------------------------- *)
 
 (* The paper's closing argument: compile once, run many. A prepared
-   statement's generic plan is a plan-cache entry like any other, keyed by
-   the session's settings signature, a prefix no fingerprint key starts
-   with (those start with SELECT) and the statement's SQL, so sessions
-   preparing the same text share one plan. Every execution probes that key
-   — the validation, counters and LRU bound of a Simple SELECT — and
-   re-optimizes from the retained statement on a miss or an invalidation
-   (UPDATE STATISTICS, DDL or a feedback correction moved a dependency). *)
+   statement is a shape: its Parse and every Execute reach their plan
+   through [plan], under the key its literal twins use, so sessions and
+   Simple statements of the same shape share one plan. An Execute whose
+   plan was evicted or invalidated (UPDATE STATISTICS, DDL or a feedback
+   correction moved a dependency) re-optimizes from the retained canonical
+   query; the steady state never parses. *)
 type prepared = {
-  p_query : Ast.query;
-  p_key : string;
-  p_params : int;
+  p_shape : string * Ast.query * Normalize.slot array;
   mutable p_plan : Optimizer.result;  (* the plan last served *)
-  mutable p_types : Rel.Value.ty option list;
-      (* the binding types last type-checked against [p_plan]'s tables *)
 }
 
-let prepared_plan_i s q key =
-  probe_or_optimize s (compose_key s key) (fun () ->
-      optimize_block s (resolve_query s q))
-
 let prepare s sql =
-  let q = parse_query s sql in
-  let key = "prepared:" ^ Ast.to_sql (Ast.Select q) in
+  let shape = Normalize.canonicalize (parse_query s sql) in
   with_engine_read s (fun () ->
-      let r = prepared_plan_i s q key in
-      { p_query = q;
-        p_key = key;
-        p_params = Semant.param_count r.Optimizer.block;
-        p_plan = r;
-        p_types = [] })
+      { p_shape = shape; p_plan = plan s shape })
 
-let prepared_param_count p = p.p_params
+let prepared_param_count p = arity p.p_shape
 let prepared_plan p = p.p_plan
 
-(* A binding must pass the type check its literal would get on the Simple
-   path: the bound statement is resolved whenever the binding types or the
-   plan (and so, after DDL, the tables' schemas) changed since the last
-   check. *)
 let execute_prepared s p bindings =
-  let n = p.p_params in
-  if List.length bindings <> n then
-    err "prepared statement takes %d parameter%s, %d given" n
-      (if n = 1 then "" else "s")
-      (List.length bindings);
-  let params = Array.of_list bindings in
-  let types = List.map Rel.Value.type_of bindings in
+  let params = bind_args p.p_shape (Array.of_list bindings) in
   with_engine_read s (fun () ->
-      let r = prepared_plan_i s p.p_query p.p_key in
-      if r != p.p_plan || types <> p.p_types then begin
-        ignore (resolve_query s (Normalize.bind p.p_query params));
-        p.p_plan <- r;
-        p.p_types <- types
-      end;
-      wrap (fun () ->
-          Executor.run ~snap:(read_view s) ~params (Engine.catalog s.eng) r))
+      let r = plan ~params s p.p_shape in
+      p.p_plan <- r;
+      run_observed s r ~params)
 
 let commit s =
   let id = with_engine s (fun () -> end_explicit s ~commit:true) in

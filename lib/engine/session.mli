@@ -97,20 +97,24 @@ val last_feedback : t -> (float * int * float * bool) option
 
 (** {2 Compiled-plan cache}
 
-    The engine's one plan store, always on, shared by every session.
-    SELECT statements executed through {!exec} / {!query} are fingerprinted
-    after canonicalization ({!Normalize.fingerprint}): statements differing
-    only in WHERE literals share one parameterized plan, re-optimized only
-    when a dependency's statistics version or feedback generation moves
-    (UPDATE STATISTICS, index DDL, DROP/CREATE TABLE, or a recorded
-    cardinality-feedback correction). Optimization peeks at the extracted
-    literals for histogram estimates, so the cached plan is the one chosen
-    for the literals first seen. {!query} additionally remembers statement
-    text, so an exact repeat skips parsing and fingerprinting altogether.
-    Prepared statements keep their plans in the same cache (see below).
-    Every path counts a probe the same way. Hit/miss/invalidation counts
-    surface through {!Rss.Counters} and the EXPLAIN output. The uncached
-    plan of a literal statement is {!optimize}'s, run by {!run_plan}. *)
+    The engine's one plan store, always on, shared by every session, and
+    one way into it. A SELECT, a prepared statement's Parse and Execute and
+    the victim search of a DELETE / UPDATE (the plan of [SELECT * FROM t
+    WHERE ...]) probe one key: the settings signature and the statement's
+    shape ({!Normalize.canonicalize}), so statements differing only in
+    WHERE literals, or in which of them are [?], share one parameterized
+    plan. It is re-optimized only when a dependency's statistics version or
+    feedback generation moves (UPDATE STATISTICS, index DDL, DROP/CREATE
+    TABLE, or a recorded cardinality-feedback correction). A miss peeks at
+    the values of the request that missed, so the cached plan is the one
+    chosen for the values first seen (a Parse has none: its plan is
+    generic). A binding of a type not yet checked against the plan is
+    resolved as the literal statement once, and fails with its error. A
+    SELECT or Execute then runs with cardinality feedback; DML does not feed
+    back. {!query} remembers statement text, so an exact repeat skips
+    parsing altogether. Hit/miss/invalidation counts surface through
+    {!Rss.Counters} and the EXPLAIN output. The uncached plan of a literal
+    statement is {!optimize}'s (and EXPLAIN's), run by {!run_plan}. *)
 
 val set_plan_cache_validation : t -> bool -> unit
 (** Debug hook for the fuzz harness: with validation off the cache serves
@@ -121,8 +125,7 @@ val plan_cache_size : t -> int
 
 val cached_plan : t -> string -> Optimizer.result option
 (** Probe the cache for the plan this SELECT would be served (no counter
-    updates; a stale entry found by the probe is evicted). [None] on miss or
-    when the statement is uncacheable. *)
+    updates; a stale entry found by the probe is evicted). [None] on miss. *)
 
 val in_transaction : t -> bool
 
@@ -134,7 +137,9 @@ type result =
   | Done of string      (** DDL/DML/transaction acknowledgement *)
 
 val exec : t -> string -> result
-(** Execute one SQL statement (including BEGIN / COMMIT / ROLLBACK). *)
+(** Execute one SQL statement (including BEGIN / COMMIT / ROLLBACK). A
+    SELECT, DELETE or UPDATE reaches its plan as an Execute with no
+    arguments, so a [?] in it fails the arity check. *)
 
 val exec_script : t -> string -> result list
 (** Semicolon-separated statements, each its own engine step. *)
@@ -186,23 +191,15 @@ val recover : t -> string -> int
 
     The paper's closing argument: "application programs are compiled once and
     run many times — the cost of optimization is amortized over many runs."
-    A SELECT containing [?] placeholders is parsed, resolved and optimized
-    once; each execution binds the placeholders. Placeholder predicates are
-    sargable (the value is constant per run) and can match indexes — their
-    selectivity cannot use a specific value (none is known at prepare time),
-    so equal predicates estimate as the average per-value frequency
-    ((1 - NULL fraction) / distinct from the histogram, else TABLE 1's
-    1/ICARD) and ranges fall back to the value-independent defaults.
-
-    The generic plan is an entry of the shared plan cache, keyed by the
-    session's settings and the statement's SQL: sessions preparing the same
-    text optimize it once, and every execution probes the cache — counted
-    as a hit, miss or invalidation like a Simple SELECT, under the same LRU
-    bound. A plan that was evicted, or invalidated by UPDATE STATISTICS,
-    DDL or a feedback correction, re-optimizes from the retained statement;
-    the steady state never parses. A non-NULL binding whose type the
-    Simple path would reject as a literal in the same position is rejected
-    with the same error. *)
+    A SELECT containing [?] placeholders is parsed once; Parse and each
+    Execute reach the plan of its shape through the pipeline above, and
+    each execution binds the placeholders. Placeholder predicates are
+    sargable (the value is constant per run) and can match indexes. A Parse
+    that misses stores a generic plan: equal predicates estimate as the
+    average per-value frequency ((1 - NULL fraction) / distinct from the
+    histogram, else TABLE 1's 1/ICARD) and ranges use the defaults that
+    need no value. An Execute that misses (the plan was evicted or
+    invalidated) peeks at its values; the steady state never parses. *)
 
 type prepared
 
@@ -214,5 +211,6 @@ val prepared_plan : prepared -> Optimizer.result
 (** The plan the statement was last served (at prepare or execution). *)
 
 val execute_prepared : t -> prepared -> Rel.Value.t list -> Executor.output
-(** @raise Error when the binding count differs from the placeholder count,
-    or a binding fails the type check. *)
+(** @raise Error ("statement takes n parameters, m given") when the binding
+    count differs from the placeholder count, or when a binding fails the
+    type check its literal would. *)

@@ -168,7 +168,7 @@ let run_measured ?snap ?params catalog r =
   let after = Rss.Counters.snapshot counters in
   (out, Rss.Counters.diff ~after ~before)
 
-let victims ?snap catalog (r : Optimizer.result) =
-  let st = make_state ?snap ~params:[||] catalog in
+let victims ?snap ?(params = [||]) catalog (r : Optimizer.result) =
+  let st = make_state ?snap ~params catalog in
   Cursor.drain
     (Cursor.open_tids r.Optimizer.block (block_env st r []) ?snap r.Optimizer.plan)

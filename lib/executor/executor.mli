@@ -43,6 +43,7 @@ val run_measured :
 
 val victims :
   ?snap:Rss.Mvcc.view ->
+  ?params:Rel.Value.t array ->
   Catalog.t ->
   Optimizer.result ->
   (Rss.Tid.t * Rel.Tuple.t) list

@@ -98,7 +98,7 @@ type statement =
     One writer turns a tree back into SQL text, and {!Parser} reads that
     text back to the same tree: [Parser.parse_statement (to_sql s) = s] for
     every statement the parser produces. Result-column names, plan-cache
-    keys ({!Normalize.fingerprint}) and the fuzzers' statements are all
+    keys ({!Normalize.canonicalize}) and the fuzzers' statements are all
     written by it. *)
 
 val add_value : Buffer.t -> Rel.Value.t -> unit

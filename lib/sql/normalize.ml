@@ -171,31 +171,34 @@ let factors_of_block block =
   | None -> []
   | Some w -> List.map (classify block) (boolean_factors w)
 
-(* --- statement fingerprints (plan cache) ------------------------------- *)
+(* --- statement shapes (plan cache) ---------------------------------------- *)
 
 (* Two statements share a compiled plan when they differ only in the literal
-   constants of their WHERE clauses. Canonicalization rewrites each such
-   Const into a positional Param (numbered left to right, as the parser
-   numbers [?]) and extracts
-   the values for rebinding at execution. Only comparison and BETWEEN
-   operands are rewritten: IN-list values are raw values in the AST (not
-   expressions), and SELECT/GROUP BY/ORDER BY items feed projection and
-   ordering, where a literal swap can change the output shape. *)
+   constants of their WHERE clauses and in which of those are [?]
+   placeholders. Canonicalization rewrites each such Const, and every user
+   Param, into a positional Param numbered left to right, as the parser
+   numbers [?]; each position is a slot holding the extracted literal or
+   the user's argument number. Only WHERE literals are extracted: IN-list
+   values are raw values in the AST (not expressions), and SELECT / GROUP
+   BY / ORDER BY items feed projection and ordering, where a literal swap
+   can change the output shape. *)
 
-(* [q] with [leaf] applied, left to right, to every Const and Param in its
-   WHERE clause at every nesting depth — and with [~select] to those of its
-   select lists too. *)
-let map_operands ?(select = false) leaf (q : Ast.query) =
-  let rec expr (e : Ast.expr) =
+type slot = Lit of Rel.Value.t | Arg of int
+
+(* [q] with [leaf ~where] applied, left to right, to every Const and Param
+   at every nesting depth; [where] tells a WHERE operand from the others. *)
+let map_operands leaf (q : Ast.query) =
+  let rec expr ~where (e : Ast.expr) =
     match e with
-    | Ast.Const _ | Ast.Param _ -> leaf e
+    | Ast.Const _ | Ast.Param _ -> leaf ~where e
     | Ast.Col _ -> e
     | Ast.Binop (op, a, b) ->
-      let a = expr a in
-      Ast.Binop (op, a, expr b)
-    | Ast.Agg (f, e) -> Ast.Agg (f, expr e)
+      let a = expr ~where a in
+      Ast.Binop (op, a, expr ~where b)
+    | Ast.Agg (f, e) -> Ast.Agg (f, expr ~where e)
   in
   let rec pred (p : Ast.predicate) =
+    let expr = expr ~where:true in
     match p with
     | Ast.Cmp (a, c, b) ->
       let a = expr a in
@@ -219,66 +222,46 @@ let map_operands ?(select = false) leaf (q : Ast.query) =
       Ast.Or (a, pred b)
     | Ast.Not a -> Ast.Not (pred a)
   and query (q : Ast.query) =
+    let expr = expr ~where:false in
     let item = function
-      | Ast.Sel_expr (e, alias) when select -> Ast.Sel_expr (expr e, alias)
-      | item -> item
+      | Ast.Sel_expr (e, alias) -> Ast.Sel_expr (expr e, alias)
+      | Ast.Star -> Ast.Star
     in
-    let sel = List.map item q.select in
-    { q with select = sel; where = Option.map pred q.where }
+    let select = List.map item q.select in
+    let where = Option.map pred q.where in
+    let group_by = List.map expr q.group_by in
+    let order_by = List.map (fun (e, dir) -> (expr e, dir)) q.order_by in
+    { q with select; where; group_by; order_by }
   in
   query q
 
 let canonicalize q =
-  let values = ref [] in
-  let n = ref 0 in
-  let leaf = function
-    | Ast.Const v ->
-      values := v :: !values;
-      incr n;
-      Ast.Param (!n - 1)
+  let slots = ref [] and n = ref 0 in
+  let slot s =
+    slots := s :: !slots;
+    incr n;
+    Ast.Param (!n - 1)
+  in
+  let leaf ~where = function
+    | Ast.Const v when where -> slot (Lit v)
+    | Ast.Param i -> slot (Arg i)
     | e -> e
   in
-  let q' = map_operands leaf q in
-  (q', List.rev !values)
-
-(* A [?] in a WHERE clause or select list; one anywhere else (GROUP BY,
-   ORDER BY) fails resolution. *)
-let has_param q =
-  let found = ref false in
-  let leaf e =
-    (match e with Ast.Param _ -> found := true | _ -> ());
-    e
-  in
-  ignore (map_operands ~select:true leaf q);
-  !found
+  let canon = map_operands leaf q in
+  (* The key is the canonical query's SQL, which the parser reads back to
+     that same query, so two keys are equal only when the canonical queries
+     are. It holds no literal's type: bindings are type-checked against the
+     plan they are served (see Plan_cache.find). *)
+  (Ast.to_sql (Ast.Select canon), canon, Array.of_list (List.rev !slots))
 
 let bind q values =
-  map_operands ~select:true
-    (function Ast.Param i -> Ast.Const values.(i) | e -> e)
+  map_operands
+    (fun ~where:_ -> function Ast.Param i -> Ast.Const values.(i) | e -> e)
     q
 
-let value_ty_tag v =
-  match Rel.Value.type_of v with
-  | Some ty -> Rel.Value.ty_to_string ty
-  | None -> "null"
-
-let fingerprint (q : Ast.query) =
-  if has_param q then None
-  else begin
-    let q', values = canonicalize q in
-    (* The key is the canonical query's SQL, which the parser reads back to
-       that same query, so two keys are equal only when the canonical
-       queries are. Every extracted literal prints as "?", so the extracted
-       values' type vector is appended: same shape with an int or a string
-       literal must not share a plan (an execution-time type error would
-       otherwise turn into a silently different result). *)
-    let buf = Buffer.create 128 in
-    Ast.add_sql buf (Ast.Select q');
-    Buffer.add_char buf '#';
-    List.iter
-      (fun v ->
-        Buffer.add_string buf (value_ty_tag v);
-        Buffer.add_char buf ',')
-      values;
-    Some (Buffer.contents buf, q', values)
-  end
+let fingerprint q =
+  let key, canon, slots = canonicalize q in
+  Some
+    ( key,
+      canon,
+      List.filter_map (function Lit v -> Some v | Arg _ -> None) (Array.to_list slots) )

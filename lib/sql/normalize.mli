@@ -38,22 +38,24 @@ val boolean_factors : Semant.spred -> Semant.spred list
 val factors_of_block : Semant.block -> factor list
 (** [boolean_factors] of the block's WHERE, classified. *)
 
-val canonicalize : Ast.query -> Ast.query * Rel.Value.t list
-(** Rewrite WHERE-clause literal operands (of comparisons and BETWEEN, at
-    every nesting depth) into [Param]s numbered left to right, returning
-    the rewritten query and the extracted values in parameter order.
-    IN-list values and SELECT / GROUP BY / ORDER BY literals are left in
-    place. *)
+(** A position of a canonical statement's parameter vector: a WHERE
+    literal extracted from the statement, or the user's [?] number [i]. *)
+type slot = Lit of Rel.Value.t | Arg of int
+
+val canonicalize : Ast.query -> string * Ast.query * slot array
+(** A statement's shape: its plan-cache key, the canonical query and its
+    slots. WHERE-clause literal operands (of comparisons and BETWEEN, at
+    every nesting depth) and every [?] become [Param]s numbered left to
+    right; IN-list values and SELECT / GROUP BY / ORDER BY literals stay in
+    place. The key is the canonical query as SQL ({!Ast.add_sql}, which the
+    parser reads back to the same query), so [A = 5] and [A = ?] share one
+    key and one plan, and a literal's type is not part of it. *)
 
 val bind : Ast.query -> Rel.Value.t array -> Ast.query
-(** Replace every [?] placeholder [i] (in the WHERE clause and the select
-    lists, at every nesting depth) with the literal [values.(i)]: the
+(** Replace every [?] placeholder [i] with the literal [values.(i)]: the
     statement as the Simple path would have received it. *)
 
 val fingerprint : Ast.query -> (string * Ast.query * Rel.Value.t list) option
-(** Plan-cache key for a statement: the canonicalized query as SQL
-    ({!Ast.add_sql}, which the parser reads back to the same query), then
-    ['#'] and a type tag per extracted literal; plus the canonical query and
-    the literal bindings. [None] when the statement already contains user
-    [?] parameters (those are served by the prepared-statement path, which
-    carries its own bindings). *)
+(** {!canonicalize}'s key and canonical query, plus the extracted literals
+    in slot order: the whole parameter vector of a statement without [?].
+    [Some] for every SELECT. *)

@@ -1,8 +1,9 @@
 (* Compiled-plan cache semantics: fingerprint sharing and collision safety,
    literal rebinding, hit/miss/invalidation accounting, precise
    stats_version invalidation (UPDATE STATISTICS, index DDL, DROP/CREATE),
-   uncached vs cached result equality over the full workload, and prepared
-   statements' plans in the same cache. *)
+   uncached vs cached result equality over the full workload, prepared
+   statements' plans in the same cache, and the one statement pipeline
+   (shared keys, binding type checks, DML victim plans). *)
 
 module V = Rel.Value
 
@@ -30,15 +31,17 @@ let test_fingerprint_shapes () =
   Alcotest.(check string) "same key" k1 k2;
   Alcotest.(check bool) "bindings differ" true (v1 <> v2);
   Alcotest.(check int) "two literals extracted" 2 (List.length v1);
-  (* literal type is part of the key: int vs string must not collide *)
+  (* a literal's type is not part of the key: bindings are type-checked
+     against the plan they are served (test_binding_type_checked) *)
   let k3, _ = fp "SELECT NAME FROM EMP WHERE DNO = 17 AND SAL > 'x'" in
-  Alcotest.(check bool) "type-tagged keys differ" true (k1 <> k3);
+  Alcotest.(check string) "one key whatever the literal types" k1 k3;
   (* a different shape never collides *)
   let k4, _ = fp "SELECT NAME FROM EMP WHERE DNO = 17 AND SAL >= 1000" in
   Alcotest.(check bool) "comparison op in key" true (k1 <> k4);
-  (* user parameters are the prepared-statement path's business *)
-  Alcotest.(check bool) "? statements uncacheable" true
-    (Normalize.fingerprint (parse "SELECT NAME FROM EMP WHERE DNO = ?") = None);
+  (* a [?] takes a literal's place in the key (test_parse_and_simple_share) *)
+  let k7, v7 = fp "SELECT NAME FROM EMP WHERE DNO = ? AND SAL > 5" in
+  Alcotest.(check string) "? and literal share the key" k1 k7;
+  Alcotest.(check int) "only the literal is a value" 1 (List.length v7);
   (* canonicalization only touches WHERE: literals elsewhere stay in the key *)
   let k5, v5 = fp "SELECT SAL + 100 FROM EMP WHERE DNO = 1" in
   let k6, _ = fp "SELECT SAL + 200 FROM EMP WHERE DNO = 1" in
@@ -47,9 +50,9 @@ let test_fingerprint_shapes () =
 
 let test_canonicalize_subqueries () =
   let q = parse "SELECT X FROM T1 WHERE A IN (SELECT B FROM T2 WHERE Y = 3) AND X > 7" in
-  let _, values = Normalize.canonicalize q in
+  let _, _, slots = Normalize.canonicalize q in
   (* both the outer literal and the subquery's literal are parameterized *)
-  Alcotest.(check int) "nested literals extracted" 2 (List.length values)
+  Alcotest.(check int) "nested literals extracted" 2 (Array.length slots)
 
 (* --- hit/miss accounting and rebinding ---------------------------------- *)
 
@@ -496,6 +499,143 @@ let test_prepared_evicted_reoptimizes () =
     (canon_rows (Database.execute_prepared db p [ V.Int 3 ]));
   Alcotest.(check int) "hit" (h0 + 1) c.Rss.Counters.plan_cache_hits
 
+(* --- one pipeline: shared keys, binding checks, DML victim plans ---------- *)
+
+(* [A = ?] at Parse and [A = 5] as a Simple statement are one shape: one
+   entry and one miss, whichever comes first. *)
+let test_parse_and_simple_share () =
+  List.iter
+    (fun parse_first ->
+      let db = t_db () in
+      let c = counters db in
+      let m0 = c.Rss.Counters.plan_cache_misses in
+      let prepare () = Database.prepare db "SELECT a FROM t WHERE a = ?" in
+      let simple () = canon_rows (Database.query db "SELECT a FROM t WHERE a = 5") in
+      let p, rows =
+        if parse_first then
+          let p = prepare () in
+          (p, simple ())
+        else
+          let rows = simple () in
+          (prepare (), rows)
+      in
+      let order = if parse_first then "Parse first" else "Simple first" in
+      Alcotest.(check (list string)) (order ^ ": Simple rows") [ "(5)" ] rows;
+      Alcotest.(check (list string)) (order ^ ": Execute rows") [ "(3)" ]
+        (canon_rows (Database.execute_prepared db p [ V.Int 3 ]));
+      Alcotest.(check int) (order ^ ": one miss") (m0 + 1)
+        c.Rss.Counters.plan_cache_misses;
+      Alcotest.(check int) (order ^ ": one entry") 1 (Database.plan_cache_size db))
+    [ true; false ]
+
+(* A string bound to an INT slot fails with the error its literal gets,
+   whether a Parse or a Simple literal created the entry, and a good
+   binding is still served. *)
+let test_binding_type_checked () =
+  let error f =
+    match f () with
+    | _ -> Alcotest.fail "string bound to an INT slot accepted"
+    | exception Database.Error msg -> msg
+  in
+  let literal = "SELECT a FROM t WHERE a = 'x'" in
+  let want = error (fun () -> Database.query (t_db ()) literal) in
+  List.iter
+    (fun (creator, create) ->
+      let db = t_db () in
+      create db;
+      let p = Database.prepare db "SELECT a FROM t WHERE a = ?" in
+      Alcotest.(check string) (creator ^ ": Execute") want
+        (error (fun () -> Database.execute_prepared db p [ V.Str "x" ]));
+      Alcotest.(check string) (creator ^ ": Simple") want
+        (error (fun () -> Database.query db literal));
+      Alcotest.(check (list string)) (creator ^ ": good binding") [ "(2)" ]
+        (canon_rows (Database.execute_prepared db p [ V.Int 2 ])))
+    [ ("Parse", fun _ -> ());
+      ("Simple", fun db -> ignore (Database.query db "SELECT a FROM t WHERE a = 1")) ]
+
+(* A Simple statement with a [?] fails the arity check of an Execute with
+   no arguments, before any row is read or stamped; inside BEGIN the failed
+   DML aborts the transaction. *)
+let test_simple_with_param () =
+  let db = t_db () in
+  let fails sql =
+    match Database.exec db sql with
+    | _ -> Alcotest.failf "%s accepted" sql
+    | exception Database.Error msg ->
+      Alcotest.(check string) sql "statement takes 1 parameter, 0 given" msg
+  in
+  List.iter fails
+    [ "SELECT a FROM t WHERE a = ?"; "DELETE FROM t WHERE a = ?";
+      "UPDATE t SET a = 0 WHERE a > ?" ];
+  let all () = canon_rows (Database.query db "SELECT a FROM t") in
+  Alcotest.(check (list string)) "nothing changed" [ "(1)"; "(2)"; "(3)"; "(4)"; "(5)" ]
+    (all ());
+  ignore (Database.exec db "BEGIN");
+  ignore (Database.exec db "DELETE FROM t WHERE a = 1");
+  fails "DELETE FROM t WHERE a = ?";
+  (match Database.exec db "COMMIT" with
+   | _ -> Alcotest.fail "COMMIT of an aborted transaction succeeded"
+   | exception Database.Error msg ->
+     Alcotest.(check bool) msg true (Fuzz_harness.contains msg "rolled back"));
+  Alcotest.(check (list string)) "the earlier DELETE rolled back"
+    [ "(1)"; "(2)"; "(3)"; "(4)"; "(5)" ] (all ())
+
+(* DELETE and UPDATE find their victims through the plan of SELECT * FROM t
+   WHERE ..., cached like any SELECT's: a repeat of a shape hits, and index
+   DDL between two statements of one shape retires the plan. *)
+let test_dml_victim_plans () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE t (a INT, b INT)");
+  let insert lo hi =
+    let row i = Printf.sprintf "(%d, %d)" i (i mod 100) in
+    ignore
+      (Database.exec db
+         ("INSERT INTO t VALUES "
+         ^ String.concat ", " (List.init (hi - lo + 1) (fun i -> row (lo + i)))))
+  in
+  insert 1 2000;
+  ignore (Database.exec db "UPDATE STATISTICS");
+  let c = counters db in
+  let hits () = c.Rss.Counters.plan_cache_hits
+  and misses () = c.Rss.Counters.plan_cache_misses in
+  let count sql = List.length (Database.query db sql).Executor.rows in
+  ignore (Database.exec db "UPDATE t SET b = 0 WHERE a = 1");
+  let h0 = hits () in
+  ignore (Database.exec db "UPDATE t SET b = 0 WHERE a = 2");
+  Alcotest.(check int) "second UPDATE hits" (h0 + 1) (hits ());
+  ignore (Database.exec db "DELETE FROM t WHERE a > 1990");
+  let h1 = hits () in
+  ignore (Database.exec db "DELETE FROM t WHERE a > 1980");
+  Alcotest.(check int) "second DELETE hits" (h1 + 1) (hits ());
+  Alcotest.(check int) "rows deleted" 1980 (count "SELECT a FROM t");
+  let victim_plan () =
+    match Database.cached_plan db "SELECT * FROM t WHERE b = 0" with
+    | Some r -> Plan.describe r.Optimizer.plan
+    | None -> Alcotest.fail "victim plan not cached"
+  in
+  ignore (Database.exec db "DELETE FROM t WHERE b = 5");
+  let before = victim_plan () in
+  let m1 = misses () in
+  ignore (Database.exec db "CREATE INDEX t_b ON t (b)");
+  ignore (Database.exec db "DELETE FROM t WHERE b = 6");
+  Alcotest.(check int) "index DDL: one miss" (m1 + 1) (misses ());
+  let after = victim_plan () in
+  Alcotest.(check bool) ("before: " ^ before) true (String.sub before 0 3 = "Seg");
+  Alcotest.(check bool) ("after: " ^ after) true (String.sub after 0 3 = "Idx");
+  Alcotest.(check int) "b = 5 and b = 6 deleted" 0
+    (count "SELECT a FROM t WHERE b = 5 OR b = 6");
+  (* rows the dropped index never held must still be found *)
+  ignore (Database.exec db "DROP INDEX t_b");
+  insert 3001 3200;
+  let n = count "SELECT a FROM t" in
+  Alcotest.(check int) "20 old and 2 new rows with b = 7" 22
+    (count "SELECT a FROM t WHERE b = 7");
+  (match Database.exec db "DELETE FROM t WHERE b = 7" with
+   | Database.Done tag -> Alcotest.(check string) "DROP INDEX: victims" "22 rows deleted" tag
+   | _ -> Alcotest.fail "DELETE: expected Done");
+  Alcotest.(check int) "every other row kept" (n - 22) (count "SELECT a FROM t");
+  Alcotest.(check bool) "integrity" true (Database.check_integrity db = Ok ())
+
 (* Every statement a session parses is counted, and an Execute parses
    nothing: the counter the server bench's gate reads. *)
 let test_parses_counted () =
@@ -595,14 +735,14 @@ let prop_lru_matches_model =
             0
           | Memo (k, v) ->
             Plan_cache.memo_text cache ~sql:(key k) ~key:(key v)
-              ~values:[ V.Int v ];
+              ~values:[| V.Int v |];
             touch texts k v;
             trim texts
           | Text k ->
             let got = Plan_cache.text_entry cache (key k) in
             let want = List.assoc_opt k !texts in
             Option.iter (touch texts k) want;
-            let want = Option.map (fun v -> (key v, [ V.Int v ])) want in
+            let want = Option.map (fun v -> (key v, [| V.Int v |])) want in
             if got <> want then QCheck.Test.fail_reportf "text %d differs" k;
             0
           | Cap n ->
@@ -663,6 +803,13 @@ let () =
           Alcotest.test_case "evicted plan re-optimizes" `Quick
             test_prepared_evicted_reoptimizes;
           Alcotest.test_case "Execute parses nothing" `Quick test_parses_counted ] );
+      ( "pipeline",
+        [ Alcotest.test_case "Parse and Simple share one entry" `Quick
+            test_parse_and_simple_share;
+          Alcotest.test_case "bindings type-checked as literals" `Quick
+            test_binding_type_checked;
+          Alcotest.test_case "Simple statement with ?" `Quick test_simple_with_param;
+          Alcotest.test_case "DML victim plans" `Quick test_dml_victim_plans ] );
       ( "lru",
         [ Alcotest.test_case "cap, evictions, recency" `Quick
             test_lru_cap_and_evictions;

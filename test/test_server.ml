@@ -151,6 +151,24 @@ let test_update_type_mismatch () =
         (rows_ms r);
       Client.close c)
 
+(* A Simple request with a [?] fails the arity check an Execute without
+   arguments gets, changes nothing, and leaves the connection usable. *)
+let test_simple_with_param () =
+  with_server ~seed:"CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2);"
+    (fun _db srv ->
+      let c = connect srv in
+      List.iter
+        (fun sql ->
+          Alcotest.(check (option string)) sql
+            (Some "statement takes 1 parameter, 0 given")
+            (Client.simple c sql).Client.error)
+        [ "SELECT a FROM t WHERE a = ?"; "DELETE FROM t WHERE a = ?";
+          "UPDATE t SET a = 0 WHERE a > ?" ];
+      let r = Client.ok (Client.simple c "SELECT a FROM t") in
+      Alcotest.check msv "rows intact" (multiset [ [| V.Int 1 |]; [| V.Int 2 |] ])
+        (rows_ms r);
+      Client.close c)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -889,6 +907,7 @@ let () =
             test_malformed_frames ] );
       ( "simple query",
         [ Alcotest.test_case "DDL/DML/SELECT/EXPLAIN, errors" `Quick test_simple_query;
+          Alcotest.test_case "Simple statement with ?" `Quick test_simple_with_param;
           Alcotest.test_case "UPDATE type mismatch keeps the connection" `Quick
             test_update_type_mismatch;
           Alcotest.test_case "per-session SET overrides" `Quick
