@@ -19,7 +19,8 @@ let benches =
     ("qerr", "cardinality q-error: TABLE 1 constants vs histograms", Bench_qerror.run);
     ("srv", "server throughput: simple vs prepared QPS over the wire", Bench_server.run);
     ("mvcc", "MVCC: point-SELECT QPS scaling under a live writer", Bench_mvcc.run);
-    ("commit", "group commit: commit QPS vs per-commit flushes", Bench_commit.run) ]
+    ("commit", "group commit: commit QPS vs per-commit flushes", Bench_commit.run);
+    ("scan", "RSS per-version cost: segment scan and index probe", Bench_scan.run) ]
 
 let () =
   let requested =

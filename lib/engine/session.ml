@@ -654,7 +654,7 @@ let explain_cache_line s =
   let c = Rss.Pager.counters (Engine.pager s.eng) in
   let cache = Engine.plan_cache s.eng in
   Printf.sprintf
-    "plan cache: hits=%d misses=%d invalidations=%d evictions=%d entries=%d cap=%d\n"
+    "plan cache: hits=%d misses=%d (invalidated %d) evictions=%d entries=%d cap=%d\n"
     c.Rss.Counters.plan_cache_hits c.Rss.Counters.plan_cache_misses
     c.Rss.Counters.plan_cache_invalidations c.Rss.Counters.plan_cache_evictions
     (Plan_cache.size cache) (Plan_cache.cap cache)

@@ -9,7 +9,7 @@ type node = {
 
 type t = {
   cap : int;
-  table : (int, node) Hashtbl.t;
+  table : node Int_table.t;
   mutable head : node option;
   mutable tail : node option;
   mutable mru : int;  (* id at [head], or min_int when empty *)
@@ -22,7 +22,7 @@ type t = {
 let create ~capacity =
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity < 1";
   { cap = capacity;
-    table = Hashtbl.create (2 * capacity);
+    table = Int_table.create (2 * capacity);
     head = None;
     tail = None;
     mru = min_int;
@@ -30,8 +30,8 @@ let create ~capacity =
     latched = false }
 
 let capacity t = t.cap
-let resident t = Hashtbl.length t.table
-let contains t id = Hashtbl.mem t.table id
+let resident t = Int_table.length t.table
+let contains t id = Int_table.mem t.table id
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -52,13 +52,13 @@ let touch_raw t id =
   if id = t.mru then `Hit
   else begin
     t.mru <- id;
-    match Hashtbl.find_opt t.table id with
+    match Int_table.find_opt t.table id with
     | Some n ->
       unlink t n;
       push_front t n;
       `Hit
     | None ->
-      if Hashtbl.length t.table >= t.cap then begin
+      if Int_table.length t.table >= t.cap then begin
         (* Pages have no separate disk image here, so there is no literal
            dirty-page writeback; the eviction is the durability-relevant
            moment the failpoint models. *)
@@ -66,11 +66,11 @@ let touch_raw t id =
         match t.tail with
         | Some victim ->
           unlink t victim;
-          Hashtbl.remove t.table victim.page_id
+          Int_table.remove t.table victim.page_id
         | None -> assert false
       end;
       let n = { page_id = id; prev = None; next = None } in
-      Hashtbl.replace t.table id n;
+      Int_table.replace t.table id n;
       push_front t n;
       `Miss
   end
@@ -93,7 +93,7 @@ let touch t id =
   end
 
 let evict_all t =
-  Hashtbl.reset t.table;
+  Int_table.reset t.table;
   t.head <- None;
   t.tail <- None;
   t.mru <- min_int

@@ -20,9 +20,13 @@ type t = {
   mutable plan_cache_hits : int;
       (** statements served from the compiled-plan cache *)
   mutable plan_cache_misses : int;
-      (** statements optimized from scratch (no usable cached plan) *)
+      (** statements optimized from scratch (no usable cached plan); every
+          probe is a hit or a miss, so hits + misses counts the probes *)
   mutable plan_cache_invalidations : int;
-      (** cached plans discarded because a dependency's stats_version moved *)
+      (** cached plans discarded because a dependency's stats_version moved;
+          each such probe also counts as a miss, so these are a subset of
+          the misses, not extra probes (EXPLAIN prints
+          [misses=M (invalidated I)]) *)
   mutable plan_cache_evictions : int;
       (** cached plans (or text-memo entries) evicted by the cache's LRU
           bound (SET PLAN_CACHE_SIZE) — long-lived sessions replace, they

@@ -6,6 +6,12 @@
     "creator committed at-or-before the snapshot (or is me), deleter did
     not". [xmin = 0] means frozen — committed before every snapshot.
 
+    Statuses live in a dense [int] array indexed by xid from a base xid
+    (CSN > 0 committed, negative active, 0 unknown/aborted/pruned), so a
+    visibility check is one array load. The array spans the oldest xid
+    still holding a status to the newest: ids are expected to come from
+    one counter, as the engine's do.
+
     Synchronization is external: mutators run under the engine's write
     latch, readers under its shared latch. *)
 
@@ -17,7 +23,10 @@ type snapshot = {
 }
 
 val create : unit -> t
+
 val reset : t -> unit
+(** Forget every status (recovery): the next xid registered becomes the
+    table's base. *)
 
 val begin_txn : t -> int -> unit
 (** Register a txn as Active, recording the current CSN as its snapshot
@@ -43,7 +52,8 @@ val visible : t -> snapshot -> xmin:int -> xmax:int -> bool
 
 val prune : t -> horizon:int -> unit
 (** Drop Committed entries at-or-before [horizon] (every tuple referencing
-    them has been frozen or reclaimed by VACUUM). *)
+    them has been frozen or reclaimed by VACUUM) and advance the table's
+    base past the dropped prefix. *)
 
 (** A read view packages the status table with a snapshot so scans carry
     one value. *)

@@ -95,20 +95,15 @@ let delete t ~slot =
 
 let slots t = t.nslots
 
-(* Every physically live version, delete-marked or not: scans apply their
-   own snapshot. *)
-let versions t =
-  let acc = ref [] in
-  for i = t.nslots - 1 downto 0 do
-    match t.slots.(i) with
-    | Live { rel_id; tuple; xmin; xmax; _ } ->
-      acc := (i, rel_id, tuple, xmin, xmax) :: !acc
-    | Dead -> ()
-  done;
-  !acc
+(* Slots are handed out in place: segment and index scans read the version
+   fields straight from the page, allocating nothing per version. *)
+let slot t i =
+  check_slot t i;
+  Array.unsafe_get t.slots i
 
-(* The same versions, visited in place: VACUUM and index builds need the
-   full chain, and may tombstone or restamp the slot they are given. *)
+(* Every physically live version, delete-marked or not, visited in place:
+   VACUUM and index builds need the full chain, and may tombstone or
+   restamp the slot they are given. *)
 let iter_versions t f =
   for i = 0 to t.nslots - 1 do
     match t.slots.(i) with

@@ -7,6 +7,19 @@
 
 type t
 
+(** A slot as stored: a live version with its relation tag, byte size,
+    tuple and [(xmin, xmax)], or the tombstone of a deleted one. Private:
+    only this module writes slots. *)
+type slot = private
+  | Live of {
+      rel_id : int;
+      bytes : int;
+      tuple : Rel.Tuple.t;
+      mutable xmin : int;
+      mutable xmax : int;
+    }
+  | Dead
+
 val size : int
 (** Page capacity in bytes (4096). *)
 
@@ -44,9 +57,10 @@ val delete : t -> slot:int -> bool
 val slots : t -> int
 (** Number of slots ever allocated (live or dead). *)
 
-val versions : t -> (int * int * Rel.Tuple.t * int * int) list
-(** [(slot, rel_id, tuple, xmin, xmax)] for every physically live slot,
-    delete-marked or not — snapshot scans. *)
+val slot : t -> int -> slot
+(** [slot p i] is slot [i] itself, not a copy — the scans' per-version
+    read, delete-marked versions and tombstones included.
+    @raise Invalid_argument on an out-of-range slot. *)
 
 val iter_versions : t -> (int -> int -> Rel.Tuple.t -> int -> int -> unit) -> unit
 (** [iter_versions p f] calls [f slot rel_id tuple xmin xmax] for every

@@ -1,6 +1,6 @@
 type t = {
   next_id : int Atomic.t;
-  data_pages : (int, Page.t) Hashtbl.t;
+  data_pages : Page.t Int_table.t;  (* sparse: temp pages share the id counter *)
   pool : Buffer_pool.t;
   counters : Counters.t;
   buffer_pages : int;
@@ -20,7 +20,7 @@ let cnt t =
 let create ?(buffer_pages = 64) () =
   let counters = Counters.create () in
   { next_id = Atomic.make 0;
-    data_pages = Hashtbl.create 1024;
+    data_pages = Int_table.create 1024;
     pool = Buffer_pool.create ~capacity:buffer_pages;
     counters;
     buffer_pages }
@@ -41,10 +41,10 @@ let alloc_page_id t =
 let alloc_data_page t =
   let id = alloc_page_id t in
   let p = Page.create ~id in
-  Hashtbl.replace t.data_pages id p;
+  Int_table.replace t.data_pages id p;
   p
 
-let data_page t id = Hashtbl.find t.data_pages id
+let data_page t id = Int_table.find t.data_pages id
 
 let touch t id =
   let c = cnt t in

@@ -22,10 +22,45 @@ let eval_op op a b =
     | Gt -> d > 0
     | Ge -> d >= 0
 
-let matches_simple s tuple = eval_op s.op (Rel.Tuple.get tuple s.col) s.value
+(* One test per simple predicate. An [Int] value gets one closure per
+   operator whose int-against-int case is a machine compare; any other
+   column value goes through [eval_op], which is what every case means. *)
+let compile_simple { col; op; value } : Rel.Tuple.t -> bool =
+  match value with
+  | Rel.Value.Null -> fun _ -> false
+  | Rel.Value.Int k ->
+    (match op with
+     | Eq -> fun t -> (match Rel.Tuple.get t col with Int x -> x = k | v -> eval_op Eq v value)
+     | Ne -> fun t -> (match Rel.Tuple.get t col with Int x -> x <> k | v -> eval_op Ne v value)
+     | Lt -> fun t -> (match Rel.Tuple.get t col with Int x -> x < k | v -> eval_op Lt v value)
+     | Le -> fun t -> (match Rel.Tuple.get t col with Int x -> x <= k | v -> eval_op Le v value)
+     | Gt -> fun t -> (match Rel.Tuple.get t col with Int x -> x > k | v -> eval_op Gt v value)
+     | Ge -> fun t -> (match Rel.Tuple.get t col with Int x -> x >= k | v -> eval_op Ge v value))
+  | Rel.Value.Float _ | Rel.Value.Str _ -> fun t -> eval_op op (Rel.Tuple.get t col) value
 
-let matches t tuple =
-  List.exists (fun conj -> List.for_all (fun s -> matches_simple s tuple) conj) t
+let rec for_all_from (fs : (Rel.Tuple.t -> bool) array) t i =
+  i = Array.length fs || (fs.(i) t && for_all_from fs t (i + 1))
+
+let rec exists_from (fs : (Rel.Tuple.t -> bool) array) t i =
+  i < Array.length fs && (fs.(i) t || exists_from fs t (i + 1))
+
+let compile_conj = function
+  | [] -> fun _ -> true
+  | [ s ] -> compile_simple s
+  | [ s1; s2 ] ->
+    let f = compile_simple s1 and g = compile_simple s2 in
+    fun t -> f t && g t
+  | c ->
+    let fs = Array.of_list (List.map compile_simple c) in
+    fun t -> for_all_from fs t 0
+
+let compile (sarg : t) =
+  match sarg with
+  | [] -> fun _ -> false
+  | [ c ] -> compile_conj c
+  | cs ->
+    let fs = Array.of_list (List.map compile_conj cs) in
+    fun t -> exists_from fs t 0
 
 let conjoin a b =
   List.concat_map (fun ca -> List.map (fun cb -> ca @ cb) b) a

@@ -24,7 +24,10 @@ val always_true : t
 val eval_op : op -> Rel.Value.t -> Rel.Value.t -> bool
 (** SQL comparison semantics: any comparison against NULL is false. *)
 
-val matches : t -> Rel.Tuple.t -> bool
+val compile : t -> Rel.Tuple.t -> bool
+(** [compile sarg] is the SARG's test on a stored tuple, built once (a scan
+    compiles its SARG at open): true when some conjunct's every simple
+    predicate holds under {!eval_op}. *)
 
 val conjoin : t -> t -> t
 (** DNF conjunction (cross product of disjuncts). *)

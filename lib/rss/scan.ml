@@ -7,72 +7,71 @@ type t = {
   mutable state : state;
 }
 
-(* A segment scan examines all pages of the segment that contain tuples, from
-   any relation, returning those belonging to the given relation. Pages are
-   charged once each; SARG-rejected tuples cost no RSI call.
-
-   [snap] selects which versions qualify: with a read view, MVCC snapshot
+(* [snap] selects which versions qualify: with a read view, MVCC snapshot
    visibility over (xmin, xmax); without one, default visibility (not
    delete-marked), which reproduces pre-MVCC single-session behavior. *)
+let qualifies snap ~xmin ~xmax =
+  match snap with None -> xmax = 0 | Some v -> Mvcc.view_visible v ~xmin ~xmax
+
+(* A segment scan examines all pages of the segment that contain tuples, from
+   any relation, returning those belonging to the given relation. Pages are
+   charged once each; SARG-rejected tuples cost no RSI call. Each page's
+   slots are read in place, one slot per step, with the SARG compiled once
+   at open. *)
 let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
   let pager = Segment.pager segment in
+  let accept = Sarg.compile sargs in
   let pages = ref (Segment.page_ids segment) in
-  let current : (int * int * Rel.Tuple.t * int * int) list ref = ref [] in
-  let current_page = ref (-1) in
-  let qualifies xmin xmax =
-    match snap with
-    | None -> xmax = 0
-    | Some v -> Mvcc.view_visible v ~xmin ~xmax
-  in
+  (* the page being walked and its next slot; the scan starts on a blank
+     page, so the first step moves to the segment's first page *)
+  let page = ref (Page.create ~id:(-1)) in
+  let next_slot = ref 0 in
   let rec pull () =
-    match !current with
-    | (slot, rid, tuple, xmin, xmax) :: rest ->
-      current := rest;
-      if rid = rel_id && qualifies xmin xmax && Sarg.matches sargs tuple then begin
+    let p = !page and i = !next_slot in
+    if i < Page.slots p then begin
+      next_slot := i + 1;
+      match Page.slot p i with
+      | Page.Live { rel_id = rid; tuple; xmin; xmax; _ }
+        when rid = rel_id && qualifies snap ~xmin ~xmax && accept tuple ->
         Pager.note_rsi_call pager;
-        Some ({ Tid.page = !current_page; slot }, tuple)
-      end
-      else pull ()
-    | [] ->
-      (match !pages with
-       | [] -> None
-       | pid :: rest ->
-         pages := rest;
-         let page = Pager.data_page pager pid in
-         if Page.is_empty page then pull ()
-         else begin
-           Pager.touch pager pid;
-           current_page := pid;
-           current := Page.versions page;
-           pull ()
-         end)
+        Some ({ Tid.page = Page.id p; slot = i }, tuple)
+      | Page.Live _ | Page.Dead -> pull ()
+    end
+    else
+      match !pages with
+      | [] -> None
+      | pid :: rest ->
+        pages := rest;
+        let p = Pager.data_page pager pid in
+        if not (Page.is_empty p) then begin
+          Pager.touch pager pid;
+          page := p;
+          next_slot := 0
+        end;
+        pull ()
   in
   { state = Open pull }
 
 let open_index_scan segment ~rel_id ~index ?lo ?hi ?(dir = `Asc) ?snap
     ?(sargs = Sarg.always_true) () =
   let pager = Segment.pager segment in
+  let accept = Sarg.compile sargs in
   let entries =
     match dir with
     | `Asc -> Btree.range_cursor ?lo ?hi index
     | `Desc -> Btree.range_cursor_desc ?lo ?hi index
   in
-  let fetch = Segment.fetcher_v segment in
-  let qualifies xmin xmax =
-    match snap with
-    | None -> xmax = 0
-    | Some v -> Mvcc.view_visible v ~xmin ~xmax
-  in
+  let fetch = Segment.fetcher segment in
   let rec pull () =
     match entries () with
     | None -> None
     | Some (_key, tid) ->
       (match fetch tid with
-       | Some (rid, tuple, xmin, xmax)
-         when rid = rel_id && qualifies xmin xmax && Sarg.matches sargs tuple ->
+       | Page.Live { rel_id = rid; tuple; xmin; xmax; _ }
+         when rid = rel_id && qualifies snap ~xmin ~xmax && accept tuple ->
          Pager.note_rsi_call pager;
          Some (tid, tuple)
-       | Some _ | None -> pull ())
+       | Page.Live _ | Page.Dead -> pull ())
   in
   { state = Open pull }
 

@@ -71,26 +71,20 @@ let fetch_unaccounted_v t (tid : Tid.t) =
   let p = Pager.data_page t.pager tid.page in
   Page.get_v p ~slot:tid.slot
 
+(* The fetchers' initial cached page: its id (-1) names no page, so the
+   first fetch resolves; nothing ever writes it. *)
+let no_page = Page.create ~id:(-1)
+
 (* Repeated-fetch closure with a one-page cache: an index scan in key order
    fetches long runs of tuples from the same (clustered) page, so the
    page-table lookup is redundant for all but the first of each run. Every
    call is still charged one page access. *)
-let fetcher_v t =
-  let last_pid = ref (-1) in
-  let last_page = ref None in
+let fetcher t =
+  let last = ref no_page in
   fun (tid : Tid.t) ->
     Pager.touch t.pager tid.page;
-    let p =
-      if tid.page = !last_pid then
-        match !last_page with Some p -> p | None -> assert false
-      else begin
-        let p = Pager.data_page t.pager tid.page in
-        last_pid := tid.page;
-        last_page := Some p;
-        p
-      end
-    in
-    Page.get_v p ~slot:tid.slot
+    if Page.id !last <> tid.page then last := Pager.data_page t.pager tid.page;
+    Page.slot !last tid.slot
 
 let page_ids t = List.rev t.pages
 

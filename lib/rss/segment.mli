@@ -32,14 +32,15 @@ val set_xmax : t -> Tid.t -> int -> unit
 val set_xmin : t -> Tid.t -> int -> unit
 (** Restamp the version's creator (VACUUM freezing uses 0). *)
 
-val fetcher_v : t -> Tid.t -> (int * Rel.Tuple.t * int * int) option
-(** A repeated-fetch closure for index scans: [(rel_id, tuple, xmin, xmax)]
-    of a TID, [None] for a tombstone, charging one buffered page access per
-    call. It caches the last page it resolved, since key-ordered runs of
-    TIDs from clustered pages hit the same page. *)
+val fetcher : t -> Tid.t -> Page.slot
+(** A repeated-fetch closure for index scans: the slot a TID names, in
+    place ({!Page.slot}), charging one buffered page access per call. It
+    caches the last page it resolved, since key-ordered runs of TIDs from
+    clustered pages hit the same page. *)
 
 val fetch_unaccounted_v : t -> Tid.t -> (int * Rel.Tuple.t * int * int) option
-(** The same lookup with no accounting (DML rechecks, integrity checks). *)
+(** [(rel_id, tuple, xmin, xmax)] of a TID, [None] for a tombstone, with no
+    accounting (DML rechecks, integrity checks). *)
 
 val page_ids : t -> int list
 (** All pages of the segment, in allocation order. *)

@@ -86,8 +86,8 @@ let test_compile_sarg_static () =
   (match Eval.compile_sarg (env ()) None ~tab:0 p with
    | Some sarg ->
      Alcotest.(check bool) "between as conjunct" true
-       (Rss.Sarg.matches sarg (T.make [ V.Int 5; V.Null ])
-        && not (Rss.Sarg.matches sarg (T.make [ V.Int 9; V.Null ])))
+       (Rss.Sarg.compile sarg (T.make [ V.Int 5; V.Null ])
+        && not (Rss.Sarg.compile sarg (T.make [ V.Int 9; V.Null ])))
    | None -> Alcotest.fail "between should compile");
   (* arithmetic is not sargable *)
   let p2 = where cat "SELECT X FROM A WHERE X + 1 = 5" in
@@ -105,8 +105,8 @@ let test_compile_sarg_join_context () =
   (match Eval.compile_sarg (env ()) (Some jframe) ~tab:0 p with
    | Some sarg ->
      Alcotest.(check bool) "dynamic value bound" true
-       (Rss.Sarg.matches sarg (T.make [ V.Int 42; V.Null ])
-        && not (Rss.Sarg.matches sarg (T.make [ V.Int 41; V.Null ])))
+       (Rss.Sarg.compile sarg (T.make [ V.Int 42; V.Null ])
+        && not (Rss.Sarg.compile sarg (T.make [ V.Int 41; V.Null ])))
    | None -> Alcotest.fail "join predicate should compile with context");
   (* without context it cannot compile *)
   Alcotest.(check bool) "no context" true
@@ -118,7 +118,7 @@ let test_compile_sarg_params () =
   (match Eval.compile_sarg (env ~params:[| V.Int 9 |] ()) None ~tab:0 p with
    | Some sarg ->
      Alcotest.(check bool) "param bound" true
-       (Rss.Sarg.matches sarg (T.make [ V.Int 9; V.Null ]))
+       (Rss.Sarg.compile sarg (T.make [ V.Int 9; V.Null ]))
    | None -> Alcotest.fail "param predicate should compile");
   (* unbound parameter: not compilable as a SARG *)
   Alcotest.(check bool) "unbound param" true

@@ -289,6 +289,145 @@ let fuzz_smoke n seed () =
         Alcotest.failf "no generated UPDATE/DELETE had a %s victim plan" name)
     [ ("Idx(", "Idx_scan"); ("Seg(", "Seg_scan") ]
 
+(* --- the status table against a Hashtbl model --------------------------- *)
+
+(* The reference keeps one Hashtbl entry per known xid, exactly the
+   semantics the dense status table must reproduce: an unknown xid reads as
+   aborted, xid 0 as frozen, and [prune] forgets committed entries at or
+   before the horizon. *)
+module Model = struct
+  type status = Active of int | Committed of int
+
+  type t = { tbl : (int, status) Hashtbl.t; mutable last : int }
+
+  let create () = { tbl = Hashtbl.create 16; last = 0 }
+  let find m x = Hashtbl.find_opt m.tbl x
+
+  let committed_before m (snap : Rss.Mvcc.snapshot) x =
+    x = 0 || (match find m x with Some (Committed c) -> c <= snap.csn | _ -> false)
+
+  let visible m (snap : Rss.Mvcc.snapshot) ~xmin ~xmax =
+    (xmin = snap.txn || committed_before m snap xmin)
+    && not (xmax <> 0 && (xmax = snap.txn || committed_before m snap xmax))
+
+  let commit_csn m x =
+    if x = 0 then Some 0
+    else match find m x with Some (Committed c) -> Some c | _ -> None
+
+  let horizon m =
+    Hashtbl.fold (fun _ s acc -> match s with Active c -> min c acc | _ -> acc)
+      m.tbl m.last
+end
+
+type op =
+  | Begin of int
+  | Commit of int
+  | Abort of int
+  | Snap of int
+  | Prune of int  (* horizon = this many CSNs below the model's horizon *)
+  | Reset
+
+let show_op = function
+  | Begin x -> Printf.sprintf "begin %d" x
+  | Commit x -> Printf.sprintf "commit %d" x
+  | Abort x -> Printf.sprintf "abort %d" x
+  | Snap x -> Printf.sprintf "snapshot %d" x
+  | Prune d -> Printf.sprintf "prune horizon-%d" d
+  | Reset -> "reset"
+
+(* xids cluster near 0 (xid 0 included), at the ends of the table's first
+   capacities (64, 128) and far past them, so entries land on the array's
+   last slots, relocations run both ways and pruning moves the base under
+   live entries *)
+let gen_xid =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 0 12); (3, int_range 58 70); (2, int_range 120 135);
+        (1, int_range 250 400); (1, int_range 4000 4010) ])
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [ (5, map (fun x -> Begin x) gen_xid); (4, map (fun x -> Commit x) gen_xid);
+        (2, map (fun x -> Abort x) gen_xid); (2, map (fun x -> Snap x) gen_xid);
+        (2, map (fun d -> Prune d) (int_range 0 3)); (1, return Reset) ])
+
+let prop_status_table_matches_model =
+  QCheck.Test.make ~name:"status table matches a Hashtbl model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      let t = Rss.Mvcc.create () and m = Model.create () in
+      let snaps = ref [ Rss.Mvcc.statement_snapshot t ] in
+      let seen = ref [ 0; 1; 63; 64; 65; 4200 ] in
+      (* every xid the generator can draw, and a margin past each range *)
+      let all_xids = List.init 420 Fun.id @ List.init 40 (fun i -> 3990 + i) in
+      let step op =
+        (match op with
+         | Begin x ->
+           Rss.Mvcc.begin_txn t x;
+           Hashtbl.replace m.tbl x (Model.Active m.last)
+         | Commit x ->
+           m.last <- m.last + 1;
+           Hashtbl.replace m.tbl x (Model.Committed m.last);
+           let csn = Rss.Mvcc.commit t x in
+           if csn <> m.last then
+             QCheck.Test.fail_reportf "commit %d: csn %d, model %d" x csn m.last
+         | Abort x ->
+           Rss.Mvcc.abort t x;
+           Hashtbl.remove m.tbl x
+         | Snap x ->
+           let s = Rss.Mvcc.snapshot t ~txn:x in
+           if s <> { Rss.Mvcc.csn = m.last; txn = x } then
+             QCheck.Test.fail_reportf "snapshot %d: csn %d, model %d" x s.csn m.last;
+           snaps := s :: List.filteri (fun i _ -> i < 3) !snaps
+         | Prune d ->
+           let horizon = max 0 (Model.horizon m - d) in
+           Rss.Mvcc.prune t ~horizon;
+           Hashtbl.filter_map_inplace
+             (fun _ s ->
+               match s with Model.Committed c when c <= horizon -> None | s -> Some s)
+             m.tbl
+         | Reset ->
+           Rss.Mvcc.reset t;
+           Hashtbl.reset m.tbl;
+           m.last <- 0);
+        (match op with
+         | Begin x | Commit x | Abort x | Snap x ->
+           if not (List.mem x !seen) then seen := x :: !seen
+         | Prune _ | Reset -> ());
+        if Rss.Mvcc.horizon t <> Model.horizon m then
+          QCheck.Test.fail_reportf "after %s: horizon %d, model %d" (show_op op)
+            (Rss.Mvcc.horizon t) (Model.horizon m);
+        List.iter
+          (fun x ->
+            if Rss.Mvcc.commit_csn t x <> Model.commit_csn m x then
+              QCheck.Test.fail_reportf "after %s: commit_csn %d differs" (show_op op) x;
+            if Rss.Mvcc.committed t x <> (Model.commit_csn m x <> None) then
+              QCheck.Test.fail_reportf "after %s: committed %d differs" (show_op op) x)
+          all_xids;
+        List.iter
+          (fun snap ->
+            List.iter
+              (fun xmin ->
+                List.iter
+                  (fun xmax ->
+                    if
+                      Rss.Mvcc.visible t snap ~xmin ~xmax
+                      <> Model.visible m snap ~xmin ~xmax
+                    then
+                      QCheck.Test.fail_reportf
+                        "after %s: visible (csn %d, txn %d) xmin %d xmax %d differs"
+                        (show_op op) snap.Rss.Mvcc.csn snap.txn xmin xmax)
+                  !seen)
+              !seen)
+          !snaps
+      in
+      List.iter step ops;
+      true)
+
 let () =
   Alcotest.run "mvcc"
     [ ( "snapshot-isolation",
@@ -310,6 +449,8 @@ let () =
             test_failed_statement_aborts_txn;
           Alcotest.test_case "lock table empties when no txn is open" `Quick
             test_lock_table_bounded ] );
+      ( "status-table",
+        [ QCheck_alcotest.to_alcotest prop_status_table_matches_model ] );
       ( "interleaved-fuzz",
         [ Alcotest.test_case "seeded histories vs model oracle" `Slow
             (fuzz_smoke 150 5200) ] ) ]

@@ -357,11 +357,24 @@ let test_exec_and_query_count_alike () =
     ignore (Database.exec db "UPDATE STATISTICS");
     let invalidated = rows "SELECT a FROM t WHERE a < 3" in
     let c = counters db in
-    ( [ miss; repeat; rebound; invalidated ],
+    let counts =
       ( c.Rss.Counters.plan_cache_hits - before.Rss.Counters.plan_cache_hits,
         c.Rss.Counters.plan_cache_misses - before.Rss.Counters.plan_cache_misses,
         c.Rss.Counters.plan_cache_invalidations
-        - before.Rss.Counters.plan_cache_invalidations ) )
+        - before.Rss.Counters.plan_cache_invalidations )
+    in
+    (* EXPLAIN prints the invalidations inside the misses, not beside them *)
+    (match Database.exec db "EXPLAIN SELECT a FROM t WHERE a < 3" with
+     | Database.Text s ->
+       let line =
+         Printf.sprintf "hits=%d misses=%d (invalidated %d) "
+           c.Rss.Counters.plan_cache_hits c.Rss.Counters.plan_cache_misses
+           c.Rss.Counters.plan_cache_invalidations
+       in
+       if not (Fuzz_harness.contains s line) then
+         Alcotest.failf "EXPLAIN should print %S in:\n%s" line s
+     | _ -> Alcotest.fail "EXPLAIN: expected Text");
+    ([ miss; repeat; rebound; invalidated ], counts)
   in
   let exec_rows, exec_counts =
     run (fun db sql ->
@@ -375,6 +388,9 @@ let test_exec_and_query_count_alike () =
     (List.map List.length exec_rows);
   let triple = Alcotest.(triple int int int) in
   Alcotest.check triple "exec: hits, misses, invalidations" (2, 2, 1) exec_counts;
+  (* an invalidated probe is one of the misses: hits + misses = the 4 probes *)
+  let hits, misses, _ = exec_counts in
+  Alcotest.(check int) "hits + misses = probes" 4 (hits + misses);
   Alcotest.check triple "query: same counts" exec_counts query_counts
 
 (* The fuzz harness's fault-injection hook: with dependency validation off,

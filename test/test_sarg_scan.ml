@@ -23,15 +23,15 @@ let test_dnf_matching () =
   (* (c0 = 5 AND c1 > 10) OR (c0 = 7) *)
   let sarg = [ [ s 0 Sg.Eq (V.Int 5); s 1 Sg.Gt (V.Int 10) ]; [ s 0 Sg.Eq (V.Int 7) ] ] in
   Alcotest.(check bool) "first conjunct" true
-    (Sg.matches sarg (t [ V.Int 5; V.Int 11 ]));
+    (Sg.compile sarg (t [ V.Int 5; V.Int 11 ]));
   Alcotest.(check bool) "conjunct fails" false
-    (Sg.matches sarg (t [ V.Int 5; V.Int 10 ]));
+    (Sg.compile sarg (t [ V.Int 5; V.Int 10 ]));
   Alcotest.(check bool) "second disjunct" true
-    (Sg.matches sarg (t [ V.Int 7; V.Int 0 ]));
+    (Sg.compile sarg (t [ V.Int 7; V.Int 0 ]));
   Alcotest.(check bool) "no disjunct" false
-    (Sg.matches sarg (t [ V.Int 6; V.Int 99 ]));
-  Alcotest.(check bool) "always true" true (Sg.matches Sg.always_true (t [ V.Null ]));
-  Alcotest.(check bool) "reject all" false (Sg.matches [] (t [ V.Int 1 ]))
+    (Sg.compile sarg (t [ V.Int 6; V.Int 99 ]));
+  Alcotest.(check bool) "always true" true (Sg.compile Sg.always_true (t [ V.Null ]));
+  Alcotest.(check bool) "reject all" false (Sg.compile [] (t [ V.Int 1 ]))
 
 let test_conjoin () =
   let a = [ [ s 0 Sg.Eq (V.Int 1) ]; [ s 0 Sg.Eq (V.Int 2) ] ] in
@@ -39,7 +39,7 @@ let test_conjoin () =
   let c = Sg.conjoin a b in
   Alcotest.(check int) "disjunct count" 2 (List.length c);
   Alcotest.(check bool) "semantics" true
-    (Sg.matches c (t [ V.Int 2; V.Int 5 ]) && not (Sg.matches c (t [ V.Int 2; V.Int 0 ])))
+    (Sg.compile c (t [ V.Int 2; V.Int 5 ]) && not (Sg.compile c (t [ V.Int 2; V.Int 0 ])))
 
 (* --- scans -------------------------------------------------------------- *)
 
@@ -135,12 +135,159 @@ let test_scan_protocol () =
   let scan2 = Rss.Scan.open_segment_scan seg ~rel_id:2 () in
   ignore (Rss.Scan.to_list scan2)
 
+(* --- the in-place scan against a reference walk ---------------------------- *)
+
+(* The DNF meaning of a SARG, restated with [eval_op] *)
+let dnf sarg tup =
+  List.exists (List.for_all (fun (p : Sg.simple) -> Sg.eval_op p.op (T.get tup p.col) p.value)) sarg
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun i -> V.Int i) (int_range (-2) 2));
+        (1, map (fun f -> V.Float f) (oneofl [ -1.5; 0.; 1.; 2.5 ]));
+        (1, map (fun s -> V.Str s) (oneofl [ "a"; "b" ]));
+        (1, return V.Null) ])
+
+let gen_simple =
+  QCheck.Gen.(
+    map3
+      (fun col op value -> { Sg.col; op; value })
+      (int_range 0 2)
+      (oneofl Sg.[ Eq; Ne; Lt; Le; Gt; Ge ])
+      gen_value)
+
+let prop_compile_is_dnf =
+  QCheck.Test.make ~name:"Sarg.compile = DNF semantics" ~count:500
+    (QCheck.make
+       ~print:(fun (sarg, tups) ->
+         Format.asprintf "%a on %s" Sg.pp sarg
+           (String.concat ", " (List.map T.to_string tups)))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 4) (list_size (int_range 0 4) gen_simple))
+           (list_size (return 20) (map Array.of_list (list_repeat 3 gen_value)))))
+    (fun (sarg, tups) ->
+      let accept = Sg.compile sarg in
+      List.for_all (fun tup -> accept tup = dnf sarg tup) tups)
+
+(* A segment shared by two relations (First_fit mixes them on one page),
+   with tombstones, delete-marked versions, pages emptied by deletes, NULL
+   columns and versions of committed, active and aborted transactions. *)
+let shared_segment () =
+  let pager = Rss.Pager.create ~buffer_pages:3 () in
+  let seg = Rss.Segment.create ~policy:Rss.Segment.First_fit pager in
+  let m = Rss.Mvcc.create () in
+  List.iter (Rss.Mvcc.begin_txn m) [ 1; 2; 3 ];
+  ignore (Rss.Mvcc.commit m 1);
+  Rss.Mvcc.abort m 3;
+  let tids =
+    List.init 600 (fun i ->
+        let rel_id = if i mod 4 = 3 then 2 else 1 in
+        let tup =
+          t
+            [ V.Int i;
+              (if i mod 5 = 0 then V.Null else V.Int (i mod 7));
+              (if i mod 9 = 0 then V.Null else V.Str (if i mod 2 = 0 then "x" else "y")) ]
+        in
+        (i, Rss.Segment.insert seg ~xmin:[| 0; 1; 2; 3 |].(i mod 4) ~rel_id tup))
+  in
+  let second_page = List.nth (Rss.Segment.page_ids seg) 1 in
+  List.iter
+    (fun (i, (tid : Rss.Tid.t)) ->
+      if tid.page = second_page || i mod 11 = 0 then
+        ignore (Rss.Segment.delete seg tid)
+      else if i mod 6 = 1 then Rss.Segment.set_xmax seg tid [| 1; 2; 3 |].(i mod 3))
+    tids;
+  ignore (Rss.Mvcc.commit m 2);
+  Rss.Mvcc.begin_txn m 4;
+  (pager, seg, m)
+
+(* What a segment scan means: every non-empty page touched once, in order,
+   and the qualifying versions of [rel_id] it holds, one RSI call each. *)
+let reference_scan pager seg ~rel_id ~snap sarg =
+  let out = ref [] in
+  List.iter
+    (fun pid ->
+      let p = Rss.Pager.data_page pager pid in
+      if not (Rss.Page.is_empty p) then begin
+        Rss.Pager.touch pager pid;
+        Rss.Page.iter_versions p (fun slot rid tuple xmin xmax ->
+            let visible =
+              match snap with
+              | None -> xmax = 0
+              | Some v -> Rss.Mvcc.view_visible v ~xmin ~xmax
+            in
+            if rid = rel_id && visible && dnf sarg tuple then begin
+              Rss.Pager.note_rsi_call pager;
+              out := ({ Rss.Tid.page = pid; slot }, tuple) :: !out
+            end)
+      end)
+    (Rss.Segment.page_ids seg);
+  List.rev !out
+
+let test_segment_scan_matches_reference () =
+  let pager, seg, m = shared_segment () in
+  Alcotest.(check bool) "a page emptied by deletes" true
+    (Rss.Segment.nonempty_page_count seg < List.length (Rss.Segment.page_ids seg));
+  let c = Rss.Pager.counters pager in
+  let measured f =
+    Rss.Pager.evict_all pager;
+    Rss.Counters.reset c;
+    let rows = f () in
+    (rows, (c.Rss.Counters.rsi_calls, c.Rss.Counters.page_fetches, c.Rss.Counters.buffer_hits))
+  in
+  let sargs =
+    [ Sg.always_true;
+      [];
+      [ [ s 0 Sg.Ge (V.Int 100); s 0 Sg.Lt (V.Int 400) ]; [ s 2 Sg.Eq (V.Str "x") ] ];
+      [ [ s 1 Sg.Ne (V.Int 3) ]; [ s 1 Sg.Eq V.Null ] ];
+      [ [ s 1 Sg.Le (V.Float 2.5); s 2 Sg.Gt (V.Str "x"); s 0 Sg.Ne (V.Int 7) ] ] ]
+  in
+  let snaps =
+    [ ("no snapshot", None);
+      ("statement snapshot", Some (Rss.Mvcc.view m (Rss.Mvcc.statement_snapshot m)));
+      ("txn 4 snapshot", Some (Rss.Mvcc.view m (Rss.Mvcc.snapshot m ~txn:4)));
+      ("txn 2's own view", Some (Rss.Mvcc.view m { Rss.Mvcc.csn = 1; txn = 2 })) ]
+  in
+  let row = Alcotest.(pair (pair int int) (array string)) in
+  let show (rows, counts) =
+    ( List.map
+        (fun ((tid : Rss.Tid.t), tup) ->
+          ((tid.page, tid.slot), Array.map V.to_string tup))
+        rows,
+      counts )
+  in
+  let nonempty = ref 0 in
+  List.iter
+    (fun rel_id ->
+      List.iter
+        (fun (snap_name, snap) ->
+          List.iteri
+            (fun k sargs ->
+              let got =
+                measured (fun () ->
+                    Rss.Scan.to_list
+                      (Rss.Scan.open_segment_scan seg ~rel_id ?snap ~sargs ()))
+              in
+              let want = measured (fun () -> reference_scan pager seg ~rel_id ~snap sargs) in
+              if fst want <> [] then incr nonempty;
+              Alcotest.(check (pair (list row) (triple int int int)))
+                (Printf.sprintf "rel %d, %s, SARG %d" rel_id snap_name k)
+                (show want) (show got))
+            sargs)
+        snaps)
+    [ 1; 2 ];
+  (* a reference that selected nothing would compare nothing *)
+  Alcotest.(check bool) "most cases return rows" true (!nonempty >= 20)
+
 let () =
   Alcotest.run "sarg_scan"
     [ ( "sarg",
         [ Alcotest.test_case "eval_op" `Quick test_eval_op;
           Alcotest.test_case "DNF matching" `Quick test_dnf_matching;
-          Alcotest.test_case "conjoin" `Quick test_conjoin ] );
+          Alcotest.test_case "conjoin" `Quick test_conjoin;
+          QCheck_alcotest.to_alcotest prop_compile_is_dnf ] );
       ( "scan",
         [ Alcotest.test_case "segment scan filters relation" `Quick
             test_segment_scan_returns_own_relation;
@@ -151,4 +298,6 @@ let () =
           Alcotest.test_case "index scan range+order" `Quick
             test_index_scan_range_and_order;
           Alcotest.test_case "index scan with sargs" `Quick test_index_scan_with_sargs;
+          Alcotest.test_case "segment scan = reference walk" `Quick
+            test_segment_scan_matches_reference;
           Alcotest.test_case "protocol" `Quick test_scan_protocol ] ) ]
