@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-smoke bench-qerror bench-server bench-mvcc bench-commit fuzz torture clean
+.PHONY: all build test check loc bench bench-smoke bench-qerror bench-server bench-mvcc bench-commit fuzz torture clean
 
 all: build
 
@@ -21,6 +21,15 @@ check: build test
 	dune exec torture/torture_main.exe -- --seed 42 --count 5 --crash-every 5
 	dune exec torture/torture_main.exe -- --seed 42 --count 1 --break-commit-filter
 	dune exec fuzz/fuzz_main.exe -- --seed 42 --count 5 --break-invalidation
+
+# the quality numbers ROADMAP.md quotes, with the commands it cites: lines
+# of lib/ (.ml + .mli) and the vals declared in lib/*/*.mli, in lib/rss +
+# lib/catalog and in session.mli + database.mli (data, not a gate)
+loc:
+	@printf 'lib/ lines (.ml + .mli):         '; cat lib/*/*.ml lib/*/*.mli | wc -l
+	@printf 'lib/*/*.mli vals:                '; cat lib/*/*.mli | grep -c '^\s*val'
+	@printf 'lib/rss + lib/catalog vals:      '; cat lib/rss/*.mli lib/catalog/*.mli | grep -c '^\s*val'
+	@printf 'session.mli + database.mli vals: '; cat lib/engine/session.mli lib/engine/database.mli | grep -c '^\s*val'
 
 # differential fuzzing: random queries cross-checked against the naive
 # oracle under every engine configuration (see DESIGN.md); FUZZ_SEED and

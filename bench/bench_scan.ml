@@ -37,10 +37,7 @@ let build () =
 
 (* Pull a scan to its end without keeping its tuples: the time is the
    scan's, not a result list's. *)
-let rec drain scan =
-  match Rss.Scan.next scan with
-  | Some _ -> drain scan
-  | None -> Rss.Scan.close scan
+let rec drain scan = match scan () with Some _ -> drain scan | None -> ()
 
 let median xs =
   let a = Array.of_list xs in
@@ -104,7 +101,8 @@ let run () =
   in
   let cases = seg_cases @ [ probe_case ] in
   Printf.printf "%d versions on %d pages, %d trials (median), %d cores\n" rows
-    (Rss.Segment.nonempty_page_count seg)
+    (let _, _, nonempty = Rss.Segment.census seg ~rel_id:1 in
+     nonempty)
     trials
     (Domain.recommended_domain_count ());
   Bench_util.print_table

@@ -39,8 +39,11 @@ let measured db sql =
     List.fold_left
       (fun acc (tr : Semant.table_ref) ->
         acc
-        * Rss.Segment.tuple_count tr.Semant.rel.Catalog.segment
-            ~rel_id:tr.Semant.rel.Catalog.rel_id)
+        * (let ncard, _, _ =
+             Rss.Segment.census tr.Semant.rel.Catalog.segment
+               ~rel_id:tr.Semant.rel.Catalog.rel_id
+           in
+           ncard))
       1 block.Semant.tables
   in
   float_of_int (List.length out.Executor.rows) /. float_of_int denom

@@ -88,9 +88,13 @@ let iter_versions rel f =
   let pager = Rss.Segment.pager rel.segment in
   List.iter
     (fun pid ->
-      Rss.Page.iter_versions (Rss.Pager.data_page pager pid)
-        (fun slot rid tuple xmin xmax ->
-          if rid = rel.rel_id then f { Rss.Tid.page = pid; slot } tuple xmin xmax))
+      let p = Rss.Pager.data_page pager pid in
+      for slot = 0 to Rss.Page.slots p - 1 do
+        match Rss.Page.slot p slot with
+        | Rss.Page.Live { rel_id; tuple; xmin; xmax; _ } when rel_id = rel.rel_id ->
+          f { Rss.Tid.page = pid; slot } tuple xmin xmax
+        | Rss.Page.Live _ | Rss.Page.Dead -> ()
+      done)
     (Rss.Segment.page_ids rel.segment)
 
 let scan_versions rel =
@@ -231,14 +235,12 @@ let measure_cluster_ratio idx =
     float_of_int same /. float_of_int total
 
 let update_relation_statistics t rel =
-  let ncard = Rss.Segment.tuple_count rel.segment ~rel_id:rel.rel_id in
-  let tcard = Rss.Segment.pages_holding rel.segment ~rel_id:rel.rel_id in
-  let nonempty = Rss.Segment.nonempty_page_count rel.segment in
+  let ncard, tcard, nonempty = Rss.Segment.census rel.segment ~rel_id:rel.rel_id in
   let p = if nonempty = 0 then 1.0 else float_of_int tcard /. float_of_int nonempty in
   rel.rstats <- Some { Stats.ncard; tcard; p };
   (* Per-column histograms from one full scan, for every column — indexed or
      not. The scan fills one array of NCARD values per column (it sees
-     exactly the versions [tuple_count] counts). Counter-neutral like index
+     exactly the versions the census counts). Counter-neutral like index
      creation: statistics collection is DDL, not a measured query. *)
   let snapshot = Rss.Counters.snapshot (Rss.Pager.counters t.pgr) in
   let columns =
@@ -253,13 +255,9 @@ let update_relation_statistics t rel =
          rel.rel_name seen ncard)
   in
   let rec fill row =
-    match Rss.Scan.next scan with
-    | None ->
-      Rss.Scan.close scan;
-      if row <> ncard then miscount (string_of_int row)
-    | Some _ when row = ncard ->
-      Rss.Scan.close scan;
-      miscount (Printf.sprintf "more than %d" ncard)
+    match scan () with
+    | None -> if row <> ncard then miscount (string_of_int row)
+    | Some _ when row = ncard -> miscount (Printf.sprintf "more than %d" ncard)
     | Some (_, tup) ->
       Array.iteri (fun col values -> values.(row) <- Rel.Tuple.get tup col) columns;
       fill (row + 1)

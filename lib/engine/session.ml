@@ -503,11 +503,11 @@ let dml_delete_where s txn (rel : Catalog.relation) where =
   List.iter
     (fun (tid, tuple) ->
       acquire_tuple_x s txn.txn_id rel tid;
-      (match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
-       | Some (rid, tuple', _, 0)
-         when rid = rel.Catalog.rel_id && Rel.Tuple.equal tuple tuple' ->
+      (match Rss.Segment.slot rel.Catalog.segment tid with
+       | Rss.Page.Live { rel_id; tuple = tuple'; xmax = 0; _ }
+         when rel_id = rel.Catalog.rel_id && Rel.Tuple.equal tuple tuple' ->
          ()
-       | Some _ | None ->
+       | Rss.Page.Live _ | Rss.Page.Dead ->
          err
            "could not serialize: tuple %d.%d of %s was deleted by a \
             concurrent transaction"
@@ -911,12 +911,12 @@ let check_integrity s =
         let resolve_err =
           List.find_map
             (fun (key, tid) ->
-              match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
-              | None ->
+              match Rss.Segment.slot rel.Catalog.segment tid with
+              | Rss.Page.Dead ->
                 Some
                   (Printf.sprintf "index %s: entry for dead TID %d.%d"
                      idx.Catalog.idx_name tid.Rss.Tid.page tid.Rss.Tid.slot)
-              | Some (rid, tuple, _, _) ->
+              | Rss.Page.Live { rel_id = rid; tuple; _ } ->
                 if rid <> rel.Catalog.rel_id then
                   Some
                     (Printf.sprintf "index %s: TID %d.%d holds relation %d, not %d"

@@ -86,7 +86,7 @@ and open_scan _catalog block env ~snap ~join ~tab ~access ~sargs ~residual =
     in
     let outer_tuple = f.Eval.tuple in
     let rec pull () =
-      match Rss.Scan.next scan with
+      match scan () with
       | None -> None
       | Some (_tid, tuple) ->
         if
@@ -101,7 +101,7 @@ and open_scan _catalog block env ~snap ~join ~tab ~access ~sargs ~residual =
   | None ->
     let keep = Eval.compile_preds env self_layout residual in
     let rec pull () =
-      match Rss.Scan.next scan with
+      match scan () with
       | None -> None
       | Some (_tid, tuple) -> if keep tuple then Some tuple else pull ()
     in
@@ -259,8 +259,7 @@ let rec open_tids block env ?snap (p : Plan.t) =
     let scan, residual =
       open_rss_scan block env ~snap ~join:None ~tab ~access ~sargs ~residual
     in
-    tid_filter (Eval.compile_preds env (layout_of block p) residual) (fun () ->
-        Rss.Scan.next scan)
+    tid_filter (Eval.compile_preds env (layout_of block p) residual) scan
   | Plan.Filter { input; preds } ->
     tid_filter
       (Eval.compile_preds env (layout_of block input) preds)

@@ -147,11 +147,16 @@ let materially_different old_sel new_sel =
   let denom = Float.max (Float.abs old_sel) 1e-9 in
   Float.abs (new_sel -. old_sel) /. denom > 0.1
 
+(* At most this many corrections per relation between UPDATE STATISTICS:
+   each new key retires every plan cached on the relation, so keys past the
+   cap are dropped rather than re-optimizing on every new literal. *)
+let max_keys = 32
+
 let record (rel : Catalog.relation) ~key sel =
   guarded (fun () ->
       let changed =
         match Hashtbl.find_opt rel.Catalog.feedback key with
-        | None -> true
+        | None -> Hashtbl.length rel.Catalog.feedback < max_keys
         | Some old_sel -> materially_different old_sel sel
       in
       if changed then begin

@@ -27,4 +27,7 @@ val record : Catalog.relation -> key:string -> float -> bool
 (** Store an observed selectivity; [true] (with a [feedback_gen] bump) when
     it is new or differs materially from what was recorded, [false] when the
     existing record already matches — re-observing a settled correction must
-    not retire plans forever. *)
+    not retire plans forever. A relation holds at most 32 corrections
+    ([max_keys] in [feedback.ml]; no SET option) until UPDATE STATISTICS
+    clears them: a new key past the cap is not recorded and retires nothing
+    ([false]). *)

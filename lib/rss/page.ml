@@ -62,12 +62,6 @@ let check_slot t slot =
   if slot < 0 || slot >= t.nslots then
     invalid_arg (Printf.sprintf "Page: slot %d out of range (page %d)" slot t.id)
 
-let get_v t ~slot =
-  check_slot t slot;
-  match t.slots.(slot) with
-  | Live { rel_id; tuple; xmin; xmax; _ } -> Some (rel_id, tuple, xmin, xmax)
-  | Dead -> None
-
 let set_xmax t ~slot xid =
   check_slot t slot;
   match t.slots.(slot) with
@@ -95,21 +89,12 @@ let delete t ~slot =
 
 let slots t = t.nslots
 
-(* Slots are handed out in place: segment and index scans read the version
-   fields straight from the page, allocating nothing per version. *)
+(* Slots are handed out in place: scans, heap walks and DML rechecks read
+   the version fields straight from the page, allocating nothing per
+   version. *)
 let slot t i =
   check_slot t i;
   Array.unsafe_get t.slots i
-
-(* Every physically live version, delete-marked or not, visited in place:
-   VACUUM and index builds need the full chain, and may tombstone or
-   restamp the slot they are given. *)
-let iter_versions t f =
-  for i = 0 to t.nslots - 1 do
-    match t.slots.(i) with
-    | Live { rel_id; tuple; xmin; xmax; _ } -> f i rel_id tuple xmin xmax
-    | Dead -> ()
-  done
 
 let is_empty t =
   let rec go i = i >= t.nslots || (match t.slots.(i) with Dead -> go (i + 1) | Live _ -> false) in

@@ -40,10 +40,6 @@ val insert : t -> ?xmin:int -> rel_id:int -> Rel.Tuple.t -> int option
 (** [insert p ~rel_id tup] stores the tuple, returning its slot number, or
     [None] when the page lacks space. [xmin] defaults to 0 (frozen). *)
 
-val get_v : t -> slot:int -> (int * Rel.Tuple.t * int * int) option
-(** [get_v p ~slot] is [(rel_id, tuple, xmin, xmax)] for a live slot, [None]
-    for a tombstone. @raise Invalid_argument on an out-of-range slot. *)
-
 val set_xmax : t -> slot:int -> int -> unit
 (** Stamp (or, with 0, clear) the delete-marking txn of a live slot.
     @raise Invalid_argument when the slot is dead or out of range. *)
@@ -58,15 +54,10 @@ val slots : t -> int
 (** Number of slots ever allocated (live or dead). *)
 
 val slot : t -> int -> slot
-(** [slot p i] is slot [i] itself, not a copy — the scans' per-version
-    read, delete-marked versions and tombstones included.
-    @raise Invalid_argument on an out-of-range slot. *)
-
-val iter_versions : t -> (int -> int -> Rel.Tuple.t -> int -> int -> unit) -> unit
-(** [iter_versions p f] calls [f slot rel_id tuple xmin xmax] for every
-    physically live slot, delete-marked or not, in slot order, building no
-    list — heap walks, counts, VACUUM and index builds. [f] may tombstone or
-    restamp the slot it is given. *)
+(** [slot p i] is slot [i] itself, not a copy — the RSS's one version
+    reader (scans, heap walks, counts, DML rechecks), delete-marked versions
+    and tombstones included. @raise Invalid_argument on an out-of-range
+    slot. *)
 
 val is_empty : t -> bool
 (** No live tuples on the page. *)

@@ -1,17 +1,13 @@
-type state =
-  | Open of (unit -> (Tid.t * Rel.Tuple.t) option)
-  | Finished  (* drained; further NEXTs return nothing *)
-  | Closed
-
-type t = {
-  mutable state : state;
-}
+type t = unit -> (Tid.t * Rel.Tuple.t) option
 
 (* [snap] selects which versions qualify: with a read view, MVCC snapshot
    visibility over (xmin, xmax); without one, default visibility (not
    delete-marked), which reproduces pre-MVCC single-session behavior. *)
 let qualifies snap ~xmin ~xmax =
   match snap with None -> xmax = 0 | Some v -> Mvcc.view_visible v ~xmin ~xmax
+
+(* A page with no slots, never written *)
+let blank = Page.create ~id:(-1)
 
 (* A segment scan examines all pages of the segment that contain tuples, from
    any relation, returning those belonging to the given relation. Pages are
@@ -23,8 +19,9 @@ let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
   let accept = Sarg.compile sargs in
   let pages = ref (Segment.page_ids segment) in
   (* the page being walked and its next slot; the scan starts on a blank
-     page, so the first step moves to the segment's first page *)
-  let page = ref (Page.create ~id:(-1)) in
+     page, so the first step moves to the segment's first page, and returns
+     to it at the end, so every NEXT after the last returns [None] *)
+  let page = ref blank in
   let next_slot = ref 0 in
   let rec pull () =
     let p = !page and i = !next_slot in
@@ -39,7 +36,9 @@ let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
     end
     else
       match !pages with
-      | [] -> None
+      | [] ->
+        page := blank;
+        None
       | pid :: rest ->
         pages := rest;
         let p = Pager.data_page pager pid in
@@ -50,7 +49,7 @@ let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
         end;
         pull ()
   in
-  { state = Open pull }
+  pull
 
 let open_index_scan segment ~rel_id ~index ?lo ?hi ?(dir = `Asc) ?snap
     ?(sargs = Sarg.always_true) () =
@@ -73,21 +72,8 @@ let open_index_scan segment ~rel_id ~index ?lo ?hi ?(dir = `Asc) ?snap
          Some (tid, tuple)
        | Page.Live _ | Page.Dead -> pull ())
   in
-  { state = Open pull }
+  pull
 
-let next t =
-  match t.state with
-  | Closed -> invalid_arg "Scan.next: scan is closed"
-  | Finished -> None
-  | Open pull ->
-    (match pull () with
-     | Some _ as r -> r
-     | None ->
-       t.state <- Finished;
-       None)
-
-let close t = t.state <- Closed
-
-let to_list t =
-  let rec go acc = match next t with None -> List.rev acc | Some x -> go (x :: acc) in
+let to_list next =
+  let rec go acc = match next () with None -> List.rev acc | Some x -> go (x :: acc) in
   go []

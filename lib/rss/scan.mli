@@ -1,4 +1,4 @@
-(** RSS scans — the tuple-at-a-time access paths (RSI: OPEN, NEXT, CLOSE).
+(** RSS scans — the tuple-at-a-time access paths (RSI: OPEN, NEXT).
 
     Two kinds exist, matching the paper:
     - a {b segment scan} touches every non-empty page of the segment (each
@@ -8,9 +8,15 @@
       entries are not physically close (the non-clustered penalty).
 
     Both accept SARGs applied before a tuple is returned; every returned
-    tuple counts one RSI call. *)
+    tuple counts one RSI call.
 
-type t
+    OPENing a scan returns its NEXT: each call yields the next qualifying
+    tuple, and every call after the end yields [None]. There is no CLOSE: a
+    scan here pins no page and holds no lock (a page fetch is charged when
+    the scan enters the page), so a consumer that stops early simply drops
+    the function. *)
+
+type t = unit -> (Tid.t * Rel.Tuple.t) option
 
 val open_segment_scan :
   Segment.t ->
@@ -37,11 +43,5 @@ val open_index_scan :
 (** [dir] (default [`Asc]) selects forward or backward leaf-chain traversal:
     tuples come back in ascending or descending key order. *)
 
-val next : t -> (Tid.t * Rel.Tuple.t) option
-(** The next qualifying tuple, or [None] at end of scan.
-    @raise Invalid_argument on a closed scan. *)
-
-val close : t -> unit
-
 val to_list : t -> (Tid.t * Rel.Tuple.t) list
-(** Drain the scan and close it. *)
+(** Drain the scan. *)

@@ -67,9 +67,7 @@ let set_xmin t (tid : Tid.t) xid =
   let p = Pager.data_page t.pager tid.page in
   Page.set_xmin p ~slot:tid.slot xid
 
-let fetch_unaccounted_v t (tid : Tid.t) =
-  let p = Pager.data_page t.pager tid.page in
-  Page.get_v p ~slot:tid.slot
+let slot t (tid : Tid.t) = Page.slot (Pager.data_page t.pager tid.page) tid.slot
 
 (* The fetchers' initial cached page: its id (-1) names no page, so the
    first fetch resolves; nothing ever writes it. *)
@@ -88,24 +86,20 @@ let fetcher t =
 
 let page_ids t = List.rev t.pages
 
-let nonempty_page_count t =
+(* One walk over every slot: NCARD counts the live (not delete-marked)
+   versions of [rel_id] and TCARD the pages holding one; a page is
+   non-empty, as a segment scan judges it, while any version is on it. *)
+let census t ~rel_id =
   List.fold_left
-    (fun acc pid ->
-      if Page.is_empty (Pager.data_page t.pager pid) then acc else acc + 1)
-    0 t.pages
-
-(* Live (not delete-marked) versions of [rel_id] on page [pid], counted in
-   place. *)
-let live_on t pid ~rel_id =
-  let n = ref 0 in
-  Page.iter_versions (Pager.data_page t.pager pid) (fun _ rid _ _ xmax ->
-      if rid = rel_id && xmax = 0 then incr n);
-  !n
-
-let pages_holding t ~rel_id =
-  List.fold_left
-    (fun acc pid -> if live_on t pid ~rel_id > 0 then acc + 1 else acc)
-    0 t.pages
-
-let tuple_count t ~rel_id =
-  List.fold_left (fun acc pid -> acc + live_on t pid ~rel_id) 0 t.pages
+    (fun (ncard, tcard, nonempty) pid ->
+      let p = Pager.data_page t.pager pid in
+      let live = ref 0 in
+      for i = 0 to Page.slots p - 1 do
+        match Page.slot p i with
+        | Page.Live { rel_id = rid; xmax = 0; _ } when rid = rel_id -> incr live
+        | Page.Live _ | Page.Dead -> ()
+      done;
+      ( ncard + !live,
+        (if !live > 0 then tcard + 1 else tcard),
+        if Page.is_empty p then nonempty else nonempty + 1 ))
+    (0, 0, 0) t.pages

@@ -38,17 +38,16 @@ val fetcher : t -> Tid.t -> Page.slot
     caches the last page it resolved, since key-ordered runs of TIDs from
     clustered pages hit the same page. *)
 
-val fetch_unaccounted_v : t -> Tid.t -> (int * Rel.Tuple.t * int * int) option
-(** [(rel_id, tuple, xmin, xmax)] of a TID, [None] for a tombstone, with no
-    accounting (DML rechecks, integrity checks). *)
+val slot : t -> Tid.t -> Page.slot
+(** The slot a TID names, in place ({!Page.slot}), with no accounting (DML
+    rechecks, integrity checks). *)
 
 val page_ids : t -> int list
 (** All pages of the segment, in allocation order. *)
 
-val nonempty_page_count : t -> int
-
-val pages_holding : t -> rel_id:int -> int
-(** TCARD(T): pages of this segment holding at least one tuple of [rel_id]. *)
-
-val tuple_count : t -> rel_id:int -> int
-(** NCARD(T) computed by walking the segment (UPDATE STATISTICS uses it). *)
+val census : t -> rel_id:int -> int * int * int
+(** [(ncard, tcard, nonempty)] from one walk of the segment, as UPDATE
+    STATISTICS reads them: NCARD(T), the versions of [rel_id] that are not
+    delete-marked; TCARD(T), the pages holding at least one of them; and the
+    pages holding any version at all (delete-marked included), the
+    denominator of P(T) and what a segment scan touches. *)

@@ -430,6 +430,48 @@ let test_feedback_key_literals () =
   Alcotest.(check bool) "keyed" true (k1 <> None);
   Alcotest.(check bool) "distinct keys" true (k1 <> k2)
 
+(* Stale statistics (3 rows analyzed, then 50 rows of each of cap + 10
+   new values) and a prepared point SELECT executed once per value: every
+   execution misestimates, but only the first [cap] record a correction
+   and retire plans. UPDATE STATISTICS clears the table, and recording
+   resumes. The cap is [Feedback.max_keys]. *)
+let test_feedback_bounded () =
+  let cap = 32 in
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE T (A INT, B INT)");
+  let cat = Database.catalog db in
+  let rel = Option.get (Catalog.find_relation cat "T") in
+  let insert a n =
+    for b = 1 to n do
+      ignore (Catalog.insert_tuple cat rel (Rel.Tuple.make [ V.Int a; V.Int b ]))
+    done
+  in
+  List.iter (fun a -> insert a 1) [ -1; -2; -3 ];
+  Database.update_statistics db;
+  for a = 0 to cap + 9 do
+    insert a 50
+  done;
+  let p = Database.prepare db "SELECT B FROM T WHERE A = ?" in
+  let c = counters db in
+  let run a =
+    let out = Database.execute_prepared db p [ V.Int a ] in
+    Alcotest.(check int) (Printf.sprintf "rows for A = %d" a) 50
+      (List.length out.Executor.rows)
+  in
+  for a = 0 to cap + 9 do
+    run a
+  done;
+  Alcotest.(check int) "keys" cap (Hashtbl.length rel.Catalog.feedback);
+  Alcotest.(check int) "retirements" cap c.Rss.Counters.feedback_retirements;
+  Alcotest.(check int) "feedback_gen" cap rel.Catalog.feedback_gen;
+  Alcotest.(check int) "misestimates" (cap + 10) c.Rss.Counters.feedback_misestimates;
+  Database.update_statistics db;
+  Alcotest.(check int) "UPDATE STATISTICS clears" 0 (Hashtbl.length rel.Catalog.feedback);
+  insert 100 50;
+  run 100;
+  Alcotest.(check int) "recording resumes" 1 (Hashtbl.length rel.Catalog.feedback);
+  Alcotest.(check int) "and retires" (cap + 1) c.Rss.Counters.feedback_retirements
+
 let test_histograms_off_disables_feedback () =
   let db = correlated_db () in
   Database.set_histograms db false;
@@ -463,4 +505,5 @@ let () =
           Alcotest.test_case "float literals in the key" `Quick
             test_feedback_key_literals;
           Alcotest.test_case "HISTOGRAMS OFF suspends" `Quick
-            test_histograms_off_disables_feedback ] ) ]
+            test_histograms_off_disables_feedback;
+          Alcotest.test_case "bounded per relation" `Quick test_feedback_bounded ] ) ]

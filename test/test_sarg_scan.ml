@@ -43,7 +43,7 @@ let test_conjoin () =
 
 (* --- scans -------------------------------------------------------------- *)
 
-let setup () =
+let setup ?(other_rows = 50) () =
   let pager = Rss.Pager.create ~buffer_pages:100 () in
   let seg = Rss.Segment.create pager in
   (* two relations share the segment *)
@@ -52,7 +52,7 @@ let setup () =
       (Rss.Segment.insert seg ~rel_id:1
          (t [ V.Int i; V.Int (i mod 10); V.Str (Printf.sprintf "n%03d" i) ]))
   done;
-  for i = 0 to 49 do
+  for i = 0 to other_rows - 1 do
     ignore (Rss.Segment.insert seg ~rel_id:2 (t [ V.Int i; V.Int 0; V.Str "other" ]))
   done;
   (pager, seg)
@@ -72,9 +72,8 @@ let test_segment_scan_touches_every_page_once () =
   ignore (Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:2 ()));
   (* all non-empty pages of the segment are touched, each exactly once, even
      though relation 2 occupies only a few *)
-  Alcotest.(check int) "fetches = nonempty pages"
-    (Rss.Segment.nonempty_page_count seg)
-    c.Rss.Counters.page_fetches;
+  let _, _, nonempty = Rss.Segment.census seg ~rel_id:2 in
+  Alcotest.(check int) "fetches = nonempty pages" nonempty c.Rss.Counters.page_fetches;
   Alcotest.(check int) "no rescans" 0 c.Rss.Counters.buffer_hits
 
 let test_segment_scan_sargs_cut_rsi () =
@@ -123,17 +122,63 @@ let test_index_scan_with_sargs () =
   Alcotest.(check int) "rows" 10 (List.length rows);
   Alcotest.(check int) "rsi" 10 c.Rss.Counters.rsi_calls
 
+(* A drained scan stays drained: every NEXT after the end returns [None]
+   and charges nothing, even once a version that would qualify has been
+   stored since (on the segment's last page, the one a segment scan walked
+   last); a fresh OPEN sees it. Segment and index scans, both directions,
+   each with and without a SARG and a snapshot. *)
 let test_scan_protocol () =
-  let _, seg = setup () in
-  let scan = Rss.Scan.open_segment_scan seg ~rel_id:1 () in
-  ignore (Rss.Scan.next scan);
-  Rss.Scan.close scan;
-  Alcotest.check_raises "next after close"
-    (Invalid_argument "Scan.next: scan is closed") (fun () ->
-      ignore (Rss.Scan.next scan));
-  (* a drained scan keeps returning None *)
-  let scan2 = Rss.Scan.open_segment_scan seg ~rel_id:2 () in
-  ignore (Rss.Scan.to_list scan2)
+  let pager, seg = setup ~other_rows:0 () in
+  let last_page = List.hd (List.rev (Rss.Segment.page_ids seg)) in
+  let bt = Rss.Btree.create ~order:8 pager in
+  List.iter
+    (fun (tid, tu) -> Rss.Btree.insert bt [| T.get tu 0 |] tid)
+    (Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:1 ()));
+  let m = Rss.Mvcc.create () in
+  let c = Rss.Pager.counters pager in
+  let index dir snap sargs =
+    Rss.Scan.open_index_scan seg ~rel_id:1 ~index:bt
+      ~lo:([| V.Int 100 |], `Inclusive)
+      ~hi:([| V.Int 199 |], `Inclusive)
+      ~dir ?snap ?sargs ()
+  in
+  let kinds =
+    [ ("segment", fun snap sargs -> Rss.Scan.open_segment_scan seg ~rel_id:1 ?snap ?sargs ());
+      ("index asc", index `Asc);
+      ("index desc", index `Desc) ]
+  in
+  let late = ref 1000 in
+  List.iter
+    (fun (kind, open_scan) ->
+      List.iter
+        (fun (snap_name, snap) ->
+          List.iter
+            (fun (sarg_name, sargs) ->
+              let name = Printf.sprintf "%s, %s, %s" kind snap_name sarg_name in
+              let scan = open_scan (snap ()) sargs in
+              let rec drain n = match scan () with Some _ -> drain (n + 1) | None -> n in
+              let n = drain 0 in
+              Alcotest.(check bool) (name ^ ": returns rows") true (n > 0);
+              let before = Rss.Counters.snapshot c in
+              for _ = 1 to 3 do
+                Alcotest.(check bool) (name ^ ": NEXT after the end") true (scan () = None)
+              done;
+              (* a version stored after the drain, in range and passing the SARG *)
+              incr late;
+              let tup = t [ V.Int (100 + (!late mod 100)); V.Int 3; V.Str "late" ] in
+              let tid = Rss.Segment.insert seg ~rel_id:1 tup in
+              Alcotest.(check int) (name ^ ": stored on the last page") last_page tid.Rss.Tid.page;
+              Rss.Btree.insert bt [| T.get tup 0 |] tid;
+              Alcotest.(check bool) (name ^ ": still drained") true (scan () = None);
+              let d = Rss.Counters.diff ~after:(Rss.Counters.snapshot c) ~before in
+              Alcotest.(check (pair int int)) (name ^ ": nothing charged") (0, 0)
+                (d.Rss.Counters.page_fetches + d.Rss.Counters.buffer_hits, d.Rss.Counters.rsi_calls);
+              Alcotest.(check int) (name ^ ": a fresh OPEN sees it") (n + 1)
+                (List.length (Rss.Scan.to_list (open_scan (snap ()) sargs))))
+            [ ("no SARG", None); ("SARG c1 = 3", Some [ [ s 1 Sg.Eq (V.Int 3) ] ]) ])
+        [ ("no snapshot", fun () -> None);
+          ("snapshot", fun () -> Some (Rss.Mvcc.view m (Rss.Mvcc.statement_snapshot m))) ])
+    kinds
 
 (* --- the in-place scan against a reference walk ---------------------------- *)
 
@@ -212,7 +257,9 @@ let reference_scan pager seg ~rel_id ~snap sarg =
       let p = Rss.Pager.data_page pager pid in
       if not (Rss.Page.is_empty p) then begin
         Rss.Pager.touch pager pid;
-        Rss.Page.iter_versions p (fun slot rid tuple xmin xmax ->
+        for slot = 0 to Rss.Page.slots p - 1 do
+          match Rss.Page.slot p slot with
+          | Rss.Page.Live { rel_id = rid; tuple; xmin; xmax; _ } ->
             let visible =
               match snap with
               | None -> xmax = 0
@@ -221,15 +268,18 @@ let reference_scan pager seg ~rel_id ~snap sarg =
             if rid = rel_id && visible && dnf sarg tuple then begin
               Rss.Pager.note_rsi_call pager;
               out := ({ Rss.Tid.page = pid; slot }, tuple) :: !out
-            end)
+            end
+          | Rss.Page.Dead -> ()
+        done
       end)
     (Rss.Segment.page_ids seg);
   List.rev !out
 
 let test_segment_scan_matches_reference () =
   let pager, seg, m = shared_segment () in
+  let _, _, nonempty_pages = Rss.Segment.census seg ~rel_id:1 in
   Alcotest.(check bool) "a page emptied by deletes" true
-    (Rss.Segment.nonempty_page_count seg < List.length (Rss.Segment.page_ids seg));
+    (nonempty_pages < List.length (Rss.Segment.page_ids seg));
   let c = Rss.Pager.counters pager in
   let measured f =
     Rss.Pager.evict_all pager;
