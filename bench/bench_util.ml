@@ -102,11 +102,6 @@ let await l =
   while l.l_n > 0 do Condition.wait l.l_c l.l_m done;
   Mutex.unlock l.l_m
 
-let dummy_env =
-  { Eval.blocks = [];
-    params = [||];
-    subquery = (fun _ _ -> invalid_arg "bench: unexpected subquery") }
-
 (* Execute a plan cold (buffer pool emptied first) and return the measured
    counters plus row count. *)
 let measure_plan db block (plan : Plan.t) =
@@ -115,8 +110,7 @@ let measure_plan db block (plan : Plan.t) =
   Rss.Pager.evict_all pager;
   let counters = Rss.Pager.counters pager in
   let before = Rss.Counters.snapshot counters in
-  let cur = Cursor.open_plan cat block dummy_env ~join:None plan in
-  let n = List.length (Cursor.drain cur) in
+  let n = List.length (Cursor.drain (Cursor.compile cat block plan ())) in
   let d = Rss.Counters.diff ~after:(Rss.Counters.snapshot counters) ~before in
   (d, n)
 

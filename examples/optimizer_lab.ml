@@ -77,9 +77,7 @@ let () =
       Rss.Pager.evict_all (Catalog.pager cat);
       let counters = Rss.Pager.counters (Catalog.pager cat) in
       let before = Rss.Counters.snapshot counters in
-      let env = { Eval.blocks = []; params = [||]; subquery = (fun _ _ -> assert false) } in
-      let cur = Cursor.open_plan cat block env ~join:None p in
-      let n = List.length (Cursor.drain cur) in
+      let n = List.length (Cursor.drain (Cursor.compile cat block p ())) in
       let d = Rss.Counters.diff ~after:(Rss.Counters.snapshot counters) ~before in
       Printf.printf "%-24s predicted=%-26s measured={pages=%d rsi=%d} rows=%d\n"
         (Plan.describe ~names:(fun _ -> "ORDERS") p)

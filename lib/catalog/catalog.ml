@@ -235,36 +235,33 @@ let measure_cluster_ratio idx =
     float_of_int same /. float_of_int total
 
 let update_relation_statistics t rel =
-  let ncard, tcard, nonempty = Rss.Segment.census rel.segment ~rel_id:rel.rel_id in
+  (* One census walk, in place and unaccounted (statistics collection is
+     DDL, not a measured query), yields NCARD/TCARD/P and the live tuples,
+     into an array sized before the walk by the segment's slot count (read
+     from each page's header: NCARD or more). One NCARD array then serves
+     every column in turn, since [Histogram.build] sorts it in place and
+     keeps none of it: two arrays per relation, not one per column. *)
+  let pager = Rss.Segment.pager rel.segment in
+  let room =
+    List.fold_left
+      (fun n pid -> n + Rss.Page.slots (Rss.Pager.data_page pager pid))
+      0 (Rss.Segment.page_ids rel.segment)
+  in
+  let rows = Array.make room [||] and n = ref 0 in
+  let ncard, tcard, nonempty =
+    Rss.Segment.census rel.segment ~rel_id:rel.rel_id ~live:(fun tup ->
+        rows.(!n) <- tup;
+        incr n)
+  in
   let p = if nonempty = 0 then 1.0 else float_of_int tcard /. float_of_int nonempty in
   rel.rstats <- Some { Stats.ncard; tcard; p };
-  (* Per-column histograms from one full scan, for every column — indexed or
-     not. The scan fills one array of NCARD values per column (it sees
-     exactly the versions the census counts). Counter-neutral like index
-     creation: statistics collection is DDL, not a measured query. *)
-  let snapshot = Rss.Counters.snapshot (Rss.Pager.counters t.pgr) in
-  let columns =
-    Array.init (Rel.Schema.arity rel.schema) (fun _ -> Array.make ncard Rel.Value.Null)
-  in
-  let scan = Rss.Scan.open_segment_scan rel.segment ~rel_id:rel.rel_id () in
-  (* the two walks must agree: a short scan would leave NULL padding in the
-     histograms, a long one would overrun the arrays *)
-  let miscount seen =
-    failwith
-      (Printf.sprintf "UPDATE STATISTICS %s: scan saw %s rows, NCARD is %d"
-         rel.rel_name seen ncard)
-  in
-  let rec fill row =
-    match scan () with
-    | None -> if row <> ncard then miscount (string_of_int row)
-    | Some _ when row = ncard -> miscount (Printf.sprintf "more than %d" ncard)
-    | Some (_, tup) ->
-      Array.iteri (fun col values -> values.(row) <- Rel.Tuple.get tup col) columns;
-      fill (row + 1)
-  in
-  fill 0;
-  Rss.Counters.restore (Rss.Pager.counters t.pgr) ~from:snapshot;
-  rel.cstats <- Array.map (fun values -> { Stats.hist = Histogram.build values }) columns;
+  let values = Array.make ncard Rel.Value.Null in
+  rel.cstats <-
+    Array.init (Rel.Schema.arity rel.schema) (fun col ->
+        for i = 0 to ncard - 1 do
+          values.(i) <- Rel.Tuple.get rows.(i) col
+        done;
+        { Stats.hist = Histogram.build values });
   (* runtime feedback corrections are superseded by the fresh histograms *)
   Hashtbl.reset rel.feedback;
   List.iter

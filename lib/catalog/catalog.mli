@@ -84,18 +84,11 @@ val mark_delete : relation -> Rss.Tid.t -> int -> unit
 val unmark_delete : relation -> Rss.Tid.t -> unit
 (** Roll back a {!mark_delete}: clear the version's xmax. *)
 
-val iter_versions :
-  relation -> (Rss.Tid.t -> Rel.Tuple.t -> int -> int -> unit) -> unit
-(** [iter_versions rel f] calls [f tid tuple xmin xmax] for every physical
-    version of the relation, delete-marked or not, in heap order, without
-    I/O accounting and without building a list — the raw heap as VACUUM,
-    index builds, wipes and integrity checks see it. [f] may remove or
-    restamp the version it is given. *)
-
 val scan_versions :
   relation -> (Rss.Tid.t * Rel.Tuple.t * int * int) list
-(** The versions {!iter_versions} visits, as a list (a heap-shape report
-    reads it). *)
+(** Every physical version of the relation as [(tid, tuple, xmin, xmax)],
+    delete-marked or not, in heap order and without I/O accounting (a
+    heap-shape report reads it). *)
 
 val wipe_relation : t -> relation -> unit
 (** Physically remove every version and its index entries (recovery resets

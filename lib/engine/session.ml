@@ -555,8 +555,7 @@ let update_where s txn (rel : Catalog.relation) sets where =
     set_block.Semant.select;
   let layout = Layout.of_tables set_block [ 0 ] in
   let env =
-    { Eval.blocks = []; params = [||];
-      subquery = (fun _ _ -> err "subquery in SET") }
+    { Eval.outer = []; params = [||]; subquery = (fun _ -> err "subquery in SET") }
   in
   let news =
     List.map (fun (e, _) -> Eval.compile_expr env layout e) set_block.Semant.select

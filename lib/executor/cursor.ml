@@ -6,110 +6,101 @@ let drain c =
   let rec go acc = match c () with None -> List.rev acc | Some t -> go (t :: acc) in
   go []
 
-(* Open the RSS scan of one [Plan.Scan] node: compile its factors into RSS
-   search arguments and bind its index bounds. Factors that fail to compile
-   (a dynamic value unavailable in this context) come back appended to the
-   residuals. *)
-let open_rss_scan block env ~snap ~join ~tab ~access ~sargs ~residual =
-  let tr = List.nth block.Semant.tables tab in
-  let rel = tr.Semant.rel in
+(* What an opening is given when it has no join frame (a root, a join's
+   outer operand): nothing reads it. *)
+let no_frame : Rel.Tuple.t = [||]
+
+let no_subqueries =
+  { Eval.outer = [];
+    params = [||];
+    subquery = (fun _ -> invalid_arg "Cursor: subquery outside an executor") }
+
+(* Compile one [Plan.Scan]. SARG factors over constants and parameters are
+   rendered now; factors reading the join frame or an enclosing block's
+   tuple are rendered by each opening; factors that compile to neither are
+   appended to the residuals. [tid], when given, receives the TID of each
+   tuple the scan returns (the DML victim search). *)
+let compile_scan block env ~snap ~tid ~join ~tab ~access ~sargs ~residual =
+  let rel = (List.nth block.Semant.tables tab).Semant.rel in
   let rel_id = rel.Catalog.rel_id in
-  let compiled_sargs, fallback =
+  let fixed_env = { env with Eval.outer = [] } in
+  let fixed, bound, fallback =
     List.fold_left
-      (fun (sarg_acc, resid) p ->
-        match Eval.compile_sarg env join ~tab p with
-        | Some s -> (Rss.Sarg.conjoin sarg_acc s, resid)
-        | None -> (sarg_acc, p :: resid))
-      (Rss.Sarg.always_true, []) sargs
+      (fun (fixed, bound, resid) p ->
+        match Eval.compile_sarg fixed_env None ~tab p with
+        | Some s -> (Rss.Sarg.conjoin fixed (s no_frame), bound, resid)
+        | None ->
+          (match Eval.compile_sarg env join ~tab p with
+           | Some s -> (fixed, s :: bound, resid)
+           | None -> (fixed, bound, p :: resid)))
+      (Rss.Sarg.always_true, [], []) sargs
   in
-  let scan =
+  let sargs jt = List.fold_left (fun acc s -> Rss.Sarg.conjoin acc (s jt)) fixed bound in
+  let open_scan =
     match access with
     | Plan.Seg_scan ->
-      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap
-        ~sargs:compiled_sargs ()
+      fun jt ->
+        Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap ~sargs:(sargs jt) ()
     | Plan.Idx_scan { index; lo; hi; dir; _ } ->
       let lo = Option.map (Eval.bound_key env join) lo in
       let hi = Option.map (Eval.bound_key env join) hi in
       let dir = match dir with Ast.Asc -> `Asc | Ast.Desc -> `Desc in
-      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
-        ?lo ?hi ~dir ?snap ~sargs:compiled_sargs ()
+      fun jt ->
+        Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
+          ?lo:(Option.map (fun b -> b jt) lo)
+          ?hi:(Option.map (fun b -> b jt) hi)
+          ~dir ?snap ~sargs:(sargs jt) ()
   in
-  (scan, residual @ List.rev fallback)
-
-let rec open_plan catalog block (env : Eval.env) ?snap ~join
-    (p : Plan.t) : t =
-  match p.Plan.node with
-  | Plan.Scan { tab; access; sargs; residual } ->
-    open_scan catalog block env ~snap ~join ~tab ~access ~sargs ~residual
-  | Plan.Nl_join { outer; inner } ->
-    (match join with
-     | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
-     | None -> open_nl catalog block env ~snap ~outer ~inner)
-  | Plan.Merge_join { outer; inner; outer_col; inner_col; residual } ->
-    (match join with
-     | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
-     | None ->
-       open_merge catalog block env ~snap ~outer ~inner ~outer_col
-         ~inner_col ~residual)
-  | Plan.Sort { input; key } ->
-    open_sort catalog block env ~snap ~join ~input ~key
-  | Plan.Filter { input; preds } ->
-    let inner = open_plan catalog block env ?snap ~join input in
-    let layout = layout_of block input in
-    let keep = Eval.compile_preds env layout preds in
-    let rec pull () =
-      match inner () with
-      | None -> None
-      | Some tuple -> if keep tuple then Some tuple else pull ()
-    in
-    pull
-
-and open_scan _catalog block env ~snap ~join ~tab ~access ~sargs ~residual =
-  let scan, residual =
-    open_rss_scan block env ~snap ~join ~tab ~access ~sargs ~residual
-  in
+  let residual = residual @ List.rev fallback in
   let self_layout = Layout.of_tables block [ tab ] in
   match join with
-  | Some f ->
+  | Some outer_layout ->
     (* Pair-compiled residuals read the outer composite and the scanned tuple
        directly — the combined tuple is never built (the scan's output is the
        bare inner tuple). Subquery residuals still need a composite frame for
        correlation, so they are materialized only when the plain conjuncts
        already accepted the pair. *)
     let plain, subq = List.partition (fun p -> not (Semant.pred_has_subquery p)) residual in
-    let keep_pair = Eval.compile_preds_pair env f.Eval.layout self_layout plain in
+    let keep_pair = Eval.compile_preds_pair env outer_layout self_layout plain in
     let keep_sub =
       match subq with
       | [] -> None
-      | _ ->
-        Some (Eval.compile_preds env (Layout.concat f.Eval.layout self_layout) subq)
+      | _ -> Some (Eval.compile_preds env (Layout.concat outer_layout self_layout) subq)
     in
-    let outer_tuple = f.Eval.tuple in
-    let rec pull () =
-      match scan () with
-      | None -> None
-      | Some (_tid, tuple) ->
-        if
-          keep_pair outer_tuple tuple
-          && (match keep_sub with
-              | None -> true
-              | Some k -> k (Rel.Tuple.concat outer_tuple tuple))
-        then Some tuple
-        else pull ()
-    in
-    pull
+    fun outer_tuple ->
+      let scan = open_scan outer_tuple in
+      let rec pull () =
+        match scan () with
+        | None -> None
+        | Some (_tid, tuple) ->
+          if
+            keep_pair outer_tuple tuple
+            && (match keep_sub with
+                | None -> true
+                | Some k -> k (Rel.Tuple.concat outer_tuple tuple))
+          then Some tuple
+          else pull ()
+      in
+      pull
   | None ->
     let keep = Eval.compile_preds env self_layout residual in
-    let rec pull () =
-      match scan () with
-      | None -> None
-      | Some (_tid, tuple) -> if keep tuple then Some tuple else pull ()
-    in
-    pull
+    fun jt ->
+      let scan = open_scan jt in
+      let rec pull () =
+        match scan () with
+        | None -> None
+        | Some (id, tuple) ->
+          if keep tuple then begin
+            (match tid with Some cell -> cell := id | None -> ());
+            Some tuple
+          end
+          else pull ()
+      in
+      pull
 
-and open_nl catalog block env ~snap ~outer ~inner =
-  let outer_cur = open_plan catalog block env ?snap ~join:None outer in
-  let outer_layout = layout_of block outer in
+(* A nested-loop join: the inner, compiled once, is opened per outer tuple
+   with that tuple as its join frame. *)
+let nl_cursor outer_cur open_inner =
   let state = ref None in
   let rec pull () =
     match !state with
@@ -123,32 +114,12 @@ and open_nl catalog block env ~snap ~outer ~inner =
       (match outer_cur () with
        | None -> None
        | Some outer_tuple ->
-         let jframe = { Eval.layout = outer_layout; tuple = outer_tuple } in
-         let inner_cur =
-           open_plan catalog block env ?snap ~join:(Some jframe) inner
-         in
-         state := Some (outer_tuple, inner_cur);
+         state := Some (outer_tuple, open_inner outer_tuple);
          pull ())
   in
   pull
 
-and open_merge catalog block env ~snap ~outer ~inner ~outer_col
-    ~inner_col ~residual =
-  let outer_cur = open_plan catalog block env ?snap ~join:None outer in
-  let inner_cur = open_plan catalog block env ?snap ~join:None inner in
-  let outer_layout = layout_of block outer in
-  let inner_layout = layout_of block inner in
-  let combined_layout = Layout.concat outer_layout inner_layout in
-  let opos = Layout.pos outer_layout outer_col in
-  let ipos = Layout.pos inner_layout inner_col in
-  (* Residuals are checked against the (outer, inner) pair before the output
-     composite is built, so rejected pairs cost no concatenation; subquery
-     residuals (needing a composite frame) run after, on survivors. *)
-  let plain, subq =
-    List.partition (fun p -> not (Semant.pred_has_subquery p)) residual
-  in
-  let keep_pair = Eval.compile_preds_pair env outer_layout inner_layout plain in
-  let keep = Eval.compile_preds env combined_layout subq in
+let merge_cursor ~opos ~ipos ~keep_pair ~keep outer_cur inner_cur =
   (* The inner scan is synchronized with the outer: the current group of
      equal-keyed inner tuples is remembered so equal consecutive outer keys
      rejoin it without rescanning ("remembering where matching join groups
@@ -233,44 +204,73 @@ and open_merge catalog block env ~snap ~outer ~inner ~outer_col
   in
   pull
 
-and open_sort catalog block env ~snap ~join ~input ~key =
-  let layout = layout_of block input in
-  let sort_key =
-    List.map
-      (fun (c, d) ->
-        ( Layout.pos layout c,
-          match d with Ast.Asc -> Rss.Sort.Asc | Ast.Desc -> Rss.Sort.Desc ))
-      key
-  in
-  let cmp = Eval.compile_cmp layout key in
-  let input_cur = open_plan catalog block env ?snap ~join input in
-  (* the plan cursor feeds run formation directly and the final merge
-     streams straight to the consumer — the sorted result is never
-     rematerialized *)
-  Rss.Sort.sort_stream ~cmp (Catalog.pager catalog) ~key:sort_key input_cur
+let no_join = function
+  | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
+  | None -> ()
 
-(* DML victim search: the same scan opening, but each qualifying tuple
-   comes back with its TID, so DELETE and UPDATE stamp exactly the versions
-   the chosen access path yields. Only single-table shapes exist here: a
-   scan, under the Filter that carries subquery factors. *)
-let rec open_tids block env ?snap (p : Plan.t) =
-  match p.Plan.node with
-  | Plan.Scan { tab; access; sargs; residual } ->
-    let scan, residual =
-      open_rss_scan block env ~snap ~join:None ~tab ~access ~sargs ~residual
-    in
-    tid_filter (Eval.compile_preds env (layout_of block p) residual) scan
-  | Plan.Filter { input; preds } ->
-    tid_filter
-      (Eval.compile_preds env (layout_of block input) preds)
-      (open_tids block env ?snap input)
-  | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Sort _ ->
-    invalid_arg "Cursor.open_tids: not a single-table scan plan"
-
-and tid_filter keep next =
-  let rec pull () =
-    match next () with
-    | Some (_, tuple) as hit -> if keep tuple then hit else pull ()
-    | None -> None
+let compile ?(env = no_subqueries) ?snap ?tid catalog block plan =
+  let pager = Catalog.pager catalog in
+  let counters = Rss.Pager.counters pager in
+  (* [join] is the layout of a nested-loop inner's outer composite; the
+     compiled node is opened with that composite (or [no_frame]). *)
+  let rec node ~tid ~join (p : Plan.t) : Rel.Tuple.t -> t =
+    counters.Rss.Counters.nodes_compiled <- counters.Rss.Counters.nodes_compiled + 1;
+    match p.Plan.node with
+    | Plan.Scan { tab; access; sargs; residual } ->
+      compile_scan block env ~snap ~tid ~join ~tab ~access ~sargs ~residual
+    | Plan.Nl_join { outer; inner } ->
+      no_join join;
+      let open_outer = node ~tid:None ~join:None outer in
+      let open_inner = node ~tid:None ~join:(Some (layout_of block outer)) inner in
+      fun _ -> nl_cursor (open_outer no_frame) open_inner
+    | Plan.Merge_join { outer; inner; outer_col; inner_col; residual } ->
+      no_join join;
+      let open_outer = node ~tid:None ~join:None outer in
+      let open_inner = node ~tid:None ~join:None inner in
+      let outer_layout = layout_of block outer in
+      let inner_layout = layout_of block inner in
+      (* Residuals are checked against the (outer, inner) pair before the
+         output composite is built, so rejected pairs cost no concatenation;
+         subquery residuals (needing a composite frame) run after, on
+         survivors. *)
+      let plain, subq =
+        List.partition (fun p -> not (Semant.pred_has_subquery p)) residual
+      in
+      let keep_pair = Eval.compile_preds_pair env outer_layout inner_layout plain in
+      let keep = Eval.compile_preds env (Layout.concat outer_layout inner_layout) subq in
+      let opos = Layout.pos outer_layout outer_col in
+      let ipos = Layout.pos inner_layout inner_col in
+      fun _ ->
+        (* the outer opens first: opening a sort drains its input *)
+        let outer_cur = open_outer no_frame in
+        merge_cursor ~opos ~ipos ~keep_pair ~keep outer_cur (open_inner no_frame)
+    | Plan.Sort { input; key } ->
+      let layout = layout_of block input in
+      let sort_key =
+        List.map
+          (fun (c, d) ->
+            ( Layout.pos layout c,
+              match d with Ast.Asc -> Rss.Sort.Asc | Ast.Desc -> Rss.Sort.Desc ))
+          key
+      in
+      let cmp = Eval.compile_cmp layout key in
+      let open_input = node ~tid:None ~join input in
+      (* the plan cursor feeds run formation directly and the final merge
+         streams straight to the consumer — the sorted result is never
+         rematerialized *)
+      fun jt ->
+        Rss.Sort.sort_stream ~cmp pager ~key:sort_key (open_input jt)
+    | Plan.Filter { input; preds } ->
+      let open_input = node ~tid ~join input in
+      let keep = Eval.compile_preds env (layout_of block input) preds in
+      fun jt ->
+        let input_cur = open_input jt in
+        let rec pull () =
+          match input_cur () with
+          | None -> None
+          | Some tuple -> if keep tuple then Some tuple else pull ()
+        in
+        pull
   in
-  pull
+  let root = node ~tid ~join:None plan in
+  fun () -> root no_frame

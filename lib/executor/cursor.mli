@@ -2,44 +2,36 @@
     loops, as a Volcano-style interpreter — see DESIGN.md for the
     substitution note).
 
-    A cursor yields the composite tuples of a plan node. Nested-loop inners
-    are re-opened per outer tuple with the outer composite as join context,
-    turning dynamic index bounds and dynamically-bound SARGs into constants
-    for that opening. All page fetches and RSI calls incurred flow through
-    the catalog's pager counters.
-
-    Opening a node compiles its residual predicates and sort comparator into
-    position-resolved closures ({!Eval.compile_preds}, {!Eval.compile_cmp})
-    so the per-tuple path does no AST interpretation. *)
+    A plan is compiled once per execution, the access module of the paper's
+    code generator: each node's relation, layouts, compiled residual and
+    pair predicates ({!Eval.compile_preds}, {!Eval.compile_preds_pair}), sort
+    comparator and the SARG factors over constants and parameters are
+    resolved then. Opening the compiled plan binds only what changes within
+    an execution: a nested-loop inner, compiled once, is opened per outer
+    tuple, and the opening renders its outer-valued key bounds and SARG
+    factors from that tuple. All page fetches and RSI calls incurred flow
+    through the catalog's pager counters. *)
 
 type t = unit -> Rel.Tuple.t option
 
-val open_plan :
+val compile :
+  ?env:Eval.env ->
+  ?snap:Rss.Mvcc.view ->
+  ?tid:Rss.Tid.t ref ->
   Catalog.t ->
   Semant.block ->
-  Eval.env ->
-  ?snap:Rss.Mvcc.view ->
-  join:Eval.frame option ->
   Plan.t ->
+  unit ->
   t
-(** [snap] is the MVCC read view every leaf scan of the plan filters
-    through (threaded to {!Rss.Scan.open_segment_scan} /
-    {!Rss.Scan.open_index_scan}); omitted, scans see exactly the
-    not-delete-marked heap — the single-session behavior. *)
+(** [compile catalog block plan] compiles [plan], bumping [nodes_compiled]
+    once per node; each application to [()] opens a fresh cursor. [env]
+    supplies parameters, enclosing blocks and nested blocks (default: none).
+    [snap] is the MVCC read view every leaf scan filters through; omitted,
+    scans see exactly the not-delete-marked heap. [tid], on a scan possibly
+    under a [Filter], receives each returned tuple's TID: the victims of
+    DELETE and UPDATE. *)
 
 val layout_of : Semant.block -> Plan.t -> Layout.t
 (** Layout of the composite tuples the plan produces. *)
-
-val open_tids :
-  Semant.block ->
-  Eval.env ->
-  ?snap:Rss.Mvcc.view ->
-  Plan.t ->
-  unit ->
-  (Rss.Tid.t * Rel.Tuple.t) option
-(** A cursor over a single-table plan — a scan, possibly under a [Filter] —
-    that yields each qualifying tuple with its TID: the victims of DELETE and
-    UPDATE. Scans open exactly as in {!open_plan}.
-    @raise Invalid_argument on joins and [Sort]. *)
 
 val drain : (unit -> 'a option) -> 'a list

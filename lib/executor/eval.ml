@@ -4,9 +4,9 @@ type frame = {
 }
 
 type env = {
-  blocks : frame list;
+  outer : frame ref list;
   params : Rel.Value.t array;  (* ? placeholder bindings, by position *)
-  subquery : env -> Semant.block -> Rel.Value.t list;
+  subquery : Semant.block -> frame -> Rel.Value.t list;
 }
 
 let arith_fn (op : Ast.arith) =
@@ -49,16 +49,25 @@ let not3 = Option.map not
 
 (* --- compiled evaluation ------------------------------------------------ *)
 
-(* Close an expression/predicate over its environment once, at plan-open
-   time: every Layout.pos lookup becomes a captured integer offset, every
-   parameter and outer-block reference a captured value, every operator a
-   direct function — the per-tuple path then runs zero AST traversal and
-   zero name resolution. Environment-dependent constants (params, outer
-   refs) are sound to bind at compile time because a cursor opening fixes
-   them: nested-loop inners are re-opened (hence re-compiled) per outer
-   tuple, and subquery plans per evaluation. Environment failures (unbound
-   parameter, outer ref beyond the stack) compile to closures that raise
-   when called, so an empty tuple stream never raises them. *)
+(* Close an expression/predicate over its environment once per execution:
+   every Layout.pos lookup becomes a captured integer offset, every
+   parameter a captured value, every operator a direct function — the
+   per-tuple path then runs zero AST traversal and zero name resolution.
+   Parameters are fixed for the whole execution; an outer-block reference
+   reads the enclosing block's cell, which the caller of the nested block
+   sets before each evaluation. Environment failures (unbound parameter,
+   outer ref beyond the stack) compile to closures that raise when called,
+   so an empty tuple stream never raises them. *)
+
+(* Column (tab, col) of the enclosing block [levels_up] frames out. *)
+let outer_ref env ~levels_up ~tab ~col =
+  Option.map
+    (fun cell ->
+      let c = { Semant.tab; col } in
+      fun () ->
+        let f = !cell in
+        Rel.Tuple.get f.tuple (Layout.pos f.layout c))
+    (List.nth_opt env.outer (levels_up - 1))
 
 let rec compile_expr env layout (e : Semant.sexpr) : Rel.Tuple.t -> Rel.Value.t =
   match e with
@@ -72,12 +81,8 @@ let rec compile_expr env layout (e : Semant.sexpr) : Rel.Tuple.t -> Rel.Value.t 
     let p = Layout.pos layout c in
     fun tuple -> Rel.Tuple.get tuple p
   | Semant.E_outer { levels_up; tab; col } ->
-    (match List.nth_opt env.blocks (levels_up - 1) with
-     | Some outer ->
-       let v =
-         Rel.Tuple.get outer.tuple (Layout.pos outer.layout { Semant.tab; col })
-       in
-       fun _ -> v
+    (match outer_ref env ~levels_up ~tab ~col with
+     | Some get -> fun _ -> get ()
      | None -> fun _ -> invalid_arg "Eval: outer reference beyond block stack")
   | Semant.E_binop (op, a, b) ->
     let fa = compile_expr env layout a and fb = compile_expr env layout b in
@@ -108,13 +113,13 @@ let rec compile_pred env layout (p : Semant.spred) : Rel.Tuple.t -> bool option 
       else Some false
   | Semant.P_in_sub { e; block; negated } ->
     let fe = compile_expr env layout e in
+    let sub = env.subquery block in
     fun tuple ->
       let v = fe tuple in
       let base =
         if Rel.Value.is_null v then None
         else begin
-          let frame = { layout; tuple } in
-          let vs = env.subquery { env with blocks = frame :: env.blocks } block in
+          let vs = sub { layout; tuple } in
           if List.exists (Rel.Value.equal v) vs then Some true
           else if List.exists Rel.Value.is_null vs then None
           else Some false
@@ -124,10 +129,10 @@ let rec compile_pred env layout (p : Semant.spred) : Rel.Tuple.t -> bool option 
   | Semant.P_cmp_sub (e, c, block) ->
     let fe = compile_expr env layout e in
     let op = cmp_op c in
+    let sub = env.subquery block in
     fun tuple ->
       let v = fe tuple in
-      let frame = { layout; tuple } in
-      (match env.subquery { env with blocks = frame :: env.blocks } block with
+      (match sub { layout; tuple } with
        | [] -> None
        | [ sv ] -> cmp3 op v sv
        | _ :: _ :: _ -> invalid_arg "scalar subquery returned more than one value")
@@ -173,12 +178,8 @@ let rec compile_expr_pair env left right (e : Semant.sexpr) :
       let p = Layout.pos right c in
       fun _ b -> Rel.Tuple.get b p
   | Semant.E_outer { levels_up; tab; col } ->
-    (match List.nth_opt env.blocks (levels_up - 1) with
-     | Some outer ->
-       let v =
-         Rel.Tuple.get outer.tuple (Layout.pos outer.layout { Semant.tab; col })
-       in
-       fun _ _ -> v
+    (match outer_ref env ~levels_up ~tab ~col with
+     | Some get -> fun _ _ -> get ()
      | None ->
        fun _ _ -> invalid_arg "Eval: outer reference beyond block stack")
   | Semant.E_binop (op, a, b) ->
@@ -349,23 +350,26 @@ let compile_cmp layout (key : (Semant.col_ref * Ast.order_dir) list) =
 
 (* --- SARG compilation -------------------------------------------------- *)
 
-(* Resolve an expression to a constant using the join context and outer
-   blocks only; a reference to relation [tab] itself is not constant. *)
-let resolve_const env join ~tab (e : Semant.sexpr) =
+(* Resolve an expression to a value that an opening binds, from the join
+   frame's tuple (whose layout is [join]), a parameter, a constant or an
+   enclosing block's tuple; a reference to relation [tab] itself is not
+   constant. *)
+let resolve_const env join ~tab (e : Semant.sexpr) :
+    (Rel.Tuple.t -> Rel.Value.t) option =
   match e with
   | Semant.E_col c when c.Semant.tab <> tab ->
-    Option.bind join (fun f ->
-        match Layout.pos f.layout c with
-        | p -> Some (Rel.Tuple.get f.tuple p)
+    Option.bind join (fun layout ->
+        match Layout.pos layout c with
+        | p -> Some (fun t -> Rel.Tuple.get t p)
         | exception Not_found -> None)
-  | Semant.E_const v -> Some v
+  | Semant.E_const v -> Some (fun _ -> v)
   | Semant.E_param i ->
-    if i < Array.length env.params then Some env.params.(i) else None
+    if i < Array.length env.params then
+      let v = env.params.(i) in
+      Some (fun _ -> v)
+    else None
   | Semant.E_outer { levels_up; tab = t; col } ->
-    Option.map
-      (fun (outer : frame) ->
-        Rel.Tuple.get outer.tuple (Layout.pos outer.layout { Semant.tab = t; col }))
-      (List.nth_opt env.blocks (levels_up - 1))
+    Option.map (fun get _ -> get ()) (outer_ref env ~levels_up ~tab:t ~col)
   | Semant.E_col _ | Semant.E_binop _ | Semant.E_agg _ -> None
 
 let flip_op = function
@@ -376,54 +380,58 @@ let flip_op = function
   | Rss.Sarg.Gt -> Rss.Sarg.Lt
   | Rss.Sarg.Ge -> Rss.Sarg.Le
 
-let rec compile_sarg env join ~tab (p : Semant.spred) : Rss.Sarg.t option =
+let rec compile_sarg env join ~tab (p : Semant.spred) :
+    (Rel.Tuple.t -> Rss.Sarg.t) option =
   match p with
   | Semant.P_cmp (Semant.E_col c, op, rhs) when c.Semant.tab = tab ->
     Option.map
-      (fun v -> [ [ { Rss.Sarg.col = c.Semant.col; op = cmp_op op; value = v } ] ])
+      (fun v t -> [ [ { Rss.Sarg.col = c.Semant.col; op = cmp_op op; value = v t } ] ])
       (resolve_const env join ~tab rhs)
   | Semant.P_cmp (lhs, op, Semant.E_col c) when c.Semant.tab = tab ->
     Option.map
-      (fun v ->
-        [ [ { Rss.Sarg.col = c.Semant.col; op = flip_op (cmp_op op); value = v } ] ])
+      (fun v t ->
+        [ [ { Rss.Sarg.col = c.Semant.col; op = flip_op (cmp_op op); value = v t } ] ])
       (resolve_const env join ~tab lhs)
   | Semant.P_between (Semant.E_col c, lo, hi) when c.Semant.tab = tab ->
     (match resolve_const env join ~tab lo, resolve_const env join ~tab hi with
      | Some vlo, Some vhi ->
        Some
-         [ [ { Rss.Sarg.col = c.Semant.col; op = Rss.Sarg.Ge; value = vlo };
-             { Rss.Sarg.col = c.Semant.col; op = Rss.Sarg.Le; value = vhi } ] ]
+         (fun t ->
+           [ [ { Rss.Sarg.col = c.Semant.col; op = Rss.Sarg.Ge; value = vlo t };
+               { Rss.Sarg.col = c.Semant.col; op = Rss.Sarg.Le; value = vhi t } ] ])
      | _ -> None)
   | Semant.P_in_list (Semant.E_col c, vs) when c.Semant.tab = tab ->
-    Some
-      (List.map
-         (fun v -> [ { Rss.Sarg.col = c.Semant.col; op = Rss.Sarg.Eq; value = v } ])
-         vs)
+    let s =
+      List.map (fun v -> [ { Rss.Sarg.col = c.Semant.col; op = Rss.Sarg.Eq; value = v } ]) vs
+    in
+    Some (fun _ -> s)
   | Semant.P_or (a, b) ->
     (match compile_sarg env join ~tab a, compile_sarg env join ~tab b with
-     | Some sa, Some sb -> Some (sa @ sb)
+     | Some sa, Some sb -> Some (fun t -> sa t @ sb t)
      | _ -> None)
   | Semant.P_and (a, b) ->
     (match compile_sarg env join ~tab a, compile_sarg env join ~tab b with
-     | Some sa, Some sb -> Some (Rss.Sarg.conjoin sa sb)
+     | Some sa, Some sb -> Some (fun t -> Rss.Sarg.conjoin (sa t) (sb t))
      | _ -> None)
   | Semant.P_cmp _ | Semant.P_between _ | Semant.P_in_list _ | Semant.P_in_sub _
   | Semant.P_cmp_sub _ | Semant.P_not _ -> None
 
-let bound_key env join (b : Plan.key_bound) : Rss.Btree.bound =
-  let values =
-    List.map
-      (fun (bv : Plan.bound_value) ->
-        match bv with
-        | Plan.Bv_const v -> v
-        | Plan.Bv_param i ->
-          if i < Array.length env.params then env.params.(i)
-          else invalid_arg (Printf.sprintf "Eval.bound_key: unbound parameter ?%d" i)
-        | Plan.Bv_outer c ->
-          (match join with
-           | Some f -> Rel.Tuple.get f.tuple (Layout.pos f.layout c)
-           | None ->
-             invalid_arg "Eval.bound_key: dynamic bound without join context"))
-      b.Plan.values
+let bound_key env join (b : Plan.key_bound) : Rel.Tuple.t -> Rss.Btree.bound =
+  let value : Plan.bound_value -> Rel.Tuple.t -> Rel.Value.t = function
+    | Plan.Bv_const v -> fun _ -> v
+    | Plan.Bv_param i ->
+      if i < Array.length env.params then
+        let v = env.params.(i) in
+        fun _ -> v
+      else fun _ -> invalid_arg (Printf.sprintf "Eval.bound_key: unbound parameter ?%d" i)
+    | Plan.Bv_outer c ->
+      (match join with
+       | Some layout ->
+         let p = Layout.pos layout c in
+         fun t -> Rel.Tuple.get t p
+       | None ->
+         fun _ -> invalid_arg "Eval.bound_key: dynamic bound without join context")
   in
-  (Array.of_list values, if b.Plan.inclusive then `Inclusive else `Exclusive)
+  let values = Array.of_list (List.map value b.Plan.values) in
+  let kind = if b.Plan.inclusive then `Inclusive else `Exclusive in
+  fun t -> (Array.map (fun f -> f t) values, kind)

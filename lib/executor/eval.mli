@@ -1,10 +1,10 @@
 (** Scalar expression and predicate evaluation.
 
     Evaluation happens against: the current composite tuple of the block (via
-    its layout), the stack of enclosing blocks' current tuples (for
-    correlation references), and a subquery evaluator supplied by the
-    executor (nested blocks are "subroutines which return values to the
-    predicates in which they occur"). Predicates follow SQL three-valued
+    its layout), the cells holding the enclosing blocks' current tuples (for
+    correlation references), and the nested blocks compiled by the executor
+    (nested blocks are "subroutines which return values to the predicates in
+    which they occur"). Predicates follow SQL three-valued
     (Kleene) logic — comparisons involving NULL are Unknown, and only rows
     evaluating to true qualify — which keeps the normalizer's NOT-elimination
     rewrites sound in the presence of NULLs. *)
@@ -15,13 +15,15 @@ type frame = {
 }
 
 type env = {
-  blocks : frame list;
-      (** enclosing blocks' current candidate tuples, innermost first *)
+  outer : frame ref list;
+      (** enclosing blocks' current candidate tuples, innermost first: the
+          caller of a nested block sets its cell before each evaluation *)
   params : Rel.Value.t array;
       (** bindings for [?] placeholders, by position (prepared statements) *)
-  subquery : env -> Semant.block -> Rel.Value.t list;
-      (** first-column values of the nested block's result, evaluated in the
-          environment current at the call *)
+  subquery : Semant.block -> frame -> Rel.Value.t list;
+      (** [subquery b] is nested block [b], compiled once; applied to the
+          calling predicate's frame, it returns the first-column values of
+          [b]'s result *)
 }
 
 val arith_fn : Ast.arith -> Rel.Value.t -> Rel.Value.t -> Rel.Value.t
@@ -30,14 +32,14 @@ val arith_fn : Ast.arith -> Rel.Value.t -> Rel.Value.t -> Rel.Value.t
 
     Expressions and predicates are never interpreted per tuple. The
     [compile_*] family closes an expression/predicate over its environment
-    once, at plan-open time: column references become captured integer
-    offsets, parameters and outer-block references captured values, operators
-    direct functions. The returned closures perform zero AST traversal and
-    zero name resolution per tuple while preserving three-valued NULL
-    semantics exactly (see DESIGN.md, "Compiled evaluation"). Binding
-    environment-dependent values at compile time is sound because a cursor
-    opening fixes them: nested-loop inners are re-opened (hence re-compiled)
-    per outer tuple, subquery plans per evaluation. *)
+    once per execution: column references become captured integer offsets,
+    parameters captured values, outer-block references reads of the
+    enclosing block's cell, operators direct functions. The returned
+    closures perform zero AST traversal and zero name resolution per tuple
+    while preserving three-valued NULL semantics exactly (see DESIGN.md,
+    "Compiled evaluation"). What changes within an execution — a nested-loop
+    inner's outer tuple, an enclosing block's tuple — is read when a cursor
+    opens or a tuple is tested, never compiled in. *)
 
 val compile_expr : env -> Layout.t -> Semant.sexpr -> Rel.Tuple.t -> Rel.Value.t
 (** @raise Not_found at compile time when a column is not in the layout.
@@ -82,12 +84,19 @@ val compile_cmp :
   int
 
 val compile_sarg :
-  env -> frame option -> tab:int -> Semant.spred -> Rss.Sarg.t option
+  env ->
+  Layout.t option ->
+  tab:int ->
+  Semant.spred ->
+  (Rel.Tuple.t -> Rss.Sarg.t) option
 (** Render a sargable predicate on relation [tab] as an RSS search argument,
-    resolving any outer-relation or outer-block column to its current value
-    ([frame option] is the join context: the outer composite of a nested-loop
-    inner). [None] when the predicate is not expressible as a SARG. *)
+    given the join tuple (the outer composite of a nested-loop inner, whose
+    layout is the [Layout.t option]) when a scan opens; outer-block columns
+    take their enclosing block's current value. [None] when the predicate is
+    not expressible as a SARG in this context. *)
 
-val bound_key :
-  env -> frame option -> Plan.key_bound -> Rss.Btree.bound
-(** Resolve an index key bound's values against the current context. *)
+val bound_key : env -> Layout.t option -> Plan.key_bound -> Rel.Tuple.t -> Rss.Btree.bound
+(** [bound_key env join b] resolves positions once; applied to the join
+    tuple, it yields the key bound's values.
+    @raise Invalid_argument (when applied) on an unbound parameter or an
+    outer-column bound without a join layout. *)

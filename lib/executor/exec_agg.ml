@@ -1,14 +1,13 @@
 (* Streaming aggregation and projection over a block's composite tuples.
 
-   The select list is compiled once per cursor into a [shape]: every
+   The select list is compiled once per execution into a [shape]: every
    aggregate subexpression gets a slot in a constant-size accumulator array
    (running count / fold value — no per-group tuple or value lists), and the
    select expressions become closures from (accumulators, representative
    tuple) to output values. Input tuples are then folded one at a time as
    the cursor produces them; a group's state is O(1) regardless of its
    cardinality. Aggregate arguments and representative-tuple parts are
-   closed into position-resolved closures ({!Eval.compile_expr}) at
-   cursor-open time. *)
+   closed into position-resolved closures ({!Eval.compile_expr}) then. *)
 
 (* --- O(1) aggregate accumulators ---------------------------------------- *)
 
@@ -160,33 +159,37 @@ let step_accs shape accs tuple =
 let finish shape accs rep =
   Array.of_list (List.map (fun f -> f accs rep) shape.outputs)
 
-(* --- streaming entry points ---------------------------------------------- *)
+(* --- streaming folds -------------------------------------------------------- *)
 
-let project_stream env layout (block : Semant.block) next =
+(* Each fold compiles when applied to (env, layout, block); the result runs
+   over one cursor per application. *)
+let project_stream env layout (block : Semant.block) =
   let fs = List.map (fun (e, _) -> Eval.compile_expr env layout e) block.Semant.select in
-  let rec go acc =
-    match next () with
-    | None -> List.rev acc
-    | Some tuple -> go (Array.of_list (List.map (fun f -> f tuple) fs) :: acc)
-  in
-  go []
+  fun next ->
+    let rec go acc =
+      match next () with
+      | None -> List.rev acc
+      | Some tuple -> go (Array.of_list (List.map (fun f -> f tuple) fs) :: acc)
+    in
+    go []
 
-let scalar_stream env layout (block : Semant.block) next =
+let scalar_stream env layout (block : Semant.block) =
   let shape = compile_shape env layout block in
-  let accs = fresh_accs shape in
-  let rep = ref None in
-  let rec go () =
-    match next () with
-    | None -> ()
-    | Some tuple ->
-      (match !rep with None -> rep := Some tuple | Some _ -> ());
-      step_accs shape accs tuple;
-      go ()
-  in
-  go ();
-  finish shape accs !rep
+  fun next ->
+    let accs = fresh_accs shape in
+    let rep = ref None in
+    let rec go () =
+      match next () with
+      | None -> ()
+      | Some tuple ->
+        (match !rep with None -> rep := Some tuple | Some _ -> ());
+        step_accs shape accs tuple;
+        go ()
+    in
+    go ();
+    finish shape accs !rep
 
-let group_stream env layout (block : Semant.block) next =
+let group_stream env layout (block : Semant.block) =
   let shape = compile_shape env layout block in
   let key_pos = List.map (Layout.pos layout) block.Semant.group_by in
   (* boundary test runs once per input tuple; the common single int grouping
@@ -200,29 +203,60 @@ let group_stream env layout (block : Semant.block) next =
          | va, vb -> Rel.Value.compare va vb = 0)
     | ps -> fun a b -> Rel.Tuple.compare_on ps a b = 0
   in
-  (* input arrives ordered on the grouping columns; a key change closes the
-     current group. The representative tuple doubles as the group key. *)
-  let rows = ref [] in
-  let accs = ref (fresh_accs shape) in
-  let rep = ref None in
-  let close () =
-    match !rep with
-    | None -> ()
-    | Some _ as r ->
-      rows := finish shape !accs r :: !rows;
-      accs := fresh_accs shape;
-      rep := None
-  in
-  let rec go () =
-    match next () with
-    | None -> close ()
-    | Some tuple ->
-      (match !rep with
-       | Some r when not (same_group r tuple) -> close ()
-       | _ -> ());
-      (match !rep with None -> rep := Some tuple | Some _ -> ());
-      step_accs shape !accs tuple;
-      go ()
-  in
-  go ();
-  List.rev !rows
+  fun next ->
+    (* input arrives ordered on the grouping columns; a key change closes the
+       current group. The representative tuple doubles as the group key. *)
+    let rows = ref [] in
+    let accs = ref (fresh_accs shape) in
+    let rep = ref None in
+    let close () =
+      match !rep with
+      | None -> ()
+      | Some _ as r ->
+        rows := finish shape !accs r :: !rows;
+        accs := fresh_accs shape;
+        rep := None
+    in
+    let rec go () =
+      match next () with
+      | None -> close ()
+      | Some tuple ->
+        (match !rep with
+         | Some r when not (same_group r tuple) -> close ()
+         | _ -> ());
+        (match !rep with None -> rep := Some tuple | Some _ -> ());
+        step_accs shape !accs tuple;
+        go ()
+    in
+    go ();
+    List.rev !rows
+
+let compile env layout (block : Semant.block) =
+  if block.Semant.scalar_agg then begin
+    let fold = scalar_stream env layout block in
+    fun next -> [ fold next ]
+  end
+  else if block.Semant.group_by = [] then project_stream env layout block
+  else begin
+    let group = group_stream env layout block in
+    match block.Semant.order_by with
+    | [] -> group
+    | obs ->
+      (* order the aggregated rows by the select positions of the ORDER BY
+         columns *)
+      let pos_of (c : Semant.col_ref) =
+        let rec find i = function
+          | [] ->
+            invalid_arg
+              "Executor: ORDER BY column of a grouped query must appear in its \
+               select list"
+          | (Semant.E_col c', _) :: _
+            when c'.Semant.tab = c.Semant.tab && c'.Semant.col = c.Semant.col ->
+            i
+          | _ :: rest -> find (i + 1) rest
+        in
+        find 0 block.Semant.select
+      in
+      let cmp = Eval.compile_cmp_pos (List.map (fun (c, d) -> (pos_of c, d)) obs) in
+      fun next -> List.stable_sort cmp (group next)
+  end

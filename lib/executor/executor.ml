@@ -12,20 +12,18 @@ type state = {
   counters : Rss.Counters.t;
       (* where this run's accounting lands (the pager's current record):
          subquery calls and evaluations are counted here *)
-  caches : (Semant.block * (Rel.Value.t list, Rel.Value.t list) Hashtbl.t) list ref;
-      (* per nested block, keyed by physical identity *)
 }
 
 (* References inside [b] (or blocks nested in it) that escape [b]: evaluated
    in the caller's environment they are the "referenced values" that
    determine the subquery's result — the memo key. Each is (frames up from
-   the call environment, tab, col). *)
+   [b] itself, tab, col), as an [E_outer] of [b] would name it. *)
 let escaped_refs (b : Semant.block) =
   let acc = ref [] in
   let rec expr depth (e : Semant.sexpr) =
     match e with
     | Semant.E_outer { levels_up; tab; col } ->
-      if levels_up > depth then acc := (levels_up - depth - 1, tab, col) :: !acc
+      if levels_up > depth then acc := (levels_up - depth, tab, col) :: !acc
     | Semant.E_binop (_, a, b) ->
       expr depth a;
       expr depth b
@@ -56,108 +54,70 @@ let escaped_refs (b : Semant.block) =
     Option.iter (pred depth) b.Semant.where
   in
   block_refs 0 b;
-  let cmp_ref (u1, t1, c1) (u2, t2, c2) =
-    let d = Int.compare u1 u2 in
-    if d <> 0 then d
-    else
-      let d = Int.compare t1 t2 in
-      if d <> 0 then d else Int.compare c1 c2
-  in
-  List.sort_uniq cmp_ref !acc
-
-let ref_values (env : Eval.env) refs =
-  List.map
-    (fun (up, tab, col) ->
-      match List.nth_opt env.Eval.blocks up with
-      | Some (f : Eval.frame) ->
-        Rel.Tuple.get f.tuple (Layout.pos f.layout { Semant.tab; col })
-      | None -> invalid_arg "Executor: escaped reference beyond block stack")
-    refs
-
-let cache_for st block =
-  match List.find_opt (fun (b, _) -> b == block) !(st.caches) with
-  | Some (_, tbl) -> tbl
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    st.caches := (block, tbl) :: !(st.caches);
-    tbl
+  List.sort_uniq compare !acc
 
 let make_state ?snap ~params catalog =
   { catalog;
     snap;
     params;
-    counters = Rss.Pager.counters (Catalog.pager catalog);
-    caches = ref [] }
+    counters = Rss.Pager.counters (Catalog.pager catalog) }
 
-(* The evaluation environment of block [r]: its subqueries are evaluated
-   (and cached) through [eval_subquery]. *)
-let rec block_env st (r : Optimizer.result) blocks_stack =
-  { Eval.blocks = blocks_stack;
+(* The environment of block [r] below the enclosing blocks' cells [outer].
+   Each nested block of its WHERE tree is compiled here, once per
+   execution, with its own cell, memo key and memo table; every predicate
+   naming the block gets that one compiled form (CNF may copy a subquery
+   into several factors, and [subresults] then lists it once per copy). *)
+let rec block_env st (r : Optimizer.result) outer =
+  let subs =
+    List.fold_left
+      (fun subs (b, sub) ->
+        if List.mem_assq b subs then subs else (b, compile_subquery st sub outer) :: subs)
+      [] r.Optimizer.subresults
+  in
+  { Eval.outer;
     params = st.params;
-    subquery = (fun env b -> eval_subquery st r env b) }
+    subquery =
+      (fun b ->
+        match List.assq_opt b subs with
+        | Some eval -> eval
+        | None -> invalid_arg "Executor: subquery block has no plan") }
 
-and run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
+and compile_subquery st (sub : Optimizer.result) outer =
+  let cell = ref { Eval.layout = Layout.empty; tuple = [||] } in
+  let env = block_env st sub (cell :: outer) in
+  let run = compile_block st sub env in
+  (* the memo key: the escaped references, read as [sub]'s own outer
+     references, whose innermost cell is the caller's frame *)
+  let key =
+    List.map
+      (fun (levels_up, tab, col) ->
+        Eval.compile_expr env Layout.empty (Semant.E_outer { levels_up; tab; col }))
+      (escaped_refs sub.Optimizer.block)
+  in
+  let memo = Hashtbl.create 64 in
+  fun frame ->
+    st.counters.subquery_calls <- st.counters.subquery_calls + 1;
+    cell := frame;
+    let k = List.map (fun f -> f [||]) key in
+    match Hashtbl.find_opt memo k with
+    | Some vs -> vs
+    | None ->
+      st.counters.subquery_evals <- st.counters.subquery_evals + 1;
+      let vs = List.map (fun row -> Rel.Tuple.get row 0) (run ()) in
+      Hashtbl.replace memo k vs;
+      vs
+
+(* Compile block [r] once — plan, select list, nested blocks — into a
+   function that runs one evaluation of it. *)
+and compile_block st (r : Optimizer.result) env =
   let block = r.Optimizer.block in
-  let env = block_env st r blocks_stack in
-  let open_cur () =
-    Cursor.open_plan st.catalog block env ?snap:st.snap ~join:None
-      r.Optimizer.plan
-  in
-  let layout = Cursor.layout_of block r.Optimizer.plan in
-  (* The cursor is consumed incrementally in every mode: aggregation folds
-     tuples into O(1) accumulator state as they stream by, so the plan's
-     output is never materialized ahead of the result rows. *)
-  if block.Semant.scalar_agg then
-    [ Exec_agg.scalar_stream env layout block (open_cur ()) ]
-  else if block.Semant.group_by <> [] then begin
-    let rows = Exec_agg.group_stream env layout block (open_cur ()) in
-    match block.Semant.order_by with
-    | [] -> rows
-    | obs ->
-      (* order the aggregated rows by the select positions of the ORDER BY
-         columns *)
-      let pos_of (c : Semant.col_ref) =
-        let rec find i = function
-          | [] ->
-            invalid_arg
-              "Executor: ORDER BY column of a grouped query must appear in its \
-               select list"
-          | (Semant.E_col c', _) :: _
-            when c'.Semant.tab = c.Semant.tab && c'.Semant.col = c.Semant.col ->
-            i
-          | _ :: rest -> find (i + 1) rest
-        in
-        find 0 block.Semant.select
-      in
-      let keys = List.map (fun (c, d) -> (pos_of c, d)) obs in
-      List.stable_sort (Eval.compile_cmp_pos keys) rows
-  end
-  else Exec_agg.project_stream env layout block (open_cur ())
-
-and eval_subquery st (parent : Optimizer.result) (env : Eval.env) block =
-  st.counters.subquery_calls <- st.counters.subquery_calls + 1;
-  let sub =
-    match
-      List.find_opt (fun (b, _) -> b == block) parent.Optimizer.subresults
-    with
-    | Some (_, sub) -> sub
-    | None -> invalid_arg "Executor: subquery block has no plan"
-  in
-  let refs = escaped_refs block in
-  let key = ref_values env refs in
-  let tbl = cache_for st block in
-  match Hashtbl.find_opt tbl key with
-  | Some vs -> vs
-  | None ->
-    st.counters.subquery_evals <- st.counters.subquery_evals + 1;
-    let rows = run_block st sub env.Eval.blocks in
-    let vs = List.map (fun row -> Rel.Tuple.get row 0) rows in
-    Hashtbl.replace tbl key vs;
-    vs
+  let open_cur = Cursor.compile ~env ?snap:st.snap st.catalog block r.Optimizer.plan in
+  let rows = Exec_agg.compile env (Cursor.layout_of block r.Optimizer.plan) block in
+  fun () -> rows (open_cur ())
 
 let run ?snap ?(params = [||]) catalog (r : Optimizer.result) =
   let st = make_state ?snap ~params catalog in
-  let rows = run_block st r [] in
+  let rows = compile_block st r (block_env st r []) () in
   let columns = List.map snd r.Optimizer.block.Semant.select in
   { columns; rows }
 
@@ -170,5 +130,12 @@ let run_measured ?snap ?params catalog r =
 
 let victims ?snap ?(params = [||]) catalog (r : Optimizer.result) =
   let st = make_state ?snap ~params catalog in
-  Cursor.drain
-    (Cursor.open_tids r.Optimizer.block (block_env st r []) ?snap r.Optimizer.plan)
+  let tid = ref { Rss.Tid.page = -1; slot = -1 } in
+  let cur =
+    Cursor.compile ~env:(block_env st r []) ?snap ~tid catalog r.Optimizer.block
+      r.Optimizer.plan ()
+  in
+  let rec go acc =
+    match cur () with None -> List.rev acc | Some t -> go ((!tid, t) :: acc)
+  in
+  go []

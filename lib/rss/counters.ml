@@ -16,6 +16,7 @@ type t = {
   mutable subquery_calls : int;
   mutable subquery_evals : int;
   mutable statements_parsed : int;
+  mutable nodes_compiled : int;
 }
 
 let create () =
@@ -35,7 +36,8 @@ let create () =
     wal_flushes = 0;
     subquery_calls = 0;
     subquery_evals = 0;
-    statements_parsed = 0 }
+    statements_parsed = 0;
+    nodes_compiled = 0 }
 
 let reset t =
   t.page_fetches <- 0;
@@ -54,7 +56,8 @@ let reset t =
   t.wal_flushes <- 0;
   t.subquery_calls <- 0;
   t.subquery_evals <- 0;
-  t.statements_parsed <- 0
+  t.statements_parsed <- 0;
+  t.nodes_compiled <- 0
 
 let snapshot t =
   { page_fetches = t.page_fetches;
@@ -73,7 +76,8 @@ let snapshot t =
     wal_flushes = t.wal_flushes;
     subquery_calls = t.subquery_calls;
     subquery_evals = t.subquery_evals;
-    statements_parsed = t.statements_parsed }
+    statements_parsed = t.statements_parsed;
+    nodes_compiled = t.nodes_compiled }
 
 let restore t ~from =
   t.page_fetches <- from.page_fetches;
@@ -92,7 +96,8 @@ let restore t ~from =
   t.wal_flushes <- from.wal_flushes;
   t.subquery_calls <- from.subquery_calls;
   t.subquery_evals <- from.subquery_evals;
-  t.statements_parsed <- from.statements_parsed
+  t.statements_parsed <- from.statements_parsed;
+  t.nodes_compiled <- from.nodes_compiled
 
 let add t ~into =
   into.page_fetches <- into.page_fetches + t.page_fetches;
@@ -112,7 +117,8 @@ let add t ~into =
   into.wal_flushes <- into.wal_flushes + t.wal_flushes;
   into.subquery_calls <- into.subquery_calls + t.subquery_calls;
   into.subquery_evals <- into.subquery_evals + t.subquery_evals;
-  into.statements_parsed <- into.statements_parsed + t.statements_parsed
+  into.statements_parsed <- into.statements_parsed + t.statements_parsed;
+  into.nodes_compiled <- into.nodes_compiled + t.nodes_compiled
 
 let diff ~after ~before =
   { page_fetches = after.page_fetches - before.page_fetches;
@@ -133,7 +139,8 @@ let diff ~after ~before =
     wal_flushes = after.wal_flushes - before.wal_flushes;
     subquery_calls = after.subquery_calls - before.subquery_calls;
     subquery_evals = after.subquery_evals - before.subquery_evals;
-    statements_parsed = after.statements_parsed - before.statements_parsed }
+    statements_parsed = after.statements_parsed - before.statements_parsed;
+    nodes_compiled = after.nodes_compiled - before.nodes_compiled }
 
 let cost ~w t =
   float_of_int (t.page_fetches + t.pages_written) +. (w *. float_of_int t.rsi_calls)

@@ -51,6 +51,9 @@ type t = {
   mutable statements_parsed : int;
       (** statements a session ran through the parser: a Simple statement
           parses one, an Execute of a prepared statement none *)
+  mutable nodes_compiled : int;
+      (** plan nodes compiled into cursors: once per node per execution,
+          whatever the number of times a nested-loop inner is opened *)
 }
 
 val create : unit -> t
@@ -75,5 +78,5 @@ val cost : w:float -> t -> float
     applied to measured counts. *)
 
 val pp : Format.formatter -> t -> unit
-(** The I/O, plan-cache, feedback and commit counters; the subquery and
-    parse counts are not printed. *)
+(** The I/O, plan-cache, feedback and commit counters; the subquery, parse
+    and compile counts are not printed. *)

@@ -53,7 +53,6 @@ let disarm () =
   mode := Off;
   refresh ()
 
-let enabled () = !live
 let halted () = !halted_flag
 
 let crash site =

@@ -30,9 +30,6 @@ val hit : string -> unit
     {!halted}; otherwise counts the hit and raises {!Crash} when the armed
     trigger fires. *)
 
-val enabled : unit -> bool
-(** Whether hits are currently being counted (any mode but off/halted). *)
-
 val halted : unit -> bool
 (** A {!Crash} has fired since the last {!reset}: the simulated machine is
     dead. Durable media (the WAL) must refuse writes while halted. *)

@@ -89,17 +89,19 @@ let page_ids t = List.rev t.pages
 (* One walk over every slot: NCARD counts the live (not delete-marked)
    versions of [rel_id] and TCARD the pages holding one; a page is
    non-empty, as a segment scan judges it, while any version is on it. *)
-let census t ~rel_id =
+let census ?(live = ignore) t ~rel_id =
   List.fold_left
     (fun (ncard, tcard, nonempty) pid ->
       let p = Pager.data_page t.pager pid in
-      let live = ref 0 in
+      let n = ref 0 in
       for i = 0 to Page.slots p - 1 do
         match Page.slot p i with
-        | Page.Live { rel_id = rid; xmax = 0; _ } when rid = rel_id -> incr live
+        | Page.Live { rel_id = rid; xmax = 0; tuple; _ } when rid = rel_id ->
+          incr n;
+          live tuple
         | Page.Live _ | Page.Dead -> ()
       done;
-      ( ncard + !live,
-        (if !live > 0 then tcard + 1 else tcard),
+      ( ncard + !n,
+        (if !n > 0 then tcard + 1 else tcard),
         if Page.is_empty p then nonempty else nonempty + 1 ))
     (0, 0, 0) t.pages

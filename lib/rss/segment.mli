@@ -45,9 +45,11 @@ val slot : t -> Tid.t -> Page.slot
 val page_ids : t -> int list
 (** All pages of the segment, in allocation order. *)
 
-val census : t -> rel_id:int -> int * int * int
+val census :
+  ?live:(Rel.Tuple.t -> unit) -> t -> rel_id:int -> int * int * int
 (** [(ncard, tcard, nonempty)] from one walk of the segment, as UPDATE
     STATISTICS reads them: NCARD(T), the versions of [rel_id] that are not
     delete-marked; TCARD(T), the pages holding at least one of them; and the
     pages holding any version at all (delete-marked included), the
-    denominator of P(T) and what a segment scan touches. *)
+    denominator of P(T) and what a segment scan touches. [live] is called on
+    each of the NCARD tuples, in heap order, in place and unaccounted. *)

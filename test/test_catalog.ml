@@ -152,6 +152,49 @@ let test_shared_segment_p () =
   Alcotest.(check bool) "P < 1 on shared segment" true (p1 < 1.0 && p2 < 1.0);
   Alcotest.(check (float 0.01)) "P sums to 1 (homogeneous pages)" 1.0 (p1 +. p2)
 
+(* UPDATE STATISTICS on a First_fit segment shared by two relations, with
+   delete-marked versions: A and B are inserted alternately (36-byte
+   records, 113 to a page, so pages 0 and 1 are full and page 2 holds the
+   last 74), then every A version on page 0 and every A row whose number is
+   a multiple of 3 is delete-marked. A keeps rows 58..149 not divisible by
+   3 (62), all on pages 1 and 2; B keeps all 150, on every page. *)
+let test_statistics_shared_first_fit () =
+  let cat = Catalog.create () in
+  let seg = Rss.Segment.create ~policy:Rss.Segment.First_fit (Catalog.pager cat) in
+  let a = Catalog.create_relation ~segment:seg cat ~name:"A" ~schema:emp_schema in
+  let b = Catalog.create_relation ~segment:seg cat ~name:"B" ~schema:emp_schema in
+  let row i = T.make [ V.Str (Printf.sprintf "E%04d" i); V.Int (i mod 10); V.Int (10000 + i) ] in
+  for i = 0 to 149 do
+    let tid = Catalog.insert_tuple cat a (row i) in
+    if tid.Rss.Tid.page = 0 || i mod 3 = 0 then Catalog.mark_delete a tid 7;
+    ignore (Catalog.insert_tuple cat b (row i))
+  done;
+  Catalog.update_statistics cat;
+  let check_rel name rel ~ncard ~tcard ~p cols =
+    let s = Option.get rel.Catalog.rstats in
+    Alcotest.(check int) (name ^ " NCARD") ncard s.Stats.ncard;
+    Alcotest.(check int) (name ^ " TCARD") tcard s.Stats.tcard;
+    Alcotest.(check (float 1e-9)) (name ^ " P") p s.Stats.p;
+    List.iteri
+      (fun c (distinct, buckets, lo, hi) ->
+        let h = rel.Catalog.cstats.(c).Stats.hist in
+        let what = Printf.sprintf "%s column %d " name c in
+        Alcotest.(check int) (what ^ "rows") ncard (Histogram.rows h);
+        Alcotest.(check int) (what ^ "nulls") 0 h.Histogram.nulls;
+        Alcotest.(check int) (what ^ "distinct") distinct (Histogram.distinct h);
+        Alcotest.(check int) (what ^ "buckets") buckets (Array.length h.Histogram.buckets);
+        Alcotest.(check bool) (what ^ "low") true (V.equal lo h.Histogram.buckets.(0).Histogram.b_lo);
+        Alcotest.(check bool) (what ^ "high") true
+          (V.equal hi h.Histogram.buckets.(buckets - 1).Histogram.b_hi))
+      cols
+  in
+  check_rel "A" a ~ncard:62 ~tcard:2 ~p:(2. /. 3.)
+    [ (62, 31, V.Str "E0058", V.Str "E0149"); (10, 10, V.Int 0, V.Int 9);
+      (62, 31, V.Int 10058, V.Int 10149) ];
+  check_rel "B" b ~ncard:150 ~tcard:3 ~p:1.
+    [ (150, 30, V.Str "E0000", V.Str "E0149"); (10, 10, V.Int 0, V.Int 9);
+      (150, 30, V.Int 10000, V.Int 10149) ]
+
 let test_multi_column_index () =
   let cat, emp = setup () in
   load cat emp 100;
@@ -179,4 +222,6 @@ let () =
         [ Alcotest.test_case "update statistics" `Quick test_update_statistics;
           Alcotest.test_case "cluster ratio" `Quick test_cluster_ratio;
           Alcotest.test_case "shared segment P" `Quick test_shared_segment_p;
+          Alcotest.test_case "statistics on a shared First_fit segment" `Quick
+            test_statistics_shared_first_fit;
           Alcotest.test_case "multi-column index" `Quick test_multi_column_index ] ) ]

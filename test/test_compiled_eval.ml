@@ -70,11 +70,11 @@ let inline_params sql params =
     sql;
   Buffer.contents b
 
-(* Run [sql] with [params] and compare against the oracle on the literal
-   form of the statement: same rows as a multiset, and sorted on the ORDER
-   BY keys. *)
-let check_oracle ?(params = [||]) db sql =
-  let r = Database.optimize db sql in
+(* Run [sql] with [params] (under the optimizer's plan, or [r]) and compare
+   against the oracle on the literal form of the statement: same rows as a
+   multiset, and sorted on the ORDER BY keys. *)
+let check_oracle ?(params = [||]) ?r db sql =
+  let r = match r with Some r -> r | None -> Database.optimize db sql in
   let cat = Database.catalog db in
   let got = (Executor.run ~params cat r).Executor.rows in
   let block = Database.resolve db (inline_params sql params) in
@@ -178,6 +178,23 @@ let test_params () =
       (* a parameter inside an arithmetic residual, not a SARG or key bound *)
       ("SELECT A, B FROM P WHERE A > ? AND C * ? > B", [| V.Int 1; V.Int 3 |]) ]
 
+(* Plan nodes of [r]'s plan and of each distinct nested block's plans. *)
+let rec all_nodes (r : Optimizer.result) =
+  let rec nodes (p : Plan.t) =
+    1
+    + (match p.Plan.node with
+       | Plan.Scan _ -> 0
+       | Plan.Nl_join { outer; inner } | Plan.Merge_join { outer; inner; _ } ->
+         nodes outer + nodes inner
+       | Plan.Sort { input; _ } | Plan.Filter { input; _ } -> nodes input)
+  in
+  let distinct =
+    List.fold_left
+      (fun acc (b, sub) -> if List.mem_assq b acc then acc else (b, sub) :: acc)
+      [] r.Optimizer.subresults
+  in
+  List.fold_left (fun n (_, sub) -> n + all_nodes sub) (nodes r.Optimizer.plan) distinct
+
 (* Subquery caching must not change results: the correlated block below is
    called once per P row but, with only ten distinct P.A values, executed far
    fewer times — and the cached answer must still equal the oracle, which
@@ -191,7 +208,79 @@ let test_subquery_cache () =
   Alcotest.(check int) "called per candidate" 200 counts.Rss.Counters.subquery_calls;
   Alcotest.(check int) "evaluated per distinct P.A" 10
     counts.Rss.Counters.subquery_evals;
+  check_oracle db sql;
+  (* CNF copies the subquery into two factors, (A IN sub OR B = 1) AND
+     (A IN sub OR C = 2), and the optimizer plans it once per copy: it is
+     still compiled once and evaluated once per execution *)
+  let sql = "SELECT A FROM P WHERE A IN (SELECT A FROM Q WHERE D < 30) OR (B = 1 AND C = 2)" in
+  let r = Database.optimize db sql in
+  Alcotest.(check int) "one subresult per copy" 2 (List.length r.Optimizer.subresults);
+  let _, counts = Executor.run_measured (Database.catalog db) r in
+  Alcotest.(check int) "called per factor and candidate" 400 counts.Rss.Counters.subquery_calls;
+  Alcotest.(check int) "evaluated once" 1 counts.Rss.Counters.subquery_evals;
+  Alcotest.(check int) "compiled once" (all_nodes r) counts.Rss.Counters.nodes_compiled;
   check_oracle db sql
+
+(* A plan is compiled once per execution: the number of plan nodes compiled
+   is the number of nodes in the plan and its nested blocks' plans, whether
+   the nested-loop outer yields no tuple, a few or nearly all of P's 200 —
+   the inner is compiled once and only re-opened per outer tuple. The
+   optimizer picks merge joins on this fixture and always evaluates
+   subquery factors in a top Filter, so the NL plans are built by hand from
+   its access paths: (1) an index inner on Q_A whose key bound is the outer
+   P.A and whose SARG P.C = Q.D takes its value from the outer tuple; (2) a
+   segment-scan inner whose residual holds a correlated subquery, tested on
+   the concatenated pair. *)
+let test_inner_compiled_once () =
+  let db = setup () in
+  let is_seg (p : Plan.t) =
+    match p.Plan.node with Plan.Scan { access = Plan.Seg_scan; _ } -> true | _ -> false
+  in
+  let run sql ~inner =
+    let r = Database.optimize db sql in
+    let factors = Normalize.factors_of_block r.Optimizer.block in
+    let plain = List.filter (fun f -> not f.Normalize.has_subquery) factors in
+    let paths tab outer =
+      Access_path.paths (Database.ctx db) r.Optimizer.block ~factors:plain ~tab ~outer
+    in
+    let outer = List.find is_seg (paths 0 []) in
+    let inner = inner factors (paths 1 [ 0 ]) in
+    let plan =
+      { outer with Plan.node = Plan.Nl_join { outer; inner }; tables = [ 0; 1 ] }
+    in
+    let r = { r with Optimizer.plan } in
+    List.iter
+      (fun bound ->
+        let params = [| V.Int bound |] in
+        let _, c = Executor.run_measured ~params (Database.catalog db) r in
+        Alcotest.(check int)
+          (Printf.sprintf "%s, P.B < %d: compiled once" sql bound)
+          (all_nodes r) c.Rss.Counters.nodes_compiled;
+        check_oracle ~params ~r db sql)
+      [ 0; 1; 6; 12 ]
+  in
+  run "SELECT P.A, P.C, Q.D FROM P, Q WHERE P.A = Q.A AND P.C = Q.D AND P.B < ?"
+    ~inner:(fun _ paths ->
+      List.find
+        (fun (p : Plan.t) ->
+          match p.Plan.node with
+          | Plan.Scan
+              { access = Plan.Idx_scan { index; lo = Some { values; _ }; _ }; sargs; _ } ->
+            index.Catalog.idx_name = "Q_A"
+            && List.mem (Plan.Bv_outer { Semant.tab = 0; col = 0 }) values
+            && sargs <> []
+          | _ -> false)
+        paths);
+  run
+    "SELECT P.A, Q.D FROM P, Q WHERE P.A = Q.A AND P.B < ? AND Q.D IN (SELECT E - 100 \
+     FROM R3 WHERE R3.C = P.C)"
+    ~inner:(fun factors paths ->
+      let sub = List.find (fun f -> f.Normalize.has_subquery) factors in
+      let p = List.find is_seg paths in
+      match p.Plan.node with
+      | Plan.Scan s ->
+        { p with Plan.node = Plan.Scan { s with residual = sub.Normalize.pred :: s.residual } }
+      | _ -> assert false)
 
 let () =
   Alcotest.run "compiled_eval"
@@ -205,4 +294,6 @@ let () =
             (test_corpus corpus_nested);
           Alcotest.test_case "parameters" `Quick test_params;
           Alcotest.test_case "subquery cache invariance" `Quick
-            test_subquery_cache ] ) ]
+            test_subquery_cache;
+          Alcotest.test_case "NL inner compiled once per execution" `Quick
+            test_inner_compiled_once ] ) ]

@@ -18,9 +18,9 @@ let setup () =
 let block cat sql = S.resolve cat (Parser.parse_query sql)
 
 let env ?(params = [||]) () =
-  { Eval.blocks = [];
+  { Eval.outer = [];
     params;
-    subquery = (fun _ _ -> Alcotest.fail "no subqueries here") }
+    subquery = (fun _ -> Alcotest.fail "no subqueries here") }
 
 (* --- Layout -------------------------------------------------------------- *)
 
@@ -85,6 +85,7 @@ let test_compile_sarg_static () =
   let p = where cat "SELECT X FROM A WHERE X BETWEEN 2 AND 8" in
   (match Eval.compile_sarg (env ()) None ~tab:0 p with
    | Some sarg ->
+     let sarg = sarg [||] in
      Alcotest.(check bool) "between as conjunct" true
        (Rss.Sarg.compile sarg (T.make [ V.Int 5; V.Null ])
         && not (Rss.Sarg.compile sarg (T.make [ V.Int 9; V.Null ])))
@@ -101,9 +102,10 @@ let test_compile_sarg_join_context () =
   (* compiling for A (tab 0) with B's current tuple as join context turns the
      join predicate into X = <value of B.P> *)
   let jlayout = Layout.of_tables b [ 1 ] in
-  let jframe = { Eval.layout = jlayout; tuple = T.make [ V.Int 42; V.Int 0; V.Int 0 ] } in
-  (match Eval.compile_sarg (env ()) (Some jframe) ~tab:0 p with
+  let jtuple = T.make [ V.Int 42; V.Int 0; V.Int 0 ] in
+  (match Eval.compile_sarg (env ()) (Some jlayout) ~tab:0 p with
    | Some sarg ->
+     let sarg = sarg jtuple in
      Alcotest.(check bool) "dynamic value bound" true
        (Rss.Sarg.compile sarg (T.make [ V.Int 42; V.Null ])
         && not (Rss.Sarg.compile sarg (T.make [ V.Int 41; V.Null ])))
@@ -117,6 +119,7 @@ let test_compile_sarg_params () =
   let p = where cat "SELECT X FROM A WHERE X = ?" in
   (match Eval.compile_sarg (env ~params:[| V.Int 9 |] ()) None ~tab:0 p with
    | Some sarg ->
+     let sarg = sarg [||] in
      Alcotest.(check bool) "param bound" true
        (Rss.Sarg.compile sarg (T.make [ V.Int 9; V.Null ]))
    | None -> Alcotest.fail "param predicate should compile");
@@ -128,17 +131,17 @@ let test_bound_key () =
   let cat = setup () in
   let b = block cat "SELECT X FROM A, B" in
   let jlayout = Layout.of_tables b [ 1 ] in
-  let jframe = { Eval.layout = jlayout; tuple = T.make [ V.Int 7; V.Int 8; V.Int 9 ] } in
+  let jtuple = T.make [ V.Int 7; V.Int 8; V.Int 9 ] in
   let kb =
     { Plan.values = [ Plan.Bv_const (V.Int 1); Plan.Bv_outer { S.tab = 1; col = 2 };
                       Plan.Bv_param 0 ];
       inclusive = false }
   in
-  let key, kind = Eval.bound_key (env ~params:[| V.Int 5 |] ()) (Some jframe) kb in
+  let key, kind = Eval.bound_key (env ~params:[| V.Int 5 |] ()) (Some jlayout) kb jtuple in
   Alcotest.(check bool) "values resolved" true
     (key = [| V.Int 1; V.Int 9; V.Int 5 |]);
   Alcotest.(check bool) "exclusive" true (kind = `Exclusive);
-  (match Eval.bound_key (env ()) None kb with
+  (match Eval.bound_key (env ()) None kb jtuple with
    | _ -> Alcotest.fail "outer bound without context accepted"
    | exception Invalid_argument _ -> ())
 

@@ -11,19 +11,13 @@ module V = Rel.Value
 
 let w = Ctx.default_w
 
-let dummy_env =
-  { Eval.blocks = [];
-    params = [||];
-    subquery = (fun _ _ -> invalid_arg "no subqueries in this test") }
-
 let measure db block (plan : Plan.t) =
   let cat = Database.catalog db in
   let pager = Catalog.pager cat in
   Rss.Pager.evict_all pager;
   let counters = Rss.Pager.counters pager in
   let before = Rss.Counters.snapshot counters in
-  let cur = Cursor.open_plan cat block dummy_env ~join:None plan in
-  let n = List.length (Cursor.drain cur) in
+  let n = List.length (Cursor.drain (Cursor.compile cat block plan ())) in
   let d = Rss.Counters.diff ~after:(Rss.Counters.snapshot counters) ~before in
   (Rss.Counters.cost ~w d, n)
 
