@@ -3,8 +3,9 @@
    keeps SARG evaluation inside the RSS because it is cheap per tuple; this
    bench reports what a version actually costs: nanoseconds per examined
    version of a segment scan (without a snapshot, under an MVCC snapshot,
-   and with a SARG), microseconds per random index probe, and the exact RSI
-   and page counters each run charges. Data only: nothing is gated. *)
+   and with a SARG), microseconds per random index probe, the minor-heap
+   words allocated per returned tuple and per probe, and the exact RSI and
+   page counters each run charges. Data only: nothing is gated. *)
 
 module V = Rel.Value
 
@@ -44,8 +45,9 @@ let median xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* Median wall time of [trials] runs of [f], and the counters one cold run
-   (buffer pool emptied) charges. *)
+(* Median wall time of [trials] runs of [f], the counters one cold run
+   (buffer pool emptied) charges, and the minor-heap words one warm run
+   (right after the timed runs) allocates. *)
 let measure pager f =
   let c = Rss.Pager.counters pager in
   Rss.Pager.evict_all pager;
@@ -58,7 +60,10 @@ let measure pager f =
     f ();
     Unix.gettimeofday () -. t0
   in
-  (median (List.init trials (fun _ -> time ())), d)
+  let dt = median (List.init trials (fun _ -> time ())) in
+  let w0 = Gc.minor_words () in
+  f ();
+  (dt, d, Gc.minor_words () -. w0)
 
 let run () =
   Bench_util.section "SCAN: RSS per-version cost (segment scan, index probe)";
@@ -66,11 +71,11 @@ let run () =
   let snap () = Some (Rss.Mvcc.view mvcc (Rss.Mvcc.statement_snapshot mvcc)) in
   let examined = rows in
   let seg_case name ~snap ~sargs =
-    let dt, d =
+    let dt, d, words =
       measure pager (fun () ->
           drain (Rss.Scan.open_segment_scan seg ~rel_id:1 ?snap:(snap ()) ~sargs ()))
     in
-    (name, dt *. 1e9 /. float_of_int examined, "ns/version", d)
+    (name, dt *. 1e9 /. float_of_int examined, "ns/version", d, words, None)
   in
   let seg_cases =
     [ seg_case "segment scan, no snapshot" ~snap:(fun () -> None)
@@ -84,7 +89,7 @@ let run () =
     List.init probes (fun _ -> Random.State.int st rows)
   in
   let probe_case =
-    let dt, d =
+    let dt, d, words =
       measure pager (fun () ->
           List.iter
             (fun k ->
@@ -97,7 +102,9 @@ let run () =
     ( Printf.sprintf "index probe x%d, snapshot" probes,
       dt *. 1e6 /. float_of_int probes,
       "us/probe",
-      d )
+      d,
+      words,
+      Some (words /. float_of_int probes) )
   in
   let cases = seg_cases @ [ probe_case ] in
   Printf.printf "%d versions on %d pages, %d trials (median), %d cores\n" rows
@@ -105,12 +112,17 @@ let run () =
      nonempty)
     trials
     (Domain.recommended_domain_count ());
+  let per_tuple words (d : Rss.Counters.t) = words /. float_of_int (max 1 d.rsi_calls) in
   Bench_util.print_table
-    ~header:[ "case"; "time"; "unit"; "rsi_calls"; "page_fetches"; "buffer_hits" ]
+    ~header:
+      [ "case"; "time"; "unit"; "words/tuple"; "words/probe"; "rsi_calls"; "page_fetches";
+        "buffer_hits" ]
     (List.map
-       (fun (name, v, unit, (d : Rss.Counters.t)) ->
-         [ name; Bench_util.f2 v; unit; string_of_int d.rsi_calls;
-           string_of_int d.page_fetches; string_of_int d.buffer_hits ])
+       (fun (name, v, unit, (d : Rss.Counters.t), words, per_probe) ->
+         [ name; Bench_util.f2 v; unit; Bench_util.f2 (per_tuple words d);
+           Option.fold ~none:"-" ~some:Bench_util.f2 per_probe;
+           string_of_int d.rsi_calls; string_of_int d.page_fetches;
+           string_of_int d.buffer_hits ])
        cases);
   Bench_util.write_json ~file:"BENCH_scan.json"
     (Bench_util.J_obj
@@ -120,12 +132,16 @@ let run () =
          ( "cases",
            Bench_util.J_list
              (List.map
-                (fun (name, v, unit, (d : Rss.Counters.t)) ->
+                (fun (name, v, unit, (d : Rss.Counters.t), words, per_probe) ->
                   Bench_util.J_obj
-                    [ ("case", Bench_util.J_str name);
-                      ("value", Bench_util.J_float v);
-                      ("unit", Bench_util.J_str unit);
-                      ("rsi_calls", Bench_util.J_int d.rsi_calls);
+                    ([ ("case", Bench_util.J_str name);
+                       ("value", Bench_util.J_float v);
+                       ("unit", Bench_util.J_str unit);
+                       ("words_per_tuple", Bench_util.J_float (per_tuple words d)) ]
+                    @ Option.fold ~none:[]
+                        ~some:(fun w -> [ ("words_per_probe", Bench_util.J_float w) ])
+                        per_probe
+                    @ [ ("rsi_calls", Bench_util.J_int d.rsi_calls);
                       ("page_fetches", Bench_util.J_int d.page_fetches);
-                      ("buffer_hits", Bench_util.J_int d.buffer_hits) ])
+                        ("buffer_hits", Bench_util.J_int d.buffer_hits) ]))
                 cases) ) ])

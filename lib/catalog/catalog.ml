@@ -92,7 +92,7 @@ let iter_versions rel f =
       for slot = 0 to Rss.Page.slots p - 1 do
         match Rss.Page.slot p slot with
         | Rss.Page.Live { rel_id; tuple; xmin; xmax; _ } when rel_id = rel.rel_id ->
-          f { Rss.Tid.page = pid; slot } tuple xmin xmax
+          f (Rss.Tid.make ~page:pid ~slot) tuple xmin xmax
         | Rss.Page.Live _ | Rss.Page.Dead -> ()
       done)
     (Rss.Segment.page_ids rel.segment)
@@ -227,7 +227,7 @@ let measure_cluster_ratio idx =
       List.fold_left
         (fun (same, total, prev) (_, tid) ->
           let same =
-            if (snd prev).Rss.Tid.page = tid.Rss.Tid.page then same + 1 else same
+            if Rss.Tid.page (snd prev) = Rss.Tid.page tid then same + 1 else same
           in
           (same, total + 1, (fst prev, tid)))
         (0, 0, first) rest

@@ -216,7 +216,7 @@ let parse_stmt s sql = parse_counted s ~count:(fun _ -> 1) Parser.parse_statemen
 let describe_resource (rel : Catalog.relation) = function
   | Rss.Lock_table.Relation _ -> Printf.sprintf "relation %s" rel.Catalog.rel_name
   | Rss.Lock_table.Tuple_of (_, tid) ->
-    Printf.sprintf "tuple %d.%d of %s" tid.Rss.Tid.page tid.Rss.Tid.slot
+    Printf.sprintf "tuple %d.%d of %s" (Rss.Tid.page tid) (Rss.Tid.slot tid)
       rel.Catalog.rel_name
 
 (* Acquire [mode] on [resource] of [rel] for [txn_id], waiting (in shared
@@ -511,7 +511,7 @@ let dml_delete_where s txn (rel : Catalog.relation) where =
          err
            "could not serialize: tuple %d.%d of %s was deleted by a \
             concurrent transaction"
-           tid.Rss.Tid.page tid.Rss.Tid.slot rel.Catalog.rel_name);
+           (Rss.Tid.page tid) (Rss.Tid.slot tid) rel.Catalog.rel_name);
       Catalog.mark_delete rel tid txn.txn_id;
       Rss.Wal.append s.eng.Engine.wal
         (Rss.Wal.Delete { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
@@ -914,19 +914,19 @@ let check_integrity s =
               | Rss.Page.Dead ->
                 Some
                   (Printf.sprintf "index %s: entry for dead TID %d.%d"
-                     idx.Catalog.idx_name tid.Rss.Tid.page tid.Rss.Tid.slot)
+                     idx.Catalog.idx_name (Rss.Tid.page tid) (Rss.Tid.slot tid))
               | Rss.Page.Live { rel_id = rid; tuple; _ } ->
                 if rid <> rel.Catalog.rel_id then
                   Some
                     (Printf.sprintf "index %s: TID %d.%d holds relation %d, not %d"
-                       idx.Catalog.idx_name tid.Rss.Tid.page tid.Rss.Tid.slot rid
+                       idx.Catalog.idx_name (Rss.Tid.page tid) (Rss.Tid.slot tid) rid
                        rel.Catalog.rel_id)
                 else if
                   Rss.Btree.compare_key (Catalog.key_of idx tuple) key <> 0
                 then
                   Some
                     (Printf.sprintf "index %s: key mismatch at TID %d.%d"
-                       idx.Catalog.idx_name tid.Rss.Tid.page tid.Rss.Tid.slot)
+                       idx.Catalog.idx_name (Rss.Tid.page tid) (Rss.Tid.slot tid))
                 else None)
             entries
         in

@@ -36,12 +36,19 @@ let log view rels =
   add (Rss.Wal.Begin checkpoint);
   List.iteri
     (fun pos (r : Catalog.relation) ->
-      List.iter
-        (fun (tid, tuple) ->
-          add (Rss.Wal.Insert { txn = checkpoint; rel_id = pos; tid; tuple }))
-        (Rss.Scan.to_list
-           (Rss.Scan.open_segment_scan r.Catalog.segment
-              ~rel_id:r.Catalog.rel_id ~snap:view ())))
+      let tid = ref (Rss.Tid.make ~page:0 ~slot:0) in
+      let next =
+        Rss.Scan.open_segment_scan r.Catalog.segment ~rel_id:r.Catalog.rel_id
+          ~snap:view ~tid ()
+      in
+      let rec go () =
+        match next () with
+        | None -> ()
+        | Some tuple ->
+          add (Rss.Wal.Insert { txn = checkpoint; rel_id = pos; tid = !tid; tuple });
+          go ()
+      in
+      go ())
     rels;
   add (Rss.Wal.Commit checkpoint);
   Buffer.contents b

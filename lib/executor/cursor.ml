@@ -40,7 +40,8 @@ let compile_scan block env ~snap ~tid ~join ~tab ~access ~sargs ~residual =
     match access with
     | Plan.Seg_scan ->
       fun jt ->
-        Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap ~sargs:(sargs jt) ()
+        Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap ~sargs:(sargs jt)
+          ?tid ()
     | Plan.Idx_scan { index; lo; hi; dir; _ } ->
       let lo = Option.map (Eval.bound_key env join) lo in
       let hi = Option.map (Eval.bound_key env join) hi in
@@ -49,7 +50,7 @@ let compile_scan block env ~snap ~tid ~join ~tab ~access ~sargs ~residual =
         Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
           ?lo:(Option.map (fun b -> b jt) lo)
           ?hi:(Option.map (fun b -> b jt) hi)
-          ~dir ?snap ~sargs:(sargs jt) ()
+          ~dir ?snap ~sargs:(sargs jt) ?tid ()
   in
   let residual = residual @ List.rev fallback in
   let self_layout = Layout.of_tables block [ tab ] in
@@ -72,13 +73,13 @@ let compile_scan block env ~snap ~tid ~join ~tab ~access ~sargs ~residual =
       let rec pull () =
         match scan () with
         | None -> None
-        | Some (_tid, tuple) ->
+        | Some tuple as hit ->
           if
             keep_pair outer_tuple tuple
             && (match keep_sub with
                 | None -> true
                 | Some k -> k (Rel.Tuple.concat outer_tuple tuple))
-          then Some tuple
+          then hit
           else pull ()
       in
       pull
@@ -89,12 +90,7 @@ let compile_scan block env ~snap ~tid ~join ~tab ~access ~sargs ~residual =
       let rec pull () =
         match scan () with
         | None -> None
-        | Some (id, tuple) ->
-          if keep tuple then begin
-            (match tid with Some cell -> cell := id | None -> ());
-            Some tuple
-          end
-          else pull ()
+        | Some tuple as hit -> if keep tuple then hit else pull ()
       in
       pull
 
@@ -268,7 +264,7 @@ let compile ?(env = no_subqueries) ?snap ?tid catalog block plan =
         let rec pull () =
           match input_cur () with
           | None -> None
-          | Some tuple -> if keep tuple then Some tuple else pull ()
+          | Some tuple as hit -> if keep tuple then hit else pull ()
         in
         pull
   in

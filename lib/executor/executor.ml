@@ -65,14 +65,10 @@ let make_state ?snap ~params catalog =
 (* The environment of block [r] below the enclosing blocks' cells [outer].
    Each nested block of its WHERE tree is compiled here, once per
    execution, with its own cell, memo key and memo table; every predicate
-   naming the block gets that one compiled form (CNF may copy a subquery
-   into several factors, and [subresults] then lists it once per copy). *)
+   naming the block gets that one compiled form. *)
 let rec block_env st (r : Optimizer.result) outer =
   let subs =
-    List.fold_left
-      (fun subs (b, sub) ->
-        if List.mem_assq b subs then subs else (b, compile_subquery st sub outer) :: subs)
-      [] r.Optimizer.subresults
+    List.map (fun (b, sub) -> (b, compile_subquery st sub outer)) r.Optimizer.subresults
   in
   { Eval.outer;
     params = st.params;
@@ -130,7 +126,7 @@ let run_measured ?snap ?params catalog r =
 
 let victims ?snap ?(params = [||]) catalog (r : Optimizer.result) =
   let st = make_state ?snap ~params catalog in
-  let tid = ref { Rss.Tid.page = -1; slot = -1 } in
+  let tid = ref (Rss.Tid.make ~page:0 ~slot:0) in
   let cur =
     Cursor.compile ~env:(block_env st r []) ?snap ~tid catalog r.Optimizer.block
       r.Optimizer.plan ()

@@ -28,9 +28,8 @@ let pos block (c : S.col_ref) = List.assoc c.S.tab (offsets block) + c.S.col
 
 let table_rows _cat (tr : S.table_ref) =
   let rel = tr.S.rel in
-  Rss.Scan.to_list
+  Cursor.drain
     (Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id:rel.Catalog.rel_id ())
-  |> List.map snd
 
 let cross_product lists =
   List.fold_left

@@ -182,12 +182,12 @@ let db_multiset db tname =
   | None -> []
   | Some rel ->
     let tuples =
-      Rss.Scan.to_list
+      Cursor.drain
         (Rss.Scan.open_segment_scan rel.Catalog.segment
            ~rel_id:rel.Catalog.rel_id ())
     in
     List.sort String.compare
-      (List.map (fun (_, tup) -> Fuzz_harness.row_key tup) tuples)
+      (List.map Fuzz_harness.row_key tuples)
 
 (* --- divergences --------------------------------------------------------- *)
 

@@ -5,12 +5,15 @@ type result = {
   subresults : (Semant.block * result) list;
 }
 
+(* The nested blocks of [p] not already in [acc], consed on in reverse
+   order: CNF may copy one block into several factors, and each distinct
+   block is planned once. *)
 let rec blocks_of_pred (p : Semant.spred) acc =
   match p with
-  | Semant.P_in_sub { block; _ } -> block :: acc
-  | Semant.P_cmp_sub (_, _, block) -> block :: acc
+  | Semant.P_in_sub { block; _ } | Semant.P_cmp_sub (_, _, block) ->
+    if List.memq block acc then acc else block :: acc
   | Semant.P_and (a, b) | Semant.P_or (a, b) ->
-    blocks_of_pred a (blocks_of_pred b acc)
+    blocks_of_pred b (blocks_of_pred a acc)
   | Semant.P_not a -> blocks_of_pred a acc
   | Semant.P_cmp _ | Semant.P_between _ | Semant.P_in_list _ -> acc
 
@@ -26,9 +29,10 @@ let rec optimize ctx (block : Semant.block) =
     List.partition (fun (f : Normalize.factor) -> f.tables <> []) plain
   in
   let subblocks =
-    List.concat_map
-      (fun (f : Normalize.factor) -> blocks_of_pred f.pred [])
-      sub_factors
+    List.rev
+      (List.fold_left
+         (fun acc (f : Normalize.factor) -> blocks_of_pred f.pred acc)
+         [] sub_factors)
   in
   let subresults = List.map (fun b -> (b, optimize ctx b)) subblocks in
   let env = Interesting_order.build block normal in

@@ -12,7 +12,8 @@ type result = {
   search : Join_enum.stats;
   subresults : (Semant.block * result) list;
       (** plans for the subquery blocks appearing in this block's WHERE tree,
-          keyed by physical identity of the block *)
+          keyed by physical identity of the block: one per distinct block,
+          even when CNF copied it into several factors *)
 }
 
 val optimize : Ctx.t -> Semant.block -> result

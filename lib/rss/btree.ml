@@ -25,14 +25,13 @@ let compare_prefix (bound : key) (k : key) =
   go 0
 
 (* Entries are totally ordered by (key, TID); separators are full entries so
-   duplicate keys route deterministically. TIDs are held packed
-   (Tid.pack), whose int order is Tid.compare's order. *)
-let compare_entry (k1 : key) (t1 : int) (k2 : key) (t2 : int) =
+   duplicate keys route deterministically. *)
+let compare_entry (k1 : key) (t1 : Tid.t) (k2 : key) (t2 : Tid.t) =
   let d = compare_key k1 k2 in
-  if d <> 0 then d else Int.compare t1 t2
+  if d <> 0 then d else Tid.compare t1 t2
 
 (* A leaf holds its [n] entries, in order, in the prefix of two parallel
-   arrays: the keys and the packed TIDs. No per-entry pair or TID record
+   arrays: the keys and the TIDs (immediate ints). No per-entry pair
    exists; a cursor builds one as it yields an entry. The arrays may have
    spare capacity past [n] (never more than [order] slots), so an insert or
    delete shifts entries in place; slots past [n] hold [no_key] and keep
@@ -40,7 +39,7 @@ let compare_entry (k1 : key) (t1 : int) (k2 : key) (t2 : int) =
 type leaf = {
   lpage : int;
   mutable keys : key array;
-  mutable tids : int array;
+  mutable tids : Tid.t array;
   mutable n : int;
   mutable next : leaf option;
   mutable prev : leaf option;
@@ -51,7 +50,7 @@ type internal = {
   (* children.(i) covers entries e with sep (i-1) <= e < sep i, where sep i
      is (sep_keys.(i), sep_tids.(i)) *)
   mutable sep_keys : key array;
-  mutable sep_tids : int array;
+  mutable sep_tids : Tid.t array;
   mutable children : node array;
 }
 
@@ -66,6 +65,7 @@ type t = {
 }
 
 let no_key : key = [||]
+let no_tid = Tid.make ~page:0 ~slot:0
 
 (* Debug hook for the torture harness: an override makes every new tree use
    a tiny order so that a handful of tuples already drives the split paths
@@ -124,13 +124,13 @@ let insert_at arr i x =
 (* A full leaf has [order] slots; below that the capacity doubles. *)
 let grow t (l : leaf) =
   let cap = min t.order (max 4 (2 * l.n)) in
-  let keys = Array.make cap no_key and tids = Array.make cap 0 in
+  let keys = Array.make cap no_key and tids = Array.make cap no_tid in
   Array.blit l.keys 0 keys 0 l.n;
   Array.blit l.tids 0 tids 0 l.n;
   l.keys <- keys;
   l.tids <- tids
 
-type split = (key * int * node) option
+type split = (key * Tid.t * node) option
 
 let insert_leaf t (l : leaf) k tid : split =
   let i = leaf_index l k tid in
@@ -199,7 +199,7 @@ let rec insert_node t node k tid : split =
        end)
 
 let insert t k tid =
-  match insert_node t t.root k (Tid.pack tid) with
+  match insert_node t t.root k tid with
   | None -> ()
   | Some (sep_k, sep_t, right) ->
     let root =
@@ -237,7 +237,7 @@ let rec delete_node node k tid =
     in
     try_from (child_index n k tid)
 
-let delete t k tid = delete_node t.root k (Tid.pack tid)
+let delete t k tid = delete_node t.root k tid
 
 (* Leftmost leaf that may contain entries whose key is >= the bound, charging
    the leaf when [accounted]. [lo_cmp sep_key] compares the bound against a
@@ -339,7 +339,7 @@ let cursor ~accounted ?lo ?hi t =
         else begin
           let tid = Array.unsafe_get l.tids !i in
           incr i;
-          if lo_ok k then Some (k, Tid.unpack tid) else next ()
+          if lo_ok k then Some (k, tid) else next ()
         end
       end
   in
@@ -377,7 +377,7 @@ let range_cursor_desc ?lo ?hi t =
         else begin
           let tid = Array.unsafe_get l.tids !i in
           decr i;
-          if hi_ok k then Some (k, Tid.unpack tid) else next ()
+          if hi_ok k then Some (k, tid) else next ()
         end
       end
   in

@@ -13,9 +13,9 @@
     therefore only be reduced by rebuilding, which UPDATE STATISTICS notes.
 
     A leaf keeps its entries in two parallel arrays edited in place — the
-    keys and the TIDs packed into ints ({!Tid.pack}) — so an entry costs a
-    key slot, an int slot and its key array; no (key, TID) pair or TID
-    record is stored. The split rule (a leaf or node splits when it would
+    keys and the TIDs, which are immediate ints ({!Tid.t}) — so an entry
+    costs a key slot, a TID slot and its key array; no (key, TID) pair is
+    stored, and a cursor allocates none for a TID. The split rule (a leaf or node splits when it would
     exceed [order] entries, at the midpoint) fixes every tree's shape. *)
 
 type key = Rel.Value.t array

@@ -1,4 +1,4 @@
-type t = unit -> (Tid.t * Rel.Tuple.t) option
+type t = unit -> Rel.Tuple.t option
 
 (* [snap] selects which versions qualify: with a read view, MVCC snapshot
    visibility over (xmin, xmax); without one, default visibility (not
@@ -13,8 +13,9 @@ let blank = Page.create ~id:(-1)
    any relation, returning those belonging to the given relation. Pages are
    charged once each; SARG-rejected tuples cost no RSI call. Each page's
    slots are read in place, one slot per step, with the SARG compiled once
-   at open. *)
-let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
+   at open. A NEXT returns the stored tuple itself: the only allocation per
+   returned version is its [Some]. *)
+let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) ?tid () =
   let pager = Segment.pager segment in
   let accept = Sarg.compile sargs in
   let pages = ref (Segment.page_ids segment) in
@@ -31,7 +32,8 @@ let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
       | Page.Live { rel_id = rid; tuple; xmin; xmax; _ }
         when rid = rel_id && qualifies snap ~xmin ~xmax && accept tuple ->
         Pager.note_rsi_call pager;
-        Some ({ Tid.page = Page.id p; slot = i }, tuple)
+        (match tid with Some c -> c := Tid.make ~page:(Page.id p) ~slot:i | None -> ());
+        Some tuple
       | Page.Live _ | Page.Dead -> pull ()
     end
     else
@@ -52,7 +54,7 @@ let open_segment_scan segment ~rel_id ?snap ?(sargs = Sarg.always_true) () =
   pull
 
 let open_index_scan segment ~rel_id ~index ?lo ?hi ?(dir = `Asc) ?snap
-    ?(sargs = Sarg.always_true) () =
+    ?(sargs = Sarg.always_true) ?tid () =
   let pager = Segment.pager segment in
   let accept = Sarg.compile sargs in
   let entries =
@@ -64,16 +66,13 @@ let open_index_scan segment ~rel_id ~index ?lo ?hi ?(dir = `Asc) ?snap
   let rec pull () =
     match entries () with
     | None -> None
-    | Some (_key, tid) ->
-      (match fetch tid with
+    | Some (_key, id) ->
+      (match fetch id with
        | Page.Live { rel_id = rid; tuple; xmin; xmax; _ }
          when rid = rel_id && qualifies snap ~xmin ~xmax && accept tuple ->
          Pager.note_rsi_call pager;
-         Some (tid, tuple)
+         (match tid with Some c -> c := id | None -> ());
+         Some tuple
        | Page.Live _ | Page.Dead -> pull ())
   in
   pull
-
-let to_list next =
-  let rec go acc = match next () with None -> List.rev acc | Some x -> go (x :: acc) in
-  go []

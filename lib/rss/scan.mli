@@ -11,18 +11,21 @@
     tuple counts one RSI call.
 
     OPENing a scan returns its NEXT: each call yields the next qualifying
-    tuple, and every call after the end yields [None]. There is no CLOSE: a
-    scan here pins no page and holds no lock (a page fetch is charged when
-    the scan enters the page), so a consumer that stops early simply drops
-    the function. *)
+    tuple, and every call after the end yields [None]. As in the paper, NEXT
+    returns the tuple; its TID is only its address, written into the [tid]
+    cell when the opener passes one (the DML victim search, snapshots).
+    There is no CLOSE: a scan here pins no page and holds no lock (a page
+    fetch is charged when the scan enters the page), so a consumer that stops
+    early simply drops the function. *)
 
-type t = unit -> (Tid.t * Rel.Tuple.t) option
+type t = unit -> Rel.Tuple.t option
 
 val open_segment_scan :
   Segment.t ->
   rel_id:int ->
   ?snap:Mvcc.view ->
   ?sargs:Sarg.t ->
+  ?tid:Tid.t ref ->
   unit ->
   t
 (** [snap] applies MVCC snapshot visibility;
@@ -38,10 +41,8 @@ val open_index_scan :
   ?dir:[ `Asc | `Desc ] ->
   ?snap:Mvcc.view ->
   ?sargs:Sarg.t ->
+  ?tid:Tid.t ref ->
   unit ->
   t
 (** [dir] (default [`Asc]) selects forward or backward leaf-chain traversal:
     tuples come back in ascending or descending key order. *)
-
-val to_list : t -> (Tid.t * Rel.Tuple.t) list
-(** Drain the scan. *)

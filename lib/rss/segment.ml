@@ -23,7 +23,7 @@ let insert_fresh t ?xmin ~rel_id tuple =
   let p = alloc t in
   Hashtbl.replace t.frontier rel_id (Page.id p);
   match Page.insert p ?xmin ~rel_id tuple with
-  | Some slot -> { Tid.page = Page.id p; slot }
+  | Some slot -> Tid.make ~page:(Page.id p) ~slot
   | None -> assert false (* a fresh page always fits a legal tuple *)
 
 let insert t ?xmin ~rel_id tuple =
@@ -34,7 +34,7 @@ let insert t ?xmin ~rel_id tuple =
      | Some pid ->
        let p = Pager.data_page t.pager pid in
        (match Page.insert p ?xmin ~rel_id tuple with
-        | Some slot -> { Tid.page = pid; slot }
+        | Some slot -> Tid.make ~page:pid ~slot
         | None -> insert_fresh t ?xmin ~rel_id tuple)
      | None -> insert_fresh t ?xmin ~rel_id tuple)
   | First_fit ->
@@ -45,29 +45,29 @@ let insert t ?xmin ~rel_id tuple =
         let p = Pager.data_page t.pager pid in
         if Page.free_space p >= need then
           match Page.insert p ?xmin ~rel_id tuple with
-          | Some slot -> { Tid.page = pid; slot }
+          | Some slot -> Tid.make ~page:pid ~slot
           | None -> find rest
         else find rest
     in
     find (List.rev t.pages)
 
-let delete t (tid : Tid.t) =
+let delete t tid =
   Failpoint.hit "segment.delete";
-  let p = Pager.data_page t.pager tid.page in
-  Page.delete p ~slot:tid.slot
+  let p = Pager.data_page t.pager (Tid.page tid) in
+  Page.delete p ~slot:(Tid.slot tid)
 
 (* MVCC delete: stamp xmax, leaving the version in place for concurrent
    snapshots; [set_xmax tid 0] un-marks it (rollback undo). *)
-let set_xmax t (tid : Tid.t) xid =
+let set_xmax t tid xid =
   Failpoint.hit "segment.delete";
-  let p = Pager.data_page t.pager tid.page in
-  Page.set_xmax p ~slot:tid.slot xid
+  let p = Pager.data_page t.pager (Tid.page tid) in
+  Page.set_xmax p ~slot:(Tid.slot tid) xid
 
-let set_xmin t (tid : Tid.t) xid =
-  let p = Pager.data_page t.pager tid.page in
-  Page.set_xmin p ~slot:tid.slot xid
+let set_xmin t tid xid =
+  let p = Pager.data_page t.pager (Tid.page tid) in
+  Page.set_xmin p ~slot:(Tid.slot tid) xid
 
-let slot t (tid : Tid.t) = Page.slot (Pager.data_page t.pager tid.page) tid.slot
+let slot t tid = Page.slot (Pager.data_page t.pager (Tid.page tid)) (Tid.slot tid)
 
 (* The fetchers' initial cached page: its id (-1) names no page, so the
    first fetch resolves; nothing ever writes it. *)
@@ -79,10 +79,11 @@ let no_page = Page.create ~id:(-1)
    call is still charged one page access. *)
 let fetcher t =
   let last = ref no_page in
-  fun (tid : Tid.t) ->
-    Pager.touch t.pager tid.page;
-    if Page.id !last <> tid.page then last := Pager.data_page t.pager tid.page;
-    Page.slot !last tid.slot
+  fun tid ->
+    let pid = Tid.page tid in
+    Pager.touch t.pager pid;
+    if Page.id !last <> pid then last := Pager.data_page t.pager pid;
+    Page.slot !last (Tid.slot tid)
 
 let page_ids t = List.rev t.pages
 

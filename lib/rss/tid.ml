@@ -1,23 +1,15 @@
-type t = {
-  page : int;
-  slot : int;
-}
-
-let compare a b =
-  let d = Int.compare a.page b.page in
-  if d <> 0 then d else Int.compare a.slot b.slot
-
-let equal a b = compare a b = 0
-
-let pp ppf t = Format.fprintf ppf "%d.%d" t.page t.slot
+type t = int
 
 let slot_bits = 16
+let slot_mask = (1 lsl slot_bits) - 1
 
-let pack t =
-  if t.page < 0 || t.page > max_int lsr slot_bits || t.slot < 0
-     || t.slot >= 1 lsl slot_bits
-  then
-    invalid_arg (Printf.sprintf "Tid.pack: %d.%d out of range" t.page t.slot);
-  (t.page lsl slot_bits) lor t.slot
+let make ~page ~slot =
+  if page < 0 || page > max_int lsr slot_bits || slot < 0 || slot > slot_mask then
+    invalid_arg (Printf.sprintf "Tid.make: %d.%d out of range" page slot);
+  (page lsl slot_bits) lor slot
 
-let unpack p = { page = p lsr slot_bits; slot = p land ((1 lsl slot_bits) - 1) }
+let page t = t lsr slot_bits
+let slot t = t land slot_mask
+let compare = Int.compare
+let equal = Int.equal
+let pp ppf t = Format.fprintf ppf "%d.%d" (page t) (slot t)

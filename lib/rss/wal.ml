@@ -64,8 +64,8 @@ let encode r =
      Buffer.add_char buf (match r with Insert _ -> 'I' | _ -> 'D');
      add_int buf txn;
      add_int buf rel_id;
-     add_int buf tid.Tid.page;
-     add_int buf tid.Tid.slot;
+     add_int buf (Tid.page tid);
+     add_int buf (Tid.slot tid);
      Rel.Tuple.write buf tuple);
   Buffer.contents buf
 
@@ -89,7 +89,7 @@ let decode s off =
     let page, off = get_int b off in
     let slot, off = get_int b off in
     let tuple, off = Rel.Tuple.read b off in
-    let tid = { Tid.page; slot } in
+    let tid = Tid.make ~page ~slot in
     if tag = 'I' then Insert { txn; rel_id; tid; tuple }, off
     else Delete { txn; rel_id; tid; tuple }, off
   | c -> invalid_arg (Printf.sprintf "Wal.decode: bad tag %C" c)

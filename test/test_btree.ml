@@ -2,7 +2,7 @@ module V = Rel.Value
 module B = Rss.Btree
 
 let key i : B.key = [| V.Int i |]
-let tid i = { Rss.Tid.page = i; slot = i mod 7 }
+let tid i = Rss.Tid.make ~page:i ~slot:(i mod 7)
 
 let fresh ?order () =
   let pager = Rss.Pager.create () in
@@ -225,7 +225,7 @@ let prop_cursor_model =
     (fun c ->
       let t, _ = fresh ~order:c.order () in
       let key (a, b, _) = [| V.Int a; V.Int b |] in
-      let tid_of (_, _, x) = { Rss.Tid.page = x; slot = 0 } in
+      let tid_of (_, _, x) = Rss.Tid.make ~page:x ~slot:0 in
       List.iter (fun e -> B.insert t (key e) (tid_of e)) c.inserts;
       let model = ref c.inserts in
       let n = List.length c.inserts in
@@ -270,9 +270,9 @@ let prop_cursor_model =
               if incl then `Inclusive else `Exclusive )
       in
       let lo = bound c.lo and hi = bound c.hi in
-      let as_model (k, (tid : Rss.Tid.t)) =
+      let as_model (k, tid) =
         match k with
-        | [| V.Int a; V.Int b |] -> (a, b, tid.page)
+        | [| V.Int a; V.Int b |] -> (a, b, Rss.Tid.page tid)
         | _ -> failwith "unexpected key shape"
       in
       let asc = List.map as_model (drain (B.range_cursor ?lo ?hi t)) in
@@ -335,13 +335,13 @@ let prop_model =
        | Ok () -> ()
        | Error m -> failwith m);
       let expected =
-        List.sort compare (List.map (fun (k, x) -> (k, (tid x).Rss.Tid.page, (tid x).Rss.Tid.slot)) !model)
+        List.sort compare (List.map (fun (k, x) -> (k, Rss.Tid.page (tid x), Rss.Tid.slot (tid x))) !model)
       in
       let actual =
         B.entries t
         |> List.map (fun (k, t) ->
                ( (match k.(0) with V.Int i -> i | _ -> -1),
-                 t.Rss.Tid.page, t.Rss.Tid.slot ))
+                 Rss.Tid.page t, Rss.Tid.slot t ))
         |> List.sort compare
       in
       expected = actual)
@@ -350,14 +350,14 @@ let prop_model =
 
 let test_pack_boundary () =
   let ok page slot =
-    let t = { Rss.Tid.page; slot } in
-    Alcotest.(check bool)
+    let t = Rss.Tid.make ~page ~slot in
+    Alcotest.(check (pair int int))
       (Printf.sprintf "%d.%d round-trips" page slot)
-      true
-      (Rss.Tid.equal t (Rss.Tid.unpack (Rss.Tid.pack t)))
+      (page, slot)
+      (Rss.Tid.page t, Rss.Tid.slot t)
   in
   let bad page slot =
-    match Rss.Tid.pack { Rss.Tid.page; slot } with
+    match Rss.Tid.make ~page ~slot with
     | _ -> Alcotest.failf "%d.%d packed" page slot
     | exception Invalid_argument _ -> ()
   in
@@ -373,9 +373,10 @@ let test_pack_boundary () =
      TID the pager hands out *)
   Alcotest.(check bool) "slots fit 16 bits" true (Rss.Page.size / 8 < 1 lsl 16)
 
+(* (page, slot) pairs; the reference order is lexicographic on the pair *)
 let tid_gen =
   QCheck.Gen.(
-    map2 (fun page slot -> { Rss.Tid.page; slot })
+    pair
       (oneof [ int_bound 1000; int_bound (1 lsl 40) ])
       (oneof [ int_bound 8; int_bound 65535 ]))
 
@@ -383,13 +384,14 @@ let prop_pack_order =
   QCheck.Test.make ~name:"packed TIDs round-trip and order as Tid.compare"
     ~count:500
     (QCheck.make
-       ~print:(fun (a, b) -> Format.asprintf "%a %a" Rss.Tid.pp a Rss.Tid.pp b)
+       ~print:(fun ((p1, s1), (p2, s2)) -> Printf.sprintf "%d.%d %d.%d" p1 s1 p2 s2)
        (QCheck.Gen.pair tid_gen tid_gen))
-    (fun (a, b) ->
+    (fun (((p1, s1) as a), ((p2, s2) as b)) ->
       let sign x = Int.compare x 0 in
-      Rss.Tid.equal a (Rss.Tid.unpack (Rss.Tid.pack a))
-      && sign (Int.compare (Rss.Tid.pack a) (Rss.Tid.pack b))
-         = sign (Rss.Tid.compare a b))
+      let ta = Rss.Tid.make ~page:p1 ~slot:s1 and tb = Rss.Tid.make ~page:p2 ~slot:s2 in
+      (Rss.Tid.page ta, Rss.Tid.slot ta) = a
+      && sign (Rss.Tid.compare ta tb) = sign (compare a b)
+      && Rss.Tid.equal ta tb = (a = b))
 
 (* --- tree shape against the copy-on-insert tree ---------------------------- *)
 
@@ -526,7 +528,7 @@ let same_shape ~order ops =
   let t, _ = fresh ~order () in
   let c = Copy_tree.create order in
   (* TIDs repeat (x < 13), so (key, TID) pairs repeat too *)
-  let tid_of x = { Rss.Tid.page = x; slot = x mod 3 } in
+  let tid_of x = Rss.Tid.make ~page:x ~slot:(x mod 3) in
   List.iter
     (function
       | Put (k, x) ->
@@ -575,7 +577,7 @@ let prop_shape_order128 =
 let words_per_entry keys =
   let t, pager = fresh () in
   Array.iter
-    (fun k -> B.insert t (key k) { Rss.Tid.page = k / 50; slot = k mod 50 })
+    (fun k -> B.insert t (key k) (Rss.Tid.make ~page:(k / 50) ~slot:(k mod 50)))
     keys;
   let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr pager) in
   float_of_int words /. float_of_int (Array.length keys)

@@ -166,7 +166,7 @@ let test_statistics_shared_first_fit () =
   let row i = T.make [ V.Str (Printf.sprintf "E%04d" i); V.Int (i mod 10); V.Int (10000 + i) ] in
   for i = 0 to 149 do
     let tid = Catalog.insert_tuple cat a (row i) in
-    if tid.Rss.Tid.page = 0 || i mod 3 = 0 then Catalog.mark_delete a tid 7;
+    if Rss.Tid.page tid = 0 || i mod 3 = 0 then Catalog.mark_delete a tid 7;
     ignore (Catalog.insert_tuple cat b (row i))
   done;
   Catalog.update_statistics cat;

@@ -178,7 +178,7 @@ let test_params () =
       (* a parameter inside an arithmetic residual, not a SARG or key bound *)
       ("SELECT A, B FROM P WHERE A > ? AND C * ? > B", [| V.Int 1; V.Int 3 |]) ]
 
-(* Plan nodes of [r]'s plan and of each distinct nested block's plans. *)
+(* Plan nodes of [r]'s plan and of its nested blocks' plans. *)
 let rec all_nodes (r : Optimizer.result) =
   let rec nodes (p : Plan.t) =
     1
@@ -188,12 +188,9 @@ let rec all_nodes (r : Optimizer.result) =
          nodes outer + nodes inner
        | Plan.Sort { input; _ } | Plan.Filter { input; _ } -> nodes input)
   in
-  let distinct =
-    List.fold_left
-      (fun acc (b, sub) -> if List.mem_assq b acc then acc else (b, sub) :: acc)
-      [] r.Optimizer.subresults
-  in
-  List.fold_left (fun n (_, sub) -> n + all_nodes sub) (nodes r.Optimizer.plan) distinct
+  List.fold_left
+    (fun n (_, sub) -> n + all_nodes sub)
+    (nodes r.Optimizer.plan) r.Optimizer.subresults
 
 (* Subquery caching must not change results: the correlated block below is
    called once per P row but, with only ten distinct P.A values, executed far
@@ -210,11 +207,20 @@ let test_subquery_cache () =
     counts.Rss.Counters.subquery_evals;
   check_oracle db sql;
   (* CNF copies the subquery into two factors, (A IN sub OR B = 1) AND
-     (A IN sub OR C = 2), and the optimizer plans it once per copy: it is
-     still compiled once and evaluated once per execution *)
+     (A IN sub OR C = 2), but the optimizer plans and costs it once: the
+     Filter adds one evaluation of it (uncorrelated) to its input's cost, and
+     it is compiled once and evaluated once per execution *)
   let sql = "SELECT A FROM P WHERE A IN (SELECT A FROM Q WHERE D < 30) OR (B = 1 AND C = 2)" in
   let r = Database.optimize db sql in
-  Alcotest.(check int) "one subresult per copy" 2 (List.length r.Optimizer.subresults);
+  Alcotest.(check int) "one per nested block" 1 (List.length r.Optimizer.subresults);
+  (match r.Optimizer.plan.Plan.node with
+   | Plan.Filter { input; _ } ->
+     let sub = snd (List.hd r.Optimizer.subresults) in
+     let want = Cost_model.add input.Plan.cost sub.Optimizer.plan.Plan.cost in
+     let got = r.Optimizer.plan.Plan.cost in
+     Alcotest.(check (pair (float 1e-9) (float 1e-9)))
+       "filter cost = input + one evaluation" (want.pages, want.rsi) (got.pages, got.rsi)
+   | _ -> Alcotest.fail "no Filter over the subquery factors");
   let _, counts = Executor.run_measured (Database.catalog db) r in
   Alcotest.(check int) "called per factor and candidate" 400 counts.Rss.Counters.subquery_calls;
   Alcotest.(check int) "evaluated once" 1 counts.Rss.Counters.subquery_evals;

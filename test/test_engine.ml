@@ -143,7 +143,7 @@ let test_logged_workload_recovers () =
   Rss.Wal.append wal
     (Rss.Wal.Insert
        { txn = 2; rel_id = r.Catalog.rel_id;
-         tid = { Rss.Tid.page = 0; slot = 0 };
+         tid = Rss.Tid.make ~page:0 ~slot:0;
          tuple = T.make [ V.Int 999; V.Int 999 ] });
   (* crash: recover from the serialized log into a fresh database *)
   Rss.Wal.flush wal;
@@ -196,12 +196,10 @@ let test_check_integrity_after_dml () =
     | Some r -> r
     | None -> Alcotest.fail "T missing"
   in
-  let tid, _ =
-    List.hd
-      (Rss.Scan.to_list
-         (Rss.Scan.open_segment_scan rel.Catalog.segment
-            ~rel_id:rel.Catalog.rel_id ()))
-  in
+  let tid = ref (Rss.Tid.make ~page:0 ~slot:0) in
+  ignore
+    (Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id:rel.Catalog.rel_id ~tid () ());
+  let tid = !tid in
   ignore (Rss.Segment.delete rel.Catalog.segment tid);
   (match Database.check_integrity db with
    | Error _ -> ()
@@ -565,8 +563,8 @@ let test_dml_own_writes_and_rollback () =
   let versions () =
     List.map
       (fun (tid, t, xmin, xmax) ->
-        Printf.sprintf "%d.%d %s xmin=%d xmax=%d" tid.Rss.Tid.page
-          tid.Rss.Tid.slot (T.to_string t) xmin xmax)
+        Printf.sprintf "%d.%d %s xmin=%d xmax=%d" (Rss.Tid.page tid)
+          (Rss.Tid.slot tid) (T.to_string t) xmin xmax)
       (Catalog.scan_versions rel)
   in
   ignore (Database.exec db "BEGIN");
@@ -761,7 +759,7 @@ let db_contents db =
   List.map
     (fun (r : Catalog.relation) ->
       let tuples =
-        Rss.Scan.to_list
+        Cursor.drain
           (Rss.Scan.open_segment_scan r.Catalog.segment
              ~rel_id:r.Catalog.rel_id ())
       in
@@ -771,7 +769,7 @@ let db_contents db =
           (fun (i : Catalog.index) ->
             (i.Catalog.idx_name, i.Catalog.key_cols, i.Catalog.clustered))
           (Catalog.indexes_on cat r),
-        List.sort String.compare (List.map (fun (_, t) -> bits_key t) tuples) ))
+        List.sort String.compare (List.map bits_key tuples) ))
     (Catalog.relations cat)
 
 (* An image's DDL and log, split at the header line. *)

@@ -197,7 +197,7 @@ let test_statistics_match_reference () =
       List.iter
         (fun (rel : Catalog.relation) ->
           let tuples =
-            Rss.Scan.to_list
+            Cursor.drain
               (Rss.Scan.open_segment_scan rel.Catalog.segment
                  ~rel_id:rel.Catalog.rel_id ())
           in
@@ -210,7 +210,7 @@ let test_statistics_match_reference () =
               same_histogram
                 (Printf.sprintf "%s.%s col %d" name rel.Catalog.rel_name col)
                 (reference_build
-                   (List.map (fun (_, tup) -> Rel.Tuple.get tup col) tuples))
+                   (List.map (fun tup -> Rel.Tuple.get tup col) tuples))
                 st.Stats.hist)
             rel.Catalog.cstats)
         (Catalog.relations (Database.catalog db)))

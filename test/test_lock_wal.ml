@@ -78,8 +78,8 @@ let test_deadlock_detection () =
 
 let test_tuple_granularity () =
   let lt = L.create () in
-  let r1 = L.Tuple_of (0, { Rss.Tid.page = 1; slot = 0 }) in
-  let r2 = L.Tuple_of (0, { Rss.Tid.page = 1; slot = 1 }) in
+  let r1 = L.Tuple_of (0, Rss.Tid.make ~page:1 ~slot:0) in
+  let r2 = L.Tuple_of (0, Rss.Tid.make ~page:1 ~slot:1) in
   ignore (L.acquire lt 1 r1 L.Exclusive);
   Alcotest.(check bool) "different tuples independent" true
     (L.acquire lt 2 r2 L.Exclusive = L.Granted)
@@ -172,7 +172,7 @@ let test_release_grant_arrival_order () =
 let test_deadlock_three_txns_mixed_resources () =
   let lt = L.create () in
   let ra = rel 0 in
-  let rb = L.Tuple_of (1, { Rss.Tid.page = 3; slot = 1 }) in
+  let rb = L.Tuple_of (1, Rss.Tid.make ~page:3 ~slot:1) in
   let rc = rel 2 in
   ignore (L.acquire lt 1 ra L.Exclusive);
   ignore (L.acquire lt 2 rb L.Exclusive);
@@ -309,9 +309,9 @@ let test_model_random_sequences () =
   let rng = Random.State.make [| 2020 |] in
   let resources =
     [| rel 0; rel 1;
-       L.Tuple_of (0, { Rss.Tid.page = 1; slot = 0 });
-       L.Tuple_of (0, { Rss.Tid.page = 1; slot = 1 });
-       L.Tuple_of (1, { Rss.Tid.page = 2; slot = 0 }) |]
+       L.Tuple_of (0, Rss.Tid.make ~page:1 ~slot:0);
+       L.Tuple_of (0, Rss.Tid.make ~page:1 ~slot:1);
+       L.Tuple_of (1, Rss.Tid.make ~page:2 ~slot:0) |]
   in
   let seen = Hashtbl.create 8 in
   let note what = Hashtbl.replace seen what () in
@@ -394,7 +394,7 @@ let test_entries_die_with_last_holder () =
 
 (* --- WAL ------------------------------------------------------------------ *)
 
-let tid p s = { Rss.Tid.page = p; slot = s }
+let tid p s = Rss.Tid.make ~page:p ~slot:s
 
 let sample_records =
   [ W.Begin 1;

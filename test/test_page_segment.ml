@@ -124,10 +124,10 @@ let test_segment_census () =
   in
   let pages = Rss.Segment.page_ids seg in
   Alcotest.(check int) "four pages" 4 (List.length pages);
-  let page_no (tid : Rss.Tid.t) =
+  let page_no tid =
     let rec go k = function
       | [] -> assert false
-      | p :: rest -> if p = tid.page then k else go (k + 1) rest
+      | p :: rest -> if p = Rss.Tid.page tid then k else go (k + 1) rest
     in
     go 0 pages
   in
@@ -152,7 +152,7 @@ let test_segment_census () =
       log
   in
   let distinct_pages tids =
-    List.length (List.sort_uniq Int.compare (List.map (fun (t : Rss.Tid.t) -> t.page) tids))
+    List.length (List.sort_uniq Int.compare (List.map Rss.Tid.page tids))
   in
   let reference rel_id =
     let live =

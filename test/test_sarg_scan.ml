@@ -43,6 +43,14 @@ let test_conjoin () =
 
 (* --- scans -------------------------------------------------------------- *)
 
+(* Drain a segment scan into (TID, tuple) pairs, each TID read from the
+   scan's TID cell as its tuple is returned *)
+let segment_pairs ?snap ?sargs seg ~rel_id =
+  let tid = ref (Rss.Tid.make ~page:0 ~slot:0) in
+  let next = Rss.Scan.open_segment_scan seg ~rel_id ?snap ?sargs ~tid () in
+  let rec go acc = match next () with None -> List.rev acc | Some tu -> go ((!tid, tu) :: acc) in
+  go []
+
 let setup ?(other_rows = 50) () =
   let pager = Rss.Pager.create ~buffer_pages:100 () in
   let seg = Rss.Segment.create pager in
@@ -59,9 +67,9 @@ let setup ?(other_rows = 50) () =
 
 let test_segment_scan_returns_own_relation () =
   let _, seg = setup () in
-  let rows = Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:1 ()) in
+  let rows = Cursor.drain (Rss.Scan.open_segment_scan seg ~rel_id:1 ()) in
   Alcotest.(check int) "rel 1 rows" 300 (List.length rows);
-  let rows2 = Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:2 ()) in
+  let rows2 = Cursor.drain (Rss.Scan.open_segment_scan seg ~rel_id:2 ()) in
   Alcotest.(check int) "rel 2 rows" 50 (List.length rows2)
 
 let test_segment_scan_touches_every_page_once () =
@@ -69,7 +77,7 @@ let test_segment_scan_touches_every_page_once () =
   let c = Rss.Pager.counters pager in
   Rss.Counters.reset c;
   Rss.Pager.evict_all pager;
-  ignore (Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:2 ()));
+  ignore (Cursor.drain (Rss.Scan.open_segment_scan seg ~rel_id:2 ()));
   (* all non-empty pages of the segment are touched, each exactly once, even
      though relation 2 occupies only a few *)
   let _, _, nonempty = Rss.Segment.census seg ~rel_id:2 in
@@ -81,7 +89,7 @@ let test_segment_scan_sargs_cut_rsi () =
   let c = Rss.Pager.counters pager in
   Rss.Counters.reset c;
   let sargs = [ [ s 1 Sg.Eq (V.Int 3) ] ] in
-  let rows = Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:1 ~sargs ()) in
+  let rows = Cursor.drain (Rss.Scan.open_segment_scan seg ~rel_id:1 ~sargs ()) in
   Alcotest.(check int) "filtered rows" 30 (List.length rows);
   (* SARG-rejected tuples never cross the RSI *)
   Alcotest.(check int) "rsi calls = returned" 30 c.Rss.Counters.rsi_calls
@@ -90,7 +98,7 @@ let test_index_scan_range_and_order () =
   let pager, seg = setup () in
   let bt = Rss.Btree.create ~order:8 pager in
   (* index rel 1 on column 0 *)
-  let all = Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:1 ()) in
+  let all = segment_pairs seg ~rel_id:1 in
   List.iter (fun (tid, tu) -> Rss.Btree.insert bt [| T.get tu 0 |] tid) all;
   let scan =
     Rss.Scan.open_index_scan seg ~rel_id:1 ~index:bt
@@ -98,16 +106,16 @@ let test_index_scan_range_and_order () =
       ~hi:([| V.Int 109 |], `Inclusive)
       ()
   in
-  let rows = Rss.Scan.to_list scan in
+  let rows = Cursor.drain scan in
   Alcotest.(check int) "range size" 10 (List.length rows);
-  let keys = List.map (fun (_, tu) -> T.get tu 0) rows in
+  let keys = List.map (fun tu -> T.get tu 0) rows in
   let sorted = List.sort V.compare keys in
   Alcotest.(check bool) "key order" true (List.for_all2 V.equal keys sorted)
 
 let test_index_scan_with_sargs () =
   let pager, seg = setup () in
   let bt = Rss.Btree.create pager in
-  let all = Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:1 ()) in
+  let all = segment_pairs seg ~rel_id:1 in
   List.iter (fun (tid, tu) -> Rss.Btree.insert bt [| T.get tu 0 |] tid) all;
   let c = Rss.Pager.counters pager in
   Rss.Counters.reset c;
@@ -118,7 +126,7 @@ let test_index_scan_with_sargs () =
       ~sargs:[ [ s 1 Sg.Eq (V.Int 7) ] ]
       ()
   in
-  let rows = Rss.Scan.to_list scan in
+  let rows = Cursor.drain scan in
   Alcotest.(check int) "rows" 10 (List.length rows);
   Alcotest.(check int) "rsi" 10 c.Rss.Counters.rsi_calls
 
@@ -133,7 +141,7 @@ let test_scan_protocol () =
   let bt = Rss.Btree.create ~order:8 pager in
   List.iter
     (fun (tid, tu) -> Rss.Btree.insert bt [| T.get tu 0 |] tid)
-    (Rss.Scan.to_list (Rss.Scan.open_segment_scan seg ~rel_id:1 ()));
+    (segment_pairs seg ~rel_id:1);
   let m = Rss.Mvcc.create () in
   let c = Rss.Pager.counters pager in
   let index dir snap sargs =
@@ -167,14 +175,14 @@ let test_scan_protocol () =
               incr late;
               let tup = t [ V.Int (100 + (!late mod 100)); V.Int 3; V.Str "late" ] in
               let tid = Rss.Segment.insert seg ~rel_id:1 tup in
-              Alcotest.(check int) (name ^ ": stored on the last page") last_page tid.Rss.Tid.page;
+              Alcotest.(check int) (name ^ ": stored on the last page") last_page (Rss.Tid.page tid);
               Rss.Btree.insert bt [| T.get tup 0 |] tid;
               Alcotest.(check bool) (name ^ ": still drained") true (scan () = None);
               let d = Rss.Counters.diff ~after:(Rss.Counters.snapshot c) ~before in
               Alcotest.(check (pair int int)) (name ^ ": nothing charged") (0, 0)
                 (d.Rss.Counters.page_fetches + d.Rss.Counters.buffer_hits, d.Rss.Counters.rsi_calls);
               Alcotest.(check int) (name ^ ": a fresh OPEN sees it") (n + 1)
-                (List.length (Rss.Scan.to_list (open_scan (snap ()) sargs))))
+                (List.length (Cursor.drain (open_scan (snap ()) sargs))))
             [ ("no SARG", None); ("SARG c1 = 3", Some [ [ s 1 Sg.Eq (V.Int 3) ] ]) ])
         [ ("no snapshot", fun () -> None);
           ("snapshot", fun () -> Some (Rss.Mvcc.view m (Rss.Mvcc.statement_snapshot m))) ])
@@ -239,8 +247,8 @@ let shared_segment () =
   in
   let second_page = List.nth (Rss.Segment.page_ids seg) 1 in
   List.iter
-    (fun (i, (tid : Rss.Tid.t)) ->
-      if tid.page = second_page || i mod 11 = 0 then
+    (fun (i, tid) ->
+      if Rss.Tid.page tid = second_page || i mod 11 = 0 then
         ignore (Rss.Segment.delete seg tid)
       else if i mod 6 = 1 then Rss.Segment.set_xmax seg tid [| 1; 2; 3 |].(i mod 3))
     tids;
@@ -267,7 +275,7 @@ let reference_scan pager seg ~rel_id ~snap sarg =
             in
             if rid = rel_id && visible && dnf sarg tuple then begin
               Rss.Pager.note_rsi_call pager;
-              out := ({ Rss.Tid.page = pid; slot }, tuple) :: !out
+              out := (Rss.Tid.make ~page:pid ~slot, tuple) :: !out
             end
           | Rss.Page.Dead -> ()
         done
@@ -303,8 +311,7 @@ let test_segment_scan_matches_reference () =
   let row = Alcotest.(pair (pair int int) (array string)) in
   let show (rows, counts) =
     ( List.map
-        (fun ((tid : Rss.Tid.t), tup) ->
-          ((tid.page, tid.slot), Array.map V.to_string tup))
+        (fun (tid, tup) -> ((Rss.Tid.page tid, Rss.Tid.slot tid), Array.map V.to_string tup))
         rows,
       counts )
   in
@@ -316,9 +323,7 @@ let test_segment_scan_matches_reference () =
           List.iteri
             (fun k sargs ->
               let got =
-                measured (fun () ->
-                    Rss.Scan.to_list
-                      (Rss.Scan.open_segment_scan seg ~rel_id ?snap ~sargs ()))
+                measured (fun () -> segment_pairs seg ~rel_id ?snap ~sargs)
               in
               let want = measured (fun () -> reference_scan pager seg ~rel_id ~snap sargs) in
               if fst want <> [] then incr nonempty;
@@ -330,6 +335,67 @@ let test_segment_scan_matches_reference () =
     [ 1; 2 ];
   (* a reference that selected nothing would compare nothing *)
   Alcotest.(check bool) "most cases return rows" true (!nonempty >= 20)
+
+(* --- allocation per returned tuple ------------------------------------------ *)
+
+(* Minor-heap words allocated per tuple by opening and draining [open_next ()]
+   on a warm buffer pool (a first drain warms it). A NEXT returns the stored
+   tuple itself, so what a returned tuple costs is its [Some] (2 words) plus
+   a share of the per-page and per-open work. *)
+let words_per_tuple open_next =
+  let drain next =
+    let rec go n = match next () with Some _ -> go (n + 1) | None -> n in
+    go 0
+  in
+  ignore (drain (open_next ()));
+  let before = Gc.minor_words () in
+  let n = drain (open_next ()) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "returns thousands of tuples" true (n >= 3000);
+  words /. float_of_int n
+
+(* 3,000 versions, written by one committed transaction per 100, read under
+   a statement snapshot: by a bare RSS segment scan and by the executor's
+   compiled cursor over a one-node [Scan] plan. A TID record and a
+   (TID, tuple) pair per NEXT, or a cursor re-wrapping the scan's tuple,
+   would take either above the bound. *)
+let test_words_per_tuple () =
+  let bound = 3.0 in
+  let db = Database.create ~buffer_pages:256 () in
+  let cat = Database.catalog db in
+  let mvcc = Engine.mvcc (Database.engine db) in
+  let schema =
+    Rel.Schema.make
+      (List.map (fun name -> { Rel.Schema.name; ty = V.Tint }) [ "A"; "B"; "C" ])
+  in
+  let rel = Catalog.create_relation cat ~name:"T" ~schema in
+  for i = 0 to 2999 do
+    let xid = 1 + (i / 100) in
+    if i mod 100 = 0 then Rss.Mvcc.begin_txn mvcc xid;
+    ignore
+      (Catalog.insert_tuple ~xmin:xid cat rel (t [ V.Int i; V.Int (i mod 50); V.Int (i * 7) ]));
+    if i mod 100 = 99 then ignore (Rss.Mvcc.commit mvcc xid)
+  done;
+  let snap () = Rss.Mvcc.view mvcc (Rss.Mvcc.statement_snapshot mvcc) in
+  let scan =
+    words_per_tuple (fun () ->
+        Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id:rel.Catalog.rel_id
+          ~snap:(snap ()) ())
+  in
+  let r = Database.optimize db "SELECT * FROM T" in
+  (match r.Optimizer.plan.Plan.node with
+   | Plan.Scan { access = Plan.Seg_scan; _ } -> ()
+   | _ -> Alcotest.fail "SELECT * FROM T is not one segment scan");
+  let cursor =
+    words_per_tuple (fun () ->
+        Cursor.compile ~snap:(snap ()) cat r.Optimizer.block r.Optimizer.plan () )
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "segment scan: %.2f words per tuple <= %.1f" scan bound)
+    true (scan <= bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "compiled cursor: %.2f words per tuple <= %.1f" cursor bound)
+    true (cursor <= bound)
 
 let () =
   Alcotest.run "sarg_scan"
@@ -350,4 +416,5 @@ let () =
           Alcotest.test_case "index scan with sargs" `Quick test_index_scan_with_sargs;
           Alcotest.test_case "segment scan = reference walk" `Quick
             test_segment_scan_matches_reference;
-          Alcotest.test_case "protocol" `Quick test_scan_protocol ] ) ]
+          Alcotest.test_case "protocol" `Quick test_scan_protocol;
+          Alcotest.test_case "words per returned tuple" `Quick test_words_per_tuple ] ) ]

@@ -208,9 +208,9 @@ let test_deadlock_cycle_of_four () =
   let lt = L.create () in
   let res =
     [| L.Relation 0;
-       L.Tuple_of (0, { Rss.Tid.page = 1; slot = 2 });
+       L.Tuple_of (0, Rss.Tid.make ~page:1 ~slot:2);
        L.Relation 1;
-       L.Tuple_of (1, { Rss.Tid.page = 4; slot = 0 }) |]
+       L.Tuple_of (1, Rss.Tid.make ~page:4 ~slot:0) |]
   in
   Array.iteri (fun i r -> ignore (L.acquire lt (i + 1) r L.Exclusive)) res;
   (* t1 -> t2 -> t3 -> t4 each waiting on the next one's resource *)
